@@ -17,8 +17,6 @@
 //! repro --bench-flow         # fluid-scheduler benchmark → BENCH_flow.json
 //! repro --bench-establish    # establishment benchmark → BENCH_establish.json
 //! repro --bench-unit         # measurement-unit benchmark → BENCH_unit.json
-//! repro --bench-engine       # typed event-engine benchmark → BENCH_engine.json
-//! repro --bench-stream       # cell-burst coalescing benchmark → BENCH_stream.json
 //! repro --quiet / -v         # errors only / debug diagnostics
 //! repro --list               # list targets
 //! ```
@@ -43,8 +41,6 @@ fn main() {
     let mut bench_flow = false;
     let mut bench_establish = false;
     let mut bench_unit = false;
-    let mut bench_engine = false;
-    let mut bench_stream = false;
     let mut bench_out: Option<String> = None;
     let mut faults = false;
     let mut par = Parallelism::sequential();
@@ -126,14 +122,6 @@ fn main() {
         bench_unit = true;
         args.remove(pos);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-engine") {
-        bench_engine = true;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-stream") {
-        bench_stream = true;
-        args.remove(pos);
-    }
     if let Some(pos) = args.iter().position(|a| a == "--bench-out") {
         if pos + 1 >= args.len() {
             obs_error!("--bench-out requires a path");
@@ -208,7 +196,7 @@ fn main() {
         let (results, doc) = ptperf_bench::flowbench::run_flow_bench(runs);
         println!("{}", ptperf_bench::flowbench::render_table(&results, runs));
         let out = bench_out.as_deref().unwrap_or("BENCH_flow.json");
-        std::fs::write(out, doc).expect("write flow bench json");
+        or_exit("--bench-out", out, std::fs::write(out, doc));
         obs_info!("wrote flow benchmark to {out}");
         return;
     }
@@ -221,7 +209,7 @@ fn main() {
             ptperf_bench::establishbench::render_table(&results, &dep, runs)
         );
         let out = bench_out.as_deref().unwrap_or("BENCH_establish.json");
-        std::fs::write(out, doc).expect("write establish bench json");
+        or_exit("--bench-out", out, std::fs::write(out, doc));
         obs_info!("wrote establish benchmark to {out}");
         return;
     }
@@ -234,31 +222,10 @@ fn main() {
             ptperf_bench::unitbench::render_table(&results, &sites, runs)
         );
         let out = bench_out.as_deref().unwrap_or("BENCH_unit.json");
-        std::fs::write(out, doc).expect("write unit bench json");
+        or_exit("--bench-out", out, std::fs::write(out, doc));
         obs_info!("wrote unit benchmark to {out}");
         return;
     }
-    if bench_engine {
-        let runs = ptperf_bench::enginebench::runs_from_env();
-        obs_info!("engine bench: {runs} run(s) per class");
-        let (results, doc) = ptperf_bench::enginebench::run_engine_bench(runs);
-        println!("{}", ptperf_bench::enginebench::render_table(&results, runs));
-        let out = bench_out.as_deref().unwrap_or("BENCH_engine.json");
-        std::fs::write(out, doc).expect("write engine bench json");
-        obs_info!("wrote engine benchmark to {out}");
-        return;
-    }
-    if bench_stream {
-        let runs = ptperf_bench::streambench::runs_from_env();
-        obs_info!("stream bench: {runs} run(s) per class");
-        let (results, doc) = ptperf_bench::streambench::run_stream_bench(runs);
-        println!("{}", ptperf_bench::streambench::render_table(&results, runs));
-        let out = bench_out.as_deref().unwrap_or("BENCH_stream.json");
-        std::fs::write(out, doc).expect("write stream bench json");
-        obs_info!("wrote stream benchmark to {out}");
-        return;
-    }
-
     let targets: Vec<String> = if args.is_empty() {
         available_targets().iter().map(|s| s.to_string()).collect()
     } else {
@@ -291,10 +258,10 @@ fn main() {
         println!("==================== {t} ====================");
         println!("{}", run.text);
         if let Some(dir) = &csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
+            or_exit("--csv", dir, std::fs::create_dir_all(dir));
             for (stem, doc) in export_csv_with(&t, &scenario, scale, &par) {
                 let path = format!("{dir}/{stem}.csv");
-                std::fs::write(&path, doc).expect("write csv");
+                or_exit("--csv", &path, std::fs::write(&path, doc));
                 obs_info!("wrote {path}");
             }
         }
@@ -304,25 +271,47 @@ fn main() {
     let elapsed = run_started.elapsed();
 
     if let Some(path) = &trace_path {
-        std::fs::write(path, obs_export::trace_jsonl(&runs)).expect("write trace");
+        or_exit(
+            "--trace",
+            path,
+            std::fs::write(path, obs_export::trace_jsonl(&runs)),
+        );
         obs_info!("wrote sim-time trace to {path}");
     }
     if let Some(path) = &trace_chrome_path {
-        std::fs::write(path, obs_export::trace_chrome(&runs)).expect("write chrome trace");
+        or_exit(
+            "--trace-chrome",
+            path,
+            std::fs::write(path, obs_export::trace_chrome(&runs)),
+        );
         obs_info!("wrote Chrome trace-event export to {path}");
     }
     if let Some(path) = &hist_path {
-        std::fs::write(path, obs_export::hist_json(&runs)).expect("write hist report");
+        or_exit(
+            "--hist",
+            path,
+            std::fs::write(path, obs_export::hist_json(&runs)),
+        );
         obs_info!("wrote latency-histogram report to {path}");
     }
     if let Some(path) = &metrics_path {
         let registry = obs_export::build_metrics(&runs, par.workers, elapsed);
-        std::fs::write(path, registry.to_json()).expect("write metrics");
+        or_exit("--metrics", path, std::fs::write(path, registry.to_json()));
         obs_info!("wrote wall-clock metrics to {path}");
     }
     if profile {
         println!("{}", obs_export::profile_table(&runs));
     }
+}
+
+/// Unwraps the result of writing an output file or creating its
+/// directory. On failure prints one error line naming the flag and the
+/// path, then exits 1.
+fn or_exit<T>(flag: &str, path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        obs_error!("{flag}: cannot write {path}: {e}");
+        std::process::exit(1)
+    })
 }
 
 fn print_help() {
@@ -332,7 +321,6 @@ fn print_help() {
          \x20            [--trace FILE] [--trace-chrome FILE] [--hist FILE]\n\
          \x20            [--metrics FILE] [--profile] [--faults]\n\
          \x20            [--bench-flow] [--bench-establish] [--bench-unit]\n\
-         \x20            [--bench-engine] [--bench-stream]\n\
          \x20            [--bench-out FILE] [--check-bench DIR] [--json-check FILE]\n\
          \x20            [--quiet] [-v|--verbose] [--list] [TARGET ...]\n\n\
          --workers only changes wall-clock time: output is bit-for-bit\n\
@@ -379,20 +367,6 @@ fn print_help() {
          units/s, allocations per warm unit, site-workload-memo savings)\n\
          and writes BENCH_unit.json (path override: --bench-out; runs\n\
          per class: PTPERF_UNITBENCH_RUNS, default 200), then exits.\n\
-         --bench-engine benchmarks the typed slab/timer-wheel event\n\
-         engine against the retained boxed-closure reference engine\n\
-         (cell-stream and timer-mix classes; p50/p95 per run, events/s,\n\
-         allocations per event from a real counting global allocator\n\
-         when built with --features count-alloc) and writes\n\
-         BENCH_engine.json (path override: --bench-out; runs per\n\
-         class: PTPERF_ENGINEBENCH_RUNS, default 200), then exits.\n\
-         --bench-stream benchmarks cell-burst coalescing in the Tor\n\
-         stream model (closed-form window bursts vs the retained\n\
-         per-cell lane; p50/p95 per run, events-per-run reduction,\n\
-         cells/s, allocations per event under --features count-alloc)\n\
-         and writes BENCH_stream.json (path override: --bench-out;\n\
-         runs per class: PTPERF_STREAMBENCH_RUNS, default 200), then\n\
-         exits.\n\
          --quiet shows errors only; -v enables debug diagnostics.\n\
          With no targets, all of them run. Targets:\n  {}",
         available_targets().join(" ")

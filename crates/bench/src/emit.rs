@@ -38,8 +38,7 @@ pub fn assert_finite(label: &str, what: &str, x: f64) {
 /// Times `runs` executions of `body`, returning per-run wall times in
 /// microseconds. Each run's result goes through `black_box` so the
 /// optimizer cannot discard the measured work; the vector is
-/// preallocated so the loop itself performs no harness allocations
-/// (the counting-allocator harnesses rely on that).
+/// preallocated so the loop itself performs no harness allocations.
 pub fn timed_runs<T>(runs: usize, mut body: impl FnMut() -> T) -> Vec<f64> {
     let mut us = Vec::with_capacity(runs);
     for _ in 0..runs {
@@ -49,25 +48,6 @@ pub fn timed_runs<T>(runs: usize, mut body: impl FnMut() -> T) -> Vec<f64> {
         std::hint::black_box(out);
     }
     us
-}
-
-/// Like [`timed_runs`], but with the counting global allocator
-/// snapshotted around the loop itself: the sample vector's one
-/// preallocation happens *before* the snapshot, so the returned call
-/// count belongs to the measured body alone. Returns the per-run wall
-/// times plus the allocation calls the bodies performed (always 0
-/// without `--features count-alloc`).
-pub fn counted_timed_runs<T>(runs: usize, mut body: impl FnMut() -> T) -> (Vec<f64>, u64) {
-    let mut us = Vec::with_capacity(runs);
-    let before = crate::alloc_count::allocation_calls();
-    for _ in 0..runs {
-        let t = Instant::now();
-        let out = body();
-        us.push(t.elapsed().as_secs_f64() * 1e6);
-        std::hint::black_box(out);
-    }
-    let allocs = crate::alloc_count::allocation_calls() - before;
-    (us, allocs)
 }
 
 /// The (p50, p95) pair of a timing vector, in its own unit.
@@ -158,22 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn counted_timed_runs_excludes_its_own_sample_vector() {
-        // Without count-alloc the counter is frozen at zero; with it,
-        // an allocation-free body must still report zero because the
-        // sample vector is preallocated outside the snapshot.
-        let (us, allocs) = counted_timed_runs(6, || std::hint::black_box(2 + 2));
-        assert_eq!(us.len(), 6);
-        assert_eq!(allocs, 0, "harness charged its own bookkeeping to the body");
-    }
-
-    #[test]
     fn json_shell_emits_valid_parseable_documents() {
         let doc = json_shell(
             "ptperf-bench-test/v1",
             12,
             &[
-                "  \"counting_allocator\": false".to_string(),
+                "  \"units\": 3".to_string(),
                 json_array_section("classes", &["    {\"name\": \"a\"}".to_string()]),
             ],
         );

@@ -6,20 +6,14 @@
 //! * `cargo bench` runs the Criterion benchmarks, one group per
 //!   figure/table family plus the ablation benches DESIGN.md calls out.
 
-// `deny` rather than `forbid`: the `count-alloc` counting global
-// allocator (see `alloc_count`) needs one explicitly-allowed unsafe
-// module to wrap the system allocator; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc_count;
 pub mod emit;
-pub mod enginebench;
 pub mod establishbench;
 pub mod flowbench;
 pub mod obs_export;
 pub mod regress;
-pub mod streambench;
 pub mod targets;
 pub mod unitbench;
 

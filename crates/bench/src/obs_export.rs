@@ -464,37 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_a_cells_coalesced_counter_track() {
-        // Shards that ran the burst-coalescing stream lane carry the
-        // `stream/*` counters; the export must surface the coalesced
-        // cell count as its own "C" track so the Perfetto view shows
-        // how much per-cell work the closed form absorbed.
-        let mut run = sample_run();
-        run.reports[0].obs.counters.push(("stream/cells_coalesced", 4017));
-        run.reports[0].obs.counters.push(("stream/burst_events", 96));
-        let doc = trace_chrome(&[run]);
-        let v = json::parse(&doc).expect("chrome trace is valid JSON");
-        let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
-        let coalesced: Vec<_> = events
-            .iter()
-            .filter(|e| {
-                e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("stream/cells_coalesced")
-            })
-            .collect();
-        assert_eq!(coalesced.len(), 1, "one coalesced track sample per shard");
-        assert_eq!(
-            coalesced[0]
-                .get("args")
-                .unwrap()
-                .get("value")
-                .and_then(|x| x.as_f64()),
-            Some(4017.0)
-        );
-        assert!(doc.contains("\"stream/burst_events\""));
-    }
-
-    #[test]
     fn chrome_trace_lays_family_shards_consecutively() {
         let mut run = sample_run();
         let mut second = run.reports[0].clone();

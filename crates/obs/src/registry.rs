@@ -59,46 +59,6 @@ pub const COUNTERS: &[CounterDef] = &[
         doc: "page loads that took the re-entrant (non-pooled) state path",
     },
     CounterDef {
-        key: "engine/events_executed",
-        kind: CounterKind::Trace,
-        doc: "discrete events popped and run by the sim engine",
-    },
-    CounterDef {
-        key: "engine/events_scheduled",
-        kind: CounterKind::Trace,
-        doc: "discrete events pushed onto the sim engine queue",
-    },
-    CounterDef {
-        key: "engine/overflow_events",
-        kind: CounterKind::Trace,
-        doc: "events scheduled beyond the timer-wheel far horizon, parked in the overflow heap",
-    },
-    CounterDef {
-        key: "engine/queue_high_water",
-        kind: CounterKind::Trace,
-        doc: "largest simultaneous event-queue depth observed",
-    },
-    CounterDef {
-        key: "engine/queue_reallocs_saved",
-        kind: CounterKind::Trace,
-        doc: "queue growths avoided by Engine::with_capacity pre-sizing",
-    },
-    CounterDef {
-        key: "engine/sim_ns",
-        kind: CounterKind::Trace,
-        doc: "final simulated clock of the engine run, in nanoseconds",
-    },
-    CounterDef {
-        key: "engine/slab_reuses",
-        kind: CounterKind::Trace,
-        doc: "event schedules that recycled a vacant slab slot instead of allocating",
-    },
-    CounterDef {
-        key: "engine/wheel_hits",
-        kind: CounterKind::Trace,
-        doc: "event schedules filed into a timer-wheel level (near/far/due) in O(1)",
-    },
-    CounterDef {
         key: "events",
         kind: CounterKind::Trace,
         doc: "measurement units completed by an experiment shard",
@@ -192,21 +152,6 @@ pub const COUNTERS: &[CounterDef] = &[
         key: "sim_ns",
         kind: CounterKind::Trace,
         doc: "simulated nanoseconds covered by a shard's phase span tree",
-    },
-    CounterDef {
-        key: "stream/burst_events",
-        kind: CounterKind::Trace,
-        doc: "CellBurst events executed by the coalescing stream lane",
-    },
-    CounterDef {
-        key: "stream/burst_splits",
-        kind: CounterKind::Trace,
-        doc: "bursts truncated at arm time by a pending engine deadline",
-    },
-    CounterDef {
-        key: "stream/cells_coalesced",
-        kind: CounterKind::Trace,
-        doc: "cells advanced in closed form inside CellBurst events",
     },
     // -- process-wide perf counters (crate::perf) ---------------------
     CounterDef {

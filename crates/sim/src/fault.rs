@@ -301,30 +301,6 @@ impl FaultPlan {
             .count()
     }
 
-    /// Maps the mid-transfer events (`at > 0`) to absolute engine
-    /// instants over a fault-free body of `nominal` duration starting
-    /// at `start`: event `e` fires at `start + nominal · e.at`. The
-    /// yielded index is the event's position in [`FaultPlan::events`],
-    /// so a driver can recover the kind from a `FaultTimer { idx }`
-    /// payload.
-    ///
-    /// This is the one place the fraction→instant arithmetic lives:
-    /// event-driven drivers that pre-schedule `FaultTimer` deadlines
-    /// (the per-cell and burst stream lanes in `ptperf-tor`) share it,
-    /// so both lanes derive bit-identical fault instants by
-    /// construction.
-    pub fn mid_instants(
-        &self,
-        start: SimTime,
-        nominal: SimDuration,
-    ) -> impl Iterator<Item = (u32, SimTime, FaultKind)> + '_ {
-        self.events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.at > 0.0)
-            .map(move |(idx, e)| (idx as u32, start + nominal.mul_f64(e.at), e.kind))
-    }
-
     /// Generate a plan from a channel's failure knobs, a scenario
     /// profile, and a transport's kind bias, consuming draws from
     /// `rng` only. Deterministic: the same `(knobs, profile, bias,
@@ -600,226 +576,6 @@ pub fn run_transfer(spec: &TransferSpec, plan: &FaultPlan, policy: &RetryPolicy)
     run
 }
 
-/// Event-driven variant of [`run_transfer`]: the same retry state
-/// machine, but every wait — refusal backoffs, the request head, stall
-/// pauses, body segments between fault events — is a typed timer
-/// ([`SimEvent::FaultTimer`](crate::SimEvent) and friends) on the
-/// [`Engine`](crate::Engine) instead of an `elapsed +=` accumulation.
-///
-/// The engine must be dedicated to this transfer (fresh or idle): the
-/// driver schedules at most one pending timer at a time, so
-/// `Engine::with_capacity(seed, 2)` is always a right-sized hint.
-/// Returns a [`FaultRun`] equal field-for-field — including the f64
-/// `fraction` — to the closed form (a tested property), while
-/// exercising the engine's typed-timer path end to end.
-pub fn run_transfer_timed(
-    engine: &mut crate::Engine,
-    spec: &TransferSpec,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> FaultRun {
-    use crate::event::SimEvent;
-
-    /// Resume the connect phase (next refusal, or the request head).
-    const TAG_CONNECT: u32 = 0;
-    /// The request head finished: first byte is due.
-    const TAG_HEAD: u32 = 1;
-    /// A stall or retry wait finished: advance the body again.
-    const TAG_RESUME: u32 = 2;
-
-    #[derive(Clone, Copy)]
-    enum Final {
-        Completed,
-        TimedOut { frac: f64 },
-    }
-
-    struct St<'a> {
-        spec: &'a TransferSpec,
-        events: &'a [FaultEvent],
-        policy: &'a RetryPolicy,
-        run: FaultRun,
-        start: SimTime,
-        attempt: u32,
-        slow: f64,
-        frac: f64,
-        body: f64,
-        idx: usize,
-        fin: Final,
-    }
-
-    fn elapsed(engine: &crate::Engine, s: &St<'_>) -> SimDuration {
-        engine.now().duration_since(s.start)
-    }
-
-    /// Arm [`SimEvent::TransferDone`] at the timeout instant (clamped to
-    /// `now` when a wait already overshot it; the finalization values are
-    /// stored in `fin`, not derived from the firing time).
-    fn schedule_done_at_timeout(engine: &mut crate::Engine, s: &St<'_>) {
-        let at = (s.start + s.spec.timeout).max(engine.now());
-        engine.schedule_event_at(at, SimEvent::TransferDone);
-    }
-
-    /// Advance toward the next fault event (or completion at 1.0) at the
-    /// current degradation factor — the timer twin of the closed form's
-    /// `advance` closure, arithmetic mirrored operation for operation.
-    fn arm_next(engine: &mut crate::Engine, s: &mut St<'_>) {
-        let (target, completing) = if s.idx < s.events.len() {
-            (s.events[s.idx].at.clamp(s.frac, 1.0), false)
-        } else {
-            (1.0, true)
-        };
-        let dt = (target - s.frac).max(0.0) * s.body * s.slow;
-        let now_elapsed = elapsed(engine, s);
-        let arrive = now_elapsed + SimDuration::from_secs_f64(dt);
-        if arrive >= s.spec.timeout {
-            let budget = s.spec.timeout.saturating_sub(now_elapsed).as_secs_f64();
-            let frac = (s.frac + budget / (s.body * s.slow).max(1e-12)).min(1.0);
-            s.fin = Final::TimedOut { frac };
-            schedule_done_at_timeout(engine, s);
-        } else if completing {
-            s.fin = Final::Completed;
-            engine.schedule_event_in(SimDuration::from_secs_f64(dt), SimEvent::TransferDone);
-        } else {
-            let idx = s.idx as u32;
-            engine.schedule_event_in(SimDuration::from_secs_f64(dt), SimEvent::FaultTimer { idx });
-        }
-    }
-
-    /// One connect-phase step: consume a leading refusal (paying its
-    /// backoff as a timer) or pay the request head.
-    fn connect_step(engine: &mut crate::Engine, s: &mut St<'_>) {
-        if s.idx < s.events.len() && matches!(s.events[s.idx].kind, FaultKind::ConnectRefusal) {
-            s.idx += 1;
-            s.run.injected += 1;
-            let now_elapsed = elapsed(engine, s);
-            if s.attempt >= s.policy.max_retries || now_elapsed >= s.spec.timeout {
-                s.run.gave_up += 1;
-                s.run.elapsed = now_elapsed.min(s.spec.timeout);
-                return; // terminal: nothing scheduled, the queue drains
-            }
-            s.run.retried += 1;
-            let wait = s.spec.reconnect_head + s.policy.backoff(s.attempt);
-            s.attempt += 1;
-            engine.schedule_event_in(wait, SimEvent::Tick { tag: TAG_CONNECT });
-            return;
-        }
-        let arrive = elapsed(engine, s) + s.spec.head;
-        if arrive >= s.spec.timeout {
-            s.fin = Final::TimedOut { frac: 0.0 };
-            schedule_done_at_timeout(engine, s);
-            return;
-        }
-        engine.schedule_event_in(s.spec.head, SimEvent::Tick { tag: TAG_HEAD });
-    }
-
-    let mut st = St {
-        spec,
-        events: plan.events(),
-        policy,
-        run: FaultRun::default(),
-        start: engine.now(),
-        attempt: 0,
-        slow: 1.0,
-        frac: 0.0,
-        body: spec.body.as_secs_f64(),
-        idx: 0,
-        fin: Final::Completed,
-    };
-
-    // Degradation scheduled for the connect phase applies up front.
-    while st.idx < st.events.len() {
-        match st.events[st.idx].kind {
-            FaultKind::Degrade(f) if st.events[st.idx].at <= 0.0 => {
-                st.slow *= f.max(1.0);
-                st.run.injected += 1;
-                st.run.recovered += 1;
-                st.idx += 1;
-            }
-            _ => break,
-        }
-    }
-
-    connect_step(engine, &mut st);
-    engine.run_typed(&mut st, |engine, s, ev| match ev {
-        SimEvent::Tick { tag: TAG_CONNECT } => connect_step(engine, s),
-        SimEvent::Tick { tag: TAG_HEAD } => {
-            let now_elapsed = elapsed(engine, s);
-            s.run.first_byte = Some(now_elapsed);
-            if s.body <= 0.0 {
-                s.run.elapsed = now_elapsed;
-                s.run.fraction = 1.0;
-                s.run.completed = true;
-                return;
-            }
-            arm_next(engine, s);
-        }
-        SimEvent::Tick { tag: TAG_RESUME } => arm_next(engine, s),
-        SimEvent::FaultTimer { idx } => {
-            debug_assert_eq!(idx as usize, s.idx, "fault timers fire in plan order");
-            let e = s.events[idx as usize];
-            s.frac = e.at.clamp(s.frac, 1.0);
-            s.idx += 1;
-            s.run.injected += 1;
-            match e.kind {
-                FaultKind::Stall(d) => {
-                    s.run.recovered += 1;
-                    if elapsed(engine, s) + d >= s.spec.timeout {
-                        s.fin = Final::TimedOut { frac: s.frac };
-                        schedule_done_at_timeout(engine, s);
-                    } else {
-                        engine.schedule_event_in(d, SimEvent::Tick { tag: TAG_RESUME });
-                    }
-                }
-                FaultKind::Degrade(f) => {
-                    s.run.recovered += 1;
-                    s.slow *= f.max(1.0);
-                    arm_next(engine, s);
-                }
-                FaultKind::Abort | FaultKind::Churn | FaultKind::ConnectRefusal => {
-                    if s.attempt >= s.policy.max_retries {
-                        s.run.gave_up += 1;
-                        s.run.elapsed = elapsed(engine, s).min(s.spec.timeout);
-                        s.run.fraction = s.frac;
-                        return; // terminal
-                    }
-                    s.run.retried += 1;
-                    let head = if matches!(e.kind, FaultKind::Abort) {
-                        s.spec.resume_head
-                    } else {
-                        s.spec.reconnect_head
-                    };
-                    let wait = head + s.policy.backoff(s.attempt);
-                    s.attempt += 1;
-                    if !s.policy.resume {
-                        s.frac = 0.0;
-                    }
-                    if elapsed(engine, s) + wait >= s.spec.timeout {
-                        s.fin = Final::TimedOut { frac: s.frac };
-                        schedule_done_at_timeout(engine, s);
-                    } else {
-                        engine.schedule_event_in(wait, SimEvent::Tick { tag: TAG_RESUME });
-                    }
-                }
-            }
-        }
-        SimEvent::TransferDone => match s.fin {
-            Final::Completed => {
-                s.run.elapsed = elapsed(engine, s);
-                s.frac = 1.0;
-                s.run.fraction = 1.0;
-                s.run.completed = true;
-            }
-            Final::TimedOut { frac } => {
-                s.run.elapsed = s.spec.timeout;
-                s.run.fraction = frac;
-                s.run.timed_out = true;
-            }
-        },
-        other => unreachable!("fault driver scheduled no {other:?}"),
-    });
-    st.run
-}
-
 /// The scheduler-side hook: a sorted cursor of absolute sim times at
 /// which the fluid schedule must be cut. An empty clock adds a single
 /// branch to the scheduler loop and no floating-point work, so the
@@ -935,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn from_events_sorts_and_mid_instants_maps_fractions() {
+    fn from_events_sorts_by_fraction() {
         // Deliberately out of order: from_events must sort by fraction.
         let plan = FaultPlan::from_events(vec![
             FaultEvent { at: 0.75, kind: FaultKind::Abort },
@@ -944,21 +700,6 @@ mod tests {
         ]);
         let fractions: Vec<f64> = plan.events().iter().map(|e| e.at).collect();
         assert_eq!(fractions, vec![0.0, 0.25, 0.75]);
-
-        // mid_instants skips the connect-phase event and maps each
-        // remaining fraction onto start + fraction * nominal, keeping
-        // the plan-wide index so FaultTimer { idx } can address it.
-        let start = SimTime::from_nanos(5_000);
-        let nominal = SimDuration::from_secs(4);
-        let mids: Vec<(u32, SimTime, FaultKind)> = plan.mid_instants(start, nominal).collect();
-        assert_eq!(
-            mids,
-            vec![
-                (1, start + SimDuration::from_secs(1), FaultKind::Churn),
-                (2, start + SimDuration::from_secs(3), FaultKind::Abort),
-            ]
-        );
-        assert_eq!(plan.mid_instants(start, nominal).count(), plan.mid_events().count());
     }
 
     #[test]
@@ -1047,8 +788,23 @@ mod tests {
         assert_eq!(run.recovered, 1);
     }
 
+    /// The classification every run must end in, whatever the plan:
+    /// the disposition identity holds, elapsed time never passes the
+    /// timeout, the delivered fraction is in `[0, 1]`, and "completed"
+    /// means exactly "the whole body arrived before the timeout".
+    fn assert_classified(run: &FaultRun, sp: &TransferSpec, ctx: &str) {
+        assert!(run.consistent(), "{ctx}: {run:?}");
+        assert!(run.elapsed <= sp.timeout, "{ctx}: {run:?}");
+        assert!((0.0..=1.0).contains(&run.fraction), "{ctx}: {run:?}");
+        assert_eq!(
+            run.completed,
+            run.fraction == 1.0 && !run.timed_out,
+            "{ctx}: {run:?}"
+        );
+    }
+
     #[test]
-    fn timed_driver_matches_closed_form_on_generated_plans() {
+    fn generated_plans_always_classify() {
         let specs = [
             spec(),
             TransferSpec {
@@ -1080,19 +836,15 @@ mod tests {
                 FaultPlan::generate(&k, &profile, &FaultBias::balanced(), &mut SimRng::new(seed));
             for (si, sp) in specs.iter().enumerate() {
                 for (pi, policy) in policies.iter().enumerate() {
-                    let oracle = run_transfer(sp, &plan, policy);
-                    let mut engine = crate::Engine::with_capacity(seed, 2);
-                    let timed = run_transfer_timed(&mut engine, sp, &plan, policy);
-                    assert_eq!(oracle, timed, "seed {seed} spec {si} policy {pi} diverged");
-                    assert!(timed.consistent());
-                    assert_eq!(engine.events_pending(), 0, "driver left timers armed");
+                    let run = run_transfer(sp, &plan, policy);
+                    assert_classified(&run, sp, &format!("seed {seed} spec {si} policy {pi}"));
                 }
             }
         }
     }
 
     #[test]
-    fn timed_driver_matches_closed_form_on_crafted_edges() {
+    fn crafted_edge_plans_always_classify() {
         // Hand-built plans hitting the paths a generated plan rarely
         // does all at once: connect-phase degrades, refusal chains, a
         // stall that crosses the timeout, retry exhaustion mid-body,
@@ -1159,40 +911,11 @@ mod tests {
                 for (pi, policy) in
                     [RetryPolicy::standard(), RetryPolicy::none(), restart].iter().enumerate()
                 {
-                    let oracle = run_transfer(sp, plan, policy);
-                    let mut engine = crate::Engine::with_capacity(9, 2);
-                    let timed = run_transfer_timed(&mut engine, sp, plan, policy);
-                    assert_eq!(oracle, timed, "plan {pli} spec {si} policy {pi} diverged");
-                    assert_eq!(engine.events_pending(), 0);
+                    let run = run_transfer(sp, plan, policy);
+                    assert_classified(&run, sp, &format!("plan {pli} spec {si} policy {pi}"));
                 }
             }
         }
-    }
-
-    #[test]
-    fn timed_driver_reuses_a_warm_engine() {
-        // Back-to-back transfers on one engine must agree with fresh
-        // runs (the driver always drains its timers) and recycle slab
-        // slots instead of growing.
-        let plan = FaultPlan::generate(
-            &knobs(),
-            &FaultProfile::aggressive(),
-            &FaultBias::balanced(),
-            &mut SimRng::new(11),
-        );
-        let policy = RetryPolicy::standard();
-        let mut engine = crate::Engine::with_capacity(11, 2);
-        let first = run_transfer_timed(&mut engine, &spec(), &plan, &policy);
-        let scheduled_cold = engine.events_scheduled();
-        let reuses_cold = engine.slab_reuses();
-        let second = run_transfer_timed(&mut engine, &spec(), &plan, &policy);
-        assert_eq!(first, second, "warm rerun diverged");
-        let warm_scheduled = engine.events_scheduled() - scheduled_cold;
-        assert_eq!(
-            engine.slab_reuses() - reuses_cold,
-            warm_scheduled,
-            "every warm schedule must recycle a slab slot"
-        );
     }
 
     #[test]

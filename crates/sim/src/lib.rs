@@ -1,13 +1,13 @@
-//! # ptperf-sim — deterministic discrete-event network simulator
+//! # ptperf-sim — deterministic network simulator
 //!
 //! The simulation substrate underneath the PTPerf reproduction. The
 //! original study measured the live Tor network; this crate provides the
-//! controllable, reproducible stand-in: a virtual clock and event engine,
-//! a seeded random number generator, a six-region geographic topology with
+//! controllable, reproducible stand-in: a virtual clock, a seeded
+//! random number generator, a six-region geographic topology with
 //! realistic inter-region delays, a TCP-like transfer-time model
 //! (slow start, Mathis loss ceiling, retransmission expansion), max–min
-//! fair bandwidth sharing for concurrent flows, and a relay/bridge load
-//! model.
+//! fair bandwidth sharing for concurrent flows, a relay/bridge load
+//! model, and deterministic fault plans with a retry driver.
 //!
 //! Everything is deterministic given a seed: same seed, same results,
 //! bit for bit, across platforms.
@@ -15,13 +15,13 @@
 //! ## Layering
 //!
 //! ```text
-//! Engine (clock + timer wheel + RNG)        event/
-//!   ├─ SimTime / SimDuration                time.rs
-//!   ├─ SimRng + distributions               rng.rs
-//!   ├─ Location / Medium / PathSample       topology.rs
-//!   ├─ TransferModel (TCP-like timing)      xfer.rs
-//!   ├─ FairNetwork / fluid_schedule         flow.rs
-//!   └─ LoadProfile / LoadTimeline           load.rs
+//! SimTime / SimDuration                    time.rs
+//! SimRng + distributions                   rng.rs
+//! Location / Medium / PathSample           topology.rs
+//! TransferModel (TCP-like timing)          xfer.rs
+//! FairNetwork / fluid_schedule             flow/
+//! LoadProfile / LoadTimeline               load.rs
+//! FaultPlan / run_transfer / FaultClock    fault.rs
 //! ```
 //!
 //! Higher layers (`ptperf-tor`, `ptperf-transports`, `ptperf-web`) compose
@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod fault;
 pub mod flow;
 pub mod load;
@@ -39,10 +38,9 @@ pub mod time;
 pub mod topology;
 pub mod xfer;
 
-pub use event::{Engine, EngineStats, SimEvent};
 pub use fault::{
-    run_transfer, run_transfer_timed, FaultBias, FaultClock, FaultConfig, FaultEvent, FaultKind,
-    FaultKnobs, FaultPlan, FaultProfile, FaultRun, RetryPolicy, TransferSpec,
+    run_transfer, FaultBias, FaultClock, FaultConfig, FaultEvent, FaultKind, FaultKnobs, FaultPlan,
+    FaultProfile, FaultRun, RetryPolicy, TransferSpec,
 };
 pub use flow::{fluid_schedule, fluid_schedule_recorded, maxmin_demo, maxmin_rates, maxmin_rates_recorded, FairNetwork, FlowBatch, FlowDemand, FlowNodes, FluidCompletion, FluidFlow, FluidScheduler, NodeId};
 pub use load::{effective_capacity, LoadProfile, LoadTimeline};

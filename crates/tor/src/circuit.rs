@@ -17,6 +17,19 @@ use crate::path::{CircuitSpec, Role};
 /// Tor's circuit-level flow-control window (SENDME window), in cells.
 pub const CIRC_WINDOW_CELLS: u32 = 1000;
 
+/// The throughput a circuit of round-trip time `rtt` sustains through
+/// a `bottleneck_bps` bottleneck: `min(bottleneck, window / RTT)`.
+///
+/// Tor's circuit-level flow control allows [`CIRC_WINDOW_CELLS`]
+/// unacknowledged cells, so at most one window of relay payload moves
+/// per round trip. The RTT is clamped at 1 ms so a degenerate
+/// zero-latency path cannot divide by zero.
+pub fn window_capped_rate(bottleneck_bps: f64, rtt: SimDuration) -> f64 {
+    let window_cap =
+        CIRC_WINDOW_CELLS as f64 * crate::cell::RELAY_DATA_LEN as f64 / rtt.as_secs_f64().max(1e-3);
+    bottleneck_bps.min(window_cap)
+}
+
 /// Client access-link capacity in bytes per second.
 pub fn access_capacity(medium: Medium) -> f64 {
     match medium {
@@ -182,16 +195,13 @@ impl Circuit {
     /// Two Tor-specific properties:
     /// * loss is recovered **hop-by-hop** (every link is its own TCP
     ///   connection), so the end-to-end Mathis ceiling does not apply;
-    /// * Tor's circuit-level flow control allows [`CIRC_WINDOW_CELLS`]
-    ///   unacknowledged cells, capping throughput at one window per
-    ///   circuit round trip.
+    /// * Tor's circuit-level flow control caps throughput at one
+    ///   window per circuit round trip ([`window_capped_rate`]).
     pub fn transfer_model(&self, dest_leg: PathSample) -> TransferModel {
         let rtt = self.rtt + dest_leg.rtt;
-        let window_cap =
-            CIRC_WINDOW_CELLS as f64 * crate::cell::RELAY_DATA_LEN as f64 / rtt.as_secs_f64().max(1e-3);
         TransferModel::relayed(
             rtt,
-            self.bottleneck_bps.min(window_cap),
+            window_capped_rate(self.bottleneck_bps, rtt),
             (self.loss + dest_leg.loss).clamp(0.0, 0.5),
         )
     }

@@ -37,5 +37,5 @@ pub use curl::{fetch, fetch_faulted, FetchResult, PAGE_TIMEOUT};
 pub use faults::{FaultSession, FaultStats};
 pub use http::{Request as HttpRequest, Response as HttpResponse};
 pub use filedl::{download, download_faulted, Download, ReliabilityCounts, FILE_SIZES, FILE_TIMEOUT};
-pub use streaming::{play, play_faulted, play_timed, MediaStream, StreamingSession};
+pub use streaming::{play, play_faulted, MediaStream, StreamingSession};
 pub use website::{SiteCategory, SiteList, Website};

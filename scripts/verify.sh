@@ -24,19 +24,6 @@
 #      BENCH_unit.json; additionally asserts every warm class shows
 #      allocs_per_unit == 0 — the one structural property the pooled
 #      pipeline promises
-#   7b. engine smoke: the typed-vs-reference equivalence property suite
-#      in release mode (tie order pinned against the boxed oracle), then
-#      repro --bench-engine built with the real counting global
-#      allocator (--features count-alloc) emitting BENCH_engine.json;
-#      asserts counting_allocator is on and every warm class reports
-#      allocs_per_event == 0 — measured allocation calls, not a proxy
-#   7c. stream smoke: the burst-coalescing equivalence suites in release
-#      mode (burst lane ≡ per-cell lane across grids, boundaries, and
-#      fault interleavings, incl. the proptest suite), then
-#      repro --bench-stream under count-alloc emitting BENCH_stream.json;
-#      asserts counting_allocator is on, every class reports
-#      allocs_per_event == 0, and cell_stream_2mb coalesces at least
-#      10x fewer events than the per-cell lane
 #   8. bench regression gate: `repro --check-bench` compares the fresh
 #      bench output against the committed BENCH_*.json baselines with a
 #      relative-tolerance + minimum-run-count rule (PTPERF_BENCH_TOL,
@@ -173,61 +160,6 @@ while read -r allocs; do
     exit 1
   fi
 done < <(grep -o '"allocs_per_unit": [0-9.eE+-]*' "$obs_dir/BENCH_unit.json" | awk '{print $2}')
-
-echo "== engine smoke (typed wheel ≡ boxed oracle, allocation-free warm) =="
-# Tie order pinned: the property suite replays arbitrary schedules on
-# both engines and demands identical (at, seq) firing order, in the
-# same optimized build the bench measures.
-cargo test --release -q -p ptperf-sim --test engine_equivalence > /dev/null
-# The honest-allocator run: count-alloc installs a counting global
-# allocator, so allocs_per_event comes from real allocation calls.
-PTPERF_ENGINEBENCH_RUNS=20 cargo run --release -q --features count-alloc \
-  -p ptperf-bench --bin repro -- \
-  --bench-engine --bench-out "$obs_dir/BENCH_engine.json" > "$obs_dir/engine_out.txt"
-check_finite "$obs_dir/BENCH_engine.json"
-grep -q '"counting_allocator": true' "$obs_dir/BENCH_engine.json"
-# The structural promise of the slab engine: a warm typed engine never
-# allocates. Any non-zero allocs_per_event is a regression.
-while read -r allocs; do
-  if [ "$allocs" != "0" ]; then
-    echo "warm typed engine allocates: allocs_per_event=$allocs" >&2
-    exit 1
-  fi
-done < <(grep -o '"allocs_per_event": [0-9.eE+-]*' "$obs_dir/BENCH_engine.json" | awk '{print $2}')
-
-echo "== stream smoke (burst lane ≡ per-cell lane, closed-form coalescing) =="
-# The equivalence contract in the same optimized build the bench
-# measures: completion time, SENDME count, window trajectory, and RNG
-# stream position must be bit-for-bit across grids, crafted boundaries,
-# and arbitrary fault-timer × burst interleavings.
-cargo test --release -q -p ptperf-tor burst > /dev/null
-cargo test --release -q -p ptperf-sim --test fault_burst_props > /dev/null
-PTPERF_STREAMBENCH_RUNS=20 cargo run --release -q --features count-alloc \
-  -p ptperf-bench --bin repro -- \
-  --bench-stream --bench-out "$obs_dir/BENCH_stream.json" > "$obs_dir/stream_out.txt"
-check_finite "$obs_dir/BENCH_stream.json"
-grep -q '"counting_allocator": true' "$obs_dir/BENCH_stream.json"
-# The burst lane inherits the slab engine's promise: warm runs never
-# allocate, in either lane of the comparison.
-while read -r allocs; do
-  if [ "$allocs" != "0" ]; then
-    echo "warm burst lane allocates: allocs_per_event=$allocs" >&2
-    exit 1
-  fi
-done < <(grep -o '"allocs_per_event": [0-9.eE+-]*' "$obs_dir/BENCH_stream.json" | awk '{print $2}')
-# The headline structural claim: the 2 MB class must schedule at least
-# 10x fewer events in closed form than it did per cell.
-awk '
-  /"name": "cell_stream_2mb"/ {
-    red = $0; sub(/.*"events_reduction": /, "", red); sub(/[,}].*/, "", red)
-    seen = 1
-    if (red + 0 < 10.0) {
-      printf "cell_stream_2mb events_reduction %s below 10x\n", red > "/dev/stderr"
-      exit 1
-    }
-  }
-  END { if (!seen) { print "cell_stream_2mb class missing" > "/dev/stderr"; exit 1 } }
-' "$obs_dir/BENCH_stream.json"
 
 echo "== bench regression gate vs committed baselines =="
 # The statistically-gated replacement for the old warn-only awk 2x
