@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the fluid scheduler and the max–min
-//! allocator: optimized incremental implementation vs the retained
-//! reference oracle, over the standard workload classes from
+//! allocator: optimized implementation vs the retained reference
+//! oracle, over the standard workload classes from
 //! [`ptperf_bench::flowbench`].
 //!
 //! The headline number the PR trajectory tracks is

@@ -14,9 +14,9 @@
 //! repro --profile fig6       # per-family profile table
 //! repro --check-bench DIR    # gate fresh BENCH_*.json in DIR against committed baselines
 //! repro --json-check FILE    # validate a JSON document (exit status only)
-//! repro --bench-flow         # fluid-scheduler benchmark → BENCH_flow.json
-//! repro --bench-establish    # establishment benchmark → BENCH_establish.json
-//! repro --bench-unit         # measurement-unit benchmark → BENCH_unit.json
+//! repro --bench flow         # fluid-scheduler benchmark → BENCH_flow.json
+//! repro --bench establish    # establishment benchmark → BENCH_establish.json
+//! repro --bench unit         # measurement-unit benchmark → BENCH_unit.json
 //! repro --quiet / -v         # errors only / debug diagnostics
 //! repro --list               # list targets
 //! ```
@@ -24,7 +24,8 @@
 use ptperf::executor::{Parallelism, Record};
 use ptperf::scenario::{FaultConfig, FaultProfile, Scenario};
 use ptperf_bench::{
-    available_targets, obs_export, run_target_obs, targets::export_csv_with, RunScale, TargetRun,
+    available_targets, emit, establishbench, flowbench, obs_export, regress, run_target_obs,
+    targets::export_csv_with, unitbench, RunScale, TargetRun,
 };
 use ptperf_obs::{obs_error, obs_info, set_level, Level};
 
@@ -38,9 +39,7 @@ fn main() {
     let mut hist_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut profile = false;
-    let mut bench_flow = false;
-    let mut bench_establish = false;
-    let mut bench_unit = false;
+    let mut bench: Option<String> = None;
     let mut bench_out: Option<String> = None;
     let mut faults = false;
     let mut par = Parallelism::sequential();
@@ -81,11 +80,14 @@ fn main() {
         }
         let fresh_dir = std::path::PathBuf::from(&args[pos + 1]);
         let baseline_dir = std::path::PathBuf::from(".");
-        let cfg = ptperf_bench::regress::RegressConfig::from_env();
-        let (report, ok) = ptperf_bench::regress::check_dirs(&baseline_dir, &fresh_dir, &cfg);
+        let fail_mode = regress::fail_mode_from_env();
+        let (report, ok) = regress::check_dirs(&baseline_dir, &fresh_dir, fail_mode);
         print!("{report}");
         if !ok {
-            obs_error!("bench regression gate failed (tolerance {}x)", cfg.tolerance);
+            obs_error!(
+                "bench regression gate failed (tolerance {}x, or a baseline entry is missing)",
+                regress::TOLERANCE
+            );
             std::process::exit(1);
         }
         return;
@@ -110,17 +112,17 @@ fn main() {
         faults = true;
         args.remove(pos);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-flow") {
-        bench_flow = true;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-establish") {
-        bench_establish = true;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-unit") {
-        bench_unit = true;
-        args.remove(pos);
+    if let Some(pos) = args.iter().position(|a| a == "--bench") {
+        let Some(layer) = args.get(pos + 1) else {
+            obs_error!("--bench requires a layer: flow, establish or unit");
+            std::process::exit(2);
+        };
+        if !["flow", "establish", "unit"].contains(&layer.as_str()) {
+            obs_error!("--bench: unknown layer '{layer}' (expected flow, establish or unit)");
+            std::process::exit(2);
+        }
+        bench = Some(layer.clone());
+        args.drain(pos..=pos + 1);
     }
     if let Some(pos) = args.iter().position(|a| a == "--bench-out") {
         if pos + 1 >= args.len() {
@@ -181,6 +183,10 @@ fn main() {
             args.drain(pos..=pos + 1);
         }
     }
+    if bench_out.is_some() && bench.is_none() {
+        obs_error!("--bench-out requires --bench");
+        std::process::exit(2);
+    }
     if trace_path.is_some()
         || trace_chrome_path.is_some()
         || hist_path.is_some()
@@ -190,40 +196,12 @@ fn main() {
         par = par.with_recording(Record::Trace);
     }
 
-    if bench_flow {
-        let runs = ptperf_bench::flowbench::runs_from_env();
-        obs_info!("flow bench: {runs} run(s) per class");
-        let (results, doc) = ptperf_bench::flowbench::run_flow_bench(runs);
-        println!("{}", ptperf_bench::flowbench::render_table(&results, runs));
-        let out = bench_out.as_deref().unwrap_or("BENCH_flow.json");
-        or_exit("--bench-out", out, std::fs::write(out, doc));
-        obs_info!("wrote flow benchmark to {out}");
-        return;
-    }
-    if bench_establish {
-        let runs = ptperf_bench::establishbench::runs_from_env();
-        obs_info!("establish bench: {runs} run(s) per class");
-        let (results, dep, doc) = ptperf_bench::establishbench::run_establish_bench(runs);
-        println!(
-            "{}",
-            ptperf_bench::establishbench::render_table(&results, &dep, runs)
-        );
-        let out = bench_out.as_deref().unwrap_or("BENCH_establish.json");
-        or_exit("--bench-out", out, std::fs::write(out, doc));
-        obs_info!("wrote establish benchmark to {out}");
-        return;
-    }
-    if bench_unit {
-        let runs = ptperf_bench::unitbench::runs_from_env();
-        obs_info!("unit bench: {runs} run(s) per class");
-        let (results, sites, doc) = ptperf_bench::unitbench::run_unit_bench(runs);
-        println!(
-            "{}",
-            ptperf_bench::unitbench::render_table(&results, &sites, runs)
-        );
-        let out = bench_out.as_deref().unwrap_or("BENCH_unit.json");
-        or_exit("--bench-out", out, std::fs::write(out, doc));
-        obs_info!("wrote unit benchmark to {out}");
+    if let Some(layer) = bench {
+        if let Some(extra) = args.first() {
+            obs_error!("--bench runs one layer and takes no targets, got '{extra}'");
+            std::process::exit(2);
+        }
+        run_bench(&layer, bench_out);
         return;
     }
     let targets: Vec<String> = if args.is_empty() {
@@ -304,6 +282,38 @@ fn main() {
     }
 }
 
+/// Runs one layer benchmark (`flow`, `establish` or `unit`), prints its
+/// table and writes its document to `out`, by default
+/// `BENCH_<layer>.json`. `PTPERF_BENCH_RUNS` overrides the harness's
+/// default run count.
+fn run_bench(layer: &str, out: Option<String>) {
+    let default_runs = match layer {
+        "flow" => flowbench::DEFAULT_RUNS,
+        "establish" => establishbench::DEFAULT_RUNS,
+        _ => unitbench::DEFAULT_RUNS,
+    };
+    let runs = emit::runs_from_env("PTPERF_BENCH_RUNS", default_runs);
+    obs_info!("{layer} bench: {runs} run(s) per class");
+    let (table, doc) = match layer {
+        "flow" => {
+            let (results, doc) = flowbench::run_flow_bench(runs);
+            (flowbench::render_table(&results, runs), doc)
+        }
+        "establish" => {
+            let (results, dep, doc) = establishbench::run_establish_bench(runs);
+            (establishbench::render_table(&results, &dep, runs), doc)
+        }
+        _ => {
+            let (results, sites, doc) = unitbench::run_unit_bench(runs);
+            (unitbench::render_table(&results, &sites, runs), doc)
+        }
+    };
+    println!("{table}");
+    let out = out.unwrap_or_else(|| format!("BENCH_{layer}.json"));
+    or_exit("--bench-out", &out, std::fs::write(&out, doc));
+    obs_info!("wrote {layer} benchmark to {out}");
+}
+
 /// Unwraps the result of writing an output file or creating its
 /// directory. On failure prints one error line naming the flag and the
 /// path, then exits 1.
@@ -320,8 +330,8 @@ fn print_help() {
          usage: repro [--paper] [--seed N] [--workers N|auto] [--csv DIR]\n\
          \x20            [--trace FILE] [--trace-chrome FILE] [--hist FILE]\n\
          \x20            [--metrics FILE] [--profile] [--faults]\n\
-         \x20            [--bench-flow] [--bench-establish] [--bench-unit]\n\
-         \x20            [--bench-out FILE] [--check-bench DIR] [--json-check FILE]\n\
+         \x20            [--bench flow|establish|unit [--bench-out FILE]]\n\
+         \x20            [--check-bench DIR] [--json-check FILE]\n\
          \x20            [--quiet] [-v|--verbose] [--list] [TARGET ...]\n\n\
          --workers only changes wall-clock time: output is bit-for-bit\n\
          identical at any worker count.\n\
@@ -344,29 +354,24 @@ fn print_help() {
          per-family table of events, simulated seconds, and throughput.\n\
          --check-bench DIR compares fresh BENCH_*.json files in DIR\n\
          against the committed baselines in the current directory and\n\
-         exits non-zero on a p50 regression past the tolerance\n\
-         (PTPERF_BENCH_TOL, default 2.5x; PTPERF_BENCH_MIN_RUNS minimum\n\
-         fresh run count, default 10; PTPERF_BENCH_ABS absolute floor in\n\
-         us, default 1.0; PTPERF_BENCH_DRIFT=warn reports without\n\
-         failing), emitting a machine-readable verdict JSON on stdout.\n\
+         exits non-zero on a p50 regression past 2.5x and 1 us, or on a\n\
+         baseline entry the fresh file lacks (fresh files with fewer\n\
+         than 10 runs per class are skipped; PTPERF_BENCH_DRIFT=warn\n\
+         reports without failing), emitting a machine-readable verdict\n\
+         JSON on stdout.\n\
          --json-check FILE validates that FILE parses as JSON and exits.\n\
-         --bench-flow benchmarks the fluid scheduler (optimized vs the\n\
-         reference oracle, p50/p95 per workload class, steps/s, fast-path\n\
-         hits, allocations-per-step proxy) and writes BENCH_flow.json\n\
-         (path override: --bench-out; runs per class:\n\
-         PTPERF_FLOWBENCH_RUNS, default 400), then exits.\n\
-         --bench-establish benchmarks channel establishment (indexed\n\
-         path selection vs the reference scan oracle at 600 and 5000\n\
-         relays, establishes/s, fast-path fraction, allocations per\n\
-         establish, deployment-memo savings) and writes\n\
-         BENCH_establish.json (path override: --bench-out; runs per\n\
-         class: PTPERF_ESTABLISHBENCH_RUNS, default 400), then exits.\n\
-         --bench-unit benchmarks whole measurement units (warm pooled\n\
-         pipeline vs the retained allocating reference path, per workload\n\
-         class: browser page loads, curl fetches, file downloads;\n\
-         units/s, allocations per warm unit, site-workload-memo savings)\n\
-         and writes BENCH_unit.json (path override: --bench-out; runs\n\
-         per class: PTPERF_UNITBENCH_RUNS, default 200), then exits.\n\
+         --bench LAYER benchmarks one layer against its reference oracle,\n\
+         writes BENCH_<LAYER>.json (path override: --bench-out), then\n\
+         exits. flow: the fluid scheduler (p50/p95 per workload class,\n\
+         steps/s, fast-path hits, allocations-per-step proxy).\n\
+         establish: channel establishment (indexed path selection vs the\n\
+         reference scan at 600 and 5000 relays, establishes/s, fast-path\n\
+         fraction, allocations per establish, deployment-memo savings).\n\
+         unit: whole measurement units (warm pooled pipeline vs the\n\
+         allocating reference path for browser page loads, curl fetches\n\
+         and file downloads; units/s, allocations per warm unit,\n\
+         site-workload-memo savings). Runs per class: PTPERF_BENCH_RUNS,\n\
+         default 400 (flow, establish) or 200 (unit).\n\
          --quiet shows errors only; -v enables debug diagnostics.\n\
          With no targets, all of them run. Targets:\n  {}",
         available_targets().join(" ")

@@ -1,6 +1,6 @@
 //! Shared measurement and emission plumbing for the bench harnesses.
 //!
-//! Every `repro --bench-*` harness used to carry its own copy of the
+//! Every `repro --bench` harness used to carry its own copy of the
 //! same boilerplate: an environment-variable run-count reader clamped
 //! to a percentile-safe minimum, a non-finite measurement guard, the
 //! `Instant`/`black_box` timing loop, the p50/p95 pair, the

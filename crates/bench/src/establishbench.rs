@@ -1,4 +1,4 @@
-//! `repro --bench-establish`: the channel-establishment benchmark
+//! `repro --bench establish`: the channel-establishment benchmark
 //! harness behind `BENCH_establish.json`.
 //!
 //! Companion to [`crate::flowbench`], for the other hot loop of every
@@ -31,8 +31,8 @@ use ptperf_transports::{
 use crate::emit;
 
 /// How many timed runs (each a fixed batch of establishes) per class
-/// (override with the `PTPERF_ESTABLISHBENCH_RUNS` environment
-/// variable; the verify gate uses a small value).
+/// (override with the `PTPERF_BENCH_RUNS` environment variable; the
+/// verify gate uses a small value).
 pub const DEFAULT_RUNS: usize = 400;
 
 /// Establishes per timed run: large enough to amortize timer overhead,
@@ -117,13 +117,6 @@ pub fn standard_workloads() -> Vec<Workload> {
         });
     }
     out
-}
-
-/// Reads the run count from `PTPERF_ESTABLISHBENCH_RUNS`, defaulting to
-/// [`DEFAULT_RUNS`]; values below 4 are clamped up so the percentiles
-/// stay meaningful.
-pub fn runs_from_env() -> usize {
-    emit::runs_from_env("PTPERF_ESTABLISHBENCH_RUNS", DEFAULT_RUNS)
 }
 
 fn assert_finite(name: &str, what: &str, x: f64) {

@@ -1,14 +1,15 @@
-//! `repro --bench-flow`: the fluid-scheduler benchmark harness behind
+//! `repro --bench flow`: the fluid-scheduler benchmark harness behind
 //! `BENCH_flow.json`.
 //!
 //! Criterion answers "how fast is one call"; this module answers the
 //! question the perf trajectory needs tracked in version control: for
-//! each workload class the simulator actually runs (browser-style
-//! single-bottleneck fan-outs, multi-bottleneck meshes, uniformly
-//! capped pools), what are the optimized scheduler's p50/p95 wall
-//! times, how many steps per second does it sustain, how much faster is
-//! it than the retained reference oracle, and does its scratch still
-//! allocate once warm?
+//! each workload class (browser-style single-bottleneck fan-outs and
+//! uniformly capped pools, which production page loads resemble, plus
+//! multi-bottleneck meshes that time the global progressive fill),
+//! what are the optimized scheduler's p50/p95 wall times, how many
+//! steps per second does it sustain, how much faster is it than the
+//! retained reference oracle, and does its scratch still allocate once
+//! warm?
 //!
 //! Determinism note: workloads are generated from fixed seeds, so the
 //! *work* is identical run to run; only the wall-clock numbers move.
@@ -23,7 +24,7 @@ use ptperf_sim::{FairNetwork, FlowBatch, FluidScheduler, SimRng};
 use crate::emit;
 
 /// How many timed runs per workload class (override with the
-/// `PTPERF_FLOWBENCH_RUNS` environment variable; the verify gate uses a
+/// `PTPERF_BENCH_RUNS` environment variable; the verify gate uses a
 /// small value, the default suits interactive use).
 pub const DEFAULT_RUNS: usize = 400;
 
@@ -50,12 +51,6 @@ pub struct ClassResult {
     pub fast_path_per_run: u64,
     /// Max-min recomputations per run (one per allocation event).
     pub recomputations_per_run: u64,
-    /// Allocations that reused at least one cached component per run
-    /// (0 for single-bottleneck classes, which have nothing to split).
-    pub incremental_per_run: u64,
-    /// Incremental allocations that failed the closure check and
-    /// re-ran the full solve, per run. Bounded by `recomputations`.
-    pub full_fallback_per_run: u64,
     /// Optimized scheduler p50 wall time, microseconds.
     pub opt_p50_us: f64,
     /// Optimized scheduler p95 wall time, microseconds.
@@ -76,8 +71,7 @@ pub struct ClassResult {
 
 /// Whether a class's structure admits the analytic fast path: browser
 /// classes are single-bottleneck, capped pools are uniform-cap. Mesh
-/// and churn classes can never hit it — their smoke gate is the
-/// incremental counter instead (see `flow_counters_match_class_shape`).
+/// and churn classes rarely hit it, so they time the global fill.
 pub fn fast_path_eligible(name: &str) -> bool {
     name.starts_with("browser_") || name.starts_with("capped_")
 }
@@ -101,23 +95,22 @@ pub fn standard_workloads() -> Vec<Workload> {
     }
     {
         // Adversarial mesh: 16 nodes, multi-hop paths, caps, zero-byte
-        // flows, staggered arrivals — the generic-path worst case.
+        // flows, staggered arrivals — the global fill on every event.
         let mut rng = SimRng::new(13);
         let inst = maxmin_demo::random_fluid_instance(&mut rng, 16, 64);
         out.push(Workload { name: "mesh_16n_64f", net: inst.net, batch: inst.batch });
     }
     {
         // Bigger adversarial mesh: 4x the flows and 2x the nodes of
-        // mesh_16n_64f — the scale where re-solving the whole network
-        // per event dominates and component reuse pays.
+        // mesh_16n_64f, so each event's global fill covers more flows.
         let mut rng = SimRng::new(15);
         let inst = maxmin_demo::random_fluid_instance(&mut rng, 32, 256);
         out.push(Workload { name: "mesh_32n_256f", net: inst.net, batch: inst.batch });
     }
     {
         // Interleaved arrival/departure churn: staggered slots keep
-        // the active set mutating one flow at a time, the best case
-        // for incremental component reuse.
+        // the active set mutating one flow at a time, and each change
+        // re-runs the global fill.
         let mut rng = SimRng::new(16);
         let inst = maxmin_demo::churn_fluid_instance(&mut rng, 24, 192);
         out.push(Workload { name: "churn_mesh", net: inst.net, batch: inst.batch });
@@ -143,13 +136,6 @@ pub fn standard_workloads() -> Vec<Workload> {
     out
 }
 
-/// Reads the run count from `PTPERF_FLOWBENCH_RUNS`, defaulting to
-/// [`DEFAULT_RUNS`]; values below 4 are clamped up so the percentiles
-/// stay meaningful.
-pub fn runs_from_env() -> usize {
-    emit::runs_from_env("PTPERF_FLOWBENCH_RUNS", DEFAULT_RUNS)
-}
-
 fn assert_finite(name: &str, what: &str, x: f64) {
     emit::assert_finite(&format!("flow bench {name}"), what, x);
 }
@@ -168,8 +154,6 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     let steps_per_run = data.counter("fluid/steps").unwrap_or(0);
     let fast_path_per_run = data.counter("maxmin/fast_path").unwrap_or(0);
     let recomputations_per_run = data.counter("maxmin/recomputations").unwrap_or(0);
-    let incremental_per_run = data.counter("maxmin/incremental").unwrap_or(0);
-    let full_fallback_per_run = data.counter("maxmin/full_fallback").unwrap_or(0);
 
     // Warmup: let the scratch reach its high-water marks.
     for _ in 0..3 {
@@ -209,8 +193,6 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
         steps_per_run,
         fast_path_per_run,
         recomputations_per_run,
-        incremental_per_run,
-        full_fallback_per_run,
         opt_p50_us: opt_p50,
         opt_p95_us: opt_p95,
         ref_p50_us: ref_p50,
@@ -239,7 +221,6 @@ pub fn render_json(results: &[ClassResult], runs: usize) -> String {
             format!(
                 "    {{\"name\": {}, \"flows\": {}, \"steps_per_run\": {}, \
                  \"fast_path_per_run\": {}, \"recomputations_per_run\": {}, \
-                 \"incremental_per_run\": {}, \"full_fallback_per_run\": {}, \
                  \"optimized\": {{\"p50_us\": {}, \"p95_us\": {}}}, \
                  \"reference\": {{\"p50_us\": {}, \"p95_us\": {}}}, \"steps_per_sec\": {}, \
                  \"speedup_p50\": {}, \"allocs_per_step\": {}}}",
@@ -248,8 +229,6 @@ pub fn render_json(results: &[ClassResult], runs: usize) -> String {
                 r.steps_per_run,
                 r.fast_path_per_run,
                 r.recomputations_per_run,
-                r.incremental_per_run,
-                r.full_fallback_per_run,
                 json::number(r.opt_p50_us),
                 json::number(r.opt_p95_us),
                 json::number(r.ref_p50_us),
@@ -274,8 +253,6 @@ pub fn render_table(results: &[ClassResult], runs: usize) -> String {
         "flows",
         "steps",
         "fast",
-        "incr",
-        "fallback",
         "opt p50 (µs)",
         "opt p95 (µs)",
         "ref p50 (µs)",
@@ -289,8 +266,6 @@ pub fn render_table(results: &[ClassResult], runs: usize) -> String {
             r.flows.to_string(),
             r.steps_per_run.to_string(),
             r.fast_path_per_run.to_string(),
-            r.incremental_per_run.to_string(),
-            r.full_fallback_per_run.to_string(),
             format!("{:.1}", r.opt_p50_us),
             format!("{:.1}", r.opt_p95_us),
             format!("{:.1}", r.ref_p50_us),
@@ -329,9 +304,7 @@ mod tests {
         assert_eq!(r.flows, 64);
         assert!(r.steps_per_run > 0);
         // browser_64 is fast-path-eligible (pure single-bottleneck):
-        // every step that reallocated took the analytic path. Classes
-        // that can never hit it are gated on the incremental counter
-        // in `flow_counters_match_class_shape` instead.
+        // every step that reallocated took the analytic path.
         assert!(fast_path_eligible(r.name));
         assert!(r.fast_path_per_run > 0);
         assert!(r.opt_p50_us >= 0.0 && r.opt_p95_us >= r.opt_p50_us * 0.999);
@@ -366,33 +339,16 @@ mod tests {
         flow_counters_match_class_shape(&results);
     }
 
-    /// The per-class counter smoke gate: fast-path-eligible classes
-    /// must actually take the analytic path, and multi-bottleneck
-    /// mesh/churn classes — which can never hit it — must instead
-    /// exercise incremental component reuse. Fallbacks stay strictly
-    /// below the recomputation count everywhere (the incremental path
-    /// must not degenerate into a full re-solve per event).
+    /// The per-class counter smoke gate: the classes shaped like
+    /// production page loads (`browser_*`) and uniformly capped pools
+    /// (`capped_*`) must resolve every allocation analytically.
     fn flow_counters_match_class_shape(results: &[ClassResult]) {
-        for r in results {
-            if fast_path_eligible(r.name) {
-                assert!(
-                    r.fast_path_per_run > 0,
-                    "{}: eligible class never took the fast path",
-                    r.name
-                );
-            } else {
-                assert!(
-                    r.incremental_per_run > 0,
-                    "{}: mesh/churn class never reused a component",
-                    r.name
-                );
-            }
-            assert!(
-                r.full_fallback_per_run < r.recomputations_per_run.max(1),
-                "{}: {} fallbacks out of {} recomputations — cache never holds",
-                r.name,
-                r.full_fallback_per_run,
-                r.recomputations_per_run
+        for r in results.iter().filter(|r| fast_path_eligible(r.name)) {
+            assert!(r.recomputations_per_run > 0, "{}: never allocated", r.name);
+            assert_eq!(
+                r.fast_path_per_run, r.recomputations_per_run,
+                "{}: an allocation missed the fast path",
+                r.name
             );
         }
     }

@@ -17,76 +17,33 @@
 //!
 //! Only *slowdowns* fail the gate (`fresh > baseline × tolerance`);
 //! speedups beyond the same tolerance are reported informationally so
-//! a stale baseline is visible without blocking an optimization PR.
-//! Knobs: `PTPERF_BENCH_TOL` (relative tolerance, default 2.5),
-//! `PTPERF_BENCH_MIN_RUNS` (default 10), `PTPERF_BENCH_ABS` (µs floor,
-//! default 1.0), and `PTPERF_BENCH_DRIFT` (`fail` | `warn`, default
-//! `fail` — `warn` reports but exits zero). The verdict is a
-//! machine-readable JSON document (`ptperf-bench-regress/v1`); the old
-//! warn-only 2x awk heuristic in `verify.sh` routed here.
+//! a stale baseline is visible without blocking an optimization PR. A
+//! baseline entry with no fresh counterpart (a deleted or renamed bench
+//! class) is listed as missing and fails the gate like a regression.
+//! The one knob is `PTPERF_BENCH_DRIFT` (`fail` | `warn`, default
+//! `fail` — `warn` reports but exits zero, for refreshing baselines on
+//! new hardware). The verdict is a machine-readable JSON document
+//! (`ptperf-bench-regress/v1`); the old warn-only 2x awk heuristic in
+//! `verify.sh` routed here.
 
 use std::path::Path;
 
 use ptperf_obs::json::{self, Value};
 
-/// Tuning for one gate evaluation, usually read [`RegressConfig::from_env`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegressConfig {
-    /// Relative tolerance: a pair regresses when
-    /// `fresh > baseline * tolerance`.
-    pub tolerance: f64,
-    /// Absolute floor in microseconds: drift below this never counts.
-    pub min_abs_us: f64,
-    /// Fresh documents with fewer `runs_per_class` than this are
-    /// skipped (not compared at all).
-    pub min_runs: f64,
-    /// `true` (default): regressions fail the gate. `false`
-    /// (`PTPERF_BENCH_DRIFT=warn`): regressions are reported but the
-    /// gate passes.
-    pub fail_mode: bool,
-}
+/// Relative tolerance: a pair regresses when
+/// `fresh > baseline * TOLERANCE`.
+pub const TOLERANCE: f64 = 2.5;
+/// Absolute floor in microseconds: drift below this never counts.
+pub const MIN_ABS_US: f64 = 1.0;
+/// Fresh documents with fewer `runs_per_class` than this are skipped
+/// (not compared at all).
+pub const MIN_RUNS: f64 = 10.0;
 
-impl Default for RegressConfig {
-    fn default() -> RegressConfig {
-        RegressConfig {
-            tolerance: 2.5,
-            min_abs_us: 1.0,
-            min_runs: 10.0,
-            fail_mode: true,
-        }
-    }
-}
-
-impl RegressConfig {
-    /// Reads `PTPERF_BENCH_TOL` / `PTPERF_BENCH_ABS` /
-    /// `PTPERF_BENCH_MIN_RUNS` / `PTPERF_BENCH_DRIFT`, keeping the
-    /// defaults for unset or unparsable values.
-    pub fn from_env() -> RegressConfig {
-        let mut cfg = RegressConfig::default();
-        if let Some(t) = env_f64("PTPERF_BENCH_TOL") {
-            if t > 1.0 {
-                cfg.tolerance = t;
-            }
-        }
-        if let Some(a) = env_f64("PTPERF_BENCH_ABS") {
-            if a >= 0.0 {
-                cfg.min_abs_us = a;
-            }
-        }
-        if let Some(r) = env_f64("PTPERF_BENCH_MIN_RUNS") {
-            if r >= 1.0 {
-                cfg.min_runs = r;
-            }
-        }
-        if let Ok(mode) = std::env::var("PTPERF_BENCH_DRIFT") {
-            cfg.fail_mode = mode != "warn";
-        }
-        cfg
-    }
-}
-
-fn env_f64(key: &str) -> Option<f64> {
-    std::env::var(key).ok()?.parse().ok()
+/// Whether drift fails the gate: `true` unless `PTPERF_BENCH_DRIFT` is
+/// `warn`, in which case regressions and missing entries are reported
+/// but the gate passes.
+pub fn fail_mode_from_env() -> bool {
+    std::env::var("PTPERF_BENCH_DRIFT").map_or(true, |mode| mode != "warn")
 }
 
 /// One paired entry whose drift exceeded the tolerance.
@@ -114,6 +71,9 @@ pub struct FileReport {
     pub compared: usize,
     /// Why the file was skipped instead of compared, if it was.
     pub skipped: Option<String>,
+    /// Baseline `*p50_us` paths the fresh document lacks (fail the
+    /// gate).
+    pub missing: Vec<String>,
     /// Pairs that got slower past the tolerance (fail the gate).
     pub regressions: Vec<PairDrift>,
     /// Pairs that got faster past the tolerance (informational).
@@ -162,12 +122,7 @@ pub fn collect_p50(doc: &Value) -> Vec<(String, f64)> {
 }
 
 /// Compares one baseline document against its fresh counterpart.
-pub fn compare_docs(
-    file: &str,
-    baseline: &Value,
-    fresh: &Value,
-    cfg: &RegressConfig,
-) -> FileReport {
+pub fn compare_docs(file: &str, baseline: &Value, fresh: &Value) -> FileReport {
     let mut report = FileReport {
         file: file.to_string(),
         runs: fresh
@@ -176,10 +131,10 @@ pub fn compare_docs(
             .unwrap_or(0.0),
         ..FileReport::default()
     };
-    if report.runs < cfg.min_runs {
+    if report.runs < MIN_RUNS {
         report.skipped = Some(format!(
-            "fresh runs_per_class {} below minimum {}",
-            report.runs, cfg.min_runs
+            "fresh runs_per_class {} below minimum {MIN_RUNS}",
+            report.runs
         ));
         return report;
     }
@@ -187,6 +142,7 @@ pub fn compare_docs(
     let fresh_entries = collect_p50(fresh);
     for (path, base_us) in &base_entries {
         let Some((_, fresh_us)) = fresh_entries.iter().find(|(p, _)| p == path) else {
+            report.missing.push(path.clone());
             continue;
         };
         report.compared += 1;
@@ -199,9 +155,9 @@ pub fn compare_docs(
             fresh_us: *fresh_us,
             ratio: fresh_us / base_us,
         };
-        if *fresh_us > base_us * cfg.tolerance && fresh_us - base_us > cfg.min_abs_us {
+        if *fresh_us > base_us * TOLERANCE && fresh_us - base_us > MIN_ABS_US {
             report.regressions.push(drift);
-        } else if *base_us > fresh_us * cfg.tolerance && base_us - fresh_us > cfg.min_abs_us {
+        } else if *base_us > fresh_us * TOLERANCE && base_us - fresh_us > MIN_ABS_US {
             report.improvements.push(drift);
         }
     }
@@ -210,12 +166,9 @@ pub fn compare_docs(
 
 /// Runs the gate over every `BENCH_*.json` in `baseline_dir`, pairing
 /// each with the same-named file in `fresh_dir`. Returns the verdict
-/// document and whether the gate passed (always `true` in warn mode).
-pub fn check_dirs(
-    baseline_dir: &Path,
-    fresh_dir: &Path,
-    cfg: &RegressConfig,
-) -> (String, bool) {
+/// document and whether the gate passed (always `true` when
+/// `fail_mode` is off).
+pub fn check_dirs(baseline_dir: &Path, fresh_dir: &Path, fail_mode: bool) -> (String, bool) {
     let mut names: Vec<String> = std::fs::read_dir(baseline_dir)
         .ok()
         .into_iter()
@@ -234,19 +187,24 @@ pub fn check_dirs(
             ..FileReport::default()
         };
         match (read_doc(&base_path), read_doc(&fresh_path)) {
-            (Ok(base), Ok(fresh)) => report = compare_docs(name, &base, &fresh, cfg),
+            (Ok(base), Ok(fresh)) => report = compare_docs(name, &base, &fresh),
             (Err(e), _) => report.skipped = Some(format!("baseline unreadable: {e}")),
             (_, Err(e)) => report.skipped = Some(format!("fresh copy unreadable: {e}")),
         }
         reports.push(report);
     }
-    let regressed = reports.iter().any(|r| !r.regressions.is_empty());
-    let verdict = match (regressed, cfg.fail_mode) {
+    let drifted = reports
+        .iter()
+        .any(|r| !r.regressions.is_empty() || !r.missing.is_empty());
+    let verdict = match (drifted, fail_mode) {
         (false, _) => "pass",
         (true, true) => "fail",
         (true, false) => "warn",
     };
-    (render_report(&reports, cfg, verdict), !(regressed && cfg.fail_mode))
+    (
+        render_report(&reports, fail_mode, verdict),
+        !(drifted && fail_mode),
+    )
 }
 
 fn read_doc(path: &Path) -> Result<Value, String> {
@@ -255,7 +213,7 @@ fn read_doc(path: &Path) -> Result<Value, String> {
 }
 
 /// Renders the machine-readable verdict (`ptperf-bench-regress/v1`).
-pub fn render_report(reports: &[FileReport], cfg: &RegressConfig, verdict: &str) -> String {
+pub fn render_report(reports: &[FileReport], fail_mode: bool, verdict: &str) -> String {
     let drifts = |list: &[PairDrift]| {
         list.iter()
             .map(|d| {
@@ -277,12 +235,14 @@ pub fn render_report(reports: &[FileReport], cfg: &RegressConfig, verdict: &str)
                 Some(reason) => json::string(reason),
                 None => "null".to_string(),
             };
+            let missing: Vec<String> = r.missing.iter().map(|p| json::string(p)).collect();
             format!(
-                "{{\"file\":{},\"runs\":{},\"compared\":{},\"skipped\":{},\"regressions\":[{}],\"improvements\":[{}]}}",
+                "{{\"file\":{},\"runs\":{},\"compared\":{},\"skipped\":{},\"missing\":[{}],\"regressions\":[{}],\"improvements\":[{}]}}",
                 json::string(&r.file),
                 json::number(r.runs),
                 r.compared,
                 skipped,
+                missing.join(","),
                 drifts(&r.regressions),
                 drifts(&r.improvements)
             )
@@ -291,10 +251,10 @@ pub fn render_report(reports: &[FileReport], cfg: &RegressConfig, verdict: &str)
         .join(",");
     format!(
         "{{\"schema\":\"ptperf-bench-regress/v1\",\"tolerance\":{},\"min_abs_us\":{},\"min_runs\":{},\"mode\":{},\"files\":[{files}],\"verdict\":{}}}\n",
-        json::number(cfg.tolerance),
-        json::number(cfg.min_abs_us),
-        json::number(cfg.min_runs),
-        json::string(if cfg.fail_mode { "fail" } else { "warn" }),
+        json::number(TOLERANCE),
+        json::number(MIN_ABS_US),
+        json::number(MIN_RUNS),
+        json::string(if fail_mode { "fail" } else { "warn" }),
         json::string(verdict)
     )
 }
@@ -331,7 +291,7 @@ mod tests {
     #[test]
     fn identical_docs_pass() {
         let doc = bench_doc(27.0);
-        let report = compare_docs("BENCH_flow.json", &doc, &doc, &RegressConfig::default());
+        let report = compare_docs("BENCH_flow.json", &doc, &doc);
         assert_eq!(report.compared, 3);
         assert!(report.regressions.is_empty());
         assert!(report.improvements.is_empty());
@@ -342,7 +302,7 @@ mod tests {
     fn injected_3x_regression_fails() {
         let base = bench_doc(27.0);
         let fresh = bench_doc(81.0);
-        let report = compare_docs("BENCH_flow.json", &base, &fresh, &RegressConfig::default());
+        let report = compare_docs("BENCH_flow.json", &base, &fresh);
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(
             report.regressions[0].path,
@@ -355,7 +315,7 @@ mod tests {
     fn drift_within_tolerance_passes() {
         let base = bench_doc(27.0);
         let fresh = bench_doc(54.0); // 2x < default 2.5x
-        let report = compare_docs("BENCH_flow.json", &base, &fresh, &RegressConfig::default());
+        let report = compare_docs("BENCH_flow.json", &base, &fresh);
         assert!(report.regressions.is_empty());
     }
 
@@ -370,7 +330,7 @@ mod tests {
                 sites[0].1 = Value::Num(0.005);
             }
         }
-        let report = compare_docs("BENCH_flow.json", &base, &fresh, &RegressConfig::default());
+        let report = compare_docs("BENCH_flow.json", &base, &fresh);
         assert!(report.regressions.is_empty(), "{:?}", report.regressions);
     }
 
@@ -378,9 +338,36 @@ mod tests {
     fn large_speedup_is_informational_not_failing() {
         let base = bench_doc(81.0);
         let fresh = bench_doc(27.0);
-        let report = compare_docs("BENCH_flow.json", &base, &fresh, &RegressConfig::default());
+        let report = compare_docs("BENCH_flow.json", &base, &fresh);
         assert!(report.regressions.is_empty());
         assert_eq!(report.improvements.len(), 1);
+    }
+
+    #[test]
+    fn missing_class_is_listed() {
+        // The fresh document dropped `mesh`: both of its p50 paths are
+        // missing, and the surviving class still compares cleanly.
+        let base = json::parse(
+            "{\"runs_per_class\":400,\"classes\":[\
+             {\"name\":\"browser_64\",\"optimized\":{\"p50_us\":27.0}},\
+             {\"name\":\"mesh\",\"optimized\":{\"p50_us\":90.0},\"reference\":{\"p50_us\":400.0}}]}",
+        )
+        .unwrap();
+        let fresh = json::parse(
+            "{\"runs_per_class\":400,\"classes\":[\
+             {\"name\":\"browser_64\",\"optimized\":{\"p50_us\":27.0}}]}",
+        )
+        .unwrap();
+        let report = compare_docs("BENCH_flow.json", &base, &fresh);
+        assert_eq!(
+            report.missing,
+            vec![
+                "classes/mesh/optimized/p50_us".to_string(),
+                "classes/mesh/reference/p50_us".to_string(),
+            ]
+        );
+        assert_eq!(report.compared, 1);
+        assert!(report.regressions.is_empty());
     }
 
     #[test]
@@ -391,7 +378,7 @@ mod tests {
              \"optimized\":{\"p50_us\":500.0}}]}",
         )
         .unwrap();
-        let report = compare_docs("BENCH_flow.json", &base, &fresh, &RegressConfig::default());
+        let report = compare_docs("BENCH_flow.json", &base, &fresh);
         assert!(report.skipped.is_some());
         assert_eq!(report.compared, 0);
         assert!(report.regressions.is_empty());
@@ -401,9 +388,8 @@ mod tests {
     fn report_renders_valid_json_with_verdict() {
         let base = bench_doc(27.0);
         let fresh = bench_doc(81.0);
-        let cfg = RegressConfig::default();
-        let report = compare_docs("BENCH_flow.json", &base, &fresh, &cfg);
-        let doc = render_report(&[report], &cfg, "fail");
+        let report = compare_docs("BENCH_flow.json", &base, &fresh);
+        let doc = render_report(&[report], true, "fail");
         let v = json::parse(&doc).expect("verdict is valid JSON");
         assert_eq!(v.get("verdict").and_then(Value::as_str), Some("fail"));
         assert_eq!(
@@ -435,18 +421,25 @@ mod tests {
         let slow = "{\"runs_per_class\":400,\"classes\":[{\"name\":\"c\",\"optimized\":{\"p50_us\":30.0}}]}";
         std::fs::write(base_dir.join("BENCH_x.json"), base).unwrap();
         std::fs::write(fresh_dir.join("BENCH_x.json"), slow).unwrap();
-        let cfg = RegressConfig::default();
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, &cfg);
+        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, true);
         assert!(!ok, "3x regression must fail the gate: {doc}");
         assert!(doc.contains("\"verdict\":\"fail\""));
         // Warn mode reports the same drift but passes.
-        let warn_cfg = RegressConfig { fail_mode: false, ..cfg };
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, &warn_cfg);
+        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, false);
+        assert!(ok);
+        assert!(doc.contains("\"verdict\":\"warn\""));
+        // A fresh copy without the class fails the same way.
+        let empty = "{\"runs_per_class\":400,\"classes\":[]}";
+        std::fs::write(fresh_dir.join("BENCH_x.json"), empty).unwrap();
+        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, true);
+        assert!(!ok, "a missing class must fail the gate: {doc}");
+        assert!(doc.contains("\"missing\":[\"classes/c/optimized/p50_us\"]"));
+        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, false);
         assert!(ok);
         assert!(doc.contains("\"verdict\":\"warn\""));
         // Identical copies pass outright.
         std::fs::write(fresh_dir.join("BENCH_x.json"), base).unwrap();
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, &cfg);
+        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, true);
         assert!(ok);
         assert!(doc.contains("\"verdict\":\"pass\""));
         std::fs::remove_dir_all(&dir).ok();

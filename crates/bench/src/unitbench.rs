@@ -1,4 +1,4 @@
-//! `repro --bench-unit`: the measurement-unit pipeline benchmark
+//! `repro --bench unit`: the measurement-unit pipeline benchmark
 //! harness behind `BENCH_unit.json`.
 //!
 //! Companion to [`crate::flowbench`] and [`crate::establishbench`], one
@@ -35,8 +35,8 @@ use ptperf_web::{curl, filedl, load_page_pooled, load_page_reference, SiteList, 
 use crate::emit;
 
 /// How many timed runs (each one full unit) per class (override with
-/// the `PTPERF_UNITBENCH_RUNS` environment variable; the verify gate
-/// uses a small value).
+/// the `PTPERF_BENCH_RUNS` environment variable; the verify gate uses
+/// a small value).
 pub const DEFAULT_RUNS: usize = 200;
 
 /// What one unit of a class measures.
@@ -113,13 +113,6 @@ pub fn standard_workloads() -> Vec<Workload> {
         Workload { name: "curl_vanilla_32", kind: UnitKind::Curl, pt: PtId::Vanilla, work_items: 32 },
         Workload { name: "filedl_obfs4_16", kind: UnitKind::Filedl, pt: PtId::Obfs4, work_items: 16 },
     ]
-}
-
-/// Reads the run count from `PTPERF_UNITBENCH_RUNS`, defaulting to
-/// [`DEFAULT_RUNS`]; values below 4 are clamped up so the percentiles
-/// stay meaningful.
-pub fn runs_from_env() -> usize {
-    emit::runs_from_env("PTPERF_UNITBENCH_RUNS", DEFAULT_RUNS)
 }
 
 fn assert_finite(name: &str, what: &str, x: f64) {

@@ -20,6 +20,11 @@ fn malformed_invocations_exit_2_with_one_line() {
         &["--seed", "abc", "table1"],
         &["--csv"],
         &["--bench-engine"],
+        &["--bench", "nosuch"],
+        &["--bench"],
+        &["--bench-out", "x", "table1"],
+        &["--bench-flow"],
+        &["--bench", "unit", "--bench", "flow"],
     ] {
         let (out, stderr) = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");

@@ -14,8 +14,8 @@
 //! makes their interleaving (though not their totals) nondeterministic.
 //!
 //! Consumers take a [`snapshot`] before and after a region of interest
-//! and report the [`PerfSnapshot::delta_since`]; `repro
-//! --bench-establish` is the canonical reader.
+//! and report the [`PerfSnapshot::delta_since`]; `repro --bench
+//! establish` is the canonical reader.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,6 +1,5 @@
-//! Deterministic fault injection: seeded fault plans, a retry/timeout
-//! state machine, and the [`FaultClock`] hook the fluid scheduler
-//! consults so injected events land at exact sim times.
+//! Deterministic fault injection: seeded fault plans and a
+//! retry/timeout state machine.
 //!
 //! The paper's headline findings are failure-driven — Fig. 8's
 //! complete/partial/failed split, the 120 s timeout tails, the surge
@@ -14,14 +13,14 @@
 //! retry sequence, and the same final byte counts, at any worker
 //! count.
 //!
-//! Layering: this crate owns the *mechanics* (plans, the retry
-//! driver, the scheduler clock). Which kinds of fault a given
-//! pluggable transport is prone to ([`FaultBias`]) is supplied by the
-//! transports crate; whether a scenario injects at all is the core
-//! crate's `FaultConfig` lane, which defaults to `Off`.
+//! Layering: this crate owns the *mechanics* (plans and the retry
+//! driver). Which kinds of fault a given pluggable transport is prone
+//! to ([`FaultBias`]) is supplied by the transports crate; whether a
+//! scenario injects at all is the core crate's `FaultConfig` lane,
+//! which defaults to `Off`.
 
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Hard cap on connect-refusal events a single plan may schedule.
 ///
@@ -576,53 +575,6 @@ pub fn run_transfer(spec: &TransferSpec, plan: &FaultPlan, policy: &RetryPolicy)
     run
 }
 
-/// The scheduler-side hook: a sorted cursor of absolute sim times at
-/// which the fluid schedule must be cut. An empty clock adds a single
-/// branch to the scheduler loop and no floating-point work, so the
-/// fault-free event order is untouched (a tested property).
-#[derive(Debug, Clone, Default)]
-pub struct FaultClock {
-    cuts: Vec<SimTime>,
-    cursor: usize,
-}
-
-impl FaultClock {
-    /// A clock with no cuts — the scheduler runs exactly as unfaulted.
-    pub const fn empty() -> Self {
-        FaultClock {
-            cuts: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// A clock cutting at each of the given times (sorted internally).
-    pub fn new(mut cuts: Vec<SimTime>) -> Self {
-        cuts.sort_unstable();
-        FaultClock { cuts, cursor: 0 }
-    }
-
-    /// True when no unconsumed cut remains.
-    pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.cuts.len()
-    }
-
-    /// The next unconsumed cut, if any.
-    pub fn peek(&self) -> Option<SimTime> {
-        self.cuts.get(self.cursor).copied()
-    }
-
-    /// Consume and return the next cut if it lands at or before `t`.
-    pub fn take_cut_at_or_before(&mut self, t: SimTime) -> Option<SimTime> {
-        match self.cuts.get(self.cursor) {
-            Some(&c) if c <= t => {
-                self.cursor += 1;
-                Some(c)
-            }
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -916,19 +868,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fault_clock_consumes_in_order() {
-        let t = |s| SimTime::ZERO + SimDuration::from_secs(s);
-        let mut clock = FaultClock::new(vec![t(5), t(2), t(9)]);
-        assert_eq!(clock.peek(), Some(t(2)));
-        assert_eq!(clock.take_cut_at_or_before(t(1)), None);
-        assert_eq!(clock.take_cut_at_or_before(t(3)), Some(t(2)));
-        assert_eq!(clock.take_cut_at_or_before(t(100)), Some(t(5)));
-        assert_eq!(clock.take_cut_at_or_before(t(8)), None);
-        assert_eq!(clock.take_cut_at_or_before(t(9)), Some(t(9)));
-        assert!(clock.is_exhausted());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bit-for-bit equivalence between the incremental allocator/scheduler
+//! Bit-for-bit equivalence between the optimized allocator/scheduler
 //! (`flow::sched`, reached through the public entry points) and the
 //! retained reference oracle (`flow::reference`).
 //!
@@ -80,10 +80,9 @@ fn fluid_matches_reference_on_random_workloads() {
 #[test]
 fn fluid_matches_reference_on_churn_sequences() {
     // Interleaved arrival/departure churn: staggered per-flow slots
-    // mutate the active set one event at a time — exactly the shape the
-    // incremental component cache accelerates — so equivalence here is
-    // the load-bearing proof that reused cached rates are the oracle's
-    // bits. Full-struct equality covers rates-at-completion, finish
+    // mutate the active set one event at a time, so the global fill
+    // re-runs on a different flow set while flows arrive and depart.
+    // Full-struct equality covers rates-at-completion, finish
     // nanoseconds, and completion order in one comparison.
     for seed in 0..250u64 {
         let mut rng = SimRng::new(120_000 + seed);

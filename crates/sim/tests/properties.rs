@@ -79,7 +79,7 @@ fn arb_fluid_workload() -> impl Strategy<Value = (Vec<f64>, FluidSpecs)> {
 /// Churn sequences: more nodes, more flows, finer arrival slots and
 /// smaller transfers than [`arb_fluid_workload`], so completions
 /// interleave with arrivals and the active set mutates one flow at a
-/// time — the shape that drives the incremental component cache. The
+/// time: the global fill re-runs while flows arrive and depart. The
 /// degenerate cases stay in the mix: zero-byte flows, cap-only
 /// (empty-path) flows, duplicated path nodes, and colliding slots for
 /// simultaneous arrivals.
@@ -211,7 +211,7 @@ proptest! {
         }
     }
 
-    /// The incremental allocator is bit-for-bit the reference oracle,
+    /// The optimized allocator is bit-for-bit the reference oracle,
     /// even on adversarial paths (duplicated nodes, cap-only flows).
     #[test]
     fn maxmin_matches_reference_bitwise((caps, flow_specs) in arb_raw_network_and_flows()) {
@@ -237,7 +237,7 @@ proptest! {
         }
     }
 
-    /// The incremental fluid scheduler completes every flow at exactly
+    /// The optimized fluid scheduler completes every flow at exactly
     /// the nanosecond the reference scheduler does — zero-byte flows,
     /// simultaneous arrivals and all — and both satisfy the max–min
     /// capacity invariant implicitly (rates come from the allocator
@@ -266,13 +266,13 @@ proptest! {
         }
     }
 
-    /// Random arrival/departure churn through the incremental
-    /// scheduler is the full reference solve exactly: same rates at
-    /// completion, same finish nanoseconds, same completion order
+    /// Random arrival/departure churn: the global fill, re-run as flows
+    /// arrive and depart, is the reference solve exactly — same rates
+    /// at completion, same finish nanoseconds, same completion order
     /// (full-struct equality covers all three). Runs both the
     /// thread-local entry point and a persistent scheduler cold and
-    /// warm, so cached component state from the first run cannot leak
-    /// into the second.
+    /// warm, so scratch state from the first run cannot leak into the
+    /// second.
     #[test]
     fn churn_sequences_match_reference_bitwise((caps, specs) in arb_churn_workload()) {
         let mut net = FairNetwork::new();

@@ -12,13 +12,11 @@
 use std::cell::RefCell;
 
 use ptperf_obs::{obs_debug, NullRecorder, Recorder};
-use ptperf_sim::fault::{FaultClock, FaultEvent, FaultKind};
 use ptperf_sim::flow::reference;
 use ptperf_sim::{FairNetwork, FlowBatch, FluidCompletion, FluidScheduler, SimDuration, SimRng, SimTime};
 
 use crate::channel::{Channel, Outcome};
 use crate::curl::PAGE_TIMEOUT;
-use crate::faults::FaultSession;
 use crate::website::Website;
 
 /// How many parallel connections the browser opens per origin (Chrome's
@@ -201,251 +199,8 @@ pub fn load_page_reference(
     load_page_model(channel, site, PAGE_TIMEOUT, rng, rec, &mut PageScratch::new(), true)
 }
 
-/// [`load_page_pooled`] through a [`FaultSession`]: off sessions
-/// delegate to the plain pooled model bit-for-bit; active sessions
-/// drive the sub-resource wave through
-/// [`FluidScheduler::run_faulted_recorded_into`] under a [`FaultClock`]
-/// built from the plan, so injected events cut the fluid schedule at
-/// exact sim times — and each cut is then stalled through, retried with
-/// backoff, or declared terminal per the session's retry policy.
-pub fn load_page_faulted(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    faults: &mut FaultSession,
-) -> Result<PageLoad, BrowserError> {
-    load_page_faulted_with_timeout(channel, site, PAGE_TIMEOUT, rng, rec, scratch, faults)
-}
-
-/// [`load_page_faulted`] with an explicit timeout.
-pub fn load_page_faulted_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    faults: &mut FaultSession,
-) -> Result<PageLoad, BrowserError> {
-    if !faults.is_active() {
-        return load_page_model(channel, site, timeout, rng, rec, scratch, false);
-    }
-    load_page_faulted_model(channel, site, timeout, rec, scratch, faults)
-}
-
-/// The faulted model body. Mirrors `load_page_model`'s timing shape but
-/// sources every failure from the session's fault plan instead of the
-/// measurement RNG — which it therefore never touches.
-fn load_page_faulted_model(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    faults: &mut FaultSession,
-) -> Result<PageLoad, BrowserError> {
-    if channel.max_parallel_streams < 2 {
-        obs_debug!(
-            "browser: transport supports {} stream(s), needs 2 — page load rejected",
-            channel.max_parallel_streams
-        );
-        return Err(BrowserError::ParallelismUnsupported {
-            supported: channel.max_parallel_streams,
-            required: 2,
-        });
-    }
-    rec.add("browser/pages", 1);
-    rec.add("browser/resources", site.resources.len() as u64);
-    if scratch.uses > 0 {
-        ptperf_obs::perf::incr_browser_scratch_hits();
-    }
-    scratch.uses += 1;
-    let parallelism = BROWSER_PARALLELISM.min(channel.max_parallel_streams);
-
-    // The plan's timeline covers the whole fault-free transfer (main
-    // body + sub-resources at the shared effective rate).
-    let res_bytes: f64 = site.resources.iter().map(|&b| b as f64).sum();
-    let est_secs = channel.transfer_time(site.main_size).as_secs_f64()
-        + res_bytes / channel.effective_rate().max(1.0);
-    let plan = faults.plan(&FaultSession::knobs(channel, est_secs));
-    let policy = faults.policy();
-
-    // Connect phase: degradation applies up front; each refusal burns
-    // one retry (full re-establishment + backoff) or fails the page.
-    let mut attempt = 0u32;
-    let mut slow = 1.0f64;
-    let mut setup_extra = SimDuration::ZERO;
-    for e in plan.events().iter().filter(|e| e.at <= 0.0) {
-        match e.kind {
-            FaultKind::Degrade(f) => {
-                faults.count(1, 0, 1, 0);
-                slow *= f.max(1.0);
-            }
-            FaultKind::ConnectRefusal => {
-                if attempt >= policy.max_retries {
-                    faults.count(1, 0, 0, 1);
-                    return Ok(PageLoad {
-                        main_done: timeout,
-                        total: timeout,
-                        speed_index: timeout,
-                        outcome: Outcome::Failed,
-                    });
-                }
-                faults.count(1, 1, 0, 0);
-                setup_extra += channel.setup + policy.backoff(attempt);
-                attempt += 1;
-            }
-            _ => {}
-        }
-    }
-
-    // Phase 1: the default page, exactly like curl (degraded if the
-    // plan says the epoch is degraded).
-    let main_ttfb = channel.setup
-        + setup_extra
-        + channel.stream_open
-        + channel.per_request_extra
-        + channel.request_rtt
-        + site.server_processing;
-    let main_done = main_ttfb + channel.transfer_time(site.main_size).mul_f64(slow);
-    if main_done >= timeout {
-        return Ok(PageLoad {
-            main_done: timeout,
-            total: timeout,
-            speed_index: timeout,
-            outcome: Outcome::Partial,
-        });
-    }
-
-    // Phase 2: the sub-resource wave, identical to the plain model —
-    // then driven under the fault clock.
-    scratch.net.clear();
-    let tunnel = scratch.net.add_node(channel.effective_rate() / slow.max(1.0));
-    let per_req = channel.stream_open + channel.per_request_extra + channel.request_rtt;
-    scratch.batch.clear();
-    for (i, &bytes) in site.resources.iter().enumerate() {
-        let wave = (i / parallelism) as u64;
-        let start = SimTime::ZERO + per_req * wave.min(20);
-        scratch
-            .batch
-            .push(start, bytes as f64, &[tunnel], None, per_req);
-    }
-
-    // Baseline run (empty clock = bit-identical to the plain wave) to
-    // learn where the fault-free wave ends, then map the plan's
-    // mid-transfer fractions onto it as absolute cut times.
-    let mut clock = FaultClock::empty();
-    scratch.sched.run_faulted_recorded_into(
-        &scratch.net,
-        &scratch.batch,
-        &mut clock,
-        &mut scratch.completions,
-        rec,
-    );
-    let mut base_last = SimDuration::ZERO;
-    for c in &scratch.completions {
-        let done = c.finish.duration_since(SimTime::ZERO);
-        if done > base_last {
-            base_last = done;
-        }
-    }
-
-    let mid: Vec<FaultEvent> = plan.mid_events().copied().collect();
-    let mut penalty = SimDuration::ZERO;
-    if !mid.is_empty() && base_last > SimDuration::ZERO {
-        let cuts: Vec<SimTime> = mid
-            .iter()
-            .map(|e| SimTime::ZERO + base_last.mul_f64(e.at.clamp(0.0, 1.0)))
-            .collect();
-        let mut clock = FaultClock::new(cuts);
-        let mut next_event = 0usize;
-        loop {
-            let cut = scratch.sched.run_faulted_recorded_into(
-                &scratch.net,
-                &scratch.batch,
-                &mut clock,
-                &mut scratch.completions,
-                rec,
-            );
-            let Some(cut) = cut else { break };
-            let offset = cut.duration_since(SimTime::ZERO);
-            let e = mid[next_event.min(mid.len() - 1)];
-            next_event += 1;
-            match e.kind {
-                FaultKind::Stall(d) => {
-                    faults.count(1, 0, 1, 0);
-                    penalty += d;
-                }
-                FaultKind::Degrade(f) => {
-                    faults.count(1, 0, 1, 0);
-                    // Everything after the cut runs `f`× slower.
-                    penalty += base_last.saturating_sub(offset).mul_f64((f.max(1.0)) - 1.0);
-                }
-                FaultKind::Abort | FaultKind::Churn | FaultKind::ConnectRefusal => {
-                    if attempt >= policy.max_retries {
-                        faults.count(1, 0, 0, 1);
-                        // The page dies where the cut landed.
-                        let total = (main_done + offset + penalty).min(timeout);
-                        return Ok(PageLoad {
-                            main_done,
-                            total,
-                            speed_index: total,
-                            outcome: Outcome::Partial,
-                        });
-                    }
-                    faults.count(1, 1, 0, 0);
-                    let cost = if matches!(e.kind, FaultKind::Abort) {
-                        channel.stream_open + channel.request_rtt
-                    } else {
-                        channel.setup
-                    };
-                    penalty += cost + policy.backoff(attempt);
-                    if !policy.resume {
-                        // Progress up to the cut is re-downloaded.
-                        penalty += offset;
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    let total = main_done + base_last + penalty;
-    if total >= timeout {
-        return Ok(PageLoad {
-            main_done,
-            total: timeout,
-            speed_index: timeout,
-            outcome: Outcome::Partial,
-        });
-    }
-
-    // Speed index over the final (fault-free-shaped) completions, as in
-    // the plain model; fault penalties delay the tail, not the weights.
-    let res_total: f64 = site.resources.iter().map(|&b| b as f64).sum();
-    let mut si = 0.35 * main_done.as_secs_f64();
-    if res_total > 0.0 {
-        for (i, &bytes) in site.resources.iter().enumerate() {
-            let w = 0.65 * bytes as f64 / res_total;
-            let done = scratch.completions[i].finish.duration_since(SimTime::ZERO);
-            si += w * (main_done + done).as_secs_f64();
-        }
-    } else {
-        si += 0.65 * main_done.as_secs_f64();
-    }
-
-    Ok(PageLoad {
-        main_done,
-        total,
-        speed_index: SimDuration::from_secs_f64(si),
-        outcome: Outcome::Complete,
-    })
-}
-
 /// The single model body behind every entry point: one timing model, one
-/// RNG draw order, two scheduling lanes (pooled incremental vs reference
+/// RNG draw order, two scheduling lanes (pooled optimized vs reference
 /// from-scratch) proven equivalent by the oracle suite.
 fn load_page_model(
     channel: &Channel,
@@ -735,131 +490,6 @@ mod tests {
             warm,
             "warm page loads must not grow any scratch buffer"
         );
-    }
-
-    #[test]
-    fn off_session_faulted_load_matches_pooled_bitwise() {
-        let mut ch = channel(800_000.0);
-        ch.connect_failure_p = 0.1;
-        ch.hazard_per_sec = 0.02;
-        let s = site();
-        let mut scratch_a = PageScratch::new();
-        let mut scratch_b = PageScratch::new();
-        let mut off = FaultSession::off();
-        for round in 0..5 {
-            let mut rng_a = SimRng::new(300 + round);
-            let mut rng_b = SimRng::new(300 + round);
-            let plain =
-                load_page_pooled(&ch, &s, &mut rng_a, &mut NullRecorder, &mut scratch_a).unwrap();
-            let faulted = load_page_faulted(
-                &ch,
-                &s,
-                &mut rng_b,
-                &mut NullRecorder,
-                &mut scratch_b,
-                &mut off,
-            )
-            .unwrap();
-            assert_eq!(plain.main_done, faulted.main_done);
-            assert_eq!(plain.total, faulted.total);
-            assert_eq!(plain.speed_index, faulted.speed_index);
-            assert_eq!(plain.outcome, faulted.outcome);
-        }
-    }
-
-    #[test]
-    fn faulted_pages_classify_and_stay_bounded() {
-        use ptperf_sim::fault::{FaultBias, FaultProfile};
-        let mut ch = channel(150_000.0);
-        ch.connect_failure_p = 0.3;
-        ch.hazard_per_sec = 0.1;
-        let s = site();
-        let mut scratch = PageScratch::new();
-        let mut rng = SimRng::new(77);
-        let mut session = FaultSession::active(
-            FaultProfile::aggressive(),
-            FaultBias::balanced(),
-            SimRng::new(7_700),
-        );
-        for _ in 0..30 {
-            let page = load_page_faulted(
-                &ch,
-                &s,
-                &mut rng,
-                &mut NullRecorder,
-                &mut scratch,
-                &mut session,
-            )
-            .unwrap();
-            assert!(page.total <= PAGE_TIMEOUT);
-            assert!(matches!(
-                page.outcome,
-                Outcome::Complete | Outcome::Partial | Outcome::Failed
-            ));
-        }
-        assert!(session.stats().injected > 0);
-        assert!(session.stats().consistent());
-    }
-
-    #[test]
-    fn scheduler_cut_lands_at_exact_sim_time() {
-        // Drive the wave through the fault clock directly and check the
-        // cut truncates unfinished flows at precisely the cut time.
-        let ch = channel(500_000.0);
-        let s = site();
-        let mut scratch = PageScratch::new();
-        let mut rng = SimRng::new(90);
-        // Warm baseline through the plain path.
-        load_page_pooled(&ch, &s, &mut rng, &mut NullRecorder, &mut scratch).unwrap();
-        let base: Vec<SimTime> = scratch.completions.iter().map(|c| c.finish).collect();
-        let last = base.iter().copied().max().unwrap();
-        let cut_t = SimTime::ZERO
-            + last.duration_since(SimTime::ZERO).mul_f64(0.5);
-        let mut clock = FaultClock::new(vec![cut_t]);
-        let cut = scratch.sched.run_faulted_recorded_into(
-            &scratch.net,
-            &scratch.batch,
-            &mut clock,
-            &mut scratch.completions,
-            &mut NullRecorder,
-        );
-        assert_eq!(cut, Some(cut_t), "cut must land at the exact sim time");
-        let mut truncated = 0;
-        for (c, b) in scratch.completions.iter().zip(&base) {
-            if *b <= cut_t {
-                // Drained (and delivered) before the cut: untouched.
-                assert_eq!(c.finish, *b, "pre-cut completions must be untouched");
-            } else {
-                // Still in flight: truncated at the cut (or drained in
-                // the clamped step, keeping its latency tail ≤ plain).
-                assert!(c.finish >= cut_t && c.finish <= *b, "cut must bound the finish");
-                if c.finish == cut_t {
-                    truncated += 1;
-                }
-            }
-        }
-        assert!(truncated > 0, "some flow must truncate at the cut");
-    }
-
-    #[test]
-    fn empty_fault_clock_is_bit_identical_to_plain_run() {
-        let ch = channel(700_000.0);
-        let s = site();
-        let mut scratch = PageScratch::new();
-        let mut rng = SimRng::new(91);
-        load_page_pooled(&ch, &s, &mut rng, &mut NullRecorder, &mut scratch).unwrap();
-        let plain: Vec<SimTime> = scratch.completions.iter().map(|c| c.finish).collect();
-        let mut clock = FaultClock::empty();
-        let cut = scratch.sched.run_faulted_recorded_into(
-            &scratch.net,
-            &scratch.batch,
-            &mut clock,
-            &mut scratch.completions,
-            &mut NullRecorder,
-        );
-        assert_eq!(cut, None);
-        let faulted: Vec<SimTime> = scratch.completions.iter().map(|c| c.finish).collect();
-        assert_eq!(plain, faulted, "empty clock must not perturb the schedule");
     }
 
     #[test]

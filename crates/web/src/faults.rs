@@ -2,10 +2,9 @@
 //! workload.
 //!
 //! A [`FaultSession`] is either `Off` — in which case every faulted
-//! entry point (`curl::fetch_faulted`, `filedl::download_faulted`,
-//! `streaming::play_faulted`, `browser::load_page_faulted`) delegates
-//! straight to its plain counterpart with zero extra RNG draws, the
-//! same structural trick the observability layer uses with
+//! entry point (`curl::fetch_faulted`, `filedl::download_faulted`)
+//! delegates straight to its plain counterpart with zero extra RNG
+//! draws, the same structural trick the observability layer uses with
 //! [`NullRecorder`](ptperf_obs::NullRecorder) — or `Active`, holding a
 //! [`FaultProfile`], a per-transport [`FaultBias`], and its *own*
 //! decorrelated [`SimRng`] stream from which every fault plan is
@@ -145,19 +144,6 @@ impl FaultSession {
         ptperf_obs::perf::incr_fault_retried(run.retried);
         ptperf_obs::perf::incr_fault_recovered(run.recovered);
         ptperf_obs::perf::incr_fault_gave_up(run.gave_up);
-    }
-
-    /// Record a single disposition directly (for workloads that drive
-    /// events themselves rather than through the sim driver).
-    pub fn count(&mut self, injected: u64, retried: u64, recovered: u64, gave_up: u64) {
-        self.stats.injected += injected;
-        self.stats.retried += retried;
-        self.stats.recovered += recovered;
-        self.stats.gave_up += gave_up;
-        ptperf_obs::perf::incr_fault_injected(injected);
-        ptperf_obs::perf::incr_fault_retried(retried);
-        ptperf_obs::perf::incr_fault_recovered(recovered);
-        ptperf_obs::perf::incr_fault_gave_up(gave_up);
     }
 
     /// Push the session's counters into a recorder as `fault/*` trace

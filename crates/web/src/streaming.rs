@@ -9,11 +9,9 @@
 //! channel's (possibly carrier-capped) rate. The metrics are the
 //! QoE standards: startup delay, rebuffer count, and rebuffer ratio.
 
-use ptperf_sim::fault::{FaultEvent, FaultKind};
 use ptperf_sim::{SimDuration, SimRng};
 
 use crate::channel::{Channel, Outcome};
-use crate::faults::FaultSession;
 
 /// A media stream description.
 #[derive(Debug, Clone, Copy)]
@@ -171,157 +169,6 @@ pub fn play(channel: &Channel, media: &MediaStream, rng: &mut SimRng) -> Streami
     }
 }
 
-/// [`play`] through a [`FaultSession`]: off sessions delegate to
-/// [`play`] bit-for-bit; active sessions replace the upfront coin flip
-/// and the inline hazard budget with a generated fault plan — refused
-/// connects retry with backoff, stalls and reconnects become rebuffer
-/// time at the segment where the plan lands them, degradation slows
-/// every later segment fetch, and an exhausted retry budget ends the
-/// session early as `Partial`.
-pub fn play_faulted(
-    channel: &Channel,
-    media: &MediaStream,
-    rng: &mut SimRng,
-    faults: &mut FaultSession,
-) -> StreamingSession {
-    if !faults.is_active() {
-        return play(channel, media, rng);
-    }
-
-    let seg_bytes = media.segment_bytes();
-    let per_segment_overhead =
-        channel.stream_open + channel.per_request_extra + channel.request_rtt;
-    let seg_fetch_base = per_segment_overhead + channel.transfer_time(seg_bytes);
-    let total_segments = media.segments();
-    let total_fetch_secs = seg_fetch_base.as_secs_f64() * total_segments as f64;
-    let plan = faults.plan(&FaultSession::knobs(channel, total_fetch_secs));
-    let policy = faults.policy();
-
-    let mut attempt = 0u32;
-    let mut slow = 1.0f64;
-    let mut wall = channel.setup;
-
-    // Connect-phase events: degradation applies up front, each refusal
-    // burns a retry (reconnect + backoff) or fails the session.
-    for e in plan.events().iter().filter(|e| e.at <= 0.0) {
-        match e.kind {
-            FaultKind::Degrade(f) => {
-                faults.count(1, 0, 1, 0);
-                slow *= f.max(1.0);
-            }
-            FaultKind::ConnectRefusal => {
-                if attempt >= policy.max_retries {
-                    faults.count(1, 0, 0, 1);
-                    return StreamingSession {
-                        startup_delay: SimDuration::ZERO,
-                        rebuffer_events: 0,
-                        rebuffer_time: SimDuration::ZERO,
-                        rebuffer_ratio: 1.0,
-                        outcome: Outcome::Failed,
-                    };
-                }
-                faults.count(1, 1, 0, 0);
-                wall += channel.setup + policy.backoff(attempt);
-                attempt += 1;
-            }
-            _ => {}
-        }
-    }
-
-    let mid: Vec<FaultEvent> = plan.mid_events().copied().collect();
-    let mut idx = 0usize;
-
-    let mut buffered = SimDuration::ZERO;
-    let mut fetched: u64 = 0;
-    let mut playing = false;
-    let mut startup_delay = SimDuration::ZERO;
-    let mut rebuffer_events = 0u32;
-    let mut rebuffer_time = SimDuration::ZERO;
-    let mut outcome = Outcome::Complete;
-    let mut done_base_secs = 0.0f64;
-
-    'segments: while fetched < total_segments {
-        let fetch_time = seg_fetch_base.mul_f64(slow);
-
-        // Fire every plan event scheduled inside this segment's slice
-        // of the fault-free fetch timeline.
-        done_base_secs += seg_fetch_base.as_secs_f64();
-        let frac = (done_base_secs / total_fetch_secs.max(1e-12)).min(1.0);
-        let mut delay = SimDuration::ZERO;
-        while idx < mid.len() && mid[idx].at <= frac {
-            let e = mid[idx];
-            idx += 1;
-            match e.kind {
-                FaultKind::Stall(d) => {
-                    faults.count(1, 0, 1, 0);
-                    delay += d;
-                    if playing {
-                        rebuffer_events += 1;
-                    }
-                }
-                FaultKind::Degrade(f) => {
-                    faults.count(1, 0, 1, 0);
-                    slow *= f.max(1.0);
-                }
-                FaultKind::Abort | FaultKind::Churn | FaultKind::ConnectRefusal => {
-                    if attempt >= policy.max_retries {
-                        faults.count(1, 0, 0, 1);
-                        outcome = Outcome::Partial;
-                        // The session ends where the fault landed.
-                        break 'segments;
-                    }
-                    faults.count(1, 1, 0, 0);
-                    let cost = if matches!(e.kind, FaultKind::Abort) {
-                        channel.stream_open + channel.request_rtt
-                    } else {
-                        channel.setup
-                    };
-                    delay += cost + policy.backoff(attempt);
-                    attempt += 1;
-                    if playing {
-                        rebuffer_events += 1;
-                    }
-                }
-            }
-        }
-        if playing {
-            rebuffer_time += delay;
-        } else {
-            wall += delay;
-        }
-
-        if playing {
-            if fetch_time > buffered {
-                rebuffer_events += 1;
-                rebuffer_time += fetch_time - buffered;
-                buffered = SimDuration::ZERO;
-            } else {
-                buffered -= fetch_time;
-            }
-        } else {
-            wall += fetch_time;
-        }
-        buffered += media.segment;
-        fetched += 1;
-        if !playing && (buffered >= media.prebuffer || fetched >= total_segments) {
-            playing = true;
-            startup_delay = wall;
-        }
-    }
-    if !playing {
-        startup_delay = wall;
-    }
-
-    let ratio = rebuffer_time.as_secs_f64() / media.duration.as_secs_f64().max(1e-9);
-    StreamingSession {
-        startup_delay,
-        rebuffer_events,
-        rebuffer_time,
-        rebuffer_ratio: ratio,
-        outcome,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,54 +262,6 @@ mod tests {
         ch.setup = SimDuration::from_secs(3);
         let s = play(&ch, &MediaStream::video(SimDuration::from_secs(300)), &mut rng);
         assert!(s.rebuffer_events > 0, "{s:?}");
-    }
-
-    #[test]
-    fn off_session_is_bit_identical_to_plain_play() {
-        let mut ch = channel(100_000.0, 50);
-        ch.connect_failure_p = 0.2;
-        ch.hazard_per_sec = 0.1;
-        let media = MediaStream::video(SimDuration::from_secs(120));
-        let mut a = SimRng::new(21);
-        let mut b = SimRng::new(21);
-        let mut off = FaultSession::off();
-        for _ in 0..40 {
-            let plain = play(&ch, &media, &mut a);
-            let faulted = play_faulted(&ch, &media, &mut b, &mut off);
-            assert_eq!(plain.startup_delay, faulted.startup_delay);
-            assert_eq!(plain.rebuffer_events, faulted.rebuffer_events);
-            assert_eq!(plain.rebuffer_time, faulted.rebuffer_time);
-            assert_eq!(plain.outcome, faulted.outcome);
-            assert_eq!(
-                plain.rebuffer_ratio.to_bits(),
-                faulted.rebuffer_ratio.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn faulted_sessions_always_classify() {
-        use ptperf_sim::fault::{FaultBias, FaultProfile};
-        let mut ch = channel(150_000.0, 100);
-        ch.connect_failure_p = 0.3;
-        ch.hazard_per_sec = 0.05;
-        let media = MediaStream::video(SimDuration::from_secs(300));
-        let mut rng = SimRng::new(22);
-        let mut s = FaultSession::active(
-            FaultProfile::aggressive(),
-            FaultBias::balanced(),
-            SimRng::new(2_200),
-        );
-        for _ in 0..40 {
-            let session = play_faulted(&ch, &media, &mut rng, &mut s);
-            assert!(matches!(
-                session.outcome,
-                Outcome::Complete | Outcome::Partial | Outcome::Failed
-            ));
-            assert!(session.rebuffer_ratio >= 0.0);
-        }
-        assert!(s.stats().injected > 0);
-        assert!(s.stats().consistent());
     }
 
     #[test]

@@ -10,25 +10,22 @@
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
-#   5. perf smoke: quick flow benches + repro --bench-flow emitting
+#   5. perf smoke: quick flow benches + repro --bench flow emitting
 #      BENCH_flow.json (fails on panic or non-finite output, never on
-#      speed thresholds); structural gates on the incremental
-#      scheduler: churn_mesh must reuse components at least once
-#      (incremental_per_run > 0), every warm class keeps
-#      allocs_per_step == 0, and full_fallback_per_run stays strictly
-#      below recomputations_per_run
-#   6. establish smoke: quick establish benches + repro --bench-establish
+#      speed thresholds); every warm class keeps allocs_per_step == 0
+#   6. establish smoke: quick establish benches + repro --bench establish
 #      emitting BENCH_establish.json (same failure policy: panics and
 #      non-finite values only, never thresholds)
-#   7. unit smoke: quick unit benches + repro --bench-unit emitting
+#   7. unit smoke: quick unit benches + repro --bench unit emitting
 #      BENCH_unit.json; additionally asserts every warm class shows
 #      allocs_per_unit == 0 — the one structural property the pooled
 #      pipeline promises
 #   8. bench regression gate: `repro --check-bench` compares the fresh
 #      bench output against the committed BENCH_*.json baselines with a
-#      relative-tolerance + minimum-run-count rule (PTPERF_BENCH_TOL,
-#      default 2.5x; PTPERF_BENCH_DRIFT=warn to report without failing)
-#      and fails the gate on a regression verdict
+#      relative-tolerance + minimum-run-count rule (2.5x; a baseline
+#      entry missing from the fresh output fails too;
+#      PTPERF_BENCH_DRIFT=warn to report without failing) and fails the
+#      gate on a regression verdict
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,52 +102,34 @@ awk -F'"value":' '
 echo "== perf smoke (flow benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench flow > "$obs_dir/bench_flow.txt"
 grep -q "fluid_scheduler/browser_64_optimized" "$obs_dir/bench_flow.txt"
-PTPERF_FLOWBENCH_RUNS=40 cargo run --release -q -p ptperf-bench --bin repro -- \
-  --bench-flow --bench-out "$obs_dir/BENCH_flow.json" > "$obs_dir/bench_out.txt"
+PTPERF_BENCH_RUNS=40 cargo run --release -q -p ptperf-bench --bin repro -- \
+  --bench flow --bench-out "$obs_dir/BENCH_flow.json" > "$obs_dir/bench_out.txt"
 check_finite "$obs_dir/BENCH_flow.json"
-# Incremental-scheduler structural gates (one class per JSON line):
-# the churn mesh must actually exercise component reuse, warm steps
-# must never grow the scratch, and closure-check fallbacks must stay
-# strictly below the recomputation count — a cache that always falls
-# back is a dead cache.
+# Structural gate (one class per JSON line): warm steps must never grow
+# the scheduler's scratch.
 awk '
   /"name":/ {
-    n = $0;   sub(/.*"name": "/, "", n);                    sub(/".*/, "", n)
-    rc = $0;  sub(/.*"recomputations_per_run": /, "", rc);  sub(/[,}].*/, "", rc)
-    inc = $0; sub(/.*"incremental_per_run": /, "", inc);    sub(/[,}].*/, "", inc)
-    fb = $0;  sub(/.*"full_fallback_per_run": /, "", fb);   sub(/[,}].*/, "", fb)
-    al = $0;  sub(/.*"allocs_per_step": /, "", al);         sub(/[,}].*/, "", al)
+    n = $0;  sub(/.*"name": "/, "", n);            sub(/".*/, "", n)
+    al = $0; sub(/.*"allocs_per_step": /, "", al); sub(/[,}].*/, "", al)
     if (al + 0 != 0) {
       printf "class %s allocates warm: allocs_per_step=%s\n", n, al > "/dev/stderr"
       bad = 1
     }
-    if (fb + 0 >= rc + 0) {
-      printf "class %s: full_fallback_per_run %s not below recomputations_per_run %s\n", \
-        n, fb, rc > "/dev/stderr"
-      bad = 1
-    }
-    if (n == "churn_mesh") { seen_churn = 1; churn_inc = inc + 0 }
   }
-  END {
-    if (!seen_churn || churn_inc <= 0) {
-      print "churn_mesh never took the incremental path" > "/dev/stderr"
-      bad = 1
-    }
-    exit bad
-  }' "$obs_dir/BENCH_flow.json"
+  END { exit bad }' "$obs_dir/BENCH_flow.json"
 
 echo "== perf smoke (establish benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench establish > "$obs_dir/bench_establish.txt"
 grep -q "establish/vanilla_600_indexed" "$obs_dir/bench_establish.txt"
-PTPERF_ESTABLISHBENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
-  --bench-establish --bench-out "$obs_dir/BENCH_establish.json" > "$obs_dir/establish_out.txt"
+PTPERF_BENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
+  --bench establish --bench-out "$obs_dir/BENCH_establish.json" > "$obs_dir/establish_out.txt"
 check_finite "$obs_dir/BENCH_establish.json"
 
 echo "== perf smoke (unit benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench unit > "$obs_dir/bench_unit.txt"
 grep -q "unit/browser_obfs4_16_pooled" "$obs_dir/bench_unit.txt"
-PTPERF_UNITBENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
-  --bench-unit --bench-out "$obs_dir/BENCH_unit.json" > "$obs_dir/unit_out.txt"
+PTPERF_BENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
+  --bench unit --bench-out "$obs_dir/BENCH_unit.json" > "$obs_dir/unit_out.txt"
 check_finite "$obs_dir/BENCH_unit.json"
 # The one structural promise the pooled pipeline makes: warm units never
 # grow their scratch. Any non-zero allocs_per_unit is a regression.
@@ -165,8 +144,9 @@ echo "== bench regression gate vs committed baselines =="
 # The statistically-gated replacement for the old warn-only awk 2x
 # heuristic: pairs every *p50_us by structural path, skips fresh docs
 # with too few runs, ignores sub-microsecond jitter, and fails on a
-# slowdown past the tolerance. PTPERF_BENCH_DRIFT=warn downgrades the
-# gate to a report for cross-machine baseline refreshes.
+# slowdown past the tolerance or a baseline entry the fresh docs lack.
+# PTPERF_BENCH_DRIFT=warn downgrades the gate to a report for
+# cross-machine baseline refreshes.
 repro --check-bench "$obs_dir" | tee "$obs_dir/bench_verdict.json"
 repro --json-check "$obs_dir/bench_verdict.json"
 grep -q '"verdict":"pass"\|"verdict":"warn"' "$obs_dir/bench_verdict.json"
