@@ -79,15 +79,16 @@ fn main() {
             std::process::exit(2);
         }
         let fresh_dir = std::path::PathBuf::from(&args[pos + 1]);
+        if let Err(e) = std::fs::read_dir(&fresh_dir) {
+            obs_error!("--check-bench: cannot read {}: {e}", fresh_dir.display());
+            std::process::exit(2);
+        }
         let baseline_dir = std::path::PathBuf::from(".");
         let fail_mode = regress::fail_mode_from_env();
-        let (report, ok) = regress::check_dirs(&baseline_dir, &fresh_dir, fail_mode);
+        let (report, gate) = regress::check_dirs(&baseline_dir, &fresh_dir, fail_mode);
         print!("{report}");
-        if !ok {
-            obs_error!(
-                "bench regression gate failed (tolerance {}x, or a baseline entry is missing)",
-                regress::TOLERANCE
-            );
+        if let Err(cause) = gate {
+            obs_error!("bench regression gate failed: {cause}");
             std::process::exit(1);
         }
         return;
@@ -354,11 +355,12 @@ fn print_help() {
          per-family table of events, simulated seconds, and throughput.\n\
          --check-bench DIR compares fresh BENCH_*.json files in DIR\n\
          against the committed baselines in the current directory and\n\
-         exits non-zero on a p50 regression past 2.5x and 1 us, or on a\n\
-         baseline entry the fresh file lacks (fresh files with fewer\n\
-         than 10 runs per class are skipped; PTPERF_BENCH_DRIFT=warn\n\
-         reports without failing), emitting a machine-readable verdict\n\
-         JSON on stdout.\n\
+         exits non-zero on a p50 regression past 2.5x and 1 us, on a\n\
+         baseline entry the fresh file lacks, or when no baseline has a\n\
+         readable fresh copy in DIR (fresh files with fewer than 10 runs\n\
+         per class are skipped; PTPERF_BENCH_DRIFT=warn reports without\n\
+         failing; an unreadable DIR exits 2), emitting a\n\
+         machine-readable verdict JSON on stdout.\n\
          --json-check FILE validates that FILE parses as JSON and exits.\n\
          --bench LAYER benchmarks one layer against its reference oracle,\n\
          writes BENCH_<LAYER>.json (path override: --bench-out), then\n\

@@ -387,11 +387,9 @@ mod tests {
         assert_eq!(r.name, "vanilla_600");
         assert!(r.relays >= 600);
         assert!(r.picks_per_establish > 0.0);
-        // Guard pre-sampling's growing exclude sets exceed the ≤2-id
-        // fast window by design, so only the early-sample and circuit
-        // picks resolve on the index; the rest take the exact scan.
-        // (The counters are process-wide, so under parallel tests only
-        // loose bounds are meaningful.)
+        // Single-threaded, nearly every pick resolves on the index
+        // (verify.sh gates >= 0.99), but the counters are process-wide
+        // and parallel tests share them, so only loose bounds hold here.
         assert!(
             r.index_pick_fraction > 0.0 && r.index_pick_fraction <= 1.0,
             "index fraction {}",

@@ -19,7 +19,9 @@
 //! speedups beyond the same tolerance are reported informationally so
 //! a stale baseline is visible without blocking an optimization PR. A
 //! baseline entry with no fresh counterpart (a deleted or renamed bench
-//! class) is listed as missing and fails the gate like a regression.
+//! class) is listed as missing and fails the gate like a regression, and
+//! so does a run that compared nothing because no baseline file had a
+//! readable fresh copy.
 //! The one knob is `PTPERF_BENCH_DRIFT` (`fail` | `warn`, default
 //! `fail` — `warn` reports but exits zero, for refreshing baselines on
 //! new hardware). The verdict is a machine-readable JSON document
@@ -165,10 +167,16 @@ pub fn compare_docs(file: &str, baseline: &Value, fresh: &Value) -> FileReport {
 }
 
 /// Runs the gate over every `BENCH_*.json` in `baseline_dir`, pairing
-/// each with the same-named file in `fresh_dir`. Returns the verdict
-/// document and whether the gate passed (always `true` when
+/// each with the same-named file in `fresh_dir`. The gate trips on a
+/// regression, on a missing entry, or when no baseline was paired with
+/// a readable fresh copy (nothing was compared). Returns the verdict
+/// document and, when the gate fails, why (it never fails when
 /// `fail_mode` is off).
-pub fn check_dirs(baseline_dir: &Path, fresh_dir: &Path, fail_mode: bool) -> (String, bool) {
+pub fn check_dirs(
+    baseline_dir: &Path,
+    fresh_dir: &Path,
+    fail_mode: bool,
+) -> (String, Result<(), String>) {
     let mut names: Vec<String> = std::fs::read_dir(baseline_dir)
         .ok()
         .into_iter()
@@ -179,6 +187,7 @@ pub fn check_dirs(baseline_dir: &Path, fresh_dir: &Path, fail_mode: bool) -> (St
         .collect();
     names.sort();
     let mut reports = Vec::new();
+    let mut paired = 0;
     for name in &names {
         let base_path = baseline_dir.join(name);
         let fresh_path = fresh_dir.join(name);
@@ -187,24 +196,44 @@ pub fn check_dirs(baseline_dir: &Path, fresh_dir: &Path, fail_mode: bool) -> (St
             ..FileReport::default()
         };
         match (read_doc(&base_path), read_doc(&fresh_path)) {
-            (Ok(base), Ok(fresh)) => report = compare_docs(name, &base, &fresh),
+            (Ok(base), Ok(fresh)) => {
+                paired += 1;
+                report = compare_docs(name, &base, &fresh);
+            }
             (Err(e), _) => report.skipped = Some(format!("baseline unreadable: {e}")),
             (_, Err(e)) => report.skipped = Some(format!("fresh copy unreadable: {e}")),
         }
         reports.push(report);
     }
-    let drifted = reports
-        .iter()
-        .any(|r| !r.regressions.is_empty() || !r.missing.is_empty());
-    let verdict = match (drifted, fail_mode) {
-        (false, _) => "pass",
-        (true, true) => "fail",
-        (true, false) => "warn",
+    let regressions: usize = reports.iter().map(|r| r.regressions.len()).sum();
+    let missing: usize = reports.iter().map(|r| r.missing.len()).sum();
+    let mut causes = Vec::new();
+    if regressions > 0 {
+        causes.push(format!("p50 regressions past {TOLERANCE}x: {regressions}"));
+    }
+    if missing > 0 {
+        causes.push(format!(
+            "baseline entries missing from the fresh files: {missing}"
+        ));
+    }
+    if paired == 0 {
+        causes.push(format!(
+            "nothing compared: no BENCH_*.json baseline in {} has a readable fresh copy in {}",
+            baseline_dir.display(),
+            fresh_dir.display()
+        ));
+    }
+    let verdict = match (causes.is_empty(), fail_mode) {
+        (true, _) => "pass",
+        (false, true) => "fail",
+        (false, false) => "warn",
     };
-    (
-        render_report(&reports, fail_mode, verdict),
-        !(drifted && fail_mode),
-    )
+    let gate = if verdict == "fail" {
+        Err(causes.join("; "))
+    } else {
+        Ok(())
+    };
+    (render_report(&reports, fail_mode, verdict), gate)
 }
 
 fn read_doc(path: &Path) -> Result<Value, String> {
@@ -421,27 +450,60 @@ mod tests {
         let slow = "{\"runs_per_class\":400,\"classes\":[{\"name\":\"c\",\"optimized\":{\"p50_us\":30.0}}]}";
         std::fs::write(base_dir.join("BENCH_x.json"), base).unwrap();
         std::fs::write(fresh_dir.join("BENCH_x.json"), slow).unwrap();
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, true);
-        assert!(!ok, "3x regression must fail the gate: {doc}");
+        let (doc, gate) = check_dirs(&base_dir, &fresh_dir, true);
+        assert!(
+            gate.unwrap_err().contains("p50 regressions past 2.5x: 1"),
+            "{doc}"
+        );
         assert!(doc.contains("\"verdict\":\"fail\""));
         // Warn mode reports the same drift but passes.
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, false);
-        assert!(ok);
+        let (doc, gate) = check_dirs(&base_dir, &fresh_dir, false);
+        assert!(gate.is_ok());
         assert!(doc.contains("\"verdict\":\"warn\""));
         // A fresh copy without the class fails the same way.
         let empty = "{\"runs_per_class\":400,\"classes\":[]}";
         std::fs::write(fresh_dir.join("BENCH_x.json"), empty).unwrap();
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, true);
-        assert!(!ok, "a missing class must fail the gate: {doc}");
+        let (doc, gate) = check_dirs(&base_dir, &fresh_dir, true);
+        assert!(
+            gate.unwrap_err()
+                .contains("entries missing from the fresh files: 1"),
+            "{doc}"
+        );
         assert!(doc.contains("\"missing\":[\"classes/c/optimized/p50_us\"]"));
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, false);
-        assert!(ok);
+        let (doc, gate) = check_dirs(&base_dir, &fresh_dir, false);
+        assert!(gate.is_ok());
         assert!(doc.contains("\"verdict\":\"warn\""));
-        // Identical copies pass outright.
+        // Identical copies pass outright, also when another baseline
+        // has no fresh copy (gating a single fresh file).
         std::fs::write(fresh_dir.join("BENCH_x.json"), base).unwrap();
-        let (doc, ok) = check_dirs(&base_dir, &fresh_dir, true);
-        assert!(ok);
+        std::fs::write(base_dir.join("BENCH_y.json"), base).unwrap();
+        let (doc, gate) = check_dirs(&base_dir, &fresh_dir, true);
+        assert!(gate.is_ok(), "{doc}");
         assert!(doc.contains("\"verdict\":\"pass\""));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_fresh_dir_compares_nothing_and_fails() {
+        let dir = std::env::temp_dir().join(format!("ptperf-regress-empty-{}", std::process::id()));
+        let base_dir = dir.join("base");
+        let fresh_dir = dir.join("fresh");
+        std::fs::create_dir_all(&base_dir).unwrap();
+        std::fs::create_dir_all(&fresh_dir).unwrap();
+        let base = "{\"runs_per_class\":400,\"classes\":[{\"name\":\"c\",\"optimized\":{\"p50_us\":10.0}}]}";
+        std::fs::write(base_dir.join("BENCH_x.json"), base).unwrap();
+        let (doc, gate) = check_dirs(&base_dir, &fresh_dir, true);
+        let cause = gate.unwrap_err();
+        assert!(cause.contains("nothing compared"), "{cause}");
+        assert!(cause.contains(&fresh_dir.display().to_string()), "{cause}");
+        assert!(doc.contains("\"verdict\":\"fail\""), "{doc}");
+        let (doc, gate) = check_dirs(&base_dir, &fresh_dir, false);
+        assert!(gate.is_ok());
+        assert!(doc.contains("\"verdict\":\"warn\""), "{doc}");
+        // No baselines at all (run outside the repository root) is the
+        // same failure.
+        let (_, gate) = check_dirs(&fresh_dir, &fresh_dir, true);
+        assert!(gate.unwrap_err().contains("nothing compared"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -25,6 +25,7 @@ fn malformed_invocations_exit_2_with_one_line() {
         &["--bench-out", "x", "table1"],
         &["--bench-flow"],
         &["--bench", "unit", "--bench", "flow"],
+        &["--check-bench", "/nonexistent/ptperf-fresh-bench"],
     ] {
         let (out, stderr) = repro(args);
         assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");

@@ -37,8 +37,8 @@ pub fn incr_path_index_pick() {
 }
 
 /// Counts one `path/scan_fallback`: a pick that fell back to the exact
-/// dense scan (large exclude set, near-boundary draw, degenerate
-/// bandwidths, or a near-zero class total).
+/// dense scan (a draw near a decision boundary or in the tail,
+/// degenerate bandwidths, or a near-zero class total).
 pub fn incr_path_scan_fallback() {
     PATH_SCAN_FALLBACK.fetch_add(1, Ordering::Relaxed);
 }

@@ -12,22 +12,38 @@
 //! relays; its rounding drifts differently from a prefix-sum lookup, so
 //! a naive binary search over [`ClassIndex::prefix`] would disagree near
 //! segment boundaries. Instead of replicating the chain, the fast path
-//! *proves* its answer: it binary-searches the prefix array (adjusted
-//! for the ≤2 excluded positions by shifting the search threshold per
-//! segment) and then checks that the candidate sits further than a drift
-//! margin `M = 64·(k+16)·ε·total` from both decision boundaries. `M`
-//! generously bounds every rounding source separating the two
-//! computations (prefix accumulation, the approximated exclude-adjusted
-//! total, the target multiplication, and the reference chain's own
-//! drift), so when the check passes the reference provably picks the
-//! same relay. When it fails — or when the exclude set is large, a
-//! bandwidth is non-finite/negative ([`exact_ok`] is false), or the
-//! class total is within `M` of zero — the pick falls back to an exact
-//! dense scan over the class arrays. Because class arrays hold the class
-//! members in consensus order with bandwidths copied verbatim, that scan
-//! performs the reference's floating-point operations in the reference's
-//! order and is bit-exact by construction, including the `total <= 0 →
-//! None` pre-draw decision and the last-eligible tail rule.
+//! *proves* its answer: it binary-searches the prefix array run by run
+//! between the excluded positions (shifting the search threshold by the
+//! bandwidth of each excluded position it passes) and then checks that
+//! the candidate sits further than a drift margin `M` from both decision
+//! boundaries, so when the check passes the reference provably picks the
+//! same relay. When it fails — or when a bandwidth is
+//! non-finite/negative ([`exact_ok`] is false), or the class total is
+//! within `M` of zero — the pick falls back to an exact dense scan over
+//! the class arrays. Because class arrays hold the class members in
+//! consensus order with bandwidths copied verbatim, that scan performs
+//! the reference's floating-point operations in the reference's order
+//! and is bit-exact by construction, including the `total <= 0 → None`
+//! pre-draw decision and the last-eligible tail rule.
+//!
+//! # The drift margin
+//!
+//! On the fast path every bandwidth is finite and non-negative, so each
+//! running value either side forms — a prefix sum, the exclude-adjusted
+//! total, a search threshold, the reference's total and its chain
+//! target — is bounded in magnitude by the class total `T =
+//! prefix[k-1]` (to first order in ε), and each floating-point
+//! operation on one rounds it by at most `ε·T`. For a class of `k`
+//! members with `m` excluded positions, the operations separating the
+//! two computations are the prefix sums (≤ k additions), the
+//! reference's total and subtraction chain (≤ 2k), the exclude-adjusted
+//! total (`prefix[k-1]`'s k additions plus m subtractions), the per-run
+//! threshold shift (≤ m additions), the lower-boundary walk (≤ m
+//! subtractions), the two target multiplications and the final
+//! comparison: at most `(4k + 3m + 3)·ε·T` in all. The margin
+//! `M = 64·(k+m+16)·ε·T` covers that sixteen times over for any `m`,
+//! and stays below `1e-10·T` for a 5000-member class, so only draws
+//! within a hair of a boundary fall back.
 //!
 //! Fast-path picks count as `path/index_pick`, exact scans as
 //! `path/scan_fallback` ([`ptperf_obs::perf`]).
@@ -125,7 +141,7 @@ fn pick_inner(
     }
     scratch.set_positions(ci, exclude);
 
-    if !idx.exact_ok || scratch.positions.len() > 2 {
+    if !idx.exact_ok {
         return slow_pick(ci, &scratch.positions, next_u);
     }
 
@@ -134,7 +150,7 @@ fn pick_inner(
     for &p in &scratch.positions {
         approx_total -= ci.bandwidth[p as usize];
     }
-    let margin = drift_margin(k, t_all);
+    let margin = drift_margin(k, scratch.positions.len(), t_all);
     if approx_total <= margin {
         // Near-zero (or fully excluded) class total: only the exact scan
         // can decide the pre-draw `total <= 0 → None` case bit-exactly.
@@ -213,10 +229,15 @@ fn is_excluded(excluded: &[u32], i: usize) -> bool {
 
 /// Upper bound on the floating-point disagreement between the prefix-sum
 /// view and the reference's subtraction chain, for a class of `k`
-/// members with total `total`. Each side accumulates O(k) rounding
-/// errors of relative size ε; the constant is a generous safety factor.
-fn drift_margin(k: usize, total: f64) -> f64 {
-    64.0 * (k as f64 + 16.0) * f64::EPSILON * total
+/// members with `m` excluded positions and class total `total`. The two
+/// computations differ by at most `4k + 3m + 3` roundings, each of at
+/// most `ε·total`: k in the prefix sums, 2k in the reference's total and
+/// chain, m each in the exclude-adjusted total, the per-run threshold
+/// shift and the lower-boundary walk, plus the two target
+/// multiplications and the final comparison (module doc, "The drift
+/// margin"). `64·(k+m+16)` covers that sixteen times over.
+fn drift_margin(k: usize, m: usize, total: f64) -> f64 {
+    64.0 * ((k + m) as f64 + 16.0) * f64::EPSILON * total
 }
 
 /// Binary-search candidate plus boundary proof. Returns `None` when the
@@ -230,38 +251,27 @@ fn fast_pick(
 ) -> Option<RelayId> {
     let k = ci.len();
     let prefix = &ci.prefix[..];
-    let t = u * approx_total;
 
-    // The ≤2 excluded positions split the class into up to three runs.
-    // Within a run the candidate condition is `prefix[i] >= th`, where
-    // `th` is the target shifted by the bandwidth of every excluded
-    // position before the run.
-    let p1 = excluded.first().map(|&p| p as usize).unwrap_or(k);
-    let p2 = excluded.get(1).map(|&p| p as usize).unwrap_or(k);
-
-    let mut th = t;
-    let mut cand = None;
-    let i = prefix[..p1].partition_point(|&x| x < th);
-    if i < p1 {
-        cand = Some(i);
-    } else if p1 < k {
-        th += ci.bandwidth[p1];
-        let lo = p1 + 1;
-        let i = lo + prefix[lo..p2].partition_point(|&x| x < th);
-        if i < p2 {
-            cand = Some(i);
-        } else if p2 < k {
-            th += ci.bandwidth[p2];
-            let lo = p2 + 1;
-            let i = lo + prefix[lo..k].partition_point(|&x| x < th);
-            if i < k {
-                cand = Some(i);
-            }
+    // The excluded positions split the class into runs. Within a run the
+    // candidate condition is `prefix[i] >= th`, where `th` is the target
+    // shifted by the bandwidth of every excluded position before the run.
+    let mut th = u * approx_total;
+    let mut lo = 0;
+    let mut ends = excluded.iter().map(|&p| p as usize);
+    let i = loop {
+        let end = ends.next().unwrap_or(k);
+        let i = lo + prefix[lo..end].partition_point(|&x| x < th);
+        if i < end {
+            break i;
         }
-    }
-    // No candidate: the draw landed in tail territory, where only the
-    // reference's own chain (exact scan) can decide.
-    let i = cand?;
+        if end == k {
+            // No run resolves the draw: tail territory, where only the
+            // reference's own chain (exact scan) can decide.
+            return None;
+        }
+        th += ci.bandwidth[end];
+        lo = end + 1;
+    };
 
     // Upper boundary: the exact eligible cumulative sum through `i`
     // surely reaches the exact target despite drift, so the reference's

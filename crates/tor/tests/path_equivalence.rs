@@ -74,8 +74,8 @@ fn thousands_of_picks_match_across_sizes_classes_and_exclude_growth() {
             let c = gen_consensus(seed + 1, n);
             for class in CLASSES {
                 // Sampling-without-replacement shape: the exclude set grows
-                // with each pick, exactly like `ensure_sampled`, crossing
-                // the 0/1/2-exclude fast path into the large-exclude scan.
+                // with each pick, exactly like `ensure_sampled`, to 25 ids —
+                // past the 19 a full guard sample excludes.
                 let mut rng = SimRng::new(1000 + seed);
                 let mut exclude: Vec<RelayId> = Vec::new();
                 for _ in 0..25 {
@@ -206,33 +206,61 @@ fn mutation_invalidates_index_and_picks_track_the_new_consensus() {
     }
 }
 
-#[test]
-fn decision_boundary_draws_match() {
-    // Feed `u` values sitting exactly on (and one ULP around) each
-    // member's cumulative-share boundary — the worst case for the
-    // margin check, forcing the proven-exact fallback to decide.
-    let c = gen_consensus(25, 64);
-    for class in CLASSES {
-        let ci = c.index().class(class);
-        let k = ci.len();
-        if k == 0 {
-            continue;
-        }
-        let total = ci.prefix[k - 1];
-        for i in 0..k {
-            let share = ci.prefix[i] / total;
-            for u in [
-                share,
-                next_down(share),
-                next_up(share),
-                (share - f64::EPSILON).max(0.0),
-                share + f64::EPSILON,
-            ] {
-                if (0.0..1.0).contains(&u) {
-                    assert_with_u_equiv(&c, class, &[], u);
-                }
+/// Feeds `u` values sitting exactly on (and one ULP and one ε around)
+/// each eligible member's exclude-adjusted cumulative-share boundary —
+/// the worst case for the margin check, forcing the proven-exact
+/// fallback to decide.
+fn assert_boundary_draws_equiv(c: &Consensus, class: FilterClass, exclude: &[RelayId]) {
+    let ci = c.index().class(class);
+    let total = reference::filtered_total(c.relays(), |r| class.matches(r), exclude);
+    let mut cum = 0.0;
+    for i in (0..ci.len()).filter(|&i| !exclude.contains(&ci.ids[i])) {
+        cum += ci.bandwidth[i];
+        let share = cum / total;
+        for u in [
+            share,
+            next_down(share),
+            next_up(share),
+            (share - f64::EPSILON).max(0.0),
+            share + f64::EPSILON,
+        ] {
+            if (0.0..1.0).contains(&u) {
+                assert_with_u_equiv(c, class, exclude, u);
             }
         }
+    }
+}
+
+#[test]
+fn decision_boundary_draws_match() {
+    let c = gen_consensus(25, 64);
+    for class in CLASSES {
+        assert_boundary_draws_equiv(&c, class, &[]);
+    }
+}
+
+#[test]
+fn decision_boundary_draws_match_with_a_large_guard_exclude_set() {
+    // The largest exclude set guard sampling builds: 19 guard-class
+    // members, in adjacent pairs and including the class's first and
+    // last members, so the search crosses every run shape and the
+    // lower-boundary walk steps over excluded neighbours. Whether the
+    // two computations round apart at a boundary depends on the
+    // bandwidths, so several consensuses are probed.
+    for seed in 25..35 {
+        let c = gen_consensus(seed, 400);
+        let ci = c.index().class(FilterClass::Guard);
+        let k = ci.len();
+        assert!(k >= 40, "guard class too small: {k}");
+        let positions: Vec<usize> = [0, 1]
+            .into_iter()
+            .chain((1..=8).flat_map(|j| [j * k / 10, j * k / 10 + 1]))
+            .chain([k - 1])
+            .collect();
+        assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(positions.len(), 19);
+        let exclude: Vec<RelayId> = positions.iter().map(|&p| ci.ids[p]).collect();
+        assert_boundary_draws_equiv(&c, FilterClass::Guard, &exclude);
     }
 }
 
@@ -317,7 +345,8 @@ proptest! {
     }
 
     /// Arbitrary hand-set bandwidths (including zeros and extreme
-    /// magnitudes): equivalence holds for arbitrary draws.
+    /// magnitudes) and exclude sets: equivalence holds for arbitrary
+    /// draws.
     #[test]
     fn arbitrary_bandwidth_profiles_match(
         cseed in 1..200u64,
@@ -325,6 +354,7 @@ proptest! {
         bws in proptest::collection::vec(0..=6u8, 1..40),
         class in arb_class(),
         u in 0.0..1.0f64,
+        excl in proptest::collection::btree_set(0..40u32, 0..=20),
     ) {
         let mut c = gen_consensus(cseed, n);
         for i in 0..c.len() {
@@ -346,6 +376,8 @@ proptest! {
         let last = c.relays()[c.len() - 1].id;
         assert_with_u_equiv(&c, class, &[first], u);
         assert_with_u_equiv(&c, class, &[first, last], u);
+        let exclude: Vec<RelayId> = excl.iter().map(|&id| RelayId(id % n as u32)).collect();
+        assert_with_u_equiv(&c, class, &exclude, u);
     }
 
     /// Whole-selector equivalence: a PathSelector in Indexed mode walks

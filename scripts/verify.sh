@@ -14,8 +14,9 @@
 #      BENCH_flow.json (fails on panic or non-finite output, never on
 #      speed thresholds); every warm class keeps allocs_per_step == 0
 #   6. establish smoke: quick establish benches + repro --bench establish
-#      emitting BENCH_establish.json (same failure policy: panics and
-#      non-finite values only, never thresholds)
+#      emitting BENCH_establish.json (panics and non-finite values fail,
+#      never speed thresholds); every class resolves >= 99% of its relay
+#      picks on the consensus index (index_pick_fraction)
 #   7. unit smoke: quick unit benches + repro --bench unit emitting
 #      BENCH_unit.json; additionally asserts every warm class shows
 #      allocs_per_unit == 0 — the one structural property the pooled
@@ -124,6 +125,22 @@ grep -q "establish/vanilla_600_indexed" "$obs_dir/bench_establish.txt"
 PTPERF_BENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench establish --bench-out "$obs_dir/BENCH_establish.json" > "$obs_dir/establish_out.txt"
 check_finite "$obs_dir/BENCH_establish.json"
+# Structural gate (one class per JSON line): guard sampling's growing
+# exclude sets included, picks resolve by binary search, not the dense
+# scan. The bench runs single-threaded in its own process, so the
+# process-wide pick counters behind the fraction are exact.
+awk '
+  /"index_pick_fraction":/ {
+    n = $0; sub(/.*"name": "/, "", n);                sub(/".*/, "", n)
+    f = $0; sub(/.*"index_pick_fraction": /, "", f); sub(/[,}].*/, "", f)
+    classes++
+    if (f + 0 < 0.99) {
+      printf "class %s resolves too few picks on the index: index_pick_fraction=%s\n", n, f > "/dev/stderr"
+      bad = 1
+    }
+  }
+  END { if (classes == 0) { print "no establish classes found" > "/dev/stderr"; bad = 1 }; exit bad }' \
+  "$obs_dir/BENCH_establish.json"
 
 echo "== perf smoke (unit benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench unit > "$obs_dir/bench_unit.txt"
