@@ -21,7 +21,7 @@
 //! repro --list               # list targets
 //! ```
 
-use ptperf::executor::{Parallelism, Record};
+use ptperf::executor::{ExecError, Parallelism, Record};
 use ptperf::scenario::{FaultConfig, FaultProfile, Scenario};
 use ptperf_bench::{
     available_targets, emit, establishbench, flowbench, obs_export, regress, run_target_obs,
@@ -233,12 +233,12 @@ fn main() {
     let mut runs: Vec<TargetRun> = Vec::new();
     for t in targets {
         let started = std::time::Instant::now();
-        let run = run_target_obs(&t, &scenario, scale, &par);
+        let run = ok_or_exit(&t, run_target_obs(&t, &scenario, scale, &par));
         println!("==================== {t} ====================");
         println!("{}", run.text);
         if let Some(dir) = &csv_dir {
             or_exit("--csv", dir, std::fs::create_dir_all(dir));
-            for (stem, doc) in export_csv_with(&t, &scenario, scale, &par) {
+            for (stem, doc) in ok_or_exit(&t, export_csv_with(&t, &scenario, scale, &par)) {
                 let path = format!("{dir}/{stem}.csv");
                 or_exit("--csv", &path, std::fs::write(&path, doc));
                 obs_info!("wrote {path}");
@@ -313,6 +313,15 @@ fn run_bench(layer: &str, out: Option<String>) {
     let out = out.unwrap_or_else(|| format!("BENCH_{layer}.json"));
     or_exit("--bench-out", &out, std::fs::write(&out, doc));
     obs_info!("wrote {layer} benchmark to {out}");
+}
+
+/// Unwraps a target's run. When an experiment shard failed, prints one
+/// error line naming the target, then exits 1.
+fn ok_or_exit<T>(target: &str, result: Result<T, ExecError>) -> T {
+    result.unwrap_or_else(|e| {
+        obs_error!("{target}: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// Unwraps the result of writing an output file or creating its

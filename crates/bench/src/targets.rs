@@ -13,18 +13,14 @@ use ptperf::{campaign, ecosystem};
 /// Unwraps an experiment's `run_with` result, appending its shard
 /// reports (timings, sample counts, and — under
 /// [`ptperf::executor::Record::Trace`] — the recorded observations) to
-/// the target's collection.
+/// the target's collection. A shard failure passes through unchanged.
 fn take<T>(
     reports: &mut Vec<ShardReport>,
     r: Result<(T, Vec<ShardReport>), ExecError>,
-) -> T {
-    match r {
-        Ok((value, mut shard_reports)) => {
-            reports.append(&mut shard_reports);
-            value
-        }
-        Err(e) => panic!("experiment shard failed: {e}"),
-    }
+) -> Result<T, ExecError> {
+    let (value, mut shard_reports) = r?;
+    reports.append(&mut shard_reports);
+    Ok(value)
 }
 
 /// A target's rendered text plus the executor shard reports behind it.
@@ -62,18 +58,19 @@ pub fn available_targets() -> Vec<&'static str> {
     ]
 }
 
-/// Runs one target sequentially and returns its rendered text.
+/// Runs one target sequentially and returns its rendered text, or the
+/// error of an experiment shard that failed.
 ///
 /// # Panics
 /// Panics on an unknown target name; callers should validate against
 /// [`available_targets`].
-pub fn run_target(name: &str, scenario: &Scenario, scale: RunScale) -> String {
+pub fn run_target(name: &str, scenario: &Scenario, scale: RunScale) -> Result<String, ExecError> {
     run_target_with(name, scenario, scale, &Parallelism::sequential())
 }
 
 /// Runs one target through the parallel executor and returns its
 /// rendered text — bit-for-bit identical at any worker count (see
-/// [`ptperf::executor`]).
+/// [`ptperf::executor`]) — or the error of a failed experiment shard.
 ///
 /// # Panics
 /// Panics on an unknown target name; callers should validate against
@@ -83,15 +80,16 @@ pub fn run_target_with(
     scenario: &Scenario,
     scale: RunScale,
     par: &Parallelism,
-) -> String {
-    run_target_obs(name, scenario, scale, par).text
+) -> Result<String, ExecError> {
+    Ok(run_target_obs(name, scenario, scale, par)?.text)
 }
 
 /// Runs one target and returns its rendered text together with every
 /// executor shard report behind it. Whether those reports carry
 /// sim-time observations is controlled by `par.record` (see
 /// [`ptperf::executor::Record`]); the rendered text is bit-for-bit
-/// identical either way, and at any worker count.
+/// identical either way, and at any worker count. A failed experiment
+/// shard returns its [`ExecError`] instead.
 ///
 /// # Panics
 /// Panics on an unknown target name; callers should validate against
@@ -101,7 +99,7 @@ pub fn run_target_obs(
     scenario: &Scenario,
     scale: RunScale,
     par: &Parallelism,
-) -> TargetRun {
+) -> Result<TargetRun, ExecError> {
     let quick = scale == RunScale::Quick;
     let mut reports: Vec<ShardReport> = Vec::new();
     let text = match name {
@@ -113,7 +111,7 @@ pub fn run_target_obs(
             } else {
                 website_curl::Config::paper()
             };
-            take(&mut reports, website_curl::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, website_curl::run_with(scenario, &cfg, par))?.render()
         }
         "fig2b" => {
             let cfg = if quick {
@@ -121,7 +119,11 @@ pub fn run_target_obs(
             } else {
                 website_selenium::Config::paper()
             };
-            take(&mut reports, website_selenium::run_with(scenario, &cfg, par)).render()
+            take(
+                &mut reports,
+                website_selenium::run_with(scenario, &cfg, par),
+            )?
+            .render()
         }
         "table3" | "table4" => {
             let cfg = if quick {
@@ -129,7 +131,7 @@ pub fn run_target_obs(
             } else {
                 website_curl::Config::paper()
             };
-            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par))?;
             let rows = ttest_tables::pairwise(&result.samples);
             let half = rows.len() / 2;
             let (title, slice) = if name == "table3" {
@@ -145,7 +147,10 @@ pub fn run_target_obs(
             } else {
                 website_selenium::Config::paper()
             };
-            let result = take(&mut reports, website_selenium::run_with(scenario, &cfg, par));
+            let result = take(
+                &mut reports,
+                website_selenium::run_with(scenario, &cfg, par),
+            )?;
             let rows = ttest_tables::pairwise(&result.samples);
             let half = rows.len() / 2;
             let (title, slice) = if name == "table5" {
@@ -161,7 +166,7 @@ pub fn run_target_obs(
             } else {
                 fixed_circuit::Config::paper()
             };
-            let result = take(&mut reports, fixed_circuit::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, fixed_circuit::run_with(scenario, &cfg, par))?;
             if name == "fig3a" {
                 let mut out = result.render_boxplots();
                 for (a, b) in [
@@ -196,7 +201,7 @@ pub fn run_target_obs(
             } else {
                 fixed_guard::Config::paper()
             };
-            let result = take(&mut reports, fixed_guard::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, fixed_guard::run_with(scenario, &cfg, par))?;
             let mut out = result.render();
             let t = result.ttest();
             out.push_str(&format!(
@@ -213,7 +218,7 @@ pub fn run_target_obs(
             } else {
                 file_download::Config::paper()
             };
-            take(&mut reports, file_download::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, file_download::run_with(scenario, &cfg, par))?.render()
         }
         "table7" => {
             let cfg = if quick {
@@ -221,7 +226,7 @@ pub fn run_target_obs(
             } else {
                 file_download::Config::paper()
             };
-            let result = take(&mut reports, file_download::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, file_download::run_with(scenario, &cfg, par))?;
             let rows = ttest_tables::pairwise(&result.paired);
             ttest_tables::render("Table 7 — paired t-tests, file downloads", &rows)
         }
@@ -231,7 +236,7 @@ pub fn run_target_obs(
             } else {
                 ttfb::Config::paper()
             };
-            take(&mut reports, ttfb::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, ttfb::run_with(scenario, &cfg, par))?.render()
         }
         "fig7" => {
             let cfg = if quick {
@@ -239,7 +244,7 @@ pub fn run_target_obs(
             } else {
                 location::Config::paper()
             };
-            take(&mut reports, location::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, location::run_with(scenario, &cfg, par))?.render()
         }
         "fig8a" | "fig8b" => {
             let cfg = if quick {
@@ -247,7 +252,7 @@ pub fn run_target_obs(
             } else {
                 reliability::Config::paper()
             };
-            let result = take(&mut reports, reliability::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, reliability::run_with(scenario, &cfg, par))?;
             if name == "fig8a" {
                 result.render_stacked()
             } else {
@@ -260,7 +265,7 @@ pub fn run_target_obs(
             } else {
                 medium::Config::paper()
             };
-            take(&mut reports, medium::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, medium::run_with(scenario, &cfg, par))?.render()
         }
         "fig9" => {
             let cfg = if quick {
@@ -268,7 +273,7 @@ pub fn run_target_obs(
             } else {
                 overhead::Config::paper()
             };
-            take(&mut reports, overhead::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, overhead::run_with(scenario, &cfg, par))?.render()
         }
         "fig10a" | "fig10b" | "fig12" => {
             let cfg = if quick {
@@ -276,7 +281,7 @@ pub fn run_target_obs(
             } else {
                 snowflake_load::Config::paper()
             };
-            let result = take(&mut reports, snowflake_load::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, snowflake_load::run_with(scenario, &cfg, par))?;
             match name {
                 "fig10a" => result.render_timeline(),
                 "fig10b" => result.render_pre_post(),
@@ -289,7 +294,7 @@ pub fn run_target_obs(
             } else {
                 speed_index::Config::paper()
             };
-            take(&mut reports, speed_index::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, speed_index::run_with(scenario, &cfg, par))?.render()
         }
         "table8" | "table9" => {
             let cfg = if quick {
@@ -297,7 +302,7 @@ pub fn run_target_obs(
             } else {
                 speed_index::Config::paper()
             };
-            let result = take(&mut reports, speed_index::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, speed_index::run_with(scenario, &cfg, par))?;
             let rows = ttest_tables::pairwise(&result.speed_index);
             let half = rows.len() / 2;
             let (title, slice) = if name == "table8" {
@@ -313,7 +318,7 @@ pub fn run_target_obs(
             } else {
                 website_curl::Config::paper()
             };
-            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par))?;
             let rows = ttest_tables::category_pairwise(&result.samples);
             ttest_tables::render(
                 "Table 10 — paired t-tests between PT categories (curl website access)",
@@ -326,32 +331,34 @@ pub fn run_target_obs(
             } else {
                 streaming::Config::paper()
             };
-            take(&mut reports, streaming::run_with(scenario, &cfg, par)).render()
+            take(&mut reports, streaming::run_with(scenario, &cfg, par))?.render()
         }
         "campaign" => {
             // The full campaign always runs at test scale (see
             // [`ptperf::campaign::run_quick_with`]); `scale` selects
             // nothing here.
-            let results = match campaign::run_quick_with(scenario, par) {
-                Ok(r) => r,
-                Err(e) => panic!("experiment shard failed: {e}"),
-            };
+            let results = campaign::run_quick_with(scenario, par)?;
             reports = results.stats.reports.clone();
             results.stats.render()
         }
         other => panic!("unknown repro target '{other}'; see `repro --list`"),
     };
-    TargetRun {
+    Ok(TargetRun {
         name: name.to_string(),
         text,
         reports,
-    }
+    })
 }
 
 /// Exports a target's underlying data as CSV, for external plotting.
-/// Returns `(file_stem, csv_document)` pairs; targets whose artifact is
-/// purely textual (table1/table2, the timeline) export nothing.
-pub fn export_csv(name: &str, scenario: &Scenario, scale: RunScale) -> Vec<(String, String)> {
+/// Returns `(file_stem, csv_document)` pairs, or the error of a failed
+/// experiment shard; targets whose artifact is purely textual
+/// (table1/table2, the timeline) export nothing.
+pub fn export_csv(
+    name: &str,
+    scenario: &Scenario,
+    scale: RunScale,
+) -> Result<Vec<(String, String)>, ExecError> {
     export_csv_with(name, scenario, scale, &Parallelism::sequential())
 }
 
@@ -362,20 +369,20 @@ pub fn export_csv_with(
     scenario: &Scenario,
     scale: RunScale,
     par: &Parallelism,
-) -> Vec<(String, String)> {
+) -> Result<Vec<(String, String)>, ExecError> {
     use ptperf::report;
     let quick = scale == RunScale::Quick;
     // CSV export re-runs the experiment and only keeps its data; shard
     // reports are dropped (the caller gets them via `run_target_obs`).
     let mut reports: Vec<ShardReport> = Vec::new();
-    match name {
+    Ok(match name {
         "fig2a" | "table3" | "table4" | "table10" => {
             let cfg = if quick {
                 website_curl::Config::quick()
             } else {
                 website_curl::Config::paper()
             };
-            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par))?;
             vec![
                 ("fig2a_samples".to_string(), report::samples_csv(&result.samples)),
                 (
@@ -394,7 +401,10 @@ pub fn export_csv_with(
             } else {
                 website_selenium::Config::paper()
             };
-            let result = take(&mut reports, website_selenium::run_with(scenario, &cfg, par));
+            let result = take(
+                &mut reports,
+                website_selenium::run_with(scenario, &cfg, par),
+            )?;
             vec![
                 ("fig2b_samples".to_string(), report::samples_csv(&result.samples)),
                 (
@@ -409,7 +419,7 @@ pub fn export_csv_with(
             } else {
                 file_download::Config::paper()
             };
-            let result = take(&mut reports, file_download::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, file_download::run_with(scenario, &cfg, par))?;
             vec![
                 ("fig5_samples".to_string(), report::samples_csv(&result.paired)),
                 (
@@ -424,7 +434,7 @@ pub fn export_csv_with(
             } else {
                 reliability::Config::paper()
             };
-            let result = take(&mut reports, reliability::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, reliability::run_with(scenario, &cfg, par))?;
             let rows: Vec<Vec<String>> = result
                 .counts
                 .iter()
@@ -449,7 +459,7 @@ pub fn export_csv_with(
             } else {
                 speed_index::Config::paper()
             };
-            let result = take(&mut reports, speed_index::run_with(scenario, &cfg, par));
+            let result = take(&mut reports, speed_index::run_with(scenario, &cfg, par))?;
             vec![
                 (
                     "fig11_speed_index".to_string(),
@@ -462,21 +472,41 @@ pub fn export_csv_with(
             ]
         }
         _ => Vec::new(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptperf::executor::ShardFailure;
 
     #[test]
     fn every_listed_target_runs_quick() {
         let scenario = Scenario::baseline(7);
         for name in available_targets() {
-            let out = run_target(name, &scenario, RunScale::Quick);
+            let out = run_target(name, &scenario, RunScale::Quick).unwrap();
             assert!(!out.is_empty(), "{name} produced no output");
             assert!(out.len() > 50, "{name} output suspiciously short");
         }
+    }
+
+    #[test]
+    fn take_returns_a_shard_failure_and_keeps_no_reports() {
+        let failure = ExecError {
+            failures: vec![ShardFailure {
+                index: 3,
+                label: "fig2a/tor".to_string(),
+                message: "boom".to_string(),
+            }],
+            completed: 7,
+        };
+        let mut reports = Vec::new();
+        let err = take::<()>(&mut reports, Err(failure)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "1 shard(s) failed (7 completed): [#3 fig2a/tor: boom]"
+        );
+        assert!(reports.is_empty());
     }
 
     #[test]

@@ -31,7 +31,8 @@ static FAULT_RECOVERED: AtomicU64 = AtomicU64::new(0);
 static FAULT_GAVE_UP: AtomicU64 = AtomicU64::new(0);
 
 /// Counts one `path/index_pick`: a bandwidth-weighted relay pick
-/// resolved by binary search over the consensus index.
+/// resolved by binary search over the consensus index. Guard-sample
+/// picks that path selection defers count only once resolved.
 pub fn incr_path_index_pick() {
     PATH_INDEX_PICK.fetch_add(1, Ordering::Relaxed);
 }

@@ -63,6 +63,10 @@ pub struct ClassIndex {
     /// `prefix[i] = fl(prefix[i-1] + bandwidth[i])`; `prefix[k-1]` equals
     /// the reference's full filtered sum bit-for-bit.
     pub prefix: Vec<f64>,
+    /// How many members have `bandwidth > 0` (a NaN counts as not
+    /// positive): guard sampling defers its picks only when this is at
+    /// least `path::SAMPLED_GUARDS` (see `PathSelector`).
+    pub positive: usize,
     /// Position of relay id `r` within this class, or `u32::MAX` when the
     /// relay is not a member. Indexed by `RelayId::0` (relay ids equal
     /// their consensus index).
@@ -74,6 +78,7 @@ impl ClassIndex {
         let mut ids = Vec::new();
         let mut bandwidth = Vec::new();
         let mut prefix = Vec::new();
+        let mut positive = 0;
         let mut pos = vec![ABSENT; relays.len()];
         let mut running = 0.0f64;
         for r in relays {
@@ -85,11 +90,13 @@ impl ClassIndex {
             bandwidth.push(r.bandwidth_bps);
             running += r.bandwidth_bps;
             prefix.push(running);
+            positive += usize::from(r.bandwidth_bps > 0.0);
         }
         ClassIndex {
             ids,
             bandwidth,
             prefix,
+            positive,
             pos,
         }
     }
@@ -180,6 +187,8 @@ mod tests {
             // prefix tail is bit-identical to the reference's filtered sum.
             let reference_sum: f64 = members.iter().map(|r| r.bandwidth_bps).sum();
             assert_eq!(ci.prefix[ci.len() - 1].to_bits(), reference_sum.to_bits());
+            let positive = members.iter().filter(|r| r.bandwidth_bps > 0.0).count();
+            assert_eq!(ci.positive, positive);
             // Non-members have no position.
             for r in c.relays() {
                 if !class.matches(r) {
@@ -198,6 +207,8 @@ mod tests {
         c.relay_mut(RelayId(3)).bandwidth_bps = f64::NAN;
         let idx = ConsensusIndex::build(c.relays());
         assert!(!idx.exact_ok);
+        // A NaN bandwidth is not positive.
+        assert_eq!(idx.class(FilterClass::All).positive, c.len() - 1);
         let mut c2 = Consensus::generate(&mut SimRng::new(12));
         c2.relay_mut(RelayId(3)).bandwidth_bps = -1.0;
         assert!(!ConsensusIndex::build(c2.relays()).exact_ok);

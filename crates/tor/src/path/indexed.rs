@@ -46,7 +46,10 @@
 //! within a hair of a boundary fall back.
 //!
 //! Fast-path picks count as `path/index_pick`, exact scans as
-//! `path/scan_fallback` ([`ptperf_obs::perf`]).
+//! `path/scan_fallback` ([`ptperf_obs::perf`]). Both count resolved
+//! picks only: a guard-sample pick whose draw a
+//! [`PathSelector`](super::PathSelector) took but never resolved counts
+//! in neither.
 //!
 //! [`exact_ok`]: crate::index::ConsensusIndex::exact_ok
 
@@ -111,8 +114,9 @@ pub fn weighted_pick(
     pick_inner(consensus, class, exclude, scratch, &mut || rng.next_f64())
 }
 
-/// [`weighted_pick`] with an externally supplied draw value, for
-/// equivalence tests that probe specific (boundary, tail) targets. The
+/// [`weighted_pick`] with an externally supplied draw value: resolves a
+/// draw taken earlier (a deferred guard-sample pick), and lets
+/// equivalence tests probe specific (boundary, tail) targets. The
 /// closure-produced `u` is consumed at most once, exactly when
 /// [`weighted_pick`] would consume an RNG draw.
 pub fn weighted_pick_with_u(

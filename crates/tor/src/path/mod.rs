@@ -7,6 +7,11 @@
 //! ([`indexed`], the default) or the original full-scan oracle
 //! ([`reference`], retained for equivalence testing and benchmarking);
 //! the two are bit-for-bit interchangeable (`tests/path_equivalence.rs`).
+//! On the indexed path a client's guard sample takes all its draws up
+//! front but resolves its picks on demand, so a selection through a
+//! volunteer guard usually resolves three picks (guard, exit, middle)
+//! rather than [`SAMPLED_GUARDS`] + 2, with the same draws and the same
+//! results as eager sampling (see [`PathSelector`]).
 //! A [`PathSelector`] is built for reuse: [`PathSelector::reset`] clears
 //! guard state while keeping its buffers, so a persistent selector makes
 //! repeated channel establishment allocation-free in steady state.
@@ -118,10 +123,21 @@ pub enum PickMode {
 /// current primary across circuits ("for a client, the guard node does
 /// not change often", §4.2.1). Marking a guard down fails over to the
 /// next sampled guard.
+///
+/// The sample is drawn in full but resolved lazily whenever that cannot
+/// change a draw (see `ensure_sampled`): its draws are stored, and pick
+/// `i` resolves only when a caller needs the `i`-th sampled guard. The
+/// methods that read guard state therefore take the consensus the
+/// selector samples from, and resolve the picks they need first.
 #[derive(Debug)]
 pub struct PathSelector {
     config: PathConfig,
+    /// The resolved prefix of the guard sample, in draw order.
     sampled_guards: Vec<RelayId>,
+    /// The sample's draws when its resolution is deferred, else empty:
+    /// pick `i` resolves `guard_draws[i]`, so the pending picks are
+    /// `guard_draws[sampled_guards.len()..]`.
+    guard_draws: Vec<f64>,
     down: Vec<RelayId>,
     mode: PickMode,
     scratch: PickScratch,
@@ -139,6 +155,7 @@ impl PathSelector {
         PathSelector {
             config,
             sampled_guards: Vec::new(),
+            guard_draws: Vec::new(),
             down: Vec::new(),
             mode: PickMode::default(),
             scratch: PickScratch::new(),
@@ -153,8 +170,7 @@ impl PathSelector {
     /// allocations.
     pub fn reset(&mut self, config: PathConfig) {
         self.config = config;
-        self.sampled_guards.clear();
-        self.down.clear();
+        self.rotate_guard();
     }
 
     /// Switches the pick implementation (selections are identical either
@@ -176,24 +192,38 @@ impl PathSelector {
     }
 
     /// The guard this client is currently pinned or settled on, if any:
-    /// the pin, else the first sampled guard not marked down.
-    pub fn current_guard(&self) -> Option<RelayId> {
-        self.config.fixed_guard.or_else(|| {
-            self.sampled_guards
-                .iter()
-                .find(|g| !self.down.contains(g))
-                .copied()
-        })
+    /// the pin, else the first sampled guard not marked down. Resolves
+    /// pending sample picks only up to that guard; the answer is the one
+    /// resolving the whole sample first would give. `consensus` must be
+    /// the one the selector samples from.
+    pub fn current_guard(&mut self, consensus: &Consensus) -> Option<RelayId> {
+        if let Some(g) = self.config.fixed_guard {
+            return Some(g);
+        }
+        if let Some(&g) = self.sampled_guards.iter().find(|g| !self.down.contains(g)) {
+            return Some(g);
+        }
+        while let Some(g) = self.resolve_next(consensus) {
+            if !self.down.contains(&g) {
+                return Some(g);
+            }
+        }
+        None
     }
 
-    /// The client's sampled guard list (empty until the first selection).
-    pub fn sampled_guards(&self) -> &[RelayId] {
+    /// The client's sampled guard list (empty until the first
+    /// selection), with every pending pick resolved. `consensus` must be
+    /// the one the selector samples from.
+    pub fn sampled_guards(&mut self, consensus: &Consensus) -> &[RelayId] {
+        while self.resolve_next(consensus).is_some() {}
         &self.sampled_guards
     }
 
-    /// The primary guards: the first [`PRIMARY_GUARDS`] of the sample.
-    pub fn primary_guards(&self) -> &[RelayId] {
-        &self.sampled_guards[..self.sampled_guards.len().min(PRIMARY_GUARDS)]
+    /// The primary guards: the first [`PRIMARY_GUARDS`] of the sample
+    /// (see [`Self::sampled_guards`]).
+    pub fn primary_guards(&mut self, consensus: &Consensus) -> &[RelayId] {
+        let sample = self.sampled_guards(consensus);
+        &sample[..sample.len().min(PRIMARY_GUARDS)]
     }
 
     /// Marks a guard unreachable; subsequent selections fail over to the
@@ -213,17 +243,38 @@ impl PathSelector {
     /// next selection samples a fresh guard list.
     pub fn rotate_guard(&mut self) {
         self.sampled_guards.clear();
+        self.guard_draws.clear();
         self.down.clear();
     }
 
+    /// Samples [`SAMPLED_GUARDS`] guards by bandwidth-weighted picks
+    /// without replacement, unless this client already has a sample.
+    ///
+    /// Pick `j` excludes the `j` picks before it. When the consensus
+    /// index is exact (every bandwidth finite and non-negative) and the
+    /// guard class has at least [`SAMPLED_GUARDS`] members with positive
+    /// bandwidth, each pick provably draws exactly once and returns a
+    /// guard: it excludes at most `SAMPLED_GUARDS − 1` relays, so a
+    /// positive-bandwidth member stays eligible and the exact eligible
+    /// total is positive. The draws then do not depend on the picks, so
+    /// this takes all of them now, in the eager order, and
+    /// `resolve_next` resolves the picks later, in order, as they are
+    /// needed. Otherwise — fewer positive-bandwidth guards, an inexact
+    /// index, or [`PickMode::Reference`], which stays the eager oracle —
+    /// every pick resolves here and sampling stops at the first `None`.
     fn ensure_sampled(&mut self, consensus: &Consensus, rng: &mut SimRng) {
-        if !self.sampled_guards.is_empty() {
+        if !self.sampled_guards.is_empty() || !self.guard_draws.is_empty() {
             return;
         }
-        // Bandwidth-weighted sampling without replacement, accumulated
-        // directly into the persistent buffer (draw-identical to
-        // collecting into a temporary).
-        let cap = self.sampled_guards.capacity();
+        if self.mode == PickMode::Indexed && guard_picks_always_draw(consensus) {
+            let cap = self.guard_draws.capacity();
+            self.guard_draws
+                .extend((0..SAMPLED_GUARDS).map(|_| rng.next_f64()));
+            if self.guard_draws.capacity() != cap {
+                self.vec_grows += 1;
+            }
+            return;
+        }
         for _ in 0..SAMPLED_GUARDS {
             match dispatch_pick(
                 self.mode,
@@ -233,10 +284,32 @@ impl PathSelector {
                 &self.sampled_guards,
                 &mut self.scratch,
             ) {
-                Some(g) => self.sampled_guards.push(g),
+                Some(g) => self.push_sampled(g),
                 None => break, // consensus has fewer eligible guards
             }
         }
+    }
+
+    /// Resolves the next deferred guard pick from its stored draw and
+    /// returns it; `None` once no pick is pending.
+    fn resolve_next(&mut self, consensus: &Consensus) -> Option<RelayId> {
+        let &u = self.guard_draws.get(self.sampled_guards.len())?;
+        let g = indexed::weighted_pick_with_u(
+            u,
+            consensus,
+            FilterClass::Guard,
+            &self.sampled_guards,
+            &mut self.scratch,
+        )
+        .expect("a deferred guard pick always resolves (see `ensure_sampled`)");
+        self.push_sampled(g);
+        Some(g)
+    }
+
+    /// Appends a guard to the sample, counting a reallocation.
+    fn push_sampled(&mut self, g: RelayId) {
+        let cap = self.sampled_guards.capacity();
+        self.sampled_guards.push(g);
         if self.sampled_guards.capacity() != cap {
             self.vec_grows += 1;
         }
@@ -251,7 +324,7 @@ impl PathSelector {
             Some(g) => g,
             None => {
                 self.ensure_sampled(consensus, rng);
-                self.current_guard()
+                self.current_guard(consensus)
                     .ok_or(PathError::NoEligibleRelay(Role::Guard))?
             }
         };
@@ -291,6 +364,14 @@ impl Default for PathSelector {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The deferral precondition of `PathSelector::ensure_sampled`: every
+/// bandwidth is finite and non-negative, and at least [`SAMPLED_GUARDS`]
+/// guard-class members have positive bandwidth.
+fn guard_picks_always_draw(consensus: &Consensus) -> bool {
+    let idx = consensus.index();
+    idx.exact_ok && idx.class(FilterClass::Guard).positive >= SAMPLED_GUARDS
 }
 
 fn dispatch_pick(
@@ -367,14 +448,14 @@ mod tests {
         let mut rng = SimRng::new(22);
         let mut sel = PathSelector::new();
         sel.select(&c, &mut rng).unwrap();
-        let sample = sel.sampled_guards();
+        let sample = sel.sampled_guards(&c).to_vec();
         assert_eq!(sample.len(), SAMPLED_GUARDS);
-        let mut dedup = sample.to_vec();
+        let mut dedup = sample.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), sample.len(), "duplicate guards in sample");
-        assert_eq!(sel.primary_guards().len(), PRIMARY_GUARDS);
-        assert_eq!(sel.primary_guards()[0], sel.current_guard().unwrap());
+        assert_eq!(sel.primary_guards(&c), &sample[..PRIMARY_GUARDS]);
+        assert_eq!(sel.current_guard(&c), Some(sample[0]));
     }
 
     #[test]
@@ -383,7 +464,7 @@ mod tests {
         let mut rng = SimRng::new(24);
         let mut sel = PathSelector::new();
         let first = sel.select(&c, &mut rng).unwrap().guard;
-        let sample = sel.sampled_guards().to_vec();
+        let sample = sel.sampled_guards(&c).to_vec();
         assert_eq!(first, sample[0]);
 
         sel.mark_guard_down(sample[0]);
@@ -401,7 +482,7 @@ mod tests {
         let mut rng = SimRng::new(26);
         let mut sel = PathSelector::new();
         sel.select(&c, &mut rng).unwrap();
-        for g in sel.sampled_guards().to_vec() {
+        for g in sel.sampled_guards(&c).to_vec() {
             sel.mark_guard_down(g);
         }
         assert_eq!(
@@ -532,8 +613,34 @@ mod tests {
                     sel_r.select(&c, &mut rng_r).unwrap()
                 );
             }
-            assert_eq!(sel_i.sampled_guards(), sel_r.sampled_guards());
+            assert_eq!(sel_i.sampled_guards(&c), sel_r.sampled_guards(&c));
             assert_eq!(rng_i, rng_r, "modes consumed different draw counts");
         }
+    }
+
+    #[test]
+    fn deferred_sample_resolves_guard_picks_on_demand() {
+        let c = consensus(35);
+        assert!(guard_picks_always_draw(&c));
+        let mut rng = SimRng::new(36);
+        let mut sel = PathSelector::new();
+        let first = sel.select(&c, &mut rng).unwrap().guard;
+        // Every draw is taken, but only the guard in use is resolved.
+        assert_eq!(sel.guard_draws.len(), SAMPLED_GUARDS);
+        assert_eq!(sel.sampled_guards, [first]);
+        // Failing over past two guards resolves exactly the next two.
+        sel.mark_guard_down(first);
+        let second = sel.select(&c, &mut rng).unwrap().guard;
+        sel.mark_guard_down(second);
+        sel.select(&c, &mut rng).unwrap();
+        assert_eq!(sel.sampled_guards.len(), 3);
+        assert_eq!(sel.sampled_guards(&c).len(), SAMPLED_GUARDS);
+
+        // The reference oracle samples eagerly.
+        let mut oracle = PathSelector::new();
+        oracle.set_pick_mode(PickMode::Reference);
+        oracle.select(&c, &mut SimRng::new(36)).unwrap();
+        assert!(oracle.guard_draws.is_empty());
+        assert_eq!(oracle.sampled_guards.len(), SAMPLED_GUARDS);
     }
 }

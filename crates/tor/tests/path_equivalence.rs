@@ -5,14 +5,20 @@
 //! duplicated, out-of-class, out-of-range, all-excluded), degenerate
 //! bandwidths, decision-boundary draws, and the floating-point tail
 //! fallback. The deterministic bulk test alone covers thousands of
-//! picks; the proptests add structural diversity on top.
+//! picks; the proptests add structural diversity on top. At the
+//! selector level, an indexed `PathSelector` (which defers its guard
+//! picks when it provably may) walks the same circuits, samples and
+//! draws as the eagerly sampling reference one, on both sides of the
+//! deferral precondition and through guard failover.
 
 use proptest::prelude::*;
 
 use ptperf_sim::SimRng;
 use ptperf_tor::path::indexed::{self, PickScratch};
 use ptperf_tor::path::reference;
-use ptperf_tor::{Consensus, ConsensusParams, FilterClass, PathSelector, PickMode, Relay, RelayId};
+use ptperf_tor::{
+    Consensus, ConsensusParams, FilterClass, PathSelector, PickMode, Relay, RelayId, SAMPLED_GUARDS,
+};
 
 const CLASSES: [FilterClass; 3] = [FilterClass::Guard, FilterClass::Exit, FilterClass::All];
 
@@ -63,6 +69,91 @@ fn assert_with_u_equiv(c: &Consensus, class: FilterClass, exclude: &[RelayId], u
         reference::weighted_pick_with_u(u, total, c.relays(), |r| class.matches(r), exclude)
     };
     assert_eq!(picked, picked_ref, "with_u mismatch: class {class:?}, u {u:e}");
+}
+
+/// Drives an indexed and a reference selector through the same
+/// selections from identical RNG states. Before each select after the
+/// first, `flips[s]` marks guards down (`true`) or up (`false`) by their
+/// position in the reference selector's sample — always fully resolved,
+/// so the indexed selector fails over onto picks it has not resolved
+/// yet; positions past the sample are skipped. Asserts identical
+/// circuits, samples and RNG positions.
+fn assert_selectors_equiv(c: &Consensus, rseed: u64, flips: &[Vec<(usize, bool)>]) {
+    let mut rng_i = SimRng::new(rseed);
+    let mut rng_r = rng_i.clone();
+    let mut sel_i = PathSelector::new();
+    let mut sel_r = PathSelector::new();
+    sel_r.set_pick_mode(PickMode::Reference);
+    assert_eq!(sel_i.select(c, &mut rng_i), sel_r.select(c, &mut rng_r));
+    for step in flips {
+        for &(pos, down) in step {
+            let Some(&g) = sel_r.sampled_guards(c).get(pos) else {
+                continue;
+            };
+            if down {
+                sel_i.mark_guard_down(g);
+                sel_r.mark_guard_down(g);
+            } else {
+                sel_i.mark_guard_up(g);
+                sel_r.mark_guard_up(g);
+            }
+        }
+        assert_eq!(sel_i.select(c, &mut rng_i), sel_r.select(c, &mut rng_r));
+        assert_eq!(rng_i, rng_r, "draw-count mismatch after flips {step:?}");
+    }
+    assert_eq!(sel_i.sampled_guards(c), sel_r.sampled_guards(c));
+    assert_eq!(rng_i, rng_r);
+}
+
+#[test]
+fn guard_sample_deferral_boundary_matches_the_eager_oracle() {
+    // Guard picks defer only when the guard class keeps at least
+    // SAMPLED_GUARDS positive-bandwidth members. Just below, a sample
+    // pick that finds every positive-bandwidth member excluded sees a
+    // zero eligible total and draws nothing; a selector that deferred
+    // there anyway would take one draw too many.
+    let flips: Vec<Vec<(usize, bool)>> = vec![
+        vec![(0, true), (1, true)],
+        vec![(5, true)],
+        vec![(0, false)],
+        vec![(0, true), (2, true), (SAMPLED_GUARDS - 2, true)],
+        vec![],
+    ];
+    for seed in 0..4u64 {
+        for positive in [SAMPLED_GUARDS - 1, SAMPLED_GUARDS, SAMPLED_GUARDS + 1] {
+            let mut c = gen_consensus(40 + seed, 300);
+            let ids = c.index().class(FilterClass::Guard).ids.clone();
+            assert!(
+                ids.len() > positive + 10,
+                "guard class too small: {}",
+                ids.len()
+            );
+            // Keep `positive` members spread over the class; zero the rest.
+            let keep: Vec<RelayId> = (0..positive)
+                .map(|j| ids[j * ids.len() / positive])
+                .collect();
+            for &id in &ids {
+                if !keep.contains(&id) {
+                    c.relay_mut(id).bandwidth_bps = 0.0;
+                }
+            }
+            assert!(c.index().exact_ok);
+            assert_eq!(c.index().class(FilterClass::Guard).positive, positive);
+            assert_selectors_equiv(&c, 500 + seed, &flips);
+        }
+    }
+    // An inexact index keeps sampling eager even with enough
+    // positive-bandwidth guards: a NaN guard bandwidth, and a negative
+    // one that pushes every eligible total below zero, so the eager
+    // oracle draws nothing and finds no guard.
+    for bad in [f64::NAN, -1e12] {
+        let mut c = gen_consensus(44, 300);
+        let g = c.index().class(FilterClass::Guard).ids[3];
+        c.relay_mut(g).bandwidth_bps = bad;
+        assert!(!c.index().exact_ok);
+        assert!(c.index().class(FilterClass::Guard).positive >= SAMPLED_GUARDS);
+        assert_selectors_equiv(&c, 504, &flips);
+    }
 }
 
 #[test]
@@ -381,24 +472,23 @@ proptest! {
     }
 
     /// Whole-selector equivalence: a PathSelector in Indexed mode walks
-    /// the same guard samples and circuits as one in Reference mode.
+    /// the same guard samples and circuits as one in Reference mode,
+    /// while a generated subset of sampled guards goes down and comes
+    /// back up between selects. Consensuses from about 100 relays up
+    /// have a guard class large enough for the indexed selector to
+    /// defer its guard picks; smaller ones sample eagerly.
     #[test]
     fn full_selector_sequences_match(
         cseed in 1..150u64,
-        n in 2..120usize,
+        n in 2..240usize,
         rseed in any::<u64>(),
+        flips in proptest::collection::vec(
+            proptest::collection::vec((0..SAMPLED_GUARDS + 2, any::<bool>()), 0..4),
+            7,
+        ),
     ) {
         let c = gen_consensus(cseed, n);
-        let mut rng_i = SimRng::new(rseed);
-        let mut rng_r = rng_i.clone();
-        let mut sel_i = PathSelector::new();
-        let mut sel_r = PathSelector::new();
-        sel_r.set_pick_mode(PickMode::Reference);
-        for _ in 0..8 {
-            prop_assert_eq!(sel_i.select(&c, &mut rng_i), sel_r.select(&c, &mut rng_r));
-        }
-        prop_assert_eq!(sel_i.sampled_guards(), sel_r.sampled_guards());
-        prop_assert_eq!(&rng_i, &rng_r);
+        assert_selectors_equiv(&c, rseed, &flips);
     }
 }
 

@@ -16,11 +16,13 @@ use crate::transport::{AccessOptions, Deployment};
 /// Reusable per-client establishment state: a persistent
 /// [`PathSelector`] whose buffers survive across establishes.
 ///
-/// One establish still resamples guards from scratch (so a reused
-/// scratch is draw-for-draw identical to a fresh one — proven by
-/// `reset_reuse_matches_fresh_selector_exactly` in `ptperf_tor`), but
-/// the sampled-guard and exclude buffers keep their capacity, making
-/// steady-state establishment allocation-free.
+/// Each establish draws a fresh guard sample, so a reused scratch is
+/// draw-for-draw identical to a fresh one (proven by
+/// `reset_reuse_matches_fresh_selector_exactly` in `ptperf_tor`): every
+/// one of the sample's draws is taken, though usually only the guard
+/// the circuit uses is resolved. The draw, sampled-guard and exclude
+/// buffers keep their capacity, making steady-state establishment
+/// allocation-free.
 #[derive(Debug)]
 pub struct EstablishScratch {
     selector: PathSelector,

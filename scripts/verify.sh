@@ -16,7 +16,9 @@
 #   6. establish smoke: quick establish benches + repro --bench establish
 #      emitting BENCH_establish.json (panics and non-finite values fail,
 #      never speed thresholds); every class resolves >= 99% of its relay
-#      picks on the consensus index (index_pick_fraction)
+#      picks on the consensus index (index_pick_fraction), and resolves
+#      at most 3 picks per vanilla_* establish and exactly 2 per obfs4_*
+#      establish (picks_per_establish)
 #   7. unit smoke: quick unit benches + repro --bench unit emitting
 #      BENCH_unit.json; additionally asserts every warm class shows
 #      allocs_per_unit == 0 — the one structural property the pooled
@@ -125,10 +127,12 @@ grep -q "establish/vanilla_600_indexed" "$obs_dir/bench_establish.txt"
 PTPERF_BENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench establish --bench-out "$obs_dir/BENCH_establish.json" > "$obs_dir/establish_out.txt"
 check_finite "$obs_dir/BENCH_establish.json"
-# Structural gate (one class per JSON line): guard sampling's growing
-# exclude sets included, picks resolve by binary search, not the dense
-# scan. The bench runs single-threaded in its own process, so the
-# process-wide pick counters behind the fraction are exact.
+# Structural gate (one class per JSON line): picks resolve by binary
+# search, not the dense scan. The bench runs single-threaded in its own
+# process, so the process-wide pick counters behind the fraction are
+# exact. Guard sampling defers all but the guard it uses, so these
+# establishes no longer resolve its growing exclude sets;
+# crates/tor/tests/path_equivalence.rs still covers them.
 awk '
   /"index_pick_fraction":/ {
     n = $0; sub(/.*"name": "/, "", n);                sub(/".*/, "", n)
@@ -141,6 +145,23 @@ awk '
   }
   END { if (classes == 0) { print "no establish classes found" > "/dev/stderr"; bad = 1 }; exit bad }' \
   "$obs_dir/BENCH_establish.json"
+# Deterministic pick counts: a volunteer-guard establish resolves one
+# guard pick plus its exit and middle (the sample's other picks stay
+# deferred); a bridge establish resolves only the exit and middle.
+awk '
+  /"picks_per_establish":/ {
+    n = $0; sub(/.*"name": "/, "", n);                sub(/".*/, "", n)
+    p = $0; sub(/.*"picks_per_establish": /, "", p); sub(/[,}].*/, "", p)
+    vanilla += (n ~ /^vanilla_/); obfs4 += (n ~ /^obfs4_/)
+    if ((n ~ /^vanilla_/ && p + 0 > 3) || (n ~ /^obfs4_/ && p + 0 != 2)) {
+      printf "class %s resolves %s picks per establish (vanilla_*: at most 3, obfs4_*: exactly 2)\n", n, p > "/dev/stderr"
+      bad = 1
+    }
+  }
+  END {
+    if (vanilla == 0 || obfs4 == 0) { print "no vanilla_* or obfs4_* establish class found" > "/dev/stderr"; bad = 1 }
+    exit bad
+  }' "$obs_dir/BENCH_establish.json"
 
 echo "== perf smoke (unit benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench unit > "$obs_dir/bench_unit.txt"

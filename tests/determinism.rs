@@ -256,13 +256,15 @@ fn phase_histograms_are_deterministic_and_merge_order_independent() {
         &scenario,
         RunScale::Quick,
         &Parallelism::sequential().with_recording(Record::Trace),
-    );
+    )
+    .expect("no shard fails");
     let par = run_target_obs(
         "fig5",
         &scenario,
         RunScale::Quick,
         &Parallelism::new(4).with_recording(Record::Trace),
-    );
+    )
+    .expect("no shard fails");
     // Per-shard histograms are identical field for field across worker
     // counts — the distributional layer inherits the determinism of the
     // values it observes.

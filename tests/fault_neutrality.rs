@@ -42,7 +42,7 @@ fn on_scenario() -> Scenario {
 }
 
 fn run(scenario: &Scenario, name: &str, par: &Parallelism) -> TargetRun {
-    run_target_obs(name, scenario, RunScale::Quick, par)
+    run_target_obs(name, scenario, RunScale::Quick, par).expect("no shard fails")
 }
 
 /// Sums every `"key":"fault/<name>"` counter value in a JSONL trace.

@@ -35,7 +35,7 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 fn run(name: &str, seed: u64, par: &Parallelism) -> TargetRun {
-    run_target_obs(name, &Scenario::baseline(seed), RunScale::Quick, par)
+    run_target_obs(name, &Scenario::baseline(seed), RunScale::Quick, par).expect("no shard fails")
 }
 
 #[test]
