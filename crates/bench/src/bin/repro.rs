@@ -14,7 +14,7 @@
 //! repro --profile fig6       # per-family profile table
 //! repro --check-bench DIR    # gate fresh BENCH_*.json in DIR against committed baselines
 //! repro --json-check FILE    # validate a JSON document (exit status only)
-//! repro --bench flow         # fluid-scheduler benchmark → BENCH_flow.json
+//! repro --bench flow         # page-load sharing benchmark → BENCH_flow.json
 //! repro --bench establish    # establishment benchmark → BENCH_establish.json
 //! repro --bench unit         # measurement-unit benchmark → BENCH_unit.json
 //! repro --quiet / -v         # errors only / debug diagnostics
@@ -371,10 +371,10 @@ fn print_help() {
          failing; an unreadable DIR exits 2), emitting a\n\
          machine-readable verdict JSON on stdout.\n\
          --json-check FILE validates that FILE parses as JSON and exits.\n\
-         --bench LAYER benchmarks one layer against its reference oracle,\n\
-         writes BENCH_<LAYER>.json (path override: --bench-out), then\n\
-         exits. flow: the fluid scheduler (p50/p95 per workload class,\n\
-         steps/s, fast-path hits, allocations-per-step proxy).\n\
+         --bench LAYER benchmarks one layer, writes BENCH_<LAYER>.json\n\
+         (path override: --bench-out), then exits. flow: the single-link\n\
+         page-load sharing loop (p50/p95 per workload class, steps/s,\n\
+         allocations-per-step proxy).\n\
          establish: channel establishment (indexed path selection vs the\n\
          reference scan at 600 and 5000 relays, establishes/s, fast-path\n\
          fraction, allocations per establish, deployment-memo savings).\n\

@@ -221,10 +221,8 @@ pub fn build_metrics(runs: &[TargetRun], workers: usize, elapsed: Duration) -> M
 
 /// Renders the `--profile` table: per family (first-seen order), shard
 /// and sample counts, recorded event count, simulated seconds, shard
-/// wall-clock milliseconds, simulation throughput in events per
-/// wall-clock second, and the allocator fast-path hit rate (`fast%`:
-/// `maxmin/fast_path` over `maxmin/recomputations` — "-" when the
-/// family never ran the allocator).
+/// wall-clock milliseconds, and simulation throughput in events per
+/// wall-clock second.
 pub fn profile_table(runs: &[TargetRun]) -> String {
     struct Row {
         family: String,
@@ -233,8 +231,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         events: u64,
         sim_ns: u64,
         wall_secs: f64,
-        allocs: u64,
-        fast: u64,
     }
     let mut rows: Vec<Row> = Vec::new();
     for run in runs {
@@ -250,8 +246,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
                         events: 0,
                         sim_ns: 0,
                         wall_secs: 0.0,
-                        allocs: 0,
-                        fast: 0,
                     });
                     rows.last_mut().expect("just pushed")
                 }
@@ -261,8 +255,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
             row.events += report.obs.counter("events").unwrap_or(0);
             row.sim_ns += report.obs.counter("sim_ns").unwrap_or(0);
             row.wall_secs += report.wall.as_secs_f64();
-            row.allocs += report.obs.counter("maxmin/recomputations").unwrap_or(0);
-            row.fast += report.obs.counter("maxmin/fast_path").unwrap_or(0);
         }
     }
     let mut table = Table::new([
@@ -273,16 +265,10 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         "sim (s)",
         "wall (ms)",
         "events/s",
-        "fast%",
     ]);
     for r in &rows {
         let throughput = if r.wall_secs > 0.0 {
             format!("{:.0}", r.events as f64 / r.wall_secs)
-        } else {
-            "-".to_string()
-        };
-        let fast = if r.allocs > 0 {
-            format!("{:.0}", 100.0 * r.fast as f64 / r.allocs as f64)
         } else {
             "-".to_string()
         };
@@ -294,7 +280,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
             format!("{:.2}", r.sim_ns as f64 / 1e9),
             format!("{:.1}", r.wall_secs * 1e3),
             throughput,
-            fast,
         ]);
     }
     let totals = rows.iter().fold((0usize, 0u64, 0u64), |acc, r| {
@@ -438,33 +423,33 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_a_maxmin_counter_track() {
-        // Shards that ran the allocator carry `maxmin/*` counters, and
-        // the Chrome export must surface each as its own "C" track
+    fn chrome_trace_renders_a_browser_counter_track() {
+        // Shards that loaded pages carry `browser/*` counters, and the
+        // Chrome export must surface each as its own "C" track
         // alongside the other keys.
         let mut run = sample_run();
-        run.reports[0].obs.counters.push(("maxmin/fast_path", 37));
-        run.reports[0].obs.counters.push(("maxmin/rounds", 2));
+        run.reports[0].obs.counters.push(("browser/pages", 37));
+        run.reports[0].obs.counters.push(("browser/resources", 2));
         let doc = trace_chrome(&[run]);
         let v = json::parse(&doc).expect("chrome trace is valid JSON");
         let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
-        let fast: Vec<_> = events
+        let pages: Vec<_> = events
             .iter()
             .filter(|e| {
                 e.get("ph").and_then(|p| p.as_str()) == Some("C")
-                    && e.get("name").and_then(|n| n.as_str()) == Some("maxmin/fast_path")
+                    && e.get("name").and_then(|n| n.as_str()) == Some("browser/pages")
             })
             .collect();
-        assert_eq!(fast.len(), 1, "one fast-path track sample per shard");
+        assert_eq!(pages.len(), 1, "one page-count track sample per shard");
         assert_eq!(
-            fast[0]
+            pages[0]
                 .get("args")
                 .unwrap()
                 .get("value")
                 .and_then(|x| x.as_f64()),
             Some(37.0)
         );
-        assert!(doc.contains("\"maxmin/rounds\""));
+        assert!(doc.contains("\"browser/resources\""));
     }
 
     #[test]

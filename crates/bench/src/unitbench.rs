@@ -8,10 +8,11 @@
 //! workload class (browser page loads, curl fetches, file downloads).
 //! For each class it measures warm pooled-pipeline wall time (one
 //! persistent [`UnitScratch`] reused across units, indexed relay picks,
-//! in-place fluid scheduling) against the retained allocating reference
-//! path (a cold scratch per unit, full-scan relay picks, the
-//! per-step-allocating reference scheduler), the units per second the
-//! pooled lane sustains, and whether the warm scratch still allocates.
+//! page loads on warm buffers) against the retained allocating
+//! reference path (a cold establish scratch per unit with full-scan
+//! relay picks, a cold page scratch per page load), the units per
+//! second the pooled lane sustains, and whether the warm scratch still
+//! allocates.
 //! A separate section times the scenario's site-workload memo: cached
 //! `Arc<[Website]>` fetch vs a full corpus rebuild.
 //!
@@ -30,7 +31,7 @@ use ptperf::scenario::Scenario;
 use ptperf_obs::{json, NullRecorder};
 use ptperf_sim::SimRng;
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
-use ptperf_web::{curl, filedl, load_page_pooled, load_page_reference, SiteList, Website};
+use ptperf_web::{curl, filedl, load_page_pooled, PageScratch, SiteList, Website};
 
 use crate::emit;
 
@@ -42,7 +43,7 @@ pub const DEFAULT_RUNS: usize = 200;
 /// What one unit of a class measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitKind {
-    /// Selenium-style page loads (establish + fluid-scheduled resources).
+    /// Selenium-style page loads (establish + resources sharing the link).
     Browser,
     /// Curl default-page fetches (establish + analytic transfer).
     Curl,
@@ -102,11 +103,10 @@ pub struct SiteResult {
     pub rebuilds_saved: u64,
 }
 
-/// The standard classes. The browser class is the headline (the fluid
-/// scheduler dominates its unit time, so pooling pays the most there);
-/// curl and filedl cover the other two measurement shapes the campaign
-/// runs. Fixed seeds keep workloads byte-for-byte identical across
-/// runs.
+/// The standard classes. The browser class is the headline (page loads
+/// dominate its unit time); curl and filedl cover the other two
+/// measurement shapes the campaign runs. Fixed seeds keep workloads
+/// byte-for-byte identical across runs.
 pub fn standard_workloads() -> Vec<Workload> {
     vec![
         Workload { name: "browser_obfs4_16", kind: UnitKind::Browser, pt: PtId::Obfs4, work_items: 16 },
@@ -162,10 +162,9 @@ pub fn run_unit_pooled(w: &Workload, fx: &Fixture, scratch: &mut UnitScratch) ->
 }
 
 /// Runs one unit through the retained allocating reference path: a cold
-/// full-scan establish scratch for the whole unit and the reference
-/// fluid scheduler (with its per-step demand allocation) for page
-/// loads. Bit-identical to the pooled lane by construction — the
-/// warmups assert it.
+/// full-scan establish scratch for the whole unit and a cold page
+/// scratch for every page load. Bit-identical to the pooled lane by
+/// construction — the warmups assert it.
 pub fn run_unit_reference(w: &Workload, fx: &Fixture) -> u64 {
     let transport = transport_for(w.pt);
     let dep = fx.scenario.deployment();
@@ -177,7 +176,8 @@ pub fn run_unit_reference(w: &Workload, fx: &Fixture) -> u64 {
         let ch = transport.establish_with(&dep, &opts, site.server, &mut rng, &mut scratch);
         sum = sum.wrapping_add(match w.kind {
             UnitKind::Browser => {
-                match load_page_reference(&ch, site, &mut rng, &mut NullRecorder) {
+                let mut page = PageScratch::new();
+                match load_page_pooled(&ch, site, &mut rng, &mut NullRecorder, &mut page) {
                     Ok(p) => p.total.as_secs_f64().to_bits(),
                     Err(_) => 1,
                 }

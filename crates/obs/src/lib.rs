@@ -39,7 +39,7 @@
 //! A fourth facility is the process-wide performance counter set in
 //! [`perf`] — monotone relaxed atomics (`path/index_pick`,
 //! `path/scan_fallback`, `deployment/rebuilds_saved`,
-//! `flow/inline_nodes`, `browser/scratch_hits`, `site/rebuilds_saved`)
+//! `browser/scratch_hits`, `site/rebuilds_saved`, `fault/*`)
 //! for hot paths that have no recorder handle or whose tallies depend
 //! on warmup state and therefore must not enter the trace stream. They are write-only from simulation
 //! code and excluded from the deterministic trace stream.

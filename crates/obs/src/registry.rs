@@ -30,7 +30,7 @@ pub enum CounterKind {
 /// One registered counter key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterDef {
-    /// The key exactly as emitted, e.g. `"maxmin/rounds"`.
+    /// The key exactly as emitted, e.g. `"browser/pages"`.
     pub key: &'static str,
     /// Which stream carries it.
     pub kind: CounterKind,
@@ -52,11 +52,6 @@ pub const COUNTERS: &[CounterDef] = &[
         key: "browser/resources",
         kind: CounterKind::Trace,
         doc: "subresources fetched across all page loads",
-    },
-    CounterDef {
-        key: "browser/state_fallback",
-        kind: CounterKind::Trace,
-        doc: "page loads that took the re-entrant (non-pooled) state path",
     },
     CounterDef {
         key: "events",
@@ -82,56 +77,6 @@ pub const COUNTERS: &[CounterDef] = &[
         key: "fault/retried",
         kind: CounterKind::Trace,
         doc: "injected faults answered with a retry attempt",
-    },
-    CounterDef {
-        key: "fluid/realloc_skipped",
-        kind: CounterKind::Trace,
-        doc: "fluid steps that reused rates because the active set was unchanged",
-    },
-    CounterDef {
-        key: "fluid/state_fallback",
-        kind: CounterKind::Trace,
-        doc: "fluid advances that took the re-entrant (non-pooled) state path",
-    },
-    CounterDef {
-        key: "fluid/steps",
-        kind: CounterKind::Trace,
-        doc: "fluid scheduler advance steps executed",
-    },
-    CounterDef {
-        key: "maxmin/fast_path",
-        kind: CounterKind::Trace,
-        doc: "max-min recomputations resolved by the analytic single-bottleneck path",
-    },
-    CounterDef {
-        key: "maxmin/flows_cap_limited",
-        kind: CounterKind::Trace,
-        doc: "flows whose rate was limited by their per-flow cap",
-    },
-    CounterDef {
-        key: "maxmin/flows_node_limited",
-        kind: CounterKind::Trace,
-        doc: "flows whose rate was limited by a saturated node",
-    },
-    CounterDef {
-        key: "maxmin/nodes_saturated",
-        kind: CounterKind::Trace,
-        doc: "nodes driven to full capacity during a recomputation",
-    },
-    CounterDef {
-        key: "maxmin/recomputations",
-        kind: CounterKind::Trace,
-        doc: "max-min fair-share recomputations triggered",
-    },
-    CounterDef {
-        key: "maxmin/rounds",
-        kind: CounterKind::Trace,
-        doc: "water-filling rounds executed across recomputations",
-    },
-    CounterDef {
-        key: "maxmin/state_fallback",
-        kind: CounterKind::Trace,
-        doc: "max-min recomputations that took the re-entrant (non-pooled) state path",
     },
     CounterDef {
         key: "sim_ns",
@@ -168,11 +113,6 @@ pub const COUNTERS: &[CounterDef] = &[
         key: "fault/retried",
         kind: CounterKind::Perf,
         doc: "process-wide mirror of the fault/retried trace counter",
-    },
-    CounterDef {
-        key: "flow/inline_nodes",
-        kind: CounterKind::Perf,
-        doc: "flows whose node path fit the inline (no-spill) representation",
     },
     CounterDef {
         key: "path/index_pick",
@@ -227,8 +167,8 @@ mod tests {
 
     #[test]
     fn lookup_respects_kind() {
-        assert!(lookup("maxmin/rounds", CounterKind::Trace).is_some());
-        assert!(lookup("maxmin/rounds", CounterKind::Perf).is_none());
+        assert!(lookup("browser/pages", CounterKind::Trace).is_some());
+        assert!(lookup("browser/pages", CounterKind::Perf).is_none());
         assert!(lookup("path/index_pick", CounterKind::Perf).is_some());
         assert!(lookup("fault/injected", CounterKind::Trace).is_some());
         assert!(lookup("fault/injected", CounterKind::Perf).is_some());

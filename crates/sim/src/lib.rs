@@ -5,9 +5,9 @@
 //! controllable, reproducible stand-in: a virtual clock, a seeded
 //! random number generator, a six-region geographic topology with
 //! realistic inter-region delays, a TCP-like transfer-time model
-//! (slow start, Mathis loss ceiling, retransmission expansion), max–min
-//! fair bandwidth sharing for concurrent flows, a relay/bridge load
-//! model, and deterministic fault plans with a retry driver.
+//! (slow start, Mathis loss ceiling, retransmission expansion),
+//! processor sharing of one link among concurrent flows, a relay/bridge
+//! load model, and deterministic fault plans with a retry driver.
 //!
 //! Everything is deterministic given a seed: same seed, same results,
 //! bit for bit, across platforms.
@@ -19,7 +19,7 @@
 //! SimRng + distributions                   rng.rs
 //! Location / Medium / PathSample           topology.rs
 //! TransferModel (TCP-like timing)          xfer.rs
-//! FairNetwork / fluid_schedule             flow/
+//! LinkFlow / share_link                    flow.rs
 //! LoadProfile / LoadTimeline               load.rs
 //! FaultPlan / run_transfer                 fault.rs
 //! ```
@@ -42,7 +42,7 @@ pub use fault::{
     run_transfer, FaultBias, FaultConfig, FaultEvent, FaultKind, FaultKnobs, FaultPlan,
     FaultProfile, FaultRun, RetryPolicy, TransferSpec,
 };
-pub use flow::{fluid_schedule, fluid_schedule_recorded, maxmin_demo, maxmin_rates, maxmin_rates_recorded, FairNetwork, FlowBatch, FlowDemand, FlowNodes, FluidCompletion, FluidFlow, FluidScheduler, NodeId};
+pub use flow::{share_link, LinkFlow};
 pub use load::{effective_capacity, LoadProfile, LoadTimeline};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,44 +1,79 @@
-//! The from-scratch max–min allocator and fluid scheduler, retained as
-//! an **equivalence oracle** for the optimized implementation behind
-//! the module-level entry points.
+//! The general max–min fair solver, kept as the oracle for
+//! `ptperf_sim::share_link`.
 //!
-//! This is the original progressive-filling code with two like-for-like
-//! changes so the oracle and the optimized path can be compared bit for
-//! bit on the same inputs:
+//! Progressive filling (water-filling) over any number of
+//! capacity-constrained nodes, with multi-node paths and optional
+//! per-flow rate caps, plus the fluid scheduler that re-solves it at
+//! every arrival and completion. Production needs only the case of one
+//! uncapped link, where the fill ends after one round at
+//! `capacity / k`; the equivalence tests hold the single-link loop to
+//! this solver's finish nanoseconds, and the property tests check the
+//! solver's own max–min invariants.
 //!
-//! * node paths are deduplicated on entry (the double-count bug fix
-//!   applies to both implementations);
-//! * the `freeze_set.contains` / `f.nodes.contains(&n)` inner-loop
-//!   scans are replaced by per-flow boolean membership rows, which
-//!   preserves the freeze *order* exactly while removing the O(n²)
-//!   behavior.
-//!
-//! Everything else — the order of every floating-point operation, the
-//! epsilon rule, the defensive no-progress branch — is untouched, so a
-//! result produced here is the ground truth the optimized scheduler
-//! must reproduce exactly. Per-step `Vec` allocations are deliberate:
-//! this module optimizes for auditability, not speed.
+//! Keep the order of every floating-point operation: on one uncapped
+//! node the loop repeats this scheduler's step expressions operation
+//! for operation, and that is what makes the comparison exact. Per-step
+//! `Vec` allocations are deliberate: this module optimizes for
+//! auditability, not speed.
 
-use ptperf_obs::{NullRecorder, Recorder};
+// Each test crate that includes this module uses a different subset.
+#![allow(dead_code)]
 
-use super::{FairNetwork, FlowBatch, FlowDemand, FluidCompletion, NodeId};
-use crate::time::{SimDuration, SimTime};
+use ptperf_sim::{SimDuration, SimTime};
 
-/// Reference [`super::maxmin_rates`]: progressive filling recomputed
-/// from scratch, one `Vec` per round.
-pub fn maxmin_rates(net: &FairNetwork, flows: &[FlowDemand]) -> Vec<f64> {
-    maxmin_rates_recorded(net, flows, &mut NullRecorder)
+/// Index of a capacity-constrained node inside a [`FairNetwork`].
+pub type NodeId = usize;
+
+/// A set of nodes, each with a service capacity in bytes per second.
+#[derive(Debug, Clone)]
+pub struct FairNetwork {
+    capacity: Vec<f64>,
 }
 
-/// Reference [`super::maxmin_rates_recorded`], emitting the same
-/// counter families (minus `maxmin/fast_path`: the oracle has no fast
-/// path, every instance takes the generic loop).
-pub fn maxmin_rates_recorded(
-    net: &FairNetwork,
-    flows: &[FlowDemand],
-    rec: &mut dyn Recorder,
-) -> Vec<f64> {
-    rec.add("maxmin/recomputations", 1);
+impl FairNetwork {
+    /// A network with one node per entry of `capacities` (bytes/s);
+    /// node `i` has capacity `capacities[i]`.
+    pub fn new(capacities: &[f64]) -> FairNetwork {
+        for &c in capacities {
+            assert!(
+                c > 0.0 && c.is_finite(),
+                "node capacity must be positive and finite, got {c}"
+            );
+        }
+        FairNetwork {
+            capacity: capacities.to_vec(),
+        }
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.capacity.len()
+    }
+
+    /// Capacity of a node.
+    pub fn capacity(&self, node: NodeId) -> f64 {
+        self.capacity[node]
+    }
+}
+
+/// A flow requesting bandwidth through a set of nodes.
+#[derive(Debug, Clone)]
+pub struct FlowDemand {
+    /// The nodes this flow traverses (order does not matter, and
+    /// duplicates count once). An empty path means only `cap` limits
+    /// the flow.
+    pub nodes: Vec<NodeId>,
+    /// Optional rate ceiling imposed by the flow itself (bytes/s).
+    pub cap: Option<f64>,
+}
+
+/// Max–min fair rates (bytes/s) for `flows` over `net` by progressive
+/// filling.
+///
+/// # Panics
+/// Panics if a flow references a node outside the network, has an
+/// invalid cap, or has an empty path and no cap (unbounded demand).
+pub fn maxmin_rates(net: &FairNetwork, flows: &[FlowDemand]) -> Vec<f64> {
     let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(flows.len());
     for (i, f) in flows.iter().enumerate() {
         assert!(
@@ -71,7 +106,6 @@ pub fn maxmin_rates_recorded(
     let mut remaining = flows.len();
 
     while remaining > 0 {
-        rec.add("maxmin/rounds", 1);
         // Per-node equal share among still-unfrozen flows.
         let mut count = vec![0usize; net.len()];
         for (i, path) in paths.iter().enumerate() {
@@ -82,8 +116,8 @@ pub fn maxmin_rates_recorded(
                 count[n] += 1;
             }
         }
-        // The binding level this round: the smallest of all node shares and
-        // all unfrozen flow caps.
+        // The binding level this round: the smallest of all node shares
+        // and all unfrozen flow caps.
         let mut level = f64::INFINITY;
         for n in 0..net.len() {
             if count[n] > 0 {
@@ -100,7 +134,7 @@ pub fn maxmin_rates_recorded(
         }
         debug_assert!(level.is_finite(), "no binding constraint found");
 
-        // Determine the freeze set against a *snapshot* of `used` —
+        // The freeze set is taken against a *snapshot* of `used`:
         // freezing mutates `used`, and recomputing shares mid-round with
         // stale per-node counts would wrongly freeze flows whose binding
         // node is not actually saturated at this level.
@@ -120,7 +154,6 @@ pub fn maxmin_rates_recorded(
                 }
             }
         }
-        let node_limited = freeze_set.len();
         for (i, f) in flows.iter().enumerate() {
             if !frozen[i] && !in_freeze[i] {
                 if let Some(c) = f.cap {
@@ -131,11 +164,6 @@ pub fn maxmin_rates_recorded(
                 }
             }
         }
-        rec.add("maxmin/flows_node_limited", node_limited as u64);
-        rec.add(
-            "maxmin/flows_cap_limited",
-            (freeze_set.len() - node_limited) as u64,
-        );
         if freeze_set.is_empty() {
             // Defensive: guarantee termination under floating-point
             // pathologies by freezing everything at the level.
@@ -153,65 +181,48 @@ pub fn maxmin_rates_recorded(
             remaining -= 1;
         }
     }
-    if rec.enabled() {
-        let saturated = (0..net.len())
-            .filter(|&n| used[n] + 1e-9 * net.capacity(n).max(1.0) >= net.capacity(n))
-            .count();
-        rec.add("maxmin/nodes_saturated", saturated as u64);
-    }
     rate
 }
 
-/// Reference [`super::fluid_schedule`]: rescans every flow and rebuilds
-/// the demand `Vec` at every constant-rate segment.
-pub fn fluid_schedule(net: &FairNetwork, batch: &FlowBatch) -> Vec<FluidCompletion> {
-    fluid_schedule_recorded(net, batch, &mut NullRecorder)
+/// A flow submitted to [`fluid_schedule`].
+#[derive(Debug, Clone)]
+pub struct FluidFlow {
+    /// When the flow's first byte becomes available to send.
+    pub start: SimTime,
+    /// Payload size in bytes.
+    pub bytes: f64,
+    /// Nodes traversed (see [`FlowDemand::nodes`]).
+    pub nodes: Vec<NodeId>,
+    /// Optional per-flow rate cap (see [`FlowDemand::cap`]).
+    pub cap: Option<f64>,
+    /// Fixed latency added to the flow's completion.
+    pub extra_latency: SimDuration,
 }
 
-/// Reference [`super::fluid_schedule_recorded`]. Recomputes the
-/// allocation unconditionally at every step (so it never emits
-/// `fluid/realloc_skipped`), and clones each active flow's node path
-/// out of the batch into a per-step demand `Vec` — the retained
-/// allocating path the unit benchmark measures against.
-pub fn fluid_schedule_recorded(
-    net: &FairNetwork,
-    batch: &FlowBatch,
-    rec: &mut dyn Recorder,
-) -> Vec<FluidCompletion> {
-    let flows = batch.flows();
-    #[derive(Clone)]
-    struct Live {
-        remaining: f64,
-        done: bool,
-    }
-    let mut live: Vec<Live> = flows
-        .iter()
-        .map(|f| Live {
-            remaining: f.bytes.max(0.0),
-            done: false,
-        })
-        .collect();
+/// The fluid schedule: flows join at their start times, share
+/// bandwidth max–min fairly, and leave when their bytes are done.
+/// Returns each flow's finish time (last byte plus `extra_latency`), in
+/// submission order. Rescans every flow and re-solves the allocation
+/// at every constant-rate segment.
+pub fn fluid_schedule(net: &FairNetwork, flows: &[FluidFlow]) -> Vec<SimTime> {
+    let mut remaining: Vec<f64> = flows.iter().map(|f| f.bytes.max(0.0)).collect();
+    let mut done = vec![false; flows.len()];
     let mut finish = vec![SimTime::ZERO; flows.len()];
 
-    // Process in virtual time.
-    let mut now = flows
-        .iter()
-        .map(|f| f.start)
-        .min()
-        .unwrap_or(SimTime::ZERO);
+    let mut now = flows.iter().map(|f| f.start).min().unwrap_or(SimTime::ZERO);
 
     loop {
         // Active = started, not done. Pending = not yet started.
         let mut active_idx = Vec::new();
         let mut next_start: Option<SimTime> = None;
         for (i, f) in flows.iter().enumerate() {
-            if live[i].done {
+            if done[i] {
                 continue;
             }
             if f.start <= now {
-                if live[i].remaining <= 0.0 {
+                if remaining[i] <= 0.0 {
                     // Zero-byte flow: completes the moment it starts.
-                    live[i].done = true;
+                    done[i] = true;
                     finish[i] = f.start + f.extra_latency;
                     continue;
                 }
@@ -233,18 +244,17 @@ pub fn fluid_schedule_recorded(
         let demands: Vec<FlowDemand> = active_idx
             .iter()
             .map(|&i| FlowDemand {
-                nodes: batch.path(i).to_vec(),
+                nodes: flows[i].nodes.clone(),
                 cap: flows[i].cap,
             })
             .collect();
-        let rates = maxmin_rates_recorded(net, &demands, rec);
-        rec.add("fluid/steps", 1);
+        let rates = maxmin_rates(net, &demands);
 
         // Time until the first active flow drains at current rates.
         let mut dt_finish = f64::INFINITY;
         for (k, &i) in active_idx.iter().enumerate() {
             if rates[k] > 0.0 {
-                dt_finish = dt_finish.min(live[i].remaining / rates[k]);
+                dt_finish = dt_finish.min(remaining[i] / rates[k]);
             }
         }
         debug_assert!(
@@ -260,17 +270,15 @@ pub fn fluid_schedule_recorded(
         }
 
         // Advance: drain bytes, mark completions.
-        let step = SimDuration::from_secs_f64(dt);
-        let after = now + step;
+        let after = now + SimDuration::from_secs_f64(dt);
         for (k, &i) in active_idx.iter().enumerate() {
-            live[i].remaining -= rates[k] * dt;
-            if live[i].remaining <= 1e-6 {
-                live[i].done = true;
+            remaining[i] -= rates[k] * dt;
+            if remaining[i] <= 1e-6 {
+                done[i] = true;
                 finish[i] = after + flows[i].extra_latency;
             }
         }
         now = after;
     }
-
-    finish.into_iter().map(|finish| FluidCompletion { finish }).collect()
+    finish
 }

@@ -1,7 +1,7 @@
 //! Reference bandwidth-weighted pick: the original two-pass filtered
 //! scan, retained verbatim as the equivalence oracle for
-//! [`super::indexed`] (the same role `crates/sim/src/flow/reference.rs`
-//! plays for the fluid scheduler).
+//! [`super::indexed`] (the same role `crates/sim/tests/oracle/` plays
+//! for the single-link page-load loop).
 //!
 //! Every floating-point operation and its order is load-bearing: the
 //! indexed pick promises bit-identical selections, and the equivalence

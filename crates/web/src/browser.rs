@@ -3,17 +3,15 @@
 //!
 //! A browser fetch first loads the default page, then discovers the
 //! page's sub-resources and loads them over a bounded number of parallel
-//! connections that share the tunnel's bottleneck (modeled with the
-//! max–min fluid scheduler). The page is "loaded" when the last resource
-//! lands. The speed index integrates visual completeness over time: each
-//! resource contributes visual weight when it finishes, so the index sits
-//! *below* the full load time — the paper's §5.4 observation.
-
-use std::cell::RefCell;
+//! connections that share the tunnel's effective rate (processor sharing
+//! over one link, [`ptperf_sim::share_link`]). The page is "loaded" when
+//! the last resource lands. The speed index integrates visual
+//! completeness over time: each resource contributes visual weight when
+//! it finishes, so the index sits *below* the full load time — the
+//! paper's §5.4 observation.
 
 use ptperf_obs::{obs_debug, NullRecorder, Recorder};
-use ptperf_sim::flow::reference;
-use ptperf_sim::{FairNetwork, FlowBatch, FluidCompletion, FluidScheduler, SimDuration, SimRng, SimTime};
+use ptperf_sim::{share_link, LinkFlow, SimDuration, SimRng, SimTime};
 
 use crate::channel::{Channel, Outcome};
 use crate::curl::PAGE_TIMEOUT;
@@ -23,18 +21,16 @@ use crate::website::Website;
 /// per-host default).
 pub const BROWSER_PARALLELISM: usize = 6;
 
-/// Reusable page-load scratch: the fair network, the flow batch, the
-/// completion buffer and a private [`FluidScheduler`], all owned
+/// Reusable page-load scratch: the sub-resource flows and the
+/// processor-sharing loop's working and finish-time buffers, owned
 /// together so one warm `PageScratch` makes an entire page load
 /// allocation-free. A per-worker copy lives inside the executor's
-/// `UnitScratch`; the legacy entry points fall back to a thread-local
-/// instance so every caller shares the same model body.
+/// `UnitScratch`.
 #[derive(Debug, Default)]
 pub struct PageScratch {
-    net: FairNetwork,
-    batch: FlowBatch,
-    completions: Vec<FluidCompletion>,
-    sched: FluidScheduler,
+    flows: Vec<LinkFlow>,
+    active: Vec<(usize, f64)>,
+    finish: Vec<SimTime>,
     grow_events: u64,
     uses: u64,
 }
@@ -45,24 +41,25 @@ impl PageScratch {
         PageScratch::default()
     }
 
-    /// Times any buffer in this scratch had to grow — the same
-    /// allocation proxy as [`FluidScheduler::scratch_grows`]. Zero
-    /// growth across a warm page load means the load performed no heap
-    /// allocation in the flow pipeline.
+    /// Times any buffer in this scratch had to grow — the workspace's
+    /// allocation proxy. Zero growth across a warm page load means the
+    /// load performed no heap allocation.
     pub fn grows(&self) -> u64 {
-        self.grow_events + self.batch.grow_events() + self.sched.scratch_grows()
+        self.grow_events
     }
 
     /// Pages served by this scratch so far.
     pub fn uses(&self) -> u64 {
         self.uses
     }
-}
 
-thread_local! {
-    /// Scratch behind the legacy (non-pooled) entry points, so code
-    /// without an executor-provided `UnitScratch` still reuses buffers.
-    static PAGE_STATE: RefCell<PageScratch> = RefCell::new(PageScratch::new());
+    fn capacities(&self) -> [usize; 3] {
+        [
+            self.flows.capacity(),
+            self.active.capacity(),
+            self.finish.capacity(),
+        ]
+    }
 }
 
 /// Result of one browser page load.
@@ -106,110 +103,32 @@ impl std::fmt::Display for BrowserError {
 
 impl std::error::Error for BrowserError {}
 
-/// Loads a full page through `channel`, selenium-style.
+/// Loads a full page through `channel`, selenium-style, on a cold
+/// scratch and without observation.
 pub fn load_page(
     channel: &Channel,
     site: &Website,
     rng: &mut SimRng,
 ) -> Result<PageLoad, BrowserError> {
-    load_page_with_timeout(channel, site, PAGE_TIMEOUT, rng)
+    load_page_pooled(
+        channel,
+        site,
+        rng,
+        &mut NullRecorder,
+        &mut PageScratch::new(),
+    )
 }
 
-/// [`load_page`] with observation: per-page counters and the fluid
-/// scheduler's step/recomputation counts flow into `rec`. The plain
-/// entry points delegate here with a no-op recorder, so traced and
-/// untraced loads run the identical model and draw the identical RNG
-/// sequence.
-pub fn load_page_traced(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Result<PageLoad, BrowserError> {
-    load_page_traced_with_timeout(channel, site, PAGE_TIMEOUT, rng, rec)
-}
-
-/// [`load_page`] with an explicit timeout.
-pub fn load_page_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-) -> Result<PageLoad, BrowserError> {
-    load_page_traced_with_timeout(channel, site, timeout, rng, &mut NullRecorder)
-}
-
-/// [`load_page_traced`] with an explicit timeout. Delegates to the
-/// pooled core through a thread-local [`PageScratch`]; re-entrant calls
-/// (a recorder that loads a page from inside `add`) fall back to a
-/// fresh scratch, counted as `browser/state_fallback`.
-pub fn load_page_traced_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Result<PageLoad, BrowserError> {
-    PAGE_STATE.with(|state| match state.try_borrow_mut() {
-        Ok(mut scratch) => load_page_model(channel, site, timeout, rng, rec, &mut scratch, false),
-        Err(_) => {
-            rec.add("browser/state_fallback", 1);
-            load_page_model(channel, site, timeout, rng, rec, &mut PageScratch::new(), false)
-        }
-    })
-}
-
-/// [`load_page_traced`] against a caller-owned [`PageScratch`] — the
-/// executor threads one per worker so every page load after the first
-/// reuses the same network, batch, completion and scheduler buffers.
+/// Loads a full page through `channel` against a caller-owned
+/// [`PageScratch`] — the executor threads one per worker so every page
+/// load after the first reuses the same buffers. Per-page counters flow
+/// into `rec`; recording never changes a result or an RNG draw.
 pub fn load_page_pooled(
     channel: &Channel,
     site: &Website,
     rng: &mut SimRng,
     rec: &mut dyn Recorder,
     scratch: &mut PageScratch,
-) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, PAGE_TIMEOUT, rng, rec, scratch, false)
-}
-
-/// [`load_page_pooled`] with an explicit timeout.
-pub fn load_page_pooled_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, timeout, rng, rec, scratch, false)
-}
-
-/// The retained allocating lane: same model body, but every call builds
-/// a cold scratch and the sub-resource waves run through the reference
-/// fluid scheduler ([`reference::fluid_schedule_recorded`]), which
-/// clones node paths into per-step demand `Vec`s. This is the baseline
-/// the unit benchmark measures the pooled path against; results are bit
-/// for bit identical to [`load_page_pooled`].
-pub fn load_page_reference(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Result<PageLoad, BrowserError> {
-    load_page_model(channel, site, PAGE_TIMEOUT, rng, rec, &mut PageScratch::new(), true)
-}
-
-/// The single model body behind every entry point: one timing model, one
-/// RNG draw order, two scheduling lanes (pooled optimized vs reference
-/// from-scratch) proven equivalent by the oracle suite.
-fn load_page_model(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut PageScratch,
-    use_reference: bool,
 ) -> Result<PageLoad, BrowserError> {
     if channel.max_parallel_streams < 2 {
         obs_debug!(
@@ -231,9 +150,9 @@ fn load_page_model(
 
     if rng.chance(channel.connect_failure_p) {
         return Ok(PageLoad {
-            main_done: timeout,
-            total: timeout,
-            speed_index: timeout,
+            main_done: PAGE_TIMEOUT,
+            total: PAGE_TIMEOUT,
+            speed_index: PAGE_TIMEOUT,
             outcome: Outcome::Failed,
         });
     }
@@ -245,11 +164,11 @@ fn load_page_model(
         + channel.request_rtt
         + site.server_processing;
     let main_done = main_ttfb + channel.transfer_time(site.main_size);
-    if main_done >= timeout {
+    if main_done >= PAGE_TIMEOUT {
         return Ok(PageLoad {
-            main_done: timeout,
-            total: timeout,
-            speed_index: timeout,
+            main_done: PAGE_TIMEOUT,
+            total: PAGE_TIMEOUT,
+            speed_index: PAGE_TIMEOUT,
             outcome: Outcome::Partial,
         });
     }
@@ -259,40 +178,33 @@ fn load_page_model(
     // per-request latency (stream open + request round trip + extras).
     // Requests beyond the parallelism window start as slots free up —
     // approximated by staggering start times in waves.
-    scratch.net.clear();
-    let tunnel = scratch.net.add_node(channel.effective_rate());
     let per_req = channel.stream_open + channel.per_request_extra + channel.request_rtt;
-    scratch.batch.clear();
+    let before = scratch.capacities();
+    scratch.flows.clear();
     for (i, &bytes) in site.resources.iter().enumerate() {
         let wave = (i / parallelism) as u64;
         // Later waves queue behind earlier ones; one request round
         // trip of stagger per wave approximates connection reuse.
-        let start = SimTime::ZERO + per_req * wave.min(20);
-        scratch
-            .batch
-            .push(start, bytes as f64, &[tunnel], None, per_req);
+        scratch.flows.push(LinkFlow {
+            start: SimTime::ZERO + per_req * wave.min(20),
+            bytes: bytes as f64,
+            extra_latency: per_req,
+        });
     }
-    if use_reference {
-        scratch.completions = reference::fluid_schedule_recorded(&scratch.net, &scratch.batch, rec);
-    } else {
-        let before = scratch.completions.capacity();
-        scratch
-            .sched
-            .run_recorded_into(&scratch.net, &scratch.batch, &mut scratch.completions, rec);
-        if scratch.completions.capacity() > before {
-            scratch.grow_events += 1;
-        }
-    }
-    // Single pass over the completions for the last-resource time; the
-    // speed index below indexes the buffer directly instead of copying
-    // the finish times out.
-    let mut last_resource = SimDuration::ZERO;
-    for c in &scratch.completions {
-        let done = c.finish.duration_since(SimTime::ZERO);
-        if done > last_resource {
-            last_resource = done;
-        }
-    }
+    share_link(
+        channel.effective_rate(),
+        &scratch.flows,
+        &mut scratch.active,
+        &mut scratch.finish,
+    );
+    let after = scratch.capacities();
+    scratch.grow_events += before.iter().zip(&after).filter(|(b, a)| a > b).count() as u64;
+    let last_resource = scratch
+        .finish
+        .iter()
+        .map(|t| t.duration_since(SimTime::ZERO))
+        .max()
+        .unwrap_or(SimDuration::ZERO);
     let mut total = main_done + last_resource;
 
     // Connection death: browsers retry sub-resources, so a death shows up
@@ -312,11 +224,11 @@ fn load_page_model(
         }
     }
 
-    if total >= timeout {
+    if total >= PAGE_TIMEOUT {
         return Ok(PageLoad {
             main_done,
-            total: timeout,
-            speed_index: timeout,
+            total: PAGE_TIMEOUT,
+            speed_index: PAGE_TIMEOUT,
             outcome: Outcome::Partial,
         });
     }
@@ -329,7 +241,7 @@ fn load_page_model(
     if res_total > 0.0 {
         for (i, &bytes) in site.resources.iter().enumerate() {
             let w = 0.65 * bytes as f64 / res_total;
-            let done = scratch.completions[i].finish.duration_since(SimTime::ZERO);
+            let done = scratch.finish[i].duration_since(SimTime::ZERO);
             si += w * (main_done + done).as_secs_f64();
         }
     } else {
@@ -405,11 +317,9 @@ mod tests {
     #[test]
     fn timeout_declares_partial() {
         let mut rng = SimRng::new(5);
-        let page =
-            load_page_with_timeout(&channel(5_000.0), &site(), SimDuration::from_secs(20), &mut rng)
-                .unwrap();
+        let page = load_page(&channel(1_000.0), &site(), &mut rng).unwrap();
         assert_eq!(page.outcome, Outcome::Partial);
-        assert_eq!(page.total, SimDuration::from_secs(20));
+        assert_eq!(page.total, PAGE_TIMEOUT);
     }
 
     #[test]
@@ -422,52 +332,38 @@ mod tests {
     }
 
     #[test]
-    fn traced_load_matches_untraced_and_counts_scheduler_work() {
+    fn traced_load_matches_untraced_and_counts_pages() {
         let ch = channel(1.0e6);
         let s = site();
         let mut rng_a = SimRng::new(8);
         let mut rng_b = SimRng::new(8);
         let mut rec = ptperf_obs::MemoryRecorder::new();
         let plain = load_page(&ch, &s, &mut rng_a).unwrap();
-        let traced = load_page_traced(&ch, &s, &mut rng_b, &mut rec).unwrap();
+        let traced =
+            load_page_pooled(&ch, &s, &mut rng_b, &mut rec, &mut PageScratch::new()).unwrap();
         assert_eq!(plain.total, traced.total);
         assert_eq!(plain.speed_index, traced.speed_index);
         assert_eq!(plain.outcome, traced.outcome);
         let data = rec.into_data();
         assert_eq!(data.counter("browser/pages"), Some(1));
         assert_eq!(data.counter("browser/resources"), Some(s.resources.len() as u64));
-        // The fluid scheduler ran at least one constant-rate segment.
-        assert!(data.counter("fluid/steps").unwrap_or(0) >= 1);
-        assert!(data.counter("maxmin/recomputations").unwrap_or(0) >= 1);
-        // Browser pages are the single-bottleneck shape the allocator's
-        // analytic fast path exists for: every recomputation here must
-        // take it, and the skipped generic machinery shows up as zero
-        // extra rounds.
-        assert_eq!(
-            data.counter("maxmin/fast_path"),
-            data.counter("maxmin/recomputations"),
-        );
     }
 
     #[test]
-    fn pooled_and_reference_lanes_match_legacy_bitwise() {
+    fn warm_scratch_matches_cold_scratch_bitwise() {
         let ch = channel(1.2e6);
         let s = site();
         let mut scratch = PageScratch::new();
         for round in 0..3 {
             let mut rng_a = SimRng::new(40 + round);
             let mut rng_b = SimRng::new(40 + round);
-            let mut rng_c = SimRng::new(40 + round);
-            let legacy = load_page(&ch, &s, &mut rng_a).unwrap();
-            let pooled =
+            let cold = load_page(&ch, &s, &mut rng_a).unwrap();
+            let warm =
                 load_page_pooled(&ch, &s, &mut rng_b, &mut NullRecorder, &mut scratch).unwrap();
-            let refr = load_page_reference(&ch, &s, &mut rng_c, &mut NullRecorder).unwrap();
-            for other in [pooled, refr] {
-                assert_eq!(legacy.main_done, other.main_done);
-                assert_eq!(legacy.total, other.total);
-                assert_eq!(legacy.speed_index, other.speed_index);
-                assert_eq!(legacy.outcome, other.outcome);
-            }
+            assert_eq!(cold.main_done, warm.main_done);
+            assert_eq!(cold.total, warm.total);
+            assert_eq!(cold.speed_index, warm.speed_index);
+            assert_eq!(cold.outcome, warm.outcome);
         }
         assert_eq!(scratch.uses(), 3);
     }

@@ -29,8 +29,7 @@ pub mod streaming;
 pub mod website;
 
 pub use browser::{
-    load_page, load_page_pooled, load_page_reference, load_page_traced, BrowserError, PageLoad,
-    PageScratch, BROWSER_PARALLELISM,
+    load_page, load_page_pooled, BrowserError, PageLoad, PageScratch, BROWSER_PARALLELISM,
 };
 pub use channel::{Channel, Outcome};
 pub use curl::{fetch, fetch_faulted, FetchResult, PAGE_TIMEOUT};

@@ -10,9 +10,10 @@
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
-#   5. perf smoke: quick flow benches + repro --bench flow emitting
-#      BENCH_flow.json (fails on panic or non-finite output, never on
-#      speed thresholds); every warm class keeps allocs_per_step == 0
+#   5. perf smoke: quick single-link sharing benches + repro --bench
+#      flow emitting BENCH_flow.json (fails on panic or non-finite
+#      output, never on speed thresholds); every warm class keeps
+#      allocs_per_step == 0
 #   6. establish smoke: quick establish benches + repro --bench establish
 #      emitting BENCH_establish.json (panics and non-finite values fail,
 #      never speed thresholds); every class resolves >= 99% of its relay
@@ -104,12 +105,12 @@ awk -F'"value":' '
 
 echo "== perf smoke (flow benches, quick mode) =="
 cargo bench -q -p ptperf-bench --bench flow > "$obs_dir/bench_flow.txt"
-grep -q "fluid_scheduler/browser_64_optimized" "$obs_dir/bench_flow.txt"
+grep -q "share_link/browser_64" "$obs_dir/bench_flow.txt"
 PTPERF_BENCH_RUNS=40 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench flow --bench-out "$obs_dir/BENCH_flow.json" > "$obs_dir/bench_out.txt"
 check_finite "$obs_dir/BENCH_flow.json"
 # Structural gate (one class per JSON line): warm steps must never grow
-# the scheduler's scratch.
+# the loop's buffers.
 awk '
   /"name":/ {
     n = $0;  sub(/.*"name": "/, "", n);            sub(/".*/, "", n)
