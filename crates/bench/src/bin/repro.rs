@@ -29,6 +29,25 @@ use ptperf_bench::{
 };
 use ptperf_obs::{obs_error, obs_info, set_level, Level};
 
+/// The flags `main` takes out of the argument list, each once.
+const PARSED_FLAGS: [&str; 15] = [
+    "--quiet",
+    "-v",
+    "--verbose",
+    "--paper",
+    "--profile",
+    "--faults",
+    "--bench",
+    "--bench-out",
+    "--seed",
+    "--workers",
+    "--csv",
+    "--trace",
+    "--trace-chrome",
+    "--hist",
+    "--metrics",
+];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = RunScale::Quick;
@@ -183,6 +202,17 @@ fn main() {
             *slot = Some(args[pos + 1].clone());
             args.drain(pos..=pos + 1);
         }
+    }
+    // What is left are targets, and no target starts with '-': a flag
+    // left here was given twice, or is not one of repro's.
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        let kind = if PARSED_FLAGS.contains(&flag.as_str()) {
+            "repeated"
+        } else {
+            "unknown"
+        };
+        obs_error!("{kind} flag '{flag}'; run `repro --help`");
+        std::process::exit(2);
     }
     if bench_out.is_some() && bench.is_none() {
         obs_error!("--bench-out requires --bench");

@@ -27,14 +27,35 @@ fn malformed_invocations_exit_2_with_one_line() {
         &["--bench", "unit", "--bench", "flow"],
         &["--check-bench", "/nonexistent/ptperf-fresh-bench"],
     ] {
-        let (out, stderr) = repro(args);
-        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "repro {args:?}: {stderr}");
+        rejected(args);
+    }
+    // A flag given twice, or one repro does not know, is named as a
+    // flag, never as a target.
+    for (args, flag) in [
+        (&["--seed", "1", "--seed", "2", "table1"][..], "--seed"),
+        (&["--paper", "--paper"], "--paper"),
+        (&["--workers", "2", "--workers", "2"], "--workers"),
+        (&["--bogus"], "--bogus"),
+    ] {
+        let stderr = rejected(args);
         assert!(
-            out.stdout.is_empty(),
-            "repro {args:?} ran before rejecting its input"
+            stderr.contains(&format!("'{flag}'")) && !stderr.contains("target"),
+            "repro {args:?}: {stderr}"
         );
     }
+}
+
+/// Runs `repro` on `args`, asserts it exits 2 with one stderr line and
+/// no output, and returns that stderr.
+fn rejected(args: &[&str]) -> String {
+    let (out, stderr) = repro(args);
+    assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "repro {args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "repro {args:?} ran before rejecting its input"
+    );
+    stderr
 }
 
 #[test]

@@ -2,6 +2,8 @@
 //! (Lanczos approximation) and the regularized incomplete beta function
 //! (continued-fraction evaluation, Numerical Recipes style).
 
+use std::cell::Cell;
+
 /// Natural log of the gamma function, Lanczos approximation (g = 7,
 /// n = 9 coefficients). Accurate to ~15 significant digits for x > 0.
 pub fn ln_gamma(x: f64) -> f64 {
@@ -129,10 +131,40 @@ pub fn t_two_sided_p(t: f64, df: f64) -> f64 {
     inc_beta(df / 2.0, 0.5, df / (df + t * t)).clamp(0.0, 1.0)
 }
 
+thread_local! {
+    /// The last `(prob, df)` this thread solved, as bit patterns, and
+    /// its answer.
+    static LAST_QUANTILE: Cell<Option<(u64, u64, f64)>> = const { Cell::new(None) };
+}
+
 /// The critical value `t*` with `P(T ≤ t*) = prob` for Student's t with
 /// `df` degrees of freedom, found by bisection (prob in (0, 1)).
+///
+/// Each thread remembers its last `(prob, df)` and answer, because the
+/// rows of a t-test table share `df` (every row compares `n` pairs at
+/// 95%): a table then runs one bisection instead of one per row. The
+/// bisection is a pure function of the two bit patterns the memo is
+/// keyed on, so a hit returns exactly what a fresh bisection would.
+///
+/// # Panics
+/// Panics if `prob` is outside (0, 1), or if `df` is not positive or is
+/// NaN, which the first CDF evaluation raises (a `prob` within 1e-15 of
+/// 0.5 returns 0 without evaluating the CDF).
 pub fn student_t_quantile(prob: f64, df: f64) -> f64 {
     assert!((0.0..1.0).contains(&prob) && prob > 0.0, "prob in (0,1)");
+    let (p, d) = (prob.to_bits(), df.to_bits());
+    if let Some((mp, md, q)) = LAST_QUANTILE.get() {
+        if (mp, md) == (p, d) {
+            return q;
+        }
+    }
+    let q = bisect_t_quantile(prob, df);
+    LAST_QUANTILE.set(Some((p, d, q)));
+    q
+}
+
+/// The bisection behind [`student_t_quantile`], without the memo.
+fn bisect_t_quantile(prob: f64, df: f64) -> f64 {
     if (prob - 0.5).abs() < 1e-15 {
         return 0.0;
     }
@@ -237,5 +269,30 @@ mod tests {
         close(student_t_quantile(0.975, 9.0), 2.262, 2e-3);
         close(student_t_quantile(0.975, 999.0), 1.962, 2e-3);
         close(student_t_quantile(0.025, 9.0), -2.262, 2e-3);
+        // t*(0.975, n − 1) to the bit for every pair count the quick and
+        // paper t-test tables use, so a change to the bisection that
+        // moves a CI bound in its last bits fails here, not only in the
+        // artifact digests.
+        for (df, bits) in [
+            (29.0, 0x4000_5ca1_5bce_2ed9_u64),
+            (39.0, 0x4000_2e78_93bb_c7db),
+            (49.0, 0x4000_139c_2e92_8d1f),
+            (59.0, 0x4000_0209_dd62_b1a5),
+            (119.0, 0x3fff_ae7d_3543_2a3c),
+            (199.0, 0x3fff_8d22_4e2b_2afe),
+            (999.0, 0x3fff_65c0_28f2_7c4e),
+            (1999.0, 0x3fff_60e0_4fc2_30b8),
+            (2499.0, 0x3fff_5fe7_11e9_9b2e),
+        ] {
+            let q = student_t_quantile(0.975, df);
+            assert_eq!(q.to_bits(), bits, "t*(0.975, {df}) = {q}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prob in (0,1)")]
+    fn quantile_rejects_prob_outside_the_unit_interval_after_a_warm_call() {
+        student_t_quantile(0.975, 49.0);
+        student_t_quantile(1.5, 49.0);
     }
 }

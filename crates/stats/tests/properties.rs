@@ -1,6 +1,8 @@
 //! Property tests for the statistics: order-statistic invariants, ECDF
 //! laws, t-test symmetries, and special-function identities.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
 
 use ptperf_stats::{
@@ -10,6 +12,38 @@ use ptperf_stats::{
 
 fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1.0e6f64..1.0e6, min_len..min_len + 60)
+}
+
+/// `prob ∈ {0.025, 0.05, 0.95, 0.975}` × `df ∈ {1, 9, 49, 999}`.
+fn memo_keys() -> Vec<(f64, f64)> {
+    let probs = [0.025, 0.05, 0.95, 0.975];
+    let dfs = [1.0, 9.0, 49.0, 999.0];
+    probs
+        .iter()
+        .flat_map(|&p| dfs.iter().map(move |&d| (p, d)))
+        .collect()
+}
+
+/// The bits of `student_t_quantile(prob, df)` for a key of
+/// [`memo_keys`], each computed once on its own freshly spawned thread.
+fn fresh_thread_quantile_bits(prob: f64, df: f64) -> u64 {
+    static EXPECTED: OnceLock<Vec<((f64, f64), u64)>> = OnceLock::new();
+    let expected = EXPECTED.get_or_init(|| {
+        memo_keys()
+            .into_iter()
+            .map(|(p, d)| {
+                let bits = std::thread::spawn(move || student_t_quantile(p, d).to_bits())
+                    .join()
+                    .expect("quantile thread panicked");
+                ((p, d), bits)
+            })
+            .collect()
+    });
+    expected
+        .iter()
+        .find(|&&(key, _)| key == (prob, df))
+        .map(|&(_, bits)| bits)
+        .expect("a key of memo_keys")
 }
 
 proptest! {
@@ -126,6 +160,21 @@ proptest! {
     fn t_quantile_inverts(p in 0.01f64..0.99, df in 1.0f64..300.0) {
         let q = student_t_quantile(p, df);
         prop_assert!((student_t_cdf(q, df) - p).abs() < 1e-6);
+    }
+
+    /// The per-thread quantile memo is exact: whatever key came before,
+    /// each call returns the bits a fresh thread, whose memo starts
+    /// empty, computes for that key. Sequences over the 16 keys repeat
+    /// a key, switch `prob` at one `df`, switch `df` at one `prob`, and
+    /// mirror 0.025/0.975.
+    #[test]
+    fn t_quantile_memo_matches_a_fresh_thread(
+        keys in prop::collection::vec(prop::sample::select(memo_keys()), 1..=40),
+    ) {
+        for (prob, df) in keys {
+            let bits = student_t_quantile(prob, df).to_bits();
+            prop_assert_eq!(bits, fresh_thread_quantile_bits(prob, df), "t*({}, {})", prob, df);
+        }
     }
 
     /// The regularized incomplete beta respects its reflection identity.

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: everything must pass before a commit lands.
 #   1. release build of the whole workspace (all targets)
-#   2. full workspace test suite
+#   2. full workspace test suite, then the ptbench package's own tests
+#      (its artifact-digest gates among them) with --locked, so a change
+#      that would rewrite the benchmark's Cargo.lock fails here
 #   3. clippy with warnings promoted to errors
 #   4. repro observability smoke run (--profile/--trace/--metrics),
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
@@ -48,6 +50,9 @@ cargo build --release --workspace --all-targets
 
 echo "== test (workspace) =="
 cargo test --workspace -q
+
+echo "== test (ptbench package, locked) =="
+cargo test -q --locked --manifest-path crates/bench/src/bin/ptbench/Cargo.toml
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
