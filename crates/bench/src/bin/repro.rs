@@ -1,5 +1,10 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
+//! Each experiment family the named targets need runs once, however
+//! many of its targets are named, and `--csv` exports each family's
+//! data from that same run (see `ptperf_bench::targets`). A flag that
+//! takes a value takes the argument right after it.
+//!
 //! ```text
 //! repro                      # all targets, quick scale
 //! repro fig2a fig5 table10   # selected targets
@@ -7,6 +12,7 @@
 //! repro --seed 1234 fig6     # alternate scenario seed
 //! repro --workers 8 fig7     # parallel run (same output, any count)
 //! repro --workers auto fig7  # one worker per hardware thread
+//! repro --csv out fig2a      # also write the curl family's CSV files
 //! repro --trace t.jsonl fig6 # deterministic sim-time trace (JSONL)
 //! repro --trace-chrome c.json fig6 # span-tree trace for chrome://tracing / Perfetto
 //! repro --hist h.json fig6   # per-(PT, phase) latency histograms (JSON)
@@ -21,48 +27,16 @@
 //! repro --list               # list targets
 //! ```
 
-use ptperf::executor::{ExecError, Parallelism, Record};
+use ptperf::executor::{Parallelism, Record};
 use ptperf::scenario::{FaultConfig, FaultProfile, Scenario};
 use ptperf_bench::{
-    available_targets, emit, establishbench, flowbench, obs_export, regress, run_target_obs,
-    targets::export_csv_with, unitbench, RunScale, TargetRun,
+    available_targets, emit, establishbench, flowbench, obs_export, regress, run_targets,
+    unitbench, RunError, RunScale,
 };
 use ptperf_obs::{obs_error, obs_info, set_level, Level};
 
-/// The flags `main` takes out of the argument list, each once.
-const PARSED_FLAGS: [&str; 15] = [
-    "--quiet",
-    "-v",
-    "--verbose",
-    "--paper",
-    "--profile",
-    "--faults",
-    "--bench",
-    "--bench-out",
-    "--seed",
-    "--workers",
-    "--csv",
-    "--trace",
-    "--trace-chrome",
-    "--hist",
-    "--metrics",
-];
-
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = RunScale::Quick;
-    let mut seed = 42u64;
-    let mut csv_dir: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut trace_chrome_path: Option<String> = None;
-    let mut hist_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut profile = false;
-    let mut bench: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut faults = false;
-    let mut par = Parallelism::sequential();
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();
         return;
@@ -73,13 +47,108 @@ fn main() {
         }
         return;
     }
-    if let Some(pos) = args.iter().position(|a| a == "--json-check") {
-        if pos + 1 >= args.len() {
-            obs_error!("--json-check requires a path");
+    let mut scale = RunScale::Quick;
+    let mut seed = 42u64;
+    let mut csv_dir: Option<String> = None;
+    let mut trace_path: Option<String> = None;
+    let mut trace_chrome_path: Option<String> = None;
+    let mut hist_path: Option<String> = None;
+    let mut metrics_path: Option<String> = None;
+    let mut json_check: Option<String> = None;
+    let mut check_bench: Option<String> = None;
+    let mut quiet = false;
+    let mut verbose = false;
+    let mut profile = false;
+    let mut bench: Option<String> = None;
+    let mut bench_out: Option<String> = None;
+    let mut faults = false;
+    let mut par = Parallelism::sequential();
+    let mut targets: Vec<String> = Vec::new();
+
+    // One left-to-right pass: no target starts with '-', and a flag that
+    // takes a value takes the argument right after it.
+    let mut seen: Vec<String> = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if !arg.starts_with('-') {
+            targets.push(arg);
+            continue;
+        }
+        let flag: &str = if arg == "-v" { "--verbose" } else { &arg };
+        if seen.iter().any(|f| f == flag) {
+            obs_error!("repeated flag '{arg}'; run `repro --help`");
             std::process::exit(2);
         }
-        let path = &args[pos + 1];
-        let text = match std::fs::read_to_string(path) {
+        seen.push(flag.to_string());
+        let mut value = |what: &str| match args.next() {
+            Some(v) if !v.starts_with('-') => v,
+            _ => {
+                obs_error!("{arg} requires {what}");
+                std::process::exit(2)
+            }
+        };
+        match flag {
+            "--quiet" => quiet = true,
+            "--verbose" => verbose = true,
+            "--paper" => scale = RunScale::Paper,
+            "--profile" => profile = true,
+            "--faults" => faults = true,
+            "--seed" => {
+                let v = value("a value");
+                seed = v.parse().unwrap_or_else(|_| {
+                    obs_error!("--seed requires an integer, got '{v}'");
+                    std::process::exit(2)
+                });
+            }
+            "--workers" => {
+                let v = value("a count or 'auto'");
+                par = if v == "auto" {
+                    Parallelism::auto()
+                } else {
+                    match v.parse::<usize>() {
+                        Ok(n) if n >= 1 => Parallelism::new(n),
+                        _ => {
+                            obs_error!(
+                                "--workers requires a positive integer or 'auto', got '{v}'"
+                            );
+                            std::process::exit(2);
+                        }
+                    }
+                };
+            }
+            "--bench" => {
+                let layer = value("a layer: flow, establish or unit");
+                if !["flow", "establish", "unit"].contains(&layer.as_str()) {
+                    obs_error!(
+                        "--bench: unknown layer '{layer}' (expected flow, establish or unit)"
+                    );
+                    std::process::exit(2);
+                }
+                bench = Some(layer);
+            }
+            "--bench-out" => bench_out = Some(value("a path")),
+            "--csv" => csv_dir = Some(value("a directory")),
+            "--trace" => trace_path = Some(value("a path")),
+            "--trace-chrome" => trace_chrome_path = Some(value("a path")),
+            "--hist" => hist_path = Some(value("a path")),
+            "--metrics" => metrics_path = Some(value("a path")),
+            "--json-check" => json_check = Some(value("a path")),
+            "--check-bench" => {
+                check_bench = Some(value("a directory of fresh BENCH_*.json files"));
+            }
+            _ => {
+                obs_error!("unknown flag '{arg}'; run `repro --help`");
+                std::process::exit(2);
+            }
+        }
+    }
+    if verbose {
+        set_level(Level::Debug);
+    } else if quiet {
+        set_level(Level::Error);
+    }
+    if let Some(path) = json_check {
+        let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
                 obs_error!("--json-check: cannot read {path}: {e}");
@@ -92,12 +161,8 @@ fn main() {
         }
         return;
     }
-    if let Some(pos) = args.iter().position(|a| a == "--check-bench") {
-        if pos + 1 >= args.len() {
-            obs_error!("--check-bench requires a directory of fresh BENCH_*.json files");
-            std::process::exit(2);
-        }
-        let fresh_dir = std::path::PathBuf::from(&args[pos + 1]);
+    if let Some(dir) = check_bench {
+        let fresh_dir = std::path::PathBuf::from(dir);
         if let Err(e) = std::fs::read_dir(&fresh_dir) {
             obs_error!("--check-bench: cannot read {}: {e}", fresh_dir.display());
             std::process::exit(2);
@@ -111,108 +176,6 @@ fn main() {
             std::process::exit(1);
         }
         return;
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--quiet") {
-        set_level(Level::Error);
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "-v" || a == "--verbose") {
-        set_level(Level::Debug);
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--paper") {
-        scale = RunScale::Paper;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--profile") {
-        profile = true;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--faults") {
-        faults = true;
-        args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        let Some(layer) = args.get(pos + 1) else {
-            obs_error!("--bench requires a layer: flow, establish or unit");
-            std::process::exit(2);
-        };
-        if !["flow", "establish", "unit"].contains(&layer.as_str()) {
-            obs_error!("--bench: unknown layer '{layer}' (expected flow, establish or unit)");
-            std::process::exit(2);
-        }
-        bench = Some(layer.clone());
-        args.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--bench-out") {
-        if pos + 1 >= args.len() {
-            obs_error!("--bench-out requires a path");
-            std::process::exit(2);
-        }
-        bench_out = Some(args[pos + 1].clone());
-        args.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        if pos + 1 >= args.len() {
-            obs_error!("--seed requires a value");
-            std::process::exit(2);
-        }
-        seed = match args[pos + 1].parse() {
-            Ok(s) => s,
-            Err(_) => {
-                obs_error!("--seed requires an integer, got '{}'", args[pos + 1]);
-                std::process::exit(2);
-            }
-        };
-        args.drain(pos..=pos + 1);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--workers") {
-        if pos + 1 >= args.len() {
-            obs_error!("--workers requires a count or 'auto'");
-            std::process::exit(2);
-        }
-        par = if args[pos + 1] == "auto" {
-            Parallelism::auto()
-        } else {
-            match args[pos + 1].parse::<usize>() {
-                Ok(n) if n >= 1 => Parallelism::new(n),
-                _ => {
-                    obs_error!(
-                        "--workers requires a positive integer or 'auto', got '{}'",
-                        args[pos + 1]
-                    );
-                    std::process::exit(2);
-                }
-            }
-        };
-        args.drain(pos..=pos + 1);
-    }
-    for (flag, slot) in [
-        ("--csv", &mut csv_dir),
-        ("--trace", &mut trace_path),
-        ("--trace-chrome", &mut trace_chrome_path),
-        ("--hist", &mut hist_path),
-        ("--metrics", &mut metrics_path),
-    ] {
-        if let Some(pos) = args.iter().position(|a| a == flag) {
-            if pos + 1 >= args.len() {
-                obs_error!("{flag} requires a path");
-                std::process::exit(2);
-            }
-            *slot = Some(args[pos + 1].clone());
-            args.drain(pos..=pos + 1);
-        }
-    }
-    // What is left are targets, and no target starts with '-': a flag
-    // left here was given twice, or is not one of repro's.
-    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
-        let kind = if PARSED_FLAGS.contains(&flag.as_str()) {
-            "repeated"
-        } else {
-            "unknown"
-        };
-        obs_error!("{kind} flag '{flag}'; run `repro --help`");
-        std::process::exit(2);
     }
     if bench_out.is_some() && bench.is_none() {
         obs_error!("--bench-out requires --bench");
@@ -228,29 +191,37 @@ fn main() {
     }
 
     if let Some(layer) = bench {
-        if let Some(extra) = args.first() {
+        if let Some(extra) = targets.first() {
             obs_error!("--bench runs one layer and takes no targets, got '{extra}'");
             std::process::exit(2);
         }
         run_bench(&layer, bench_out);
         return;
     }
-    let targets: Vec<String> = if args.is_empty() {
-        available_targets().iter().map(|s| s.to_string()).collect()
+    let names: Vec<&str> = if targets.is_empty() {
+        available_targets()
     } else {
-        args
+        targets.iter().map(String::as_str).collect()
     };
-    for t in &targets {
-        if !available_targets().contains(&t.as_str()) {
-            obs_error!("unknown target '{t}'; run `repro --list`");
-            std::process::exit(2);
-        }
-    }
 
     let mut scenario = Scenario::baseline(seed);
     if faults {
         scenario = scenario.with_faults(FaultConfig::Plan(FaultProfile::paper()));
     }
+    let run_started = std::time::Instant::now();
+    let runs = run_targets(&names, &scenario, scale, &par).unwrap_or_else(|e| {
+        obs_error!("{e}");
+        std::process::exit(match e {
+            RunError::UnknownTarget(_) => 2,
+            RunError::Failed { .. } => 1,
+        })
+    });
+    let elapsed = run_started.elapsed();
+    obs_info!(
+        "{} target(s) done in {:.1}s",
+        names.len(),
+        elapsed.as_secs_f64()
+    );
     println!(
         "# PTPerf reproduction — scale: {:?}, seed: {seed}, workers: {}, scenario: client {} / servers {}, faults: {}\n",
         scale,
@@ -259,31 +230,24 @@ fn main() {
         scenario.server_region,
         if faults { "paper plan" } else { "off" }
     );
-    let run_started = std::time::Instant::now();
-    let mut runs: Vec<TargetRun> = Vec::new();
-    for t in targets {
-        let started = std::time::Instant::now();
-        let run = ok_or_exit(&t, run_target_obs(&t, &scenario, scale, &par));
-        println!("==================== {t} ====================");
+    for run in &runs.targets {
+        println!("==================== {} ====================", run.name);
         println!("{}", run.text);
-        if let Some(dir) = &csv_dir {
-            or_exit("--csv", dir, std::fs::create_dir_all(dir));
-            for (stem, doc) in ok_or_exit(&t, export_csv_with(&t, &scenario, scale, &par)) {
-                let path = format!("{dir}/{stem}.csv");
-                or_exit("--csv", &path, std::fs::write(&path, doc));
-                obs_info!("wrote {path}");
-            }
-        }
-        obs_info!("{t} done in {:.1}s", started.elapsed().as_secs_f64());
-        runs.push(run);
     }
-    let elapsed = run_started.elapsed();
+    if let Some(dir) = &csv_dir {
+        or_exit("--csv", dir, std::fs::create_dir_all(dir));
+        for (stem, doc) in runs.csv() {
+            let path = format!("{dir}/{stem}.csv");
+            or_exit("--csv", &path, std::fs::write(&path, doc));
+            obs_info!("wrote {path}");
+        }
+    }
 
     if let Some(path) = &trace_path {
         or_exit(
             "--trace",
             path,
-            std::fs::write(path, obs_export::trace_jsonl(&runs)),
+            std::fs::write(path, obs_export::trace_jsonl(&runs.targets)),
         );
         obs_info!("wrote sim-time trace to {path}");
     }
@@ -291,7 +255,7 @@ fn main() {
         or_exit(
             "--trace-chrome",
             path,
-            std::fs::write(path, obs_export::trace_chrome(&runs)),
+            std::fs::write(path, obs_export::trace_chrome(&runs.targets)),
         );
         obs_info!("wrote Chrome trace-event export to {path}");
     }
@@ -299,17 +263,17 @@ fn main() {
         or_exit(
             "--hist",
             path,
-            std::fs::write(path, obs_export::hist_json(&runs)),
+            std::fs::write(path, obs_export::hist_json(&runs.targets)),
         );
         obs_info!("wrote latency-histogram report to {path}");
     }
     if let Some(path) = &metrics_path {
-        let registry = obs_export::build_metrics(&runs, par.workers, elapsed);
+        let registry = obs_export::build_metrics(&runs.targets, par.workers, elapsed);
         or_exit("--metrics", path, std::fs::write(path, registry.to_json()));
         obs_info!("wrote wall-clock metrics to {path}");
     }
     if profile {
-        println!("{}", obs_export::profile_table(&runs));
+        println!("{}", obs_export::profile_table(&runs.targets));
     }
 }
 
@@ -345,15 +309,6 @@ fn run_bench(layer: &str, out: Option<String>) {
     obs_info!("wrote {layer} benchmark to {out}");
 }
 
-/// Unwraps a target's run. When an experiment shard failed, prints one
-/// error line naming the target, then exits 1.
-fn ok_or_exit<T>(target: &str, result: Result<T, ExecError>) -> T {
-    result.unwrap_or_else(|e| {
-        obs_error!("{target}: {e}");
-        std::process::exit(1)
-    })
-}
-
 /// Unwraps the result of writing an output file or creating its
 /// directory. On failure prints one error line naming the flag and the
 /// path, then exits 1.
@@ -373,8 +328,12 @@ fn print_help() {
          \x20            [--bench flow|establish|unit [--bench-out FILE]]\n\
          \x20            [--check-bench DIR] [--json-check FILE]\n\
          \x20            [--quiet] [-v|--verbose] [--list] [TARGET ...]\n\n\
+         Targets of one experiment family share one run of it: fig2a,\n\
+         table3, table4 and table10 come from the same curl run.\n\
          --workers only changes wall-clock time: output is bit-for-bit\n\
          identical at any worker count.\n\
+         --csv DIR writes the samples and t-test tables behind the\n\
+         selected targets as CSV, each family's files once.\n\
          --faults turns on the deterministic fault-injection lane (the\n\
          paper profile): connect refusals, mid-transfer aborts, stalls,\n\
          churn, and surge degradation, replayed identically per seed at\n\

@@ -17,6 +17,4 @@ pub mod regress;
 pub mod targets;
 pub mod unitbench;
 
-pub use targets::{
-    available_targets, run_target, run_target_obs, run_target_with, RunScale, TargetRun,
-};
+pub use targets::{available_targets, run_targets, RunError, RunScale, Runs, TargetRun};

@@ -9,6 +9,11 @@
 //! byte-identical JSONL (proven by `tests/obs_neutrality.rs`). Wall
 //! clock lives exclusively in the metrics registry and the profile
 //! table, which are expected to differ run to run.
+//!
+//! Every serializer walks the reports target by target. A family behind
+//! k selected targets runs once and hands each of them its reports, so
+//! it counts k times in the histogram report, the metrics registry and
+//! the profile, just as when each target ran the family itself.
 
 use std::time::Duration;
 

@@ -1,41 +1,38 @@
 //! The repro targets: one entry per table/figure, each producing the
 //! text rendering of that artifact.
+//!
+//! Most targets are views of an experiment family's result: Tables 3, 4
+//! and 10 and Fig. 2a all come from one curl run, for instance. The
+//! family table below names each family's targets, and
+//! [`run_targets`] runs each family the named targets need exactly
+//! once, then renders every named target (and, on request, the CSV
+//! export) from that one result.
+
+use std::fmt;
 
 use ptperf::executor::{ExecError, Parallelism, ShardReport};
+use ptperf::experiments::ttest_tables::{self, TTestRow};
 use ptperf::experiments::{
     file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
-    snowflake_load, speed_index, streaming, ttest_tables, ttfb, website_curl,
-    website_selenium,
+    snowflake_load, speed_index, streaming, ttfb, website_curl, website_selenium,
 };
 use ptperf::scenario::Scenario;
-use ptperf::{campaign, ecosystem};
-
-/// Unwraps an experiment's `run_with` result, appending its shard
-/// reports (timings, sample counts, and — under
-/// [`ptperf::executor::Record::Trace`] — the recorded observations) to
-/// the target's collection. A shard failure passes through unchanged.
-fn take<T>(
-    reports: &mut Vec<ShardReport>,
-    r: Result<(T, Vec<ShardReport>), ExecError>,
-) -> Result<T, ExecError> {
-    let (value, mut shard_reports) = r?;
-    reports.append(&mut shard_reports);
-    Ok(value)
-}
+use ptperf::{campaign, ecosystem, report};
 
 /// A target's rendered text plus the executor shard reports behind it.
 ///
-/// The reports are in shard-index order, concatenated across the
-/// experiments the target executed — an order that is a function of the
-/// target alone, never of worker count or completion order, so trace
-/// serializations built from them are deterministic.
+/// The reports are those of the target's experiment family, in
+/// shard-index order — an order that is a function of the target alone,
+/// never of worker count or completion order, so trace serializations
+/// built from them are deterministic. Targets of one family carry the
+/// same reports, taken from the family's one run.
 #[derive(Debug)]
 pub struct TargetRun {
-    /// The target's name, as passed to [`run_target_obs`].
+    /// The target's name, as passed to [`run_targets`].
     pub name: String,
     /// Rendered artifact text.
     pub text: String,
-    /// Every shard report the target ran, in shard-index order.
+    /// Every shard report of the target's family, in shard-index order.
     pub reports: Vec<ShardReport>,
 }
 
@@ -54,465 +51,472 @@ pub fn available_targets() -> Vec<&'static str> {
         "table1", "table2", "fig2a", "fig2b", "table3", "table4", "table5", "table6", "fig3a",
         "fig3b", "fig4", "fig5", "table7", "fig6", "fig7", "fig8a", "fig8b", "medium", "fig9",
         "fig10a", "fig10b", "fig11", "table8", "table9", "table10", "fig12", "streaming",
-        "campaign",
     ]
 }
 
-/// Runs one target sequentially and returns its rendered text, or the
-/// error of an experiment shard that failed.
-///
-/// # Panics
-/// Panics on an unknown target name; callers should validate against
-/// [`available_targets`].
-pub fn run_target(name: &str, scenario: &Scenario, scale: RunScale) -> Result<String, ExecError> {
-    run_target_with(name, scenario, scale, &Parallelism::sequential())
+/// What [`run_targets`] produced: the named targets' runs and the
+/// results of the families behind them.
+#[derive(Debug)]
+pub struct Runs {
+    /// One run per named target, in the order named.
+    pub targets: Vec<TargetRun>,
+    /// The result of each family that ran, in family-table order.
+    results: Vec<Box<dyn Artifacts>>,
 }
 
-/// Runs one target through the parallel executor and returns its
-/// rendered text — bit-for-bit identical at any worker count (see
-/// [`ptperf::executor`]) — or the error of a failed experiment shard.
-///
-/// # Panics
-/// Panics on an unknown target name; callers should validate against
-/// [`available_targets`].
-pub fn run_target_with(
-    name: &str,
-    scenario: &Scenario,
-    scale: RunScale,
-    par: &Parallelism,
-) -> Result<String, ExecError> {
-    Ok(run_target_obs(name, scenario, scale, par)?.text)
+impl Runs {
+    /// The underlying data of the families that ran, as CSV for external
+    /// plotting: `(file_stem, csv_document)` pairs, each family's once
+    /// however many of its targets were named. Only the curl, selenium,
+    /// file-download, reliability and speed-index families export any.
+    pub fn csv(&self) -> Vec<(&'static str, String)> {
+        self.results.iter().flat_map(|r| r.csv()).collect()
+    }
 }
 
-/// Runs one target and returns its rendered text together with every
-/// executor shard report behind it. Whether those reports carry
-/// sim-time observations is controlled by `par.record` (see
-/// [`ptperf::executor::Record`]); the rendered text is bit-for-bit
-/// identical either way, and at any worker count. A failed experiment
-/// shard returns its [`ExecError`] instead.
-///
-/// # Panics
-/// Panics on an unknown target name; callers should validate against
-/// [`available_targets`].
-pub fn run_target_obs(
-    name: &str,
-    scenario: &Scenario,
-    scale: RunScale,
-    par: &Parallelism,
-) -> Result<TargetRun, ExecError> {
-    let quick = scale == RunScale::Quick;
-    let mut reports: Vec<ShardReport> = Vec::new();
-    let text = match name {
-        "table1" => campaign::render_plan(),
-        "table2" => ecosystem::render(),
-        "fig2a" => {
-            let cfg = if quick {
-                website_curl::Config::quick()
-            } else {
-                website_curl::Config::paper()
-            };
-            take(&mut reports, website_curl::run_with(scenario, &cfg, par))?.render()
-        }
-        "fig2b" => {
-            let cfg = if quick {
-                website_selenium::Config::quick()
-            } else {
-                website_selenium::Config::paper()
-            };
-            take(
-                &mut reports,
-                website_selenium::run_with(scenario, &cfg, par),
-            )?
-            .render()
-        }
-        "table3" | "table4" => {
-            let cfg = if quick {
-                website_curl::Config::quick()
-            } else {
-                website_curl::Config::paper()
-            };
-            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par))?;
-            let rows = ttest_tables::pairwise(&result.samples);
-            let half = rows.len() / 2;
-            let (title, slice) = if name == "table3" {
-                ("Table 3 — paired t-tests, website access via curl [Part I]", &rows[..half])
-            } else {
-                ("Table 4 — paired t-tests, website access via curl [Part II]", &rows[half..])
-            };
-            ttest_tables::render(title, slice)
-        }
-        "table5" | "table6" => {
-            let cfg = if quick {
-                website_selenium::Config::quick()
-            } else {
-                website_selenium::Config::paper()
-            };
-            let result = take(
-                &mut reports,
-                website_selenium::run_with(scenario, &cfg, par),
-            )?;
-            let rows = ttest_tables::pairwise(&result.samples);
-            let half = rows.len() / 2;
-            let (title, slice) = if name == "table5" {
-                ("Table 5 — paired t-tests, website access via selenium [Part I]", &rows[..half])
-            } else {
-                ("Table 6 — paired t-tests, website access via selenium [Part II]", &rows[half..])
-            };
-            ttest_tables::render(title, slice)
-        }
-        "fig3a" | "fig3b" => {
-            let cfg = if quick {
-                fixed_circuit::Config::quick()
-            } else {
-                fixed_circuit::Config::paper()
-            };
-            let result = take(&mut reports, fixed_circuit::run_with(scenario, &cfg, par))?;
-            if name == "fig3a" {
-                let mut out = result.render_boxplots();
-                for (a, b) in [
-                    (fixed_circuit::CONFIGS[2], fixed_circuit::CONFIGS[0]),
-                    (fixed_circuit::CONFIGS[1], fixed_circuit::CONFIGS[0]),
-                    (fixed_circuit::CONFIGS[2], fixed_circuit::CONFIGS[1]),
-                ] {
-                    let t = result.ttest(a, b);
-                    out.push_str(&format!(
-                        "{}−{}: t={:.2}, P={}, 95% CI [{:.2}, {:.2}]\n",
-                        a.name(),
-                        b.name(),
-                        t.t,
-                        t.p_display(),
-                        t.ci_lower,
-                        t.ci_upper
-                    ));
-                }
-                out
-            } else {
-                let mut out = result.render_ecdf();
-                out.push_str(&format!(
-                    "fraction of |diff| below 5 s: {:.2}\n",
-                    result.diffs_below(5.0)
-                ));
-                out
+/// Why [`run_targets`] returned no runs.
+#[derive(Debug)]
+pub enum RunError {
+    /// A name that is not one of [`available_targets`]; nothing ran.
+    UnknownTarget(String),
+    /// A shard of the family behind `target` failed.
+    Failed {
+        /// The first named target of the failed family.
+        target: String,
+        /// The failed shards.
+        error: ExecError,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::UnknownTarget(name) => {
+                write!(f, "unknown target '{name}'; run `repro --list`")
             }
+            RunError::Failed { target, error } => write!(f, "{target}: {error}"),
         }
-        "fig4" => {
-            let cfg = if quick {
-                fixed_guard::Config::quick()
-            } else {
-                fixed_guard::Config::paper()
-            };
-            let result = take(&mut reports, fixed_guard::run_with(scenario, &cfg, par))?;
-            let mut out = result.render();
-            let t = result.ttest();
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Runs the named targets and returns one [`TargetRun`] per name, in
+/// the order named. Each experiment family the names need runs exactly
+/// once, in its own executor pool, and every named target of that family
+/// renders from the one result and carries its shard reports.
+///
+/// The rendered text is bit-for-bit identical at any worker count (see
+/// [`ptperf::executor`]); whether the reports carry sim-time
+/// observations is controlled by `par.record` (see
+/// [`ptperf::executor::Record`]), and the text is identical either way.
+/// Every name is checked before anything runs: an unknown one returns
+/// [`RunError::UnknownTarget`]. A failed experiment shard returns
+/// [`RunError::Failed`].
+pub fn run_targets(
+    names: &[&str],
+    scenario: &Scenario,
+    scale: RunScale,
+    par: &Parallelism,
+) -> Result<Runs, RunError> {
+    if let Some(name) = names.iter().find(|n| !available_targets().contains(n)) {
+        return Err(RunError::UnknownTarget(name.to_string()));
+    }
+    let mut ran: Vec<Option<FamilyRun>> = FAMILIES.iter().map(|_| None).collect();
+    let mut targets = Vec::with_capacity(names.len());
+    for &name in names {
+        let (text, reports) = match name {
+            "table1" => (campaign::render_plan(), Vec::new()),
+            "table2" => (ecosystem::render(), Vec::new()),
+            _ => {
+                let i = FAMILIES
+                    .iter()
+                    .position(|f| f.targets.contains(&name))
+                    .expect("every listed target but table1 and table2 has a family");
+                let (result, reports) = match &mut ran[i] {
+                    Some(done) => done,
+                    slot => {
+                        let run = (FAMILIES[i].run)(scenario, scale, par).map_err(|error| {
+                            RunError::Failed {
+                                target: name.to_string(),
+                                error,
+                            }
+                        })?;
+                        slot.insert(run)
+                    }
+                };
+                (result.artifact(name), reports.clone())
+            }
+        };
+        targets.push(TargetRun {
+            name: name.to_string(),
+            text,
+            reports,
+        });
+    }
+    let results = ran.into_iter().flatten().map(|(r, _)| r).collect();
+    Ok(Runs { targets, results })
+}
+
+/// One experiment family's result and every shard report behind it.
+type FamilyRun = (Box<dyn Artifacts>, Vec<ShardReport>);
+
+/// An experiment family: the targets it renders, and one run of it at
+/// a given scale.
+struct Family {
+    /// The family's targets, each rendered by its result's
+    /// [`Artifacts::artifact`].
+    targets: &'static [&'static str],
+    /// Runs the family at the scale's config through its `run_with`.
+    run: fn(&Scenario, RunScale, &Parallelism) -> Result<FamilyRun, ExecError>,
+}
+
+/// The [`Family`] entry of an experiment module: its
+/// `Config::quick()` or `Config::paper()`, run through its `run_with`.
+macro_rules! family {
+    ($experiment:ident: $($target:literal),+) => {
+        Family {
+            targets: &[$($target),+],
+            run: |scenario, scale, par| {
+                let cfg = match scale {
+                    RunScale::Quick => $experiment::Config::quick(),
+                    RunScale::Paper => $experiment::Config::paper(),
+                };
+                let (result, reports) = $experiment::run_with(scenario, &cfg, par)?;
+                Ok((Box::new(result), reports))
+            },
+        }
+    };
+}
+
+/// The thirteen experiment families and their targets.
+const FAMILIES: [Family; 13] = [
+    family!(website_curl: "fig2a", "table3", "table4", "table10"),
+    family!(website_selenium: "fig2b", "table5", "table6"),
+    family!(fixed_circuit: "fig3a", "fig3b"),
+    family!(fixed_guard: "fig4"),
+    family!(file_download: "fig5", "table7"),
+    family!(ttfb: "fig6"),
+    family!(location: "fig7"),
+    family!(reliability: "fig8a", "fig8b"),
+    family!(medium: "medium"),
+    family!(overhead: "fig9"),
+    family!(snowflake_load: "fig10a", "fig10b", "fig12"),
+    family!(speed_index: "fig11", "table8", "table9"),
+    family!(streaming: "streaming"),
+];
+
+/// An experiment family's result, rendered as each of its targets.
+trait Artifacts: fmt::Debug {
+    /// Renders `target`, one of the family's [`Family::targets`].
+    fn artifact(&self, target: &str) -> String;
+
+    /// The family's CSV export as `(file_stem, csv_document)` pairs.
+    fn csv(&self) -> Vec<(&'static str, String)> {
+        Vec::new()
+    }
+}
+
+/// Part I and Part II of a t-test table the paper splits in two.
+fn halves(rows: &[TTestRow]) -> (&[TTestRow], &[TTestRow]) {
+    rows.split_at(rows.len() / 2)
+}
+
+impl Artifacts for website_curl::Result {
+    fn artifact(&self, target: &str) -> String {
+        match target {
+            "fig2a" => self.render(),
+            "table3" => ttest_tables::render(
+                "Table 3 — paired t-tests, website access via curl [Part I]",
+                halves(&ttest_tables::pairwise(&self.samples)).0,
+            ),
+            "table4" => ttest_tables::render(
+                "Table 4 — paired t-tests, website access via curl [Part II]",
+                halves(&ttest_tables::pairwise(&self.samples)).1,
+            ),
+            _ => ttest_tables::render(
+                "Table 10 — paired t-tests between PT categories (curl website access)",
+                &ttest_tables::category_pairwise(&self.samples),
+            ),
+        }
+    }
+
+    fn csv(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("fig2a_samples", report::samples_csv(&self.samples)),
+            (
+                "tables_3_4_ttests",
+                report::ttests_csv(&ttest_tables::pairwise(&self.samples)),
+            ),
+            (
+                "table_10_categories",
+                report::ttests_csv(&ttest_tables::category_pairwise(&self.samples)),
+            ),
+        ]
+    }
+}
+
+impl Artifacts for website_selenium::Result {
+    fn artifact(&self, target: &str) -> String {
+        match target {
+            "fig2b" => self.render(),
+            "table5" => ttest_tables::render(
+                "Table 5 — paired t-tests, website access via selenium [Part I]",
+                halves(&ttest_tables::pairwise(&self.samples)).0,
+            ),
+            _ => ttest_tables::render(
+                "Table 6 — paired t-tests, website access via selenium [Part II]",
+                halves(&ttest_tables::pairwise(&self.samples)).1,
+            ),
+        }
+    }
+
+    fn csv(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("fig2b_samples", report::samples_csv(&self.samples)),
+            (
+                "tables_5_6_ttests",
+                report::ttests_csv(&ttest_tables::pairwise(&self.samples)),
+            ),
+        ]
+    }
+}
+
+impl Artifacts for fixed_circuit::Result {
+    fn artifact(&self, target: &str) -> String {
+        if target == "fig3a" {
+            let mut out = self.render_boxplots();
+            for (a, b) in [
+                (fixed_circuit::CONFIGS[2], fixed_circuit::CONFIGS[0]),
+                (fixed_circuit::CONFIGS[1], fixed_circuit::CONFIGS[0]),
+                (fixed_circuit::CONFIGS[2], fixed_circuit::CONFIGS[1]),
+            ] {
+                let t = self.ttest(a, b);
+                out.push_str(&format!(
+                    "{}−{}: t={:.2}, P={}, 95% CI [{:.2}, {:.2}]\n",
+                    a.name(),
+                    b.name(),
+                    t.t,
+                    t.p_display(),
+                    t.ci_lower,
+                    t.ci_upper
+                ));
+            }
+            out
+        } else {
+            let mut out = self.render_ecdf();
             out.push_str(&format!(
-                "obfs4−tor paired t-test: t={:.2}, P={}, mean diff {:.2}\n",
-                t.t,
-                t.p_display(),
-                t.mean_diff
+                "fraction of |diff| below 5 s: {:.2}\n",
+                self.diffs_below(5.0)
             ));
             out
         }
-        "fig5" => {
-            let cfg = if quick {
-                file_download::Config::quick()
-            } else {
-                file_download::Config::paper()
-            };
-            take(&mut reports, file_download::run_with(scenario, &cfg, par))?.render()
-        }
-        "table7" => {
-            let cfg = if quick {
-                file_download::Config::quick()
-            } else {
-                file_download::Config::paper()
-            };
-            let result = take(&mut reports, file_download::run_with(scenario, &cfg, par))?;
-            let rows = ttest_tables::pairwise(&result.paired);
-            ttest_tables::render("Table 7 — paired t-tests, file downloads", &rows)
-        }
-        "fig6" => {
-            let cfg = if quick {
-                ttfb::Config::quick()
-            } else {
-                ttfb::Config::paper()
-            };
-            take(&mut reports, ttfb::run_with(scenario, &cfg, par))?.render()
-        }
-        "fig7" => {
-            let cfg = if quick {
-                location::Config::quick()
-            } else {
-                location::Config::paper()
-            };
-            take(&mut reports, location::run_with(scenario, &cfg, par))?.render()
-        }
-        "fig8a" | "fig8b" => {
-            let cfg = if quick {
-                reliability::Config::quick()
-            } else {
-                reliability::Config::paper()
-            };
-            let result = take(&mut reports, reliability::run_with(scenario, &cfg, par))?;
-            if name == "fig8a" {
-                result.render_stacked()
-            } else {
-                result.render_ecdf()
-            }
-        }
-        "medium" => {
-            let cfg = if quick {
-                medium::Config::quick()
-            } else {
-                medium::Config::paper()
-            };
-            take(&mut reports, medium::run_with(scenario, &cfg, par))?.render()
-        }
-        "fig9" => {
-            let cfg = if quick {
-                overhead::Config::quick()
-            } else {
-                overhead::Config::paper()
-            };
-            take(&mut reports, overhead::run_with(scenario, &cfg, par))?.render()
-        }
-        "fig10a" | "fig10b" | "fig12" => {
-            let cfg = if quick {
-                snowflake_load::Config::quick()
-            } else {
-                snowflake_load::Config::paper()
-            };
-            let result = take(&mut reports, snowflake_load::run_with(scenario, &cfg, par))?;
-            match name {
-                "fig10a" => result.render_timeline(),
-                "fig10b" => result.render_pre_post(),
-                _ => result.render_weekly(),
-            }
-        }
-        "fig11" => {
-            let cfg = if quick {
-                speed_index::Config::quick()
-            } else {
-                speed_index::Config::paper()
-            };
-            take(&mut reports, speed_index::run_with(scenario, &cfg, par))?.render()
-        }
-        "table8" | "table9" => {
-            let cfg = if quick {
-                speed_index::Config::quick()
-            } else {
-                speed_index::Config::paper()
-            };
-            let result = take(&mut reports, speed_index::run_with(scenario, &cfg, par))?;
-            let rows = ttest_tables::pairwise(&result.speed_index);
-            let half = rows.len() / 2;
-            let (title, slice) = if name == "table8" {
-                ("Table 8 — paired t-tests, speed index [Part I]", &rows[..half])
-            } else {
-                ("Table 9 — paired t-tests, speed index [Part II]", &rows[half..])
-            };
-            ttest_tables::render(title, slice)
-        }
-        "table10" => {
-            let cfg = if quick {
-                website_curl::Config::quick()
-            } else {
-                website_curl::Config::paper()
-            };
-            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par))?;
-            let rows = ttest_tables::category_pairwise(&result.samples);
+    }
+}
+
+impl Artifacts for fixed_guard::Result {
+    fn artifact(&self, _: &str) -> String {
+        let mut out = self.render();
+        let t = self.ttest();
+        out.push_str(&format!(
+            "obfs4−tor paired t-test: t={:.2}, P={}, mean diff {:.2}\n",
+            t.t,
+            t.p_display(),
+            t.mean_diff
+        ));
+        out
+    }
+}
+
+impl Artifacts for file_download::Result {
+    fn artifact(&self, target: &str) -> String {
+        if target == "fig5" {
+            self.render()
+        } else {
             ttest_tables::render(
-                "Table 10 — paired t-tests between PT categories (curl website access)",
-                &rows,
+                "Table 7 — paired t-tests, file downloads",
+                &ttest_tables::pairwise(&self.paired),
             )
         }
-        "streaming" => {
-            let cfg = if quick {
-                streaming::Config::quick()
-            } else {
-                streaming::Config::paper()
-            };
-            take(&mut reports, streaming::run_with(scenario, &cfg, par))?.render()
-        }
-        "campaign" => {
-            // The full campaign always runs at test scale (see
-            // [`ptperf::campaign::run_quick_with`]); `scale` selects
-            // nothing here.
-            let results = campaign::run_quick_with(scenario, par)?;
-            reports = results.stats.reports.clone();
-            results.stats.render()
-        }
-        other => panic!("unknown repro target '{other}'; see `repro --list`"),
-    };
-    Ok(TargetRun {
-        name: name.to_string(),
-        text,
-        reports,
-    })
+    }
+
+    fn csv(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("fig5_samples", report::samples_csv(&self.paired)),
+            (
+                "table_7_ttests",
+                report::ttests_csv(&ttest_tables::pairwise(&self.paired)),
+            ),
+        ]
+    }
 }
 
-/// Exports a target's underlying data as CSV, for external plotting.
-/// Returns `(file_stem, csv_document)` pairs, or the error of a failed
-/// experiment shard; targets whose artifact is purely textual
-/// (table1/table2, the timeline) export nothing.
-pub fn export_csv(
-    name: &str,
-    scenario: &Scenario,
-    scale: RunScale,
-) -> Result<Vec<(String, String)>, ExecError> {
-    export_csv_with(name, scenario, scale, &Parallelism::sequential())
+impl Artifacts for ttfb::Result {
+    fn artifact(&self, _: &str) -> String {
+        self.render()
+    }
 }
 
-/// [`export_csv`] through the parallel executor (identical output at
-/// any worker count).
-pub fn export_csv_with(
-    name: &str,
-    scenario: &Scenario,
-    scale: RunScale,
-    par: &Parallelism,
-) -> Result<Vec<(String, String)>, ExecError> {
-    use ptperf::report;
-    let quick = scale == RunScale::Quick;
-    // CSV export re-runs the experiment and only keeps its data; shard
-    // reports are dropped (the caller gets them via `run_target_obs`).
-    let mut reports: Vec<ShardReport> = Vec::new();
-    Ok(match name {
-        "fig2a" | "table3" | "table4" | "table10" => {
-            let cfg = if quick {
-                website_curl::Config::quick()
-            } else {
-                website_curl::Config::paper()
-            };
-            let result = take(&mut reports, website_curl::run_with(scenario, &cfg, par))?;
-            vec![
-                ("fig2a_samples".to_string(), report::samples_csv(&result.samples)),
-                (
-                    "tables_3_4_ttests".to_string(),
-                    report::ttests_csv(&ttest_tables::pairwise(&result.samples)),
-                ),
-                (
-                    "table_10_categories".to_string(),
-                    report::ttests_csv(&ttest_tables::category_pairwise(&result.samples)),
-                ),
-            ]
+impl Artifacts for location::Result {
+    fn artifact(&self, _: &str) -> String {
+        self.render()
+    }
+}
+
+impl Artifacts for reliability::Result {
+    fn artifact(&self, target: &str) -> String {
+        if target == "fig8a" {
+            self.render_stacked()
+        } else {
+            self.render_ecdf()
         }
-        "fig2b" | "table5" | "table6" => {
-            let cfg = if quick {
-                website_selenium::Config::quick()
-            } else {
-                website_selenium::Config::paper()
-            };
-            let result = take(
-                &mut reports,
-                website_selenium::run_with(scenario, &cfg, par),
-            )?;
-            vec![
-                ("fig2b_samples".to_string(), report::samples_csv(&result.samples)),
-                (
-                    "tables_5_6_ttests".to_string(),
-                    report::ttests_csv(&ttest_tables::pairwise(&result.samples)),
-                ),
-            ]
+    }
+
+    fn csv(&self) -> Vec<(&'static str, String)> {
+        let rows: Vec<Vec<String>> = self
+            .counts
+            .iter()
+            .map(|(pt, c)| {
+                let (comp, part, fail) = c.fractions();
+                vec![
+                    pt.name().to_string(),
+                    format!("{comp:.4}"),
+                    format!("{part:.4}"),
+                    format!("{fail:.4}"),
+                ]
+            })
+            .collect();
+        vec![(
+            "fig8a_reliability",
+            report::csv(&["pt", "complete", "partial", "failed"], &rows),
+        )]
+    }
+}
+
+impl Artifacts for medium::Result {
+    fn artifact(&self, _: &str) -> String {
+        self.render()
+    }
+}
+
+impl Artifacts for overhead::Result {
+    fn artifact(&self, _: &str) -> String {
+        self.render()
+    }
+}
+
+impl Artifacts for snowflake_load::Result {
+    fn artifact(&self, target: &str) -> String {
+        match target {
+            "fig10a" => self.render_timeline(),
+            "fig10b" => self.render_pre_post(),
+            _ => self.render_weekly(),
         }
-        "fig5" | "table7" => {
-            let cfg = if quick {
-                file_download::Config::quick()
-            } else {
-                file_download::Config::paper()
-            };
-            let result = take(&mut reports, file_download::run_with(scenario, &cfg, par))?;
-            vec![
-                ("fig5_samples".to_string(), report::samples_csv(&result.paired)),
-                (
-                    "table_7_ttests".to_string(),
-                    report::ttests_csv(&ttest_tables::pairwise(&result.paired)),
-                ),
-            ]
+    }
+}
+
+impl Artifacts for speed_index::Result {
+    fn artifact(&self, target: &str) -> String {
+        match target {
+            "fig11" => self.render(),
+            "table8" => ttest_tables::render(
+                "Table 8 — paired t-tests, speed index [Part I]",
+                halves(&ttest_tables::pairwise(&self.speed_index)).0,
+            ),
+            _ => ttest_tables::render(
+                "Table 9 — paired t-tests, speed index [Part II]",
+                halves(&ttest_tables::pairwise(&self.speed_index)).1,
+            ),
         }
-        "fig8a" | "fig8b" => {
-            let cfg = if quick {
-                reliability::Config::quick()
-            } else {
-                reliability::Config::paper()
-            };
-            let result = take(&mut reports, reliability::run_with(scenario, &cfg, par))?;
-            let rows: Vec<Vec<String>> = result
-                .counts
-                .iter()
-                .map(|(pt, c)| {
-                    let (comp, part, fail) = c.fractions();
-                    vec![
-                        pt.name().to_string(),
-                        format!("{comp:.4}"),
-                        format!("{part:.4}"),
-                        format!("{fail:.4}"),
-                    ]
-                })
-                .collect();
-            vec![(
-                "fig8a_reliability".to_string(),
-                report::csv(&["pt", "complete", "partial", "failed"], &rows),
-            )]
-        }
-        "fig11" | "table8" | "table9" => {
-            let cfg = if quick {
-                speed_index::Config::quick()
-            } else {
-                speed_index::Config::paper()
-            };
-            let result = take(&mut reports, speed_index::run_with(scenario, &cfg, par))?;
-            vec![
-                (
-                    "fig11_speed_index".to_string(),
-                    report::samples_csv(&result.speed_index),
-                ),
-                (
-                    "tables_8_9_ttests".to_string(),
-                    report::ttests_csv(&ttest_tables::pairwise(&result.speed_index)),
-                ),
-            ]
-        }
-        _ => Vec::new(),
-    })
+    }
+
+    fn csv(&self) -> Vec<(&'static str, String)> {
+        vec![
+            ("fig11_speed_index", report::samples_csv(&self.speed_index)),
+            (
+                "tables_8_9_ttests",
+                report::ttests_csv(&ttest_tables::pairwise(&self.speed_index)),
+            ),
+        ]
+    }
+}
+
+impl Artifacts for streaming::Result {
+    fn artifact(&self, _: &str) -> String {
+        self.render()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::time::Duration;
+
     use super::*;
-    use ptperf::executor::ShardFailure;
+
+    fn quick(names: &[&str]) -> Runs {
+        run_targets(
+            names,
+            &Scenario::baseline(7),
+            RunScale::Quick,
+            &Parallelism::sequential(),
+        )
+        .expect("no shard fails")
+    }
 
     #[test]
     fn every_listed_target_runs_quick() {
-        let scenario = Scenario::baseline(7);
-        for name in available_targets() {
-            let out = run_target(name, &scenario, RunScale::Quick).unwrap();
-            assert!(!out.is_empty(), "{name} produced no output");
-            assert!(out.len() > 50, "{name} output suspiciously short");
+        let names = available_targets();
+        let runs = quick(&names);
+        let mut texts = BTreeSet::new();
+        for (name, run) in names.iter().zip(&runs.targets) {
+            assert_eq!(run.name, *name);
+            assert!(run.text.len() > 50, "{name} output suspiciously short");
+            assert!(
+                texts.insert(run.text.as_str()),
+                "{name} renders the text of another target"
+            );
+        }
+        assert_eq!(runs.targets.len(), names.len());
+        let csv = runs.csv();
+        let stems: BTreeSet<&str> = csv.iter().map(|(stem, _)| *stem).collect();
+        assert_eq!((stems.len(), csv.len()), (10, 10), "{stems:?}");
+        for family in &FAMILIES {
+            for target in family.targets {
+                assert!(names.contains(target), "{target} is not listed");
+            }
         }
     }
 
     #[test]
-    fn take_returns_a_shard_failure_and_keeps_no_reports() {
-        let failure = ExecError {
-            failures: vec![ShardFailure {
-                index: 3,
-                label: "fig2a/tor".to_string(),
-                message: "boom".to_string(),
-            }],
-            completed: 7,
+    fn a_shared_family_runs_once() {
+        let runs = quick(&["fig2a", "table3", "table4", "table10"]);
+        let shards = |run: &TargetRun| -> Vec<(String, Duration)> {
+            run.reports
+                .iter()
+                .map(|r| (r.label.clone(), r.wall))
+                .collect()
         };
-        let mut reports = Vec::new();
-        let err = take::<()>(&mut reports, Err(failure)).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "1 shard(s) failed (7 completed): [#3 fig2a/tor: boom]"
-        );
-        assert!(reports.is_empty());
+        let first = shards(&runs.targets[0]);
+        assert!(!first.is_empty());
+        for run in &runs.targets[1..] {
+            assert_eq!(shards(run), first, "{} ran its own pool", run.name);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "unknown repro target")]
-    fn unknown_target_panics() {
-        let scenario = Scenario::baseline(7);
-        let _ = run_target("fig99", &scenario, RunScale::Quick);
+    fn an_unknown_target_is_an_error() {
+        let err = run_targets(
+            &["fig2a", "fig99"],
+            &Scenario::baseline(7),
+            RunScale::Quick,
+            &Parallelism::sequential(),
+        )
+        .unwrap_err();
+        assert!(matches!(&err, RunError::UnknownTarget(name) if name == "fig99"));
+        assert_eq!(
+            err.to_string(),
+            "unknown target 'fig99'; run `repro --list`"
+        );
     }
 }

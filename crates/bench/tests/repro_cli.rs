@@ -1,6 +1,7 @@
 //! Bad input to `repro` ends in an error exit with one message, never a
 //! panic: malformed flags and unknown targets exit 2 before any work,
-//! and an output file that cannot be written exits 1.
+//! and an output file that cannot be written exits 1. `--csv` writes
+//! each selected family's files once.
 
 use std::process::{Command, Output};
 
@@ -43,6 +44,18 @@ fn malformed_invocations_exit_2_with_one_line() {
             "repro {args:?}: {stderr}"
         );
     }
+    // A flag that takes a value takes the argument right after it: a
+    // missing value, or another flag in its place, is that flag's error.
+    for (args, flag) in [
+        (&["--trace", "--paper", "fig2a"][..], "--trace"),
+        (&["--csv", "--hist", "h.json", "fig6"], "--csv"),
+    ] {
+        let stderr = rejected(args);
+        assert!(
+            stderr.starts_with(&format!("[error] {flag} requires ")),
+            "repro {args:?}: {stderr}"
+        );
+    }
 }
 
 /// Runs `repro` on `args`, asserts it exits 2 with one stderr line and
@@ -59,23 +72,69 @@ fn rejected(args: &[&str]) -> String {
 }
 
 #[test]
-fn unwritable_trace_path_exits_1_naming_the_flag() {
+fn unwritable_output_paths_exit_1_naming_the_flag() {
     // A regular file as the parent directory cannot be written through,
     // whatever the user's permissions.
     let blocker = std::env::temp_dir().join(format!("ptperf-repro-cli-{}", std::process::id()));
     std::fs::write(&blocker, "").expect("create blocker file");
-    let path = blocker.join("t.jsonl");
-    let (out, stderr) = repro(&["--trace", path.to_str().expect("utf-8 path"), "table1"]);
+    let runs = [("--trace", "t.jsonl"), ("--csv", "csv-dir")].map(|(flag, leaf)| {
+        let path = blocker.join(leaf);
+        let run = repro(&[flag, path.to_str().expect("utf-8 path"), "table1"]);
+        (flag, leaf, run)
+    });
     std::fs::remove_file(&blocker).expect("remove blocker file");
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    let errors: Vec<&str> = stderr
-        .lines()
-        .filter(|l| l.starts_with("[error]"))
+    for (flag, leaf, (out, stderr)) in runs {
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        let errors: Vec<&str> = stderr
+            .lines()
+            .filter(|l| l.starts_with("[error]"))
+            .collect();
+        assert_eq!(errors.len(), 1, "{stderr}");
+        assert!(
+            errors[0].contains(flag) && errors[0].contains(leaf),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn csv_writes_each_selected_family_file_once() {
+    let dir = std::env::temp_dir().join(format!("ptperf-repro-csv-{}", std::process::id()));
+    let (out, stderr) = repro(&[
+        "--quiet",
+        "--csv",
+        dir.to_str().expect("utf-8 path"),
+        "fig2a",
+        "table7",
+        "fig8b",
+        "medium",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let mut written: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("--csv directory exists")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let text = std::fs::read_to_string(&path).expect("readable CSV file");
+            let header = text.lines().next().unwrap_or_default().to_string();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), header)
+        })
         .collect();
-    assert_eq!(errors.len(), 1, "{stderr}");
-    assert!(
-        errors[0].contains("--trace") && errors[0].contains("t.jsonl"),
-        "{stderr}"
-    );
+    std::fs::remove_dir_all(&dir).expect("remove --csv directory");
+    written.sort();
+    let (samples, ttests) = ("pt,target,seconds", "pair,ci_lower,ci_upper,t,p,mean_diff");
+    let mut expected: Vec<(String, String)> = [
+        ("fig2a_samples", samples),
+        ("tables_3_4_ttests", ttests),
+        ("table_10_categories", ttests),
+        ("fig5_samples", samples),
+        ("table_7_ttests", ttests),
+        ("fig8a_reliability", "pt,complete,partial,failed"),
+    ]
+    .iter()
+    .map(|(stem, header)| (format!("{stem}.csv"), header.to_string()))
+    .collect();
+    expected.sort();
+    assert_eq!(written, expected);
 }

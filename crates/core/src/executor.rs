@@ -495,6 +495,22 @@ mod tests {
         assert!(err.to_string().contains("u/3"));
     }
 
+    #[test]
+    fn exec_error_names_each_failed_shard() {
+        let err = ExecError {
+            failures: vec![ShardFailure {
+                index: 3,
+                label: "fig2a/tor".to_string(),
+                message: "boom".to_string(),
+            }],
+            completed: 7,
+        };
+        assert_eq!(
+            err.to_string(),
+            "1 shard(s) failed (7 completed): [#3 fig2a/tor: boom]"
+        );
+    }
+
     fn traced_squares(n: usize) -> Vec<Unit<usize>> {
         (0..n)
             .map(|i| {

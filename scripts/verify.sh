@@ -9,6 +9,9 @@
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
 #      per-PT phase histograms, finite quantiles) and the Chrome-trace
 #      smoke (--trace-chrome: parses, first event is process metadata)
+#   4a. whole-repro determinism smoke: every target at quick scale with
+#      --csv, at 1 and at 2 workers; stdout after the header line (which
+#      names the worker count) and the two CSV directories must match
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
@@ -87,6 +90,12 @@ repro --json-check "$obs_dir/chrome.json"
 sed -n '2p' "$obs_dir/chrome.json" | grep -q '"name":"process_name".*"ph":"M"'
 grep -q '"ph":"X"' "$obs_dir/chrome.json"
 grep -q '"ph":"C"' "$obs_dir/chrome.json"
+
+echo "== whole-repro determinism smoke (all targets, 1 vs 2 workers) =="
+repro --quiet --csv "$obs_dir/csv1" --workers 1 > "$obs_dir/repro1.txt"
+repro --quiet --csv "$obs_dir/csv2" --workers 2 > "$obs_dir/repro2.txt"
+cmp <(tail -n +2 "$obs_dir/repro1.txt") <(tail -n +2 "$obs_dir/repro2.txt")
+diff -r "$obs_dir/csv1" "$obs_dir/csv2"
 
 echo "== fault smoke (neutrality + seeded plan counters) =="
 cargo test --release -q --test fault_neutrality > /dev/null

@@ -248,23 +248,22 @@ fn cached_deployment_equals_a_fresh_standard_build() {
 #[test]
 fn phase_histograms_are_deterministic_and_merge_order_independent() {
     use ptperf::executor::{Parallelism, Record};
-    use ptperf_bench::{run_target_obs, RunScale};
+    use ptperf_bench::{run_targets, RunScale, TargetRun};
     use ptperf_obs::Hist;
     let scenario = Scenario::baseline(29);
-    let seq = run_target_obs(
-        "fig5",
-        &scenario,
-        RunScale::Quick,
-        &Parallelism::sequential().with_recording(Record::Trace),
-    )
-    .expect("no shard fails");
-    let par = run_target_obs(
-        "fig5",
-        &scenario,
-        RunScale::Quick,
-        &Parallelism::new(4).with_recording(Record::Trace),
-    )
-    .expect("no shard fails");
+    let run = |par: Parallelism| -> TargetRun {
+        run_targets(
+            &["fig5"],
+            &scenario,
+            RunScale::Quick,
+            &par.with_recording(Record::Trace),
+        )
+        .expect("no shard fails")
+        .targets
+        .remove(0)
+    };
+    let seq = run(Parallelism::sequential());
+    let par = run(Parallelism::new(4));
     // Per-shard histograms are identical field for field across worker
     // counts — the distributional layer inherits the determinism of the
     // values it observes.

@@ -18,7 +18,7 @@
 use ptperf::executor::{Parallelism, Record};
 use ptperf::scenario::{FaultConfig, FaultProfile, Scenario};
 use ptperf_bench::obs_export::trace_jsonl;
-use ptperf_bench::{run_target_obs, RunScale, TargetRun};
+use ptperf_bench::{run_targets, RunScale, TargetRun};
 
 /// One representative target per measurement family — all thirteen.
 const ALL_FAMILIES: [&str; 13] = [
@@ -42,7 +42,10 @@ fn on_scenario() -> Scenario {
 }
 
 fn run(scenario: &Scenario, name: &str, par: &Parallelism) -> TargetRun {
-    run_target_obs(name, scenario, RunScale::Quick, par).expect("no shard fails")
+    run_targets(&[name], scenario, RunScale::Quick, par)
+        .expect("no shard fails")
+        .targets
+        .remove(0)
 }
 
 /// Sums every `"key":"fault/<name>"` counter value in a JSONL trace.

@@ -9,11 +9,12 @@
 //! structurally identical either way; these tests prove it holds
 //! through every layer, target by target.
 
+use ptperf::campaign;
 use ptperf::executor::{Parallelism, Record};
 use ptperf::experiments::fixed_circuit;
 use ptperf::scenario::Scenario;
 use ptperf_bench::obs_export::{hist_json, trace_chrome, trace_jsonl};
-use ptperf_bench::{run_target_obs, RunScale, TargetRun};
+use ptperf_bench::{run_targets, RunScale, TargetRun};
 use ptperf_obs::MemoryRecorder;
 
 const SEEDS: [u64; 2] = [11, 97];
@@ -35,7 +36,10 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 fn run(name: &str, seed: u64, par: &Parallelism) -> TargetRun {
-    run_target_obs(name, &Scenario::baseline(seed), RunScale::Quick, par).expect("no shard fails")
+    run_targets(&[name], &Scenario::baseline(seed), RunScale::Quick, par)
+        .expect("no shard fails")
+        .targets
+        .remove(0)
 }
 
 #[test]
@@ -170,19 +174,21 @@ fn hist_and_chrome_reports_are_identical_across_worker_counts() {
 
 #[test]
 fn campaign_trace_is_invariant_under_parallelism() {
-    // The campaign render embeds wall-clock columns, which legitimately
-    // vary run to run — the deterministic artifact is the trace plus
-    // the per-shard structure.
-    let sequential = run(
-        "campaign",
-        SEEDS[0],
-        &Parallelism::sequential().with_recording(Record::Trace),
-    );
-    let parallel = run(
-        "campaign",
-        SEEDS[0],
-        &Parallelism::new(4).with_recording(Record::Trace),
-    );
+    // The campaign's per-family table embeds wall-clock columns, which
+    // legitimately vary run to run — the deterministic artifact is the
+    // trace plus the per-shard structure.
+    let traced = |par: Parallelism| -> TargetRun {
+        let par = par.with_recording(Record::Trace);
+        let results =
+            campaign::run_quick_with(&Scenario::baseline(SEEDS[0]), &par).expect("no shard fails");
+        TargetRun {
+            name: "campaign".to_string(),
+            text: String::new(),
+            reports: results.stats.reports,
+        }
+    };
+    let sequential = traced(Parallelism::sequential());
+    let parallel = traced(Parallelism::new(4));
     assert_eq!(
         trace_jsonl(std::slice::from_ref(&sequential)),
         trace_jsonl(std::slice::from_ref(&parallel)),
