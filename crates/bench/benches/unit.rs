@@ -17,7 +17,7 @@ use ptperf::scenario::Scenario;
 use ptperf_bench::unitbench::{
     run_unit_pooled, run_unit_reference, standard_workloads, Fixture,
 };
-use ptperf_web::SiteList;
+use ptperf_web::{SiteList, Website};
 
 fn bench_units(c: &mut Criterion) {
     let mut g = c.benchmark_group("unit");
@@ -39,9 +39,7 @@ fn bench_site_memo(c: &mut Criterion) {
     let mut g = c.benchmark_group("site_memo");
     const CORPUS: usize = 200;
     g.bench_function("rebuild_200", |b| {
-        let scenario = Scenario::baseline(23);
-        scenario.set_site_caching(false);
-        b.iter(|| black_box(scenario.top_sites(SiteList::Tranco, CORPUS)))
+        b.iter(|| black_box(Website::top(SiteList::Tranco, CORPUS)))
     });
     g.bench_function("cached_200", |b| {
         let scenario = Scenario::baseline(23);

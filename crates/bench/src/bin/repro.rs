@@ -142,6 +142,24 @@ fn main() {
             }
         }
     }
+    // A mode flag runs one task and exits: it reads no target and no
+    // flag but its own, --quiet and -v (and --bench its --bench-out).
+    if let Some(mode) = ["--json-check", "--check-bench", "--bench"]
+        .into_iter()
+        .find(|mode| seen.iter().any(|f| f == mode))
+    {
+        let reads = |f: &str| {
+            [mode, "--quiet", "--verbose"].contains(&f) || (mode == "--bench" && f == "--bench-out")
+        };
+        if let Some(flag) = seen.iter().find(|f| !reads(f)) {
+            obs_error!("{mode} does not take '{flag}'; run `repro --help`");
+            std::process::exit(2);
+        }
+        if let Some(target) = targets.first() {
+            obs_error!("{mode} takes no targets, got '{target}'");
+            std::process::exit(2);
+        }
+    }
     if verbose {
         set_level(Level::Debug);
     } else if quiet {
@@ -191,10 +209,6 @@ fn main() {
     }
 
     if let Some(layer) = bench {
-        if let Some(extra) = targets.first() {
-            obs_error!("--bench runs one layer and takes no targets, got '{extra}'");
-            std::process::exit(2);
-        }
         run_bench(&layer, bench_out);
         return;
     }
@@ -360,6 +374,9 @@ fn print_help() {
          failing; an unreadable DIR exits 2), emitting a\n\
          machine-readable verdict JSON on stdout.\n\
          --json-check FILE validates that FILE parses as JSON and exits.\n\
+         --bench, --check-bench and --json-check each run alone: they take\n\
+         no targets and no flags but --quiet and -v (--bench also takes\n\
+         --bench-out).\n\
          --bench LAYER benchmarks one layer, writes BENCH_<LAYER>.json\n\
          (path override: --bench-out), then exits. flow: the single-link\n\
          page-load sharing loop (p50/p95 per workload class, steps/s,\n\

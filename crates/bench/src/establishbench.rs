@@ -84,7 +84,7 @@ pub struct ClassResult {
 /// Deployment-memo timings: what `Scenario::deployment` sharing saves.
 #[derive(Debug)]
 pub struct DeploymentResult {
-    /// Full rebuild p50 (cache bypassed), microseconds.
+    /// Full rebuild p50 (`Deployment::standard`), microseconds.
     pub rebuild_p50_us: f64,
     /// Cached fetch p50 (Arc clone out of the memo), microseconds.
     pub cached_p50_us: f64,
@@ -233,16 +233,16 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     }
 }
 
-/// Times the deployment memo: p50 of a full rebuild (cache bypassed)
-/// vs a cached fetch, plus the `deployment/rebuilds_saved` ticks the
-/// cached lane produced.
+/// Times the deployment memo: p50 of a full rebuild (a direct
+/// `Deployment::standard` call) vs a cached fetch, plus the
+/// `deployment/rebuilds_saved` ticks the cached lane produced.
 pub fn bench_deployment(runs: usize) -> DeploymentResult {
     let scenario = Scenario::baseline(21);
 
-    scenario.set_deployment_caching(false);
-    let rebuild_us = emit::timed_runs(runs, || scenario.deployment());
+    let rebuild_us = emit::timed_runs(runs, || {
+        Deployment::standard(scenario.seed, scenario.server_region)
+    });
 
-    scenario.set_deployment_caching(true);
     let dep = scenario.deployment(); // populate the memo
     std::hint::black_box(dep);
     let saved_before = ptperf_obs::perf::snapshot();

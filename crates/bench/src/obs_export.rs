@@ -10,17 +10,36 @@
 //! clock lives exclusively in the metrics registry and the profile
 //! table, which are expected to differ run to run.
 //!
-//! Every serializer walks the reports target by target. A family behind
-//! k selected targets runs once and hands each of them its reports, so
-//! it counts k times in the histogram report, the metrics registry and
-//! the profile, just as when each target ran the family itself.
+//! A family behind k selected targets runs once and hands each of them
+//! its reports. The two traces walk the reports target by target, so
+//! they carry the family's records under each of its targets; the
+//! histogram report, the metrics registry and the profile count each
+//! family's reports once, however many of its targets are named.
 
 use std::time::Duration;
 
+use ptperf::executor::ShardReport;
 use ptperf_obs::{json, Hist, MetricsRegistry};
 use ptperf_stats::Table;
 
 use crate::targets::TargetRun;
+
+/// The shard reports behind `runs`, each family's once, in run order.
+/// The targets of one family carry the same reports (those of its one
+/// run), so a target whose shard labels match an earlier target's adds
+/// nothing.
+fn family_reports(runs: &[TargetRun]) -> impl Iterator<Item = &ShardReport> {
+    fn same_reports(a: &TargetRun, b: &TargetRun) -> bool {
+        a.reports
+            .iter()
+            .map(|r| &r.label)
+            .eq(b.reports.iter().map(|r| &r.label))
+    }
+    runs.iter()
+        .enumerate()
+        .filter(|&(i, run)| !runs[..i].iter().any(|earlier| same_reports(earlier, run)))
+        .flat_map(|(_, run)| &run.reports)
+}
 
 /// The family a shard belongs to: its label up to the first `/` (shard
 /// labels are `family/detail`, e.g. `fig2a/obfs4`; single-shard
@@ -86,21 +105,19 @@ pub fn trace_jsonl(runs: &[TargetRun]) -> String {
 pub fn hist_json(runs: &[TargetRun]) -> String {
     // Merge in first-seen order: (pt, phase) → Hist.
     let mut merged: Vec<(String, Vec<(&'static str, Hist)>)> = Vec::new();
-    for run in runs {
-        for report in &run.reports {
-            let pt = pt_of(&report.label);
-            for (phase, h) in &report.obs.hists {
-                let slot = match merged.iter_mut().find(|(p, _)| p == pt) {
-                    Some((_, phases)) => phases,
-                    None => {
-                        merged.push((pt.to_string(), Vec::new()));
-                        &mut merged.last_mut().expect("just pushed").1
-                    }
-                };
-                match slot.iter_mut().find(|(p, _)| p == phase) {
-                    Some((_, acc)) => acc.merge(h),
-                    None => slot.push((phase, h.clone())),
+    for report in family_reports(runs) {
+        let pt = pt_of(&report.label);
+        for (phase, h) in &report.obs.hists {
+            let slot = match merged.iter_mut().find(|(p, _)| p == pt) {
+                Some((_, phases)) => phases,
+                None => {
+                    merged.push((pt.to_string(), Vec::new()));
+                    &mut merged.last_mut().expect("just pushed").1
                 }
+            };
+            match slot.iter_mut().find(|(p, _)| p == phase) {
+                Some((_, acc)) => acc.merge(h),
+                None => slot.push((phase, h.clone())),
             }
         }
     }
@@ -215,10 +232,8 @@ pub fn trace_chrome(runs: &[TargetRun]) -> String {
 /// run-level worker count and elapsed time.
 pub fn build_metrics(runs: &[TargetRun], workers: usize, elapsed: Duration) -> MetricsRegistry {
     let mut registry = MetricsRegistry::new();
-    for run in runs {
-        for report in &run.reports {
-            registry.observe(family_of(&report.label), report.wall, report.samples);
-        }
+    for report in family_reports(runs) {
+        registry.observe(family_of(&report.label), report.wall, report.samples);
     }
     registry.set_run(workers, elapsed);
     registry
@@ -238,29 +253,27 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         wall_secs: f64,
     }
     let mut rows: Vec<Row> = Vec::new();
-    for run in runs {
-        for report in &run.reports {
-            let family = family_of(&report.label);
-            let row = match rows.iter_mut().find(|r| r.family == family) {
-                Some(row) => row,
-                None => {
-                    rows.push(Row {
-                        family: family.to_string(),
-                        shards: 0,
-                        samples: 0,
-                        events: 0,
-                        sim_ns: 0,
-                        wall_secs: 0.0,
-                    });
-                    rows.last_mut().expect("just pushed")
-                }
-            };
-            row.shards += 1;
-            row.samples += report.samples;
-            row.events += report.obs.counter("events").unwrap_or(0);
-            row.sim_ns += report.obs.counter("sim_ns").unwrap_or(0);
-            row.wall_secs += report.wall.as_secs_f64();
-        }
+    for report in family_reports(runs) {
+        let family = family_of(&report.label);
+        let row = match rows.iter_mut().find(|r| r.family == family) {
+            Some(row) => row,
+            None => {
+                rows.push(Row {
+                    family: family.to_string(),
+                    shards: 0,
+                    samples: 0,
+                    events: 0,
+                    sim_ns: 0,
+                    wall_secs: 0.0,
+                });
+                rows.last_mut().expect("just pushed")
+            }
+        };
+        row.shards += 1;
+        row.samples += report.samples;
+        row.events += report.obs.counter("events").unwrap_or(0);
+        row.sim_ns += report.obs.counter("sim_ns").unwrap_or(0);
+        row.wall_secs += report.wall.as_secs_f64();
     }
     let mut table = Table::new([
         "family",
@@ -301,7 +314,6 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use ptperf::executor::ShardReport;
     use ptperf_obs::{ShardObsData, SpanRecord};
 
     use super::*;
@@ -492,6 +504,53 @@ mod tests {
         assert!(json.contains("\"workers\":4"));
         assert!(json.contains("\"family\":\"fig6\""));
         assert!(json.contains("\"samples\":12"));
+    }
+
+    /// A histogram report's `pts` array: everything after its target
+    /// list.
+    fn pts(doc: &str) -> &str {
+        doc.split_once("\"pts\":").expect("hist report has pts").1
+    }
+
+    #[test]
+    fn targets_sharing_a_family_run_count_it_once() {
+        // Two targets of one family carry the reports of its one run.
+        let once = [sample_run()];
+        let mut table = sample_run();
+        table.name = "table_of_fig6".to_string();
+        let twice = [sample_run(), table];
+        assert_eq!(family_reports(&twice).count(), 1);
+        assert_eq!(pts(&hist_json(&twice)), pts(&hist_json(&once)));
+        assert_eq!(profile_table(&twice), profile_table(&once));
+        let metrics = |runs: &[TargetRun]| build_metrics(runs, 1, Duration::from_secs(1)).to_json();
+        assert_eq!(metrics(&twice), metrics(&once));
+        // A target of another family adds its own reports.
+        let mut other = sample_run();
+        other.name = "fig5".to_string();
+        other.reports[0].label = "fig5/obfs4".to_string();
+        let both = [sample_run(), other];
+        assert_eq!(family_reports(&both).count(), 2);
+        assert!(profile_table(&both).contains("Profile — 2 shard(s)"));
+    }
+
+    #[test]
+    fn all_targets_hist_matches_one_target_per_family() {
+        use ptperf::executor::{Parallelism, Record};
+        use ptperf::scenario::Scenario;
+        let scenario = Scenario::baseline(42);
+        let par = Parallelism::new(2).with_recording(Record::Trace);
+        let hist = |names: &[&str]| {
+            let runs = crate::run_targets(names, &scenario, crate::RunScale::Quick, &par)
+                .expect("no shard fails");
+            hist_json(&runs.targets)
+        };
+        let one_per_family =
+            "fig2a fig2b fig3a fig4 fig5 fig6 fig7 fig8a medium fig9 fig10a fig11 streaming";
+        let one_per_family: Vec<&str> = one_per_family.split(' ').collect();
+        assert_eq!(
+            pts(&hist(&crate::available_targets())),
+            pts(&hist(&one_per_family))
+        );
     }
 
     #[test]

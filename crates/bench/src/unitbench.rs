@@ -93,7 +93,7 @@ pub struct ClassResult {
 /// saves.
 #[derive(Debug)]
 pub struct SiteResult {
-    /// Full corpus rebuild p50 (cache bypassed), microseconds.
+    /// Full corpus rebuild p50 (`Website::top`), microseconds.
     pub rebuild_p50_us: f64,
     /// Cached fetch p50 (Arc clone out of the memo), microseconds.
     pub cached_p50_us: f64,
@@ -244,17 +244,14 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     }
 }
 
-/// Times the site-workload memo: p50 of a full corpus rebuild (cache
-/// bypassed) vs a cached fetch, plus the `site/rebuilds_saved` ticks
-/// the cached lane produced.
+/// Times the site-workload memo: p50 of a full corpus rebuild (a direct
+/// `Website::top` call) vs a cached fetch, plus the
+/// `site/rebuilds_saved` ticks the cached lane produced.
 pub fn bench_sites(runs: usize) -> SiteResult {
     const CORPUS: usize = 200;
+    let rebuild_us = emit::timed_runs(runs, || Website::top(SiteList::Tranco, CORPUS));
+
     let scenario = Scenario::baseline(23);
-
-    scenario.set_site_caching(false);
-    let rebuild_us = emit::timed_runs(runs, || scenario.top_sites(SiteList::Tranco, CORPUS));
-
-    scenario.set_site_caching(true);
     let sites = scenario.top_sites(SiteList::Tranco, CORPUS); // populate the memo
     std::hint::black_box(sites);
     let saved_before = ptperf_obs::perf::snapshot();

@@ -44,6 +44,49 @@ fn malformed_invocations_exit_2_with_one_line() {
             "repro {args:?}: {stderr}"
         );
     }
+    // A mode flag reads no target and no flag but its own, --quiet and
+    // -v (and --bench its --bench-out): anything else is named, and
+    // nothing runs.
+    for (args, name) in [
+        (&["--bench", "flow", "--trace", "t.jsonl"][..], "--trace"),
+        (&["--bench", "flow", "--paper"], "--paper"),
+        (&["--bench", "flow", "--seed", "7"], "--seed"),
+        (&["--bench", "flow", "--workers", "2"], "--workers"),
+        (&["--quiet", "--bench", "flow", "--faults"], "--faults"),
+        (&["--bench", "flow", "table1"], "table1"),
+        (&["--json-check", "ok.json", "fig2a"], "fig2a"),
+        (
+            &["--json-check", "ok.json", "--trace", "t.jsonl"],
+            "--trace",
+        ),
+        (
+            &["-v", "--json-check", "ok.json", "--bench-out", "x"],
+            "--bench-out",
+        ),
+        (&["--check-bench", ".", "--csv", "d"], "--csv"),
+        (&["--check-bench", ".", "fig6"], "fig6"),
+        (&["--check-bench", ".", "--bench", "flow"], "--bench"),
+    ] {
+        let stderr = rejected(args);
+        assert!(
+            stderr.contains(&format!("'{name}'")),
+            "repro {args:?}: {stderr}"
+        );
+    }
+    let doc = std::env::temp_dir().join(format!("ptperf-repro-json-{}", std::process::id()));
+    std::fs::write(&doc, "{}").expect("write JSON document");
+    let (out, stderr) = repro(&[
+        "--quiet",
+        "--json-check",
+        doc.to_str().expect("utf-8 path"),
+        "-v",
+    ]);
+    std::fs::remove_file(&doc).expect("remove JSON document");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "--quiet and -v go with any mode: {stderr}"
+    );
     // A flag that takes a value takes the argument right after it: a
     // missing value, or another flag in its place, is that flag's error.
     for (args, flag) in [

@@ -14,13 +14,14 @@
 //! 2. results are always merged in shard-index order, not completion
 //!    order.
 //!
-//! Workers claim contiguous chunks of the unit list from a shared atomic
-//! cursor (chunked work-claiming — the cheap cousin of work stealing:
-//! idle workers keep pulling whatever chunks remain, so a straggler
-//! shard never idles the rest of the pool behind a static partition).
-//! Each unit runs under [`std::panic::catch_unwind`], so one failing
-//! shard is reported with its label while sibling shards complete
-//! normally.
+//! Workers claim units one at a time from a shared atomic cursor
+//! (work-claiming — the cheap cousin of work stealing: an idle worker
+//! takes the next unclaimed unit, so a straggler shard never idles the
+//! rest of the pool behind a static partition). With one worker the
+//! same loop runs on the calling thread and claims the units in index
+//! order. Each unit runs under [`std::panic::catch_unwind`], so one
+//! failing shard is reported with its label while sibling shards
+//! complete normally.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,11 +34,11 @@ use ptperf_web::PageScratch;
 
 /// Per-worker reusable buffers for measurement units: everything a unit
 /// pipeline needs to run allocation-free once warm. One `UnitScratch`
-/// lives on each worker thread for the lifetime of the pool (under the
-/// default [`ScratchMode::PerWorker`]), so consecutive units on the
-/// same worker reuse the same channel-establishment and page-load
-/// buffers. Every unit closure receives one; results are proven
-/// independent of scratch warmth by the determinism suite.
+/// lives on each worker for the lifetime of the pool, starting cold, so
+/// consecutive units on the same worker reuse the same
+/// channel-establishment and page-load buffers. Every unit closure
+/// receives one; results are proven independent of scratch warmth by
+/// the determinism suite, which runs its cold lane one unit per pool.
 #[derive(Debug, Default)]
 pub struct UnitScratch {
     /// Channel-establishment scratch (relay-selection buffers).
@@ -59,22 +60,6 @@ impl UnitScratch {
     pub fn grows(&self) -> u64 {
         self.establish.grows() + self.page.grows()
     }
-}
-
-/// How unit scratch is provisioned.
-///
-/// [`ScratchMode::PerWorker`] (the default) keeps one warm
-/// [`UnitScratch`] per worker thread; [`ScratchMode::PerUnit`] builds a
-/// cold scratch for every unit. Both produce bit-identical results —
-/// `PerUnit` exists as the A/B lane the determinism suite uses to prove
-/// exactly that — so the mode is purely an allocation knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScratchMode {
-    /// One warm scratch per worker thread, reused across units.
-    #[default]
-    PerWorker,
-    /// A cold scratch per unit (the reference lane).
-    PerUnit,
 }
 
 /// Whether shards record sim-time observations.
@@ -103,55 +88,31 @@ pub enum Record {
 /// purely a wall-clock knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Number of worker threads (clamped to ≥ 1).
+    /// Number of workers (clamped to ≥ 1 and to the unit count).
     pub workers: usize,
-    /// Units claimed per cursor fetch (clamped to ≥ 1). Larger chunks
-    /// amortize claiming overhead; smaller chunks balance stragglers.
-    pub chunk: usize,
     /// Whether shards record sim-time observations (default off).
     pub record: Record,
-    /// How unit scratch is provisioned (default one warm scratch per
-    /// worker).
-    pub scratch: ScratchMode,
 }
 
 impl Parallelism {
     /// One worker on the calling thread; the reference execution.
     pub fn sequential() -> Parallelism {
-        Parallelism { workers: 1, chunk: 1, record: Record::Off, scratch: ScratchMode::PerWorker }
+        Parallelism::new(1)
     }
 
-    /// A fixed worker count with single-unit claiming.
+    /// A fixed worker count.
     pub fn new(workers: usize) -> Parallelism {
-        Parallelism {
-            workers: workers.max(1),
-            chunk: 1,
-            record: Record::Off,
-            scratch: ScratchMode::PerWorker,
-        }
+        Parallelism { workers: workers.max(1), record: Record::Off }
     }
 
     /// One worker per available hardware thread.
     pub fn auto() -> Parallelism {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Parallelism { workers, chunk: 1, record: Record::Off, scratch: ScratchMode::PerWorker }
-    }
-
-    /// Set the units-per-claim chunk size.
-    pub fn with_chunk(mut self, chunk: usize) -> Parallelism {
-        self.chunk = chunk.max(1);
-        self
+        Parallelism::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Set the recording mode.
     pub fn with_recording(mut self, record: Record) -> Parallelism {
         self.record = record;
-        self
-    }
-
-    /// Set the scratch provisioning mode.
-    pub fn with_scratch(mut self, scratch: ScratchMode) -> Parallelism {
-        self.scratch = scratch;
         self
     }
 }
@@ -188,20 +149,11 @@ impl<T> Unit<T> {
     }
 
     /// Create a unit whose closure records into the shard's
-    /// [`Recorder`]. Under [`Record::Off`] the recorder is a
-    /// [`NullRecorder`], so instrumented units cost nothing extra when
-    /// recording is disabled.
-    pub fn traced(
-        label: impl Into<String>,
-        work: impl FnOnce(&mut dyn Recorder) -> (T, usize) + Send + 'static,
-    ) -> Unit<T> {
-        Unit { label: label.into(), work: Box::new(move |rec, _| work(rec)) }
-    }
-
-    /// Create a unit whose closure additionally borrows the worker's
-    /// [`UnitScratch`], making the whole unit allocation-free once the
-    /// worker is warm. Under [`ScratchMode::PerUnit`] the closure sees a
-    /// cold scratch instead; results are identical either way.
+    /// [`Recorder`] and borrows the worker's [`UnitScratch`], making the
+    /// whole unit allocation-free once the worker is warm. Under
+    /// [`Record::Off`] the recorder is a [`NullRecorder`], so
+    /// instrumented units cost nothing extra when recording is
+    /// disabled; warm and cold scratch give identical results.
     pub fn pooled(
         label: impl Into<String>,
         work: impl FnOnce(&mut dyn Recorder, &mut UnitScratch) -> (T, usize) + Send + 'static,
@@ -294,8 +246,8 @@ impl std::error::Error for ExecError {}
 /// Successful result of [`run_units`].
 #[derive(Debug)]
 pub struct Executed<T> {
-    /// Shard values in submission order — independent of worker count,
-    /// chunk size, and completion order.
+    /// Shard values in submission order — independent of worker count
+    /// and completion order.
     pub values: Vec<T>,
     /// Per-shard timing/sample records, in submission order.
     pub reports: Vec<ShardReport>,
@@ -353,9 +305,10 @@ fn run_one<T>(
 
 /// Run every unit and return the values in submission order.
 ///
-/// With `workers == 1` the units run in order on the calling thread;
-/// otherwise `workers` scoped threads claim chunks of the unit list
-/// from a shared cursor until it is drained. Either way the output is
+/// Each worker starts with a cold [`UnitScratch`] and claims one unit
+/// at a time from a shared cursor until the list is drained. One worker
+/// runs that loop on the calling thread, so the units run there in
+/// index order; more run it on scoped threads. Either way the output is
 /// identical (see the module docs). If any shard panics, the error
 /// lists every failing shard and the panic is *contained*: sibling
 /// shards still run to completion.
@@ -366,59 +319,32 @@ pub fn run_units<T: Send>(
     let started = Instant::now();
     let n = units.len();
     let workers = par.workers.clamp(1, n.max(1));
-    let chunk = par.chunk.max(1);
 
     let results: Mutex<Vec<Option<(T, ShardReport)>>> =
         Mutex::new((0..n).map(|_| None).collect());
     let failures: Mutex<Vec<ShardFailure>> = Mutex::new(Vec::new());
-
-    if workers <= 1 {
+    let jobs: Vec<Mutex<Option<Unit<T>>>> =
+        units.into_iter().map(|u| Mutex::new(Some(u))).collect();
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
         let mut scratch = UnitScratch::new();
-        for (index, unit) in units.into_iter().enumerate() {
-            if par.scratch == ScratchMode::PerUnit {
-                scratch = UnitScratch::new();
-            }
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(index) else { break };
+            let unit = job.lock().expect("job lock").take().expect("each unit is claimed once");
             if !run_one(unit, index, par.record, &mut scratch, &results, &failures) {
                 // A panicking unit may leave half-torn buffers; start
                 // the next unit from a cold scratch.
                 scratch = UnitScratch::new();
             }
         }
+    };
+    if workers == 1 {
+        worker();
     } else {
-        let jobs: Vec<Mutex<Option<Unit<T>>>> =
-            units.into_iter().map(|u| Mutex::new(Some(u))).collect();
-        let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = UnitScratch::new();
-                    loop {
-                        let base = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if base >= n {
-                            break;
-                        }
-                        let claimed = jobs[base..(base + chunk).min(n)].iter().enumerate();
-                        for (offset, job) in claimed {
-                            let unit = job.lock().expect("job lock").take();
-                            if let Some(unit) = unit {
-                                if par.scratch == ScratchMode::PerUnit {
-                                    scratch = UnitScratch::new();
-                                }
-                                let ok = run_one(
-                                    unit,
-                                    base + offset,
-                                    par.record,
-                                    &mut scratch,
-                                    &results,
-                                    &failures,
-                                );
-                                if !ok {
-                                    scratch = UnitScratch::new();
-                                }
-                            }
-                        }
-                    }
-                });
+                scope.spawn(worker);
             }
         });
     }
@@ -456,13 +382,43 @@ mod tests {
         for par in [
             Parallelism::sequential(),
             Parallelism::new(3),
-            Parallelism::new(8).with_chunk(2),
+            Parallelism::new(8),
         ] {
             let out = run_units(&par, squares(17)).unwrap();
             let expect: Vec<usize> = (0..17).map(|i| i * i).collect();
             assert_eq!(out.values, expect, "{par:?}");
             assert_eq!(out.reports.len(), 17);
             assert!(out.reports.iter().enumerate().all(|(i, r)| r.index == i));
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_every_unit_on_the_calling_thread_in_index_order() {
+        use std::sync::Arc;
+        let caller = std::thread::current().id();
+        let logged = |n: usize, log: &Arc<Mutex<Vec<usize>>>| -> Vec<Unit<bool>> {
+            (0..n)
+                .map(|i| {
+                    let log = Arc::clone(log);
+                    Unit::new(format!("u/{i}"), move || {
+                        log.lock().unwrap().push(i);
+                        (std::thread::current().id() == caller, 1)
+                    })
+                })
+                .collect()
+        };
+        // Sequential, a zero worker count, and more workers than units
+        // all clamp to one worker.
+        for (par, n) in [
+            (Parallelism::sequential(), 6),
+            (Parallelism { workers: 0, record: Record::Off }, 6),
+            (Parallelism::new(4), 1),
+        ] {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let out = run_units(&par, logged(n, &log)).unwrap();
+            assert_eq!(out.workers, 1, "{par:?}");
+            assert!(out.values.iter().all(|&on_caller| on_caller), "{par:?}");
+            assert_eq!(*log.lock().unwrap(), (0..n).collect::<Vec<_>>(), "{par:?}");
         }
     }
 
@@ -514,7 +470,7 @@ mod tests {
     fn traced_squares(n: usize) -> Vec<Unit<usize>> {
         (0..n)
             .map(|i| {
-                Unit::traced(format!("sq/{i}"), move |rec| {
+                Unit::pooled(format!("sq/{i}"), move |rec, _| {
                     rec.add("work", i as u64);
                     rec.span("compute", 0, 1_000);
                     (i * i, 1)
@@ -592,20 +548,20 @@ mod tests {
 
     #[test]
     fn per_worker_scratch_stays_warm_across_pooled_units() {
-        // Sequential PerWorker: one scratch serves every unit, so the
-        // page-scratch use count climbs 1, 2, 3, 4.
+        // Sequential: one scratch serves every unit, so the page-scratch
+        // use count climbs 1, 2, 3, 4.
         let warm = run_units(&Parallelism::sequential(), page_units(4)).unwrap();
         assert_eq!(warm.values, vec![1, 2, 3, 4]);
-        // PerUnit (the A/B reference lane): every unit sees a cold scratch.
-        let cold = run_units(
-            &Parallelism::sequential().with_scratch(ScratchMode::PerUnit),
-            page_units(4),
-        )
-        .unwrap();
-        assert_eq!(cold.values, vec![1, 1, 1, 1]);
-        // Parallel PerWorker: each worker's count climbs from 1, so at
-        // most one cold unit per worker (a racing worker may claim no
-        // units at all), and the rest saw warm scratch.
+        // One pool per unit: every pool starts cold, so every unit sees
+        // a cold scratch.
+        let cold: Vec<u64> = page_units(4)
+            .into_iter()
+            .flat_map(|unit| run_units(&Parallelism::sequential(), vec![unit]).unwrap().values)
+            .collect();
+        assert_eq!(cold, vec![1, 1, 1, 1]);
+        // Two workers: each worker's count climbs from 1, so at most one
+        // cold unit per worker (a racing worker may claim no units at
+        // all), and the rest saw warm scratch.
         let par = run_units(&Parallelism::new(2), page_units(6)).unwrap();
         assert!(par.values.iter().all(|&u| (1..=6).contains(&u)));
         let cold_units = par.values.iter().filter(|&&u| u == 1).count();

@@ -12,9 +12,10 @@ use std::sync::Arc;
 use ptperf_sim::Location;
 use ptperf_stats::{ascii_boxplots, Summary};
 use ptperf_transports::PtId;
+use ptperf_web::FaultSession;
 
 use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
-use crate::measure::curl_site_averages_pooled;
+use crate::measure::curl_site_averages;
 use crate::scenario::Scenario;
 
 /// The showcased PTs of Figure 7.
@@ -87,9 +88,9 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                     format!("fig7/{client}/{server}/{pt}"),
                     move |rec, scratch| {
                         let mut rng = sc.rng(&format!("fig7/{client}/{server}/{pt}"));
-                        let avgs = curl_site_averages_pooled(
+                        let avgs = curl_site_averages(
                             &sc, pt, &sites, cfg.repeats, &mut rng, rec,
-                            &mut scratch.establish,
+                            &mut scratch.establish, &mut FaultSession::off(),
                         );
                         let n = avgs.len();
                         (((client, server, pt), avgs), n)

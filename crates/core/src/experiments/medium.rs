@@ -9,9 +9,10 @@ use std::sync::Arc;
 
 use ptperf_sim::Medium;
 use ptperf_transports::PtId;
+use ptperf_web::FaultSession;
 
 use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
-use crate::measure::curl_site_averages_pooled;
+use crate::measure::curl_site_averages;
 use crate::scenario::Scenario;
 
 use super::figure_order;
@@ -87,8 +88,9 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
             let sites = Arc::clone(&sites);
             units.push(Unit::pooled(format!("medium/{medium:?}/{pt}"), move |rec, scratch| {
                 let mut rng = sc.rng(&format!("medium/{medium:?}/{pt}"));
-                let avgs = curl_site_averages_pooled(
+                let avgs = curl_site_averages(
                     &sc, pt, &sites, cfg.repeats, &mut rng, rec, &mut scratch.establish,
+                    &mut FaultSession::off(),
                 );
                 let n = avgs.len();
                 (

@@ -2,8 +2,10 @@
 //!
 //! Every runner follows the same shape: a `Config` with a `quick()`
 //! preset (seconds, for tests) and a `paper()` preset (the full scale of
-//! the original campaign), a `run(&Scenario, &Config)` entry point
-//! returning a typed result, and a `render()` producing the text
+//! the original campaign), `units` and `merge` that split the work into
+//! executor shards and join their values, `run_with` running those
+//! shards at a given [`crate::executor::Parallelism`], `run` as its
+//! sequential shorthand, and a `render()` producing the text
 //! figure/table.
 
 pub mod file_download;

@@ -85,7 +85,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Result>> {
     let scenario = scenario.clone();
     let cfg = *cfg;
     vec![Unit::pooled("fig9", move |rec, scratch| {
-        let r = run_pooled(&scenario, &cfg, rec, &mut scratch.establish);
+        let r = run_shard(&scenario, &cfg, rec, &mut scratch.establish);
         let n: usize = r.diffs.values().map(|v| v.len()).sum();
         (r, n)
     })]
@@ -108,23 +108,15 @@ pub fn run_with(
 
 /// Runs the experiment.
 pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_traced(scenario, cfg, &mut ptperf_obs::NullRecorder)
+    run_with(scenario, cfg, &Parallelism::sequential())
+        .expect("campaign units do not panic")
+        .0
 }
 
-/// [`run`] with observation: per-fetch phase accumulation and an
-/// `events` counter. The plain entry point delegates here with a no-op
-/// recorder, so both paths draw the identical RNG sequence.
-pub fn run_traced(
-    scenario: &Scenario,
-    cfg: &Config,
-    rec: &mut dyn ptperf_obs::Recorder,
-) -> Result {
-    run_pooled(scenario, cfg, rec, &mut EstablishScratch::new())
-}
-
-/// [`run_traced`] reusing caller-provided establish scratch. The scratch
-/// holds no RNG state, so warm and fresh scratch yield identical results.
-pub fn run_pooled(
+/// The experiment's one shard: per-fetch phase accumulation and an
+/// `events` counter go to `rec`. The establish scratch holds no RNG
+/// state, so warm and fresh scratch yield identical results.
+fn run_shard(
     scenario: &Scenario,
     cfg: &Config,
     rec: &mut dyn ptperf_obs::Recorder,

@@ -15,7 +15,7 @@ use ptperf_stats::{ascii_boxplots, PairedTTest, Summary};
 use ptperf_transports::{fault_bias, PtId};
 
 use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
-use crate::measure::curl_site_averages_faulted;
+use crate::measure::curl_site_averages;
 use crate::scenario::{Epoch, Scenario};
 
 /// Configuration.
@@ -122,7 +122,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
         units.push(Unit::pooled("fig10/pre", move |rec, scratch| {
             let mut rng = sc.rng("fig10/pre");
             let mut faults = sc.fault_session("fig10/pre", fault_bias(PtId::Snowflake));
-            let v = curl_site_averages_faulted(
+            let v = curl_site_averages(
                 &sc,
                 PtId::Snowflake,
                 &sites,
@@ -146,7 +146,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
         units.push(Unit::pooled("fig10/post", move |rec, scratch| {
             let mut rng = sc.rng("fig10/post");
             let mut faults = sc.fault_session("fig10/post", fault_bias(PtId::Snowflake));
-            let v = curl_site_averages_faulted(
+            let v = curl_site_averages(
                 &sc,
                 PtId::Snowflake,
                 &sites,
@@ -169,7 +169,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
         units.push(Unit::pooled("fig12/pre", move |rec, scratch| {
             let mut rng = sc.rng("fig12/pre");
             let mut faults = sc.fault_session("fig12/pre", fault_bias(PtId::Snowflake));
-            let v = curl_site_averages_faulted(
+            let v = curl_site_averages(
                 &sc,
                 PtId::Snowflake,
                 &monitor_sites,
@@ -200,7 +200,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
             let mut rng = sc.rng(&format!("fig12/week{week}"));
             let mut faults =
                 sc.fault_session(&format!("fig12/week{week}"), fault_bias(PtId::Snowflake));
-            let v = curl_site_averages_faulted(
+            let v = curl_site_averages(
                 &sc,
                 PtId::Snowflake,
                 &monitor_sites,

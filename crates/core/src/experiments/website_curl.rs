@@ -6,9 +6,10 @@ use std::sync::Arc;
 
 use ptperf_stats::{ascii_boxplots, Summary};
 use ptperf_transports::PtId;
+use ptperf_web::FaultSession;
 
 use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
-use crate::measure::{curl_site_averages_pooled, PairedSamples};
+use crate::measure::{curl_site_averages, PairedSamples};
 use crate::scenario::Scenario;
 
 use super::figure_order;
@@ -65,7 +66,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
             let sites = Arc::clone(&sites);
             Unit::pooled(format!("fig2a/{pt}"), move |rec, scratch| {
                 let mut rng = scenario.rng(&format!("fig2a/{pt}"));
-                let avgs = curl_site_averages_pooled(
+                let avgs = curl_site_averages(
                     &scenario,
                     pt,
                     &sites,
@@ -73,6 +74,7 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                     &mut rng,
                     rec,
                     &mut scratch.establish,
+                    &mut FaultSession::off(),
                 );
                 let n = avgs.len();
                 ((pt, avgs), n)

@@ -1,8 +1,13 @@
 //! Measurement primitives shared by the experiment runners: run a
 //! workload through a transport, aggregate per-site averages, and hold
 //! paired samples for the statistical tables.
+//!
+//! Each measurement has one entry point, whose arguments are what
+//! every unit threads through: its recorder, its worker's scratch and
+//! its fault session. A caller with none of them passes a
+//! `NullRecorder`, a fresh scratch and `FaultSession::off()`.
 
-use ptperf_obs::{NullRecorder, PhaseAccum, Recorder};
+use ptperf_obs::{PhaseAccum, Recorder};
 use ptperf_sim::SimRng;
 use ptperf_stats::{PairedTTest, Summary};
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
@@ -122,67 +127,19 @@ pub fn target_sites(n_per_list: usize) -> Vec<Website> {
 /// Measures curl website access time for one PT over `sites`, averaging
 /// `repeats` fetches per site (the paper used five). Returns per-site
 /// averages in site order.
-pub fn curl_site_averages(
-    scenario: &Scenario,
-    pt: PtId,
-    sites: &[Website],
-    repeats: usize,
-    rng: &mut SimRng,
-) -> Vec<f64> {
-    curl_site_averages_traced(scenario, pt, sites, repeats, rng, &mut NullRecorder)
-}
-
-/// [`curl_site_averages`] with observation: accumulates per-phase sim
-/// time (handshake / request / transfer) across all fetches and counts
-/// each fetch as one `events` tick. The un-traced entry point delegates
-/// here with a no-op recorder — both paths draw the identical RNG
-/// sequence, so recording cannot perturb the measurements.
-pub fn curl_site_averages_traced(
-    scenario: &Scenario,
-    pt: PtId,
-    sites: &[Website],
-    repeats: usize,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-) -> Vec<f64> {
-    curl_site_averages_pooled(scenario, pt, sites, repeats, rng, rec, &mut EstablishScratch::new())
-}
-
-/// [`curl_site_averages_traced`] against a caller-owned establishment
-/// scratch — the executor threads its per-worker
-/// [`crate::executor::UnitScratch::establish`] here so repeated curl
-/// units reuse the relay-selection buffers. Scratch warmth never
-/// changes results (the determinism suite proves it bit for bit); the
-/// other entry points delegate here with a cold scratch.
-pub fn curl_site_averages_pooled(
-    scenario: &Scenario,
-    pt: PtId,
-    sites: &[Website],
-    repeats: usize,
-    rng: &mut SimRng,
-    rec: &mut dyn Recorder,
-    scratch: &mut EstablishScratch,
-) -> Vec<f64> {
-    curl_site_averages_faulted(
-        scenario,
-        pt,
-        sites,
-        repeats,
-        rng,
-        rec,
-        scratch,
-        &mut FaultSession::off(),
-    )
-}
-
-/// [`curl_site_averages_pooled`] through a [`FaultSession`] — the
-/// single model body behind every curl entry point. An off session
-/// routes each fetch through [`curl::fetch_faulted`]'s delegating arm,
-/// which is the plain [`curl::fetch`] with zero extra RNG draws, so
-/// the fault-free lanes stay bit-for-bit identical; an active session
-/// injects per the session's plan and accumulates disposition stats.
+///
+/// `rec` accumulates per-phase sim time (handshake / request /
+/// transfer) across all fetches and counts each fetch as one `events`
+/// tick; a [`ptperf_obs::NullRecorder`] draws the identical RNG
+/// sequence, so recording cannot perturb the measurements. `scratch` is
+/// the caller's establishment scratch — the executor threads its
+/// per-worker [`crate::executor::UnitScratch::establish`] here — and
+/// its warmth never changes results. Each fetch goes through
+/// [`curl::fetch_faulted`]: an off session is the plain
+/// [`curl::fetch`] with zero extra RNG draws, and an active one injects
+/// per the session's plan and accumulates disposition stats.
 #[allow(clippy::too_many_arguments)]
-pub fn curl_site_averages_faulted(
+pub fn curl_site_averages(
     scenario: &Scenario,
     pt: PtId,
     sites: &[Website],
@@ -260,7 +217,29 @@ pub(crate) fn record_fetch_phases(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptperf_obs::NullRecorder;
     use ptperf_sim::Location;
+
+    /// Two fetches per site on a cold scratch with faults off.
+    fn averages(
+        scenario: &Scenario,
+        pt: PtId,
+        sites: &[Website],
+        rng: &mut SimRng,
+        rec: &mut dyn Recorder,
+    ) -> Vec<f64> {
+        let mut scratch = EstablishScratch::new();
+        curl_site_averages(
+            scenario,
+            pt,
+            sites,
+            2,
+            rng,
+            rec,
+            &mut scratch,
+            &mut FaultSession::off(),
+        )
+    }
 
     #[test]
     fn paired_samples_align() {
@@ -316,7 +295,13 @@ mod tests {
         let scenario = Scenario::baseline(5);
         let sites = target_sites(4);
         let mut rng = scenario.rng("test");
-        let avgs = curl_site_averages(&scenario, PtId::Vanilla, &sites, 2, &mut rng);
+        let avgs = averages(
+            &scenario,
+            PtId::Vanilla,
+            &sites,
+            &mut rng,
+            &mut NullRecorder,
+        );
         assert_eq!(avgs.len(), 8);
         assert!(avgs.iter().all(|&t| t > 0.0 && t <= 120.0));
     }
@@ -328,15 +313,14 @@ mod tests {
         let mut rng_a = scenario.rng("trace");
         let mut rng_b = scenario.rng("trace");
         let mut rec = ptperf_obs::MemoryRecorder::new();
-        let plain = curl_site_averages(&scenario, PtId::Obfs4, &sites, 2, &mut rng_a);
-        let traced = curl_site_averages_traced(
+        let plain = averages(
             &scenario,
             PtId::Obfs4,
             &sites,
-            2,
-            &mut rng_b,
-            &mut rec,
+            &mut rng_a,
+            &mut NullRecorder,
         );
+        let traced = averages(&scenario, PtId::Obfs4, &sites, &mut rng_b, &mut rec);
         assert_eq!(
             plain.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             traced.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -367,8 +351,14 @@ mod tests {
         let scenario = Scenario::baseline(6);
         let sites = target_sites(10);
         let mut rng = scenario.rng("cmp");
-        let obfs4 = curl_site_averages(&scenario, PtId::Obfs4, &sites, 2, &mut rng);
-        let marionette = curl_site_averages(&scenario, PtId::Marionette, &sites, 2, &mut rng);
+        let obfs4 = averages(&scenario, PtId::Obfs4, &sites, &mut rng, &mut NullRecorder);
+        let marionette = averages(
+            &scenario,
+            PtId::Marionette,
+            &sites,
+            &mut rng,
+            &mut NullRecorder,
+        );
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(
             mean(&marionette) > mean(&obfs4) * 2.0,

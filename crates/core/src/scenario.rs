@@ -1,8 +1,12 @@
 //! Measurement scenarios: the shared configuration an experiment runs
 //! under — deployment seed, client/server locations, access medium, and
 //! the snowflake load epoch.
+//!
+//! A scenario also memoizes its deployment and site workloads: all of
+//! its clones share one build per key, and there is no switch to turn
+//! that off. A lane that must rebuild per unit builds each unit on its
+//! own fresh [`Scenario::baseline`], as the determinism suite does.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ptperf_sim::fault::FaultBias;
@@ -12,38 +16,45 @@ use ptperf_web::{FaultSession, SiteList, Website};
 
 pub use ptperf_sim::fault::{FaultConfig, FaultProfile};
 
-/// Memoized deployments, shared by every clone of a [`Scenario`].
+/// Memoized builds, shared by every clone of a [`Scenario`].
 ///
-/// Building a deployment regenerates the full relay consensus, which is
-/// by far the most expensive step of a measurement unit. Deployment
-/// construction is a pure function of `(seed, server_region)`, so all
-/// thirteen families (and every executor shard that clones the scenario)
-/// can share one immutable build per key. The handful of keys per
+/// Deployments and site workloads are pure functions of their keys —
+/// `(seed, server_region)` and `(list, n)` — so all thirteen families
+/// (and every executor shard that clones the scenario) can share one
+/// immutable build per key instead of rebuilding per unit. Building a
+/// deployment regenerates the full relay consensus, by far the most
+/// expensive step of a measurement unit. The handful of keys per
 /// campaign makes a small linear-scan vec cheaper and simpler than a
 /// hash map.
-type CacheKey = (u64, Location);
+#[derive(Debug)]
+struct Memo<K, V: ?Sized> {
+    entries: Mutex<Vec<(K, Arc<V>)>>,
+}
 
-#[derive(Debug, Default)]
-struct DeploymentCache {
-    bypass: AtomicBool,
-    entries: Mutex<Vec<(CacheKey, Arc<Deployment>)>>,
+impl<K: PartialEq, V: ?Sized> Memo<K, V> {
+    fn new() -> Arc<Memo<K, V>> {
+        Arc::new(Memo {
+            entries: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// The build for `key`: the memoized one (ticking `saved`), else
+    /// `build()`, stored for later calls.
+    fn get(&self, key: K, saved: fn(), build: impl FnOnce() -> Arc<V>) -> Arc<V> {
+        let mut entries = self.entries.lock().expect("memo lock");
+        if let Some((_, value)) = entries.iter().find(|(k, _)| *k == key) {
+            saved();
+            return Arc::clone(value);
+        }
+        let value = build();
+        entries.push((key, Arc::clone(&value)));
+        value
+    }
 }
 
 /// Key for a memoized site workload: `None` is the paper's standard
 /// mixed Tranco + CBL list, `Some(list)` a single-list top-`n` slice.
 type SiteKey = (Option<SiteList>, usize);
-
-/// Memoized site workloads, shared by every clone of a [`Scenario`].
-///
-/// Website generation is a pure function of `(list, n)` — no seed input
-/// at all — so every family asking for the same workload can share one
-/// immutable `Arc<[Website]>` instead of regenerating the corpus per
-/// unit. Same linear-scan-vec shape as [`DeploymentCache`].
-#[derive(Debug, Default)]
-struct SiteCache {
-    bypass: AtomicBool,
-    entries: Mutex<Vec<(SiteKey, Arc<[Website]>)>>,
-}
 
 /// The snowflake load epoch (§5.3): before the September-2022 Iran
 /// protests, the surge, and the elevated plateau the paper kept observing
@@ -90,8 +101,8 @@ pub struct Scenario {
     /// routes every family's transfers through the retry/timeout
     /// driver with plan-generated fault schedules.
     pub faults: FaultConfig,
-    dep_cache: Arc<DeploymentCache>,
-    site_cache: Arc<SiteCache>,
+    dep_cache: Arc<Memo<(u64, Location), Deployment>>,
+    site_cache: Arc<Memo<SiteKey, [Website]>>,
 }
 
 impl Scenario {
@@ -105,8 +116,8 @@ impl Scenario {
             medium: Medium::Wired,
             epoch: Epoch::PreSurge,
             faults: FaultConfig::Off,
-            dep_cache: Arc::new(DeploymentCache::default()),
-            site_cache: Arc::new(SiteCache::default()),
+            dep_cache: Memo::new(),
+            site_cache: Memo::new(),
         }
     }
 
@@ -145,18 +156,11 @@ impl Scenario {
     /// sharing is observationally identical to rebuilding (the
     /// determinism suite proves this bit-for-bit).
     pub fn deployment(&self) -> Arc<Deployment> {
-        if self.dep_cache.bypass.load(Ordering::Relaxed) {
-            return Arc::new(Deployment::standard(self.seed, self.server_region));
-        }
-        let key = (self.seed, self.server_region);
-        let mut entries = self.dep_cache.entries.lock().unwrap();
-        if let Some((_, dep)) = entries.iter().find(|(k, _)| *k == key) {
-            ptperf_obs::perf::incr_deployment_rebuilds_saved();
-            return Arc::clone(dep);
-        }
-        let dep = Arc::new(Deployment::standard(self.seed, self.server_region));
-        entries.push((key, Arc::clone(&dep)));
-        dep
+        self.dep_cache.get(
+            (self.seed, self.server_region),
+            ptperf_obs::perf::incr_deployment_rebuilds_saved,
+            || Arc::new(self.deployment_owned()),
+        )
     }
 
     /// A private, mutable deployment build for experiments that modify
@@ -164,13 +168,6 @@ impl Scenario {
     /// Never cached: mutations must not leak into other families.
     pub fn deployment_owned(&self) -> Deployment {
         Deployment::standard(self.seed, self.server_region)
-    }
-
-    /// Toggles deployment memoization (on by default). The off position
-    /// is the A/B lane for the determinism suite and the establish
-    /// benchmark: every `deployment()` call rebuilds from the seed.
-    pub fn set_deployment_caching(&self, enabled: bool) {
-        self.dep_cache.bypass.store(!enabled, Ordering::Relaxed);
     }
 
     /// The paper's standard mixed workload — `n` sites from each of
@@ -189,24 +186,14 @@ impl Scenario {
     }
 
     fn sites_for(&self, key: SiteKey) -> Arc<[Website]> {
-        if self.site_cache.bypass.load(Ordering::Relaxed) {
-            return build_sites(key);
-        }
-        let mut entries = self.site_cache.entries.lock().unwrap();
-        if let Some((_, sites)) = entries.iter().find(|(k, _)| *k == key) {
-            ptperf_obs::perf::incr_site_rebuilds_saved();
-            return Arc::clone(sites);
-        }
-        let sites = build_sites(key);
-        entries.push((key, Arc::clone(&sites)));
-        sites
-    }
-
-    /// Toggles site-workload memoization (on by default). The off
-    /// position is the A/B lane for the determinism suite: every
-    /// `target_sites`/`top_sites` call regenerates the corpus.
-    pub fn set_site_caching(&self, enabled: bool) {
-        self.site_cache.bypass.store(!enabled, Ordering::Relaxed);
+        self.site_cache.get(
+            key,
+            ptperf_obs::perf::incr_site_rebuilds_saved,
+            || match key {
+                (None, n) => crate::measure::target_sites(n).into(),
+                (Some(list), n) => Website::top(list, n).into(),
+            },
+        )
     }
 
     /// Per-measurement access options.
@@ -226,13 +213,6 @@ impl Scenario {
             h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
         }
         SimRng::new(h)
-    }
-}
-
-fn build_sites(key: SiteKey) -> Arc<[Website]> {
-    match key {
-        (None, n) => crate::measure::target_sites(n).into(),
-        (Some(list), n) => Website::top(list, n).into(),
     }
 }
 
@@ -301,18 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn caching_can_be_bypassed_for_ab_runs() {
-        let s = Scenario::baseline(13);
-        let warm = s.deployment();
-        s.set_deployment_caching(false);
-        let cold = s.deployment();
-        assert!(!Arc::ptr_eq(&warm, &cold), "bypass still hit the cache");
-        assert_eq!(*warm, *cold, "rebuild diverged from the cached build");
-        s.set_deployment_caching(true);
-        assert!(Arc::ptr_eq(&warm, &s.deployment()));
-    }
-
-    #[test]
     fn site_workloads_are_shared_across_calls_and_clones() {
         let s = Scenario::baseline(21);
         let a = s.target_sites(7);
@@ -335,18 +303,6 @@ mod tests {
         assert_eq!(&cached[..], &crate::measure::target_sites(4)[..]);
         let top = s.top_sites(SiteList::Cbl, 5);
         assert_eq!(&top[..], &Website::top(SiteList::Cbl, 5)[..]);
-    }
-
-    #[test]
-    fn site_caching_can_be_bypassed_for_ab_runs() {
-        let s = Scenario::baseline(23);
-        let warm = s.target_sites(3);
-        s.set_site_caching(false);
-        let cold = s.target_sites(3);
-        assert!(!Arc::ptr_eq(&warm, &cold), "bypass still hit the cache");
-        assert_eq!(&warm[..], &cold[..], "regeneration diverged");
-        s.set_site_caching(true);
-        assert!(Arc::ptr_eq(&warm, &s.target_sites(3)));
     }
 
     #[test]

@@ -80,19 +80,9 @@ pub struct TorChannelSpec {
 /// Builds the base channel through a Tor circuit: circuit construction
 /// time as `setup`, stream-open and request round trips, and the
 /// response-path transfer model. Transport models then add their own
-/// bootstrap, framing overhead, caps, and failure behavior.
-pub fn tor_channel(
-    dep: &Deployment,
-    opts: &AccessOptions,
-    spec: TorChannelSpec,
-    dest: Location,
-    rng: &mut SimRng,
-) -> Channel {
-    tor_channel_with(dep, opts, spec, dest, rng, &mut EstablishScratch::new())
-}
-
-/// [`tor_channel`] with caller-provided scratch: hot loops pass a
-/// persistent [`EstablishScratch`] to avoid per-establish allocation.
+/// bootstrap, framing overhead, caps, and failure behavior. Hot loops
+/// pass a persistent [`EstablishScratch`] to avoid per-establish
+/// allocation; a fresh one gives identical channels.
 pub fn tor_channel_with(
     dep: &Deployment,
     opts: &AccessOptions,
@@ -173,7 +163,7 @@ mod tests {
     #[test]
     fn vanilla_channel_has_positive_costs() {
         let (dep, opts, mut rng) = setup();
-        let ch = tor_channel(
+        let ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -183,6 +173,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         assert!(ch.setup > SimDuration::ZERO);
         assert!(ch.stream_open > SimDuration::ZERO);
@@ -199,7 +190,7 @@ mod tests {
         // guard distribution. Check via capacity: the bridge is lightly
         // loaded, so the bottleneck rarely drops to volunteer-guard lows.
         for _ in 0..20 {
-            let ch = tor_channel(
+            let ch = tor_channel_with(
                 &dep,
                 &opts,
                 TorChannelSpec {
@@ -209,6 +200,7 @@ mod tests {
                 },
                 Location::NewYork,
                 &mut rng,
+                &mut EstablishScratch::new(),
             );
             assert!(ch.response.bottleneck_bps > 0.0);
         }
@@ -221,7 +213,7 @@ mod tests {
         opts.path.fixed_guard = Some(pinned);
         // Even with a bridge requested, the experiment's pin wins (this is
         // how the fixed-circuit experiments equalize Tor and PT paths).
-        let _ = tor_channel(
+        let _ = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -231,6 +223,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         // No assertion on internals possible here beyond not panicking;
         // the integration tests check the fixed-circuit null result.
@@ -239,7 +232,7 @@ mod tests {
     #[test]
     fn via_reduces_bottleneck_to_server_capacity() {
         let (dep, opts, mut rng) = setup();
-        let ch = tor_channel(
+        let ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -253,6 +246,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         assert!(ch.response.bottleneck_bps <= 20_000.0);
     }
@@ -260,7 +254,7 @@ mod tests {
     #[test]
     fn frame_overhead_shrinks_goodput() {
         let (dep, opts, mut rng) = setup();
-        let mut ch = tor_channel(
+        let mut ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -270,6 +264,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         let before = ch.response.bottleneck_bps;
         apply_frame_overhead(&mut ch, 1.25);
@@ -289,7 +284,9 @@ mod tests {
         let mut rng_b = SimRng::new(9);
         for i in 0..30 {
             let reused = tor_channel_with(&dep, &opts, spec, Location::NewYork, &mut rng_a, &mut scratch);
-            let fresh = tor_channel(&dep, &opts, spec, Location::NewYork, &mut rng_b);
+            let mut cold = EstablishScratch::new();
+            let fresh =
+                tor_channel_with(&dep, &opts, spec, Location::NewYork, &mut rng_b, &mut cold);
             assert_eq!(reused.setup, fresh.setup, "iteration {i}");
             assert_eq!(reused.request_rtt, fresh.request_rtt);
             assert_eq!(
@@ -319,7 +316,7 @@ mod tests {
     fn wireless_medium_propagates() {
         let (dep, mut opts, mut rng) = setup();
         opts.medium = Medium::Wireless;
-        let ch = tor_channel(
+        let ch = tor_channel_with(
             &dep,
             &opts,
             TorChannelSpec {
@@ -329,6 +326,7 @@ mod tests {
             },
             Location::NewYork,
             &mut rng,
+            &mut EstablishScratch::new(),
         );
         assert!(ch.response.loss > 0.0);
     }

@@ -30,17 +30,9 @@ pub const PAGE_TIMEOUT: SimDuration = SimDuration::from_secs(120);
 
 /// Fetches a website's default page through `channel`, as
 /// `curl --socks5-hostname localhost:9050 https://site/` would.
+/// Gives up at [`PAGE_TIMEOUT`].
 pub fn fetch(channel: &Channel, site: &Website, rng: &mut SimRng) -> FetchResult {
-    fetch_with_timeout(channel, site, PAGE_TIMEOUT, rng)
-}
-
-/// [`fetch`] with an explicit timeout.
-pub fn fetch_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-) -> FetchResult {
+    let timeout = PAGE_TIMEOUT;
     // Hard connection failure: nothing ever arrives.
     if rng.chance(channel.connect_failure_p) {
         return FetchResult {
@@ -117,20 +109,10 @@ pub fn fetch_faulted(
     rng: &mut SimRng,
     faults: &mut FaultSession,
 ) -> FetchResult {
-    fetch_faulted_with_timeout(channel, site, PAGE_TIMEOUT, rng, faults)
-}
-
-/// [`fetch_faulted`] with an explicit timeout.
-pub fn fetch_faulted_with_timeout(
-    channel: &Channel,
-    site: &Website,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    faults: &mut FaultSession,
-) -> FetchResult {
     if !faults.is_active() {
-        return fetch_with_timeout(channel, site, timeout, rng);
+        return fetch(channel, site, rng);
     }
+    let timeout = PAGE_TIMEOUT;
 
     let body_time = channel.transfer_time(site.main_size);
     let spec = TransferSpec {
@@ -252,10 +234,10 @@ mod tests {
     #[test]
     fn timeout_truncates() {
         let mut rng = SimRng::new(6);
-        let ch = channel(1_000.0); // ~100+ s for a typical page
-        let r = fetch_with_timeout(&ch, &site(), SimDuration::from_secs(10), &mut rng);
+        let ch = channel(100.0); // well over the page timeout
+        let r = fetch(&ch, &site(), &mut rng);
         assert_eq!(r.outcome, Outcome::Partial);
-        assert_eq!(r.total, SimDuration::from_secs(10));
+        assert_eq!(r.total, PAGE_TIMEOUT);
         assert!(r.fraction < 1.0);
     }
 

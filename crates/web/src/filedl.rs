@@ -35,18 +35,9 @@ pub struct Download {
     pub outcome: Outcome,
 }
 
-/// Downloads `bytes` through `channel` with the default timeout.
+/// Downloads `bytes` through `channel`, giving up at [`FILE_TIMEOUT`].
 pub fn download(channel: &Channel, bytes: u64, rng: &mut SimRng) -> Download {
-    download_with_timeout(channel, bytes, FILE_TIMEOUT, rng)
-}
-
-/// [`download`] with an explicit timeout.
-pub fn download_with_timeout(
-    channel: &Channel,
-    bytes: u64,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-) -> Download {
+    let timeout = FILE_TIMEOUT;
     if rng.chance(channel.connect_failure_p) {
         return Download {
             elapsed: timeout,
@@ -115,20 +106,10 @@ pub fn download_faulted(
     rng: &mut SimRng,
     faults: &mut FaultSession,
 ) -> Download {
-    download_faulted_with_timeout(channel, bytes, FILE_TIMEOUT, rng, faults)
-}
-
-/// [`download_faulted`] with an explicit timeout.
-pub fn download_faulted_with_timeout(
-    channel: &Channel,
-    bytes: u64,
-    timeout: SimDuration,
-    rng: &mut SimRng,
-    faults: &mut FaultSession,
-) -> Download {
     if !faults.is_active() {
-        return download_with_timeout(channel, bytes, timeout, rng);
+        return download(channel, bytes, rng);
     }
+    let timeout = FILE_TIMEOUT;
 
     let body_time = channel.transfer_time(bytes);
     let spec = TransferSpec {
@@ -263,7 +244,7 @@ mod tests {
         let mut counts = ReliabilityCounts::default();
         for _ in 0..100 {
             // 100 KB fetch: ~0.1 s exposure.
-            counts.record(download_with_timeout(&ch, 100_000, FILE_TIMEOUT, &mut rng).outcome);
+            counts.record(download(&ch, 100_000, &mut rng).outcome);
         }
         let (complete, _, _) = counts.fractions();
         assert!(complete > 0.9, "complete fraction {complete}");

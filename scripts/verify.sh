@@ -9,9 +9,11 @@
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
 #      per-PT phase histograms, finite quantiles) and the Chrome-trace
 #      smoke (--trace-chrome: parses, first event is process metadata)
-#   4a. whole-repro determinism smoke: every target at quick scale with
-#      --csv, at 1 and at 2 workers; stdout after the header line (which
-#      names the worker count) and the two CSV directories must match
+#   4a. whole-repro determinism smoke: every target at 1 and at 2
+#      workers, three times — at quick scale with --csv, at quick scale
+#      with --faults and --csv, and at paper scale (stdout only); stdout
+#      after the header line (which names the worker count) and the CSV
+#      directories must match
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
@@ -92,10 +94,23 @@ grep -q '"ph":"X"' "$obs_dir/chrome.json"
 grep -q '"ph":"C"' "$obs_dir/chrome.json"
 
 echo "== whole-repro determinism smoke (all targets, 1 vs 2 workers) =="
-repro --quiet --csv "$obs_dir/csv1" --workers 1 > "$obs_dir/repro1.txt"
-repro --quiet --csv "$obs_dir/csv2" --workers 2 > "$obs_dir/repro2.txt"
-cmp <(tail -n +2 "$obs_dir/repro1.txt") <(tail -n +2 "$obs_dir/repro2.txt")
-diff -r "$obs_dir/csv1" "$obs_dir/csv2"
+# determinism_pair LANE csv|stdout [FLAGS...]: runs every target with
+# FLAGS at 1 and at 2 workers. Stdout after the header line must match;
+# with `csv` both runs also write --csv and the directories must match.
+determinism_pair() {
+  local lane="$1" keep="$2" w
+  shift 2
+  for w in 1 2; do
+    local csv=()
+    if [ "$keep" = csv ]; then csv=(--csv "$obs_dir/${lane}_csv$w"); fi
+    repro --quiet "${csv[@]}" --workers "$w" "$@" > "$obs_dir/${lane}_$w.txt"
+  done
+  cmp <(tail -n +2 "$obs_dir/${lane}_1.txt") <(tail -n +2 "$obs_dir/${lane}_2.txt")
+  if [ "$keep" = csv ]; then diff -r "$obs_dir/${lane}_csv1" "$obs_dir/${lane}_csv2"; fi
+}
+determinism_pair quick csv
+determinism_pair faults csv --faults
+determinism_pair paper stdout --paper
 
 echo "== fault smoke (neutrality + seeded plan counters) =="
 cargo test --release -q --test fault_neutrality > /dev/null

@@ -1,9 +1,29 @@
 //! Determinism guarantees: the whole stack is reproducible bit-for-bit
 //! given a scenario seed, and genuinely different across seeds.
 
+use ptperf::executor::{run_units, Parallelism, Unit};
 use ptperf::experiments::{file_download, ttfb, website_curl, website_selenium};
 use ptperf::scenario::Scenario;
 use ptperf_transports::PtId;
+
+/// For every `i`, unit `i` of a unit list built on its own fresh
+/// `Scenario::baseline(seed)`: no two units share a scenario memo, so
+/// each builds its own deployment and site workload from the seed.
+fn rebuilt_per_unit<T>(seed: u64, units: impl Fn(&Scenario) -> Vec<Unit<T>>) -> Vec<Unit<T>> {
+    let n = units(&Scenario::baseline(seed)).len();
+    (0..n)
+        .map(|i| units(&Scenario::baseline(seed)).swap_remove(i))
+        .collect()
+}
+
+/// Runs each unit in a pool of its own, so every unit starts on a cold
+/// `UnitScratch`; values come back in unit order.
+fn one_pool_per_unit<T: Send>(par: &Parallelism, units: Vec<Unit<T>>) -> Vec<T> {
+    units
+        .into_iter()
+        .flat_map(|unit| run_units(par, vec![unit]).expect("no shard fails").values)
+        .collect()
+}
 
 #[test]
 fn same_seed_identical_curl_results() {
@@ -133,21 +153,19 @@ fn website_corpus_is_stable_across_calls() {
 #[test]
 fn shared_deployment_matches_per_unit_rebuild_bit_for_bit() {
     // The scenario's deployment memo shares one build across all units;
-    // with caching bypassed every unit rebuilds from the seed. Raw
-    // samples and rendered output must be bit-identical either way, at
-    // any worker count.
-    use ptperf::executor::Parallelism;
+    // the rebuilt lane gives every unit a fresh scenario, so each builds
+    // its own deployment from the seed. Raw samples and rendered output
+    // must be bit-identical either way, at any worker count.
     let cfg = file_download::Config {
         attempts: 3,
         sizes: ptperf_web::FILE_SIZES,
     };
     let shared = Scenario::baseline(29);
-    let rebuilt = Scenario::baseline(29);
-    rebuilt.set_deployment_caching(false);
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
         let (a, _) = file_download::run_with(&shared, &cfg, &par).unwrap();
-        let (b, _) = file_download::run_with(&rebuilt, &cfg, &par).unwrap();
+        let rebuilt = rebuilt_per_unit(29, |sc| file_download::units(sc, &cfg));
+        let b = file_download::merge(run_units(&par, rebuilt).unwrap().values);
         for (pt, list) in &a.attempts {
             let other = &b.attempts[pt];
             assert_eq!(list.len(), other.len(), "{pt} at {workers} workers");
@@ -167,21 +185,20 @@ fn shared_deployment_matches_per_unit_rebuild_bit_for_bit() {
 
 #[test]
 fn warm_scratch_matches_cold_scratch_bit_for_bit() {
-    // PerWorker (one warm UnitScratch reused across every unit on a
-    // worker) vs PerUnit (a cold scratch per unit) must be bit-identical
-    // at 1 and 4 workers — the scratch holds buffers, never state that
-    // feeds the measurement.
-    use ptperf::executor::{Parallelism, ScratchMode};
+    // One warm UnitScratch reused across every unit on a worker vs a
+    // cold scratch per unit (each unit in a pool of its own) must be
+    // bit-identical at 1 and 4 workers — the scratch holds buffers,
+    // never state that feeds the measurement.
     let cfg = website_selenium::Config {
         sites_per_list: 8,
         repeats: 1,
     };
     let scenario = Scenario::baseline(53);
     for workers in [1usize, 4] {
-        let warm = Parallelism::new(workers);
-        let cold = Parallelism::new(workers).with_scratch(ScratchMode::PerUnit);
-        let (a, _) = website_selenium::run_with(&scenario, &cfg, &warm).unwrap();
-        let (b, _) = website_selenium::run_with(&scenario, &cfg, &cold).unwrap();
+        let par = Parallelism::new(workers);
+        let (a, _) = website_selenium::run_with(&scenario, &cfg, &par).unwrap();
+        let cold = one_pool_per_unit(&par, website_selenium::units(&scenario, &cfg));
+        let b = website_selenium::merge(cold);
         for pt in a.samples.pts() {
             let xs = a.samples.samples(pt);
             let ys = b.samples.samples(pt);
@@ -201,21 +218,19 @@ fn warm_scratch_matches_cold_scratch_bit_for_bit() {
 #[test]
 fn cached_sites_match_per_unit_rebuilds_bit_for_bit() {
     // The scenario's site-workload memo shares one Arc<[Website]> build
-    // across every unit; with caching bypassed each call regenerates the
-    // corpus. Samples must be bit-identical either way at 1 and 4
-    // workers.
-    use ptperf::executor::Parallelism;
+    // across every unit; the rebuilt lane gives every unit a fresh
+    // scenario, so each regenerates the corpus. Samples must be
+    // bit-identical either way at 1 and 4 workers.
     let cfg = website_curl::Config {
         sites_per_list: 10,
         repeats: 1,
     };
     let shared = Scenario::baseline(37);
-    let rebuilt = Scenario::baseline(37);
-    rebuilt.set_site_caching(false);
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
         let (a, _) = website_curl::run_with(&shared, &cfg, &par).unwrap();
-        let (b, _) = website_curl::run_with(&rebuilt, &cfg, &par).unwrap();
+        let rebuilt = rebuilt_per_unit(37, |sc| website_curl::units(sc, &cfg));
+        let b = website_curl::merge(run_units(&par, rebuilt).unwrap().values);
         for pt in PtId::ALL_WITH_VANILLA {
             let xs = a.samples.samples(pt);
             let ys = b.samples.samples(pt);
@@ -247,7 +262,7 @@ fn cached_deployment_equals_a_fresh_standard_build() {
 
 #[test]
 fn phase_histograms_are_deterministic_and_merge_order_independent() {
-    use ptperf::executor::{Parallelism, Record};
+    use ptperf::executor::Record;
     use ptperf_bench::{run_targets, RunScale, TargetRun};
     use ptperf_obs::Hist;
     let scenario = Scenario::baseline(29);

@@ -1,8 +1,7 @@
 //! The executor's headline guarantee, proven end to end: a parallel
 //! campaign run is **bit-for-bit identical** to the sequential run at
-//! any worker count or chunk size, across experiment families and
-//! seeds — and a panicking shard surfaces as an error without poisoning
-//! its siblings.
+//! any worker count, across experiment families and seeds — and a
+//! panicking shard surfaces as an error without poisoning its siblings.
 
 use ptperf::campaign;
 use ptperf::executor::{self, Parallelism, Unit};
@@ -18,7 +17,6 @@ fn worker_grid() -> Vec<Parallelism> {
         Parallelism::sequential(),
         Parallelism::new(2),
         Parallelism::new(8),
-        Parallelism::new(8).with_chunk(3),
     ]
 }
 
@@ -120,7 +118,7 @@ fn whole_campaign_is_invariant_under_parallelism() {
     let scenario = Scenario::baseline(23);
     let sequential = campaign::run_quick_with(&scenario, &Parallelism::sequential())
         .expect("no panics");
-    let parallel = campaign::run_quick_with(&scenario, &Parallelism::new(4).with_chunk(2))
+    let parallel = campaign::run_quick_with(&scenario, &Parallelism::new(4))
         .expect("no panics");
 
     for pt in PtId::ALL_WITH_VANILLA {

@@ -4,10 +4,10 @@
 //! identical across repeated runs and across worker counts.
 //!
 //! This is the load-bearing guarantee of the instrumentation layer:
-//! recorded variants are the *only* body (the plain entry points
-//! delegate with a no-op recorder), so the RNG draw sequence is
-//! structurally identical either way; these tests prove it holds
-//! through every layer, target by target.
+//! every measurement has one body, which records into a no-op recorder
+//! when recording is off, so the RNG draw sequence is structurally
+//! identical either way; these tests prove it holds through every
+//! layer, target by target.
 
 use ptperf::campaign;
 use ptperf::executor::{Parallelism, Record};
@@ -15,7 +15,6 @@ use ptperf::experiments::fixed_circuit;
 use ptperf::scenario::Scenario;
 use ptperf_bench::obs_export::{hist_json, trace_chrome, trace_jsonl};
 use ptperf_bench::{run_targets, RunScale, TargetRun};
-use ptperf_obs::MemoryRecorder;
 
 const SEEDS: [u64; 2] = [11, 97];
 
@@ -106,14 +105,17 @@ fn raw_samples_are_bit_identical_with_recording_on() {
         let scenario = Scenario::baseline(seed);
         let cfg = fixed_circuit::Config::quick();
         let off = fixed_circuit::run(&scenario, &cfg);
-        let mut rec = MemoryRecorder::new();
-        let on = fixed_circuit::run_traced(&scenario, &cfg, &mut rec);
+        let traced = Parallelism::sequential().with_recording(Record::Trace);
+        let (on, reports) = fixed_circuit::run_with(&scenario, &cfg, &traced).unwrap();
         for ((pt_a, a), (pt_b, b)) in off.times.iter().zip(&on.times) {
             assert_eq!(pt_a, pt_b);
             assert_bits_eq(a, b, &format!("seed {seed} {pt_a} times"));
         }
         assert_bits_eq(&off.abs_diffs, &on.abs_diffs, &format!("seed {seed} diffs"));
-        let data = rec.into_data();
+        let [report] = &reports[..] else {
+            panic!("fig3 is one shard")
+        };
+        let data = &report.obs;
         assert_eq!(
             data.counter("events"),
             Some((cfg.iterations * 5 * 3) as u64),
