@@ -6,9 +6,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use ptperf_obs::NullRecorder;
 use ptperf_sim::{Location, SimDuration, SimRng, TransferModel};
 use ptperf_transports::{dnstt, snowflake, transport_for, AccessOptions, Deployment, PluggableTransport, PtId};
-use ptperf_web::{curl, filedl, SiteList, Website};
+use ptperf_web::{curl, filedl, load_page_pooled, PageScratch, SiteList, Website};
 
 /// Ablation 1 — guard background-load distribution. The §4.2.1 anomaly
 /// (PT bridges beating vanilla Tor) only appears when volunteer guards
@@ -38,11 +39,12 @@ fn ablation_guard_load(c: &mut Criterion) {
         let sites = Website::top(SiteList::Tranco, 60);
         let run_pt = |pt: PtId, rng: &mut SimRng| -> f64 {
             let t = transport_for(pt);
+            let mut page = PageScratch::new();
             let total: f64 = sites
                 .iter()
                 .map(|s| {
                     let ch = t.establish(&dep, &opts, s.server, rng);
-                    ptperf_web::browser::load_page(&ch, s, rng)
+                    load_page_pooled(&ch, s, rng, &mut NullRecorder, &mut page)
                         .expect("browser-capable")
                         .total
                         .as_secs_f64()

@@ -17,11 +17,13 @@
 //! Workers claim units one at a time from a shared atomic cursor
 //! (work-claiming — the cheap cousin of work stealing: an idle worker
 //! takes the next unclaimed unit, so a straggler shard never idles the
-//! rest of the pool behind a static partition). With one worker the
-//! same loop runs on the calling thread and claims the units in index
-//! order. Each unit runs under [`std::panic::catch_unwind`], so one
-//! failing shard is reported with its label while sibling shards
-//! complete normally.
+//! rest of the pool behind a static partition). The calling thread is
+//! worker 0 and runs the same loop as the scoped threads it spawns for
+//! the other workers, so a pool of `n` workers costs `n − 1` thread
+//! spawns, and one worker claims the units in index order without
+//! leaving the calling thread. Each unit runs under
+//! [`std::panic::catch_unwind`], so one failing shard is reported with
+//! its label while sibling shards complete normally.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -306,12 +308,12 @@ fn run_one<T>(
 /// Run every unit and return the values in submission order.
 ///
 /// Each worker starts with a cold [`UnitScratch`] and claims one unit
-/// at a time from a shared cursor until the list is drained. One worker
-/// runs that loop on the calling thread, so the units run there in
-/// index order; more run it on scoped threads. Either way the output is
-/// identical (see the module docs). If any shard panics, the error
-/// lists every failing shard and the panic is *contained*: sibling
-/// shards still run to completion.
+/// at a time from a shared cursor until the list is drained. The
+/// calling thread is worker 0 and the other `workers − 1` run on scoped
+/// threads, so one worker runs the units on the calling thread in index
+/// order. Any worker count gives the same output (see the module docs).
+/// If any shard panics, the error lists every failing shard and the
+/// panic is *contained*: sibling shards still run to completion.
 pub fn run_units<T: Send>(
     par: &Parallelism,
     units: Vec<Unit<T>>,
@@ -339,15 +341,12 @@ pub fn run_units<T: Send>(
             }
         }
     };
-    if workers == 1 {
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
         worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker);
-            }
-        });
-    }
+    });
 
     let mut failures = failures.into_inner().expect("failures lock");
     let results = results.into_inner().expect("results lock");
@@ -420,6 +419,27 @@ mod tests {
             assert!(out.values.iter().all(|&on_caller| on_caller), "{par:?}");
             assert_eq!(*log.lock().unwrap(), (0..n).collect::<Vec<_>>(), "{par:?}");
         }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_two_workers() {
+        use std::sync::{Arc, Barrier};
+        let caller = std::thread::current().id();
+        // Each unit waits for the other, so no worker can run both.
+        let barrier = Arc::new(Barrier::new(2));
+        let units: Vec<Unit<std::thread::ThreadId>> = (0..2)
+            .map(|i| {
+                let barrier = Arc::clone(&barrier);
+                Unit::new(format!("meet/{i}"), move || {
+                    barrier.wait();
+                    (std::thread::current().id(), 1)
+                })
+            })
+            .collect();
+        let out = run_units(&Parallelism::new(2), units).unwrap();
+        assert_eq!(out.workers, 2);
+        assert_ne!(out.values[0], out.values[1]);
+        assert!(out.values.contains(&caller), "{:?} vs caller {caller:?}", out.values);
     }
 
     #[test]

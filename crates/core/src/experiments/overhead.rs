@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use ptperf_sim::LoadProfile;
 use ptperf_stats::Summary;
-use ptperf_tor::{PathSelector, Relay, RelayFlags, RelayId};
+use ptperf_tor::{PathConfig, PathSelector, Relay, RelayFlags, RelayId};
 use ptperf_transports::{dnstt, transport_for, EstablishScratch, PluggableTransport, PtId};
 use ptperf_web::{curl, SiteList};
 
@@ -152,13 +152,16 @@ fn run_shard(
 
     let sites = scenario.top_sites(SiteList::Tranco, cfg.sites);
     let vanilla = transport_for(PtId::Vanilla);
+    let transports = EVALUATED.map(overhead_transport);
     let mut diffs: BTreeMap<PtId, Vec<f64>> =
         EVALUATED.iter().map(|&pt| (pt, Vec::new())).collect();
     let mut phases = ptperf_obs::PhaseAccum::new();
+    let mut selector = PathSelector::new();
 
     for site in sites.iter() {
-        // A fresh fixed circuit for this site, shared by every config.
-        let mut selector = PathSelector::new();
+        // A fresh fixed circuit for this site, shared by every config. A
+        // reset selector draws exactly like a new one.
+        selector.reset(PathConfig::default());
         let fresh = selector
             .select(&dep.consensus, &mut rng)
             .expect("relays available");
@@ -174,8 +177,7 @@ fn run_shard(
             rec.add("events", 1);
         }
         let tor_time = fetch.total.as_secs_f64();
-        for &pt in &EVALUATED {
-            let transport = overhead_transport(pt);
+        for (pt, transport) in EVALUATED.iter().zip(&transports) {
             let ch = transport.establish_with(&dep, &opts, site.server, &mut rng, scratch);
             let fetch = curl::fetch(&ch, site, &mut rng);
             if rec.enabled() {
@@ -183,7 +185,7 @@ fn run_shard(
                 rec.add("events", 1);
             }
             let pt_time = fetch.total.as_secs_f64();
-            diffs.get_mut(&pt).unwrap().push(pt_time - tor_time);
+            diffs.get_mut(pt).unwrap().push(pt_time - tor_time);
         }
     }
     phases.emit(rec);

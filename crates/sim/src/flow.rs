@@ -7,6 +7,14 @@
 //! remaining bytes fall linearly and a step is exact up to the
 //! nanosecond rounding of the clock.
 //!
+//! The active flows are kept sorted by remaining bytes, largest first,
+//! so a step reads its first completion off the last entry and retires
+//! finished flows from the end. The order changes no value: every
+//! active flow drains the same `rate · dt`, and rounded division and
+//! subtraction are monotone, so `min(rᵢ / rate)` is `min(rᵢ) / rate` to
+//! the bit, a drain never reorders two flows, and the flows at or below
+//! the completion threshold are always the last ones.
+//!
 //! This is the max–min fair fluid schedule on a single node with no
 //! per-flow caps: progressive filling there ends after one round, at
 //! the level `capacity / k`. The general solver is the test oracle in
@@ -31,8 +39,8 @@ pub struct LinkFlow {
 /// flow's finish time (its last byte plus `extra_latency`) to
 /// `finish`, in submission order, and returns the number of
 /// constant-rate steps taken. `active` is working space holding each
-/// active flow's index and remaining bytes; with warm buffers a run
-/// allocates nothing.
+/// active flow's index and remaining bytes, sorted by remaining bytes
+/// in descending order; with warm buffers a run allocates nothing.
 ///
 /// Flows are admitted in submission order, so their starts must be
 /// non-decreasing.
@@ -64,13 +72,14 @@ pub fn share_link(
     loop {
         while let Some(f) = flows.get(next).filter(|f| f.start <= now) {
             if f.bytes > 0.0 {
-                active.push((next, f.bytes));
+                let at = active.partition_point(|&(_, remaining)| remaining >= f.bytes);
+                active.insert(at, (next, f.bytes));
             } else {
                 finish[next] = f.start + f.extra_latency;
             }
             next += 1;
         }
-        if active.is_empty() {
+        let Some(&(_, smallest)) = active.last() else {
             match flows.get(next) {
                 Some(f) => {
                     now = f.start;
@@ -78,26 +87,23 @@ pub fn share_link(
                 }
                 None => return steps,
             }
-        }
+        };
         // Run to the first completion or the next arrival, whichever
         // comes sooner.
         let rate = capacity / active.len() as f64;
-        let mut dt = f64::INFINITY;
-        for &(_, remaining) in active.iter() {
-            dt = dt.min(remaining / rate);
-        }
+        let mut dt = smallest / rate;
         if let Some(f) = flows.get(next) {
             dt = dt.min(f.start.duration_since(now).as_secs_f64());
         }
         let after = now + SimDuration::from_secs_f64(dt);
-        active.retain_mut(|(i, remaining)| {
-            *remaining -= rate * dt;
-            let done = *remaining <= 1e-6;
-            if done {
-                finish[*i] = after + flows[*i].extra_latency;
-            }
-            !done
-        });
+        let drained = rate * dt;
+        for (_, remaining) in active.iter_mut() {
+            *remaining -= drained;
+        }
+        while let Some(&(i, _)) = active.last().filter(|&&(_, remaining)| remaining <= 1e-6) {
+            finish[i] = after + flows[i].extra_latency;
+            active.pop();
+        }
         now = after;
         steps += 1;
     }
@@ -167,6 +173,27 @@ mod tests {
         };
         share_link(10.0, &[zero], &mut Vec::new(), &mut finish);
         assert_eq!(finish, [SimTime::from_nanos(5)]);
+    }
+
+    #[test]
+    fn tied_flows_finish_together_and_a_sub_microbyte_arrival_retires_at_once() {
+        // 0–5: A and B tie at 5 B/s each, 75 B left apiece. At t=5 C
+        // brings 1e-7 B: it drains in about 30 ns at 10/3 B/s and
+        // finishes alone. A and B then finish together 15 s later.
+        let c = LinkFlow {
+            start: SimTime::ZERO + SimDuration::from_secs(5),
+            bytes: 1e-7,
+            extra_latency: SimDuration::ZERO,
+        };
+        let flows = [flow(0, 100.0, 0), flow(0, 100.0, 1), c];
+        let mut finish = Vec::new();
+        let steps = share_link(10.0, &flows, &mut Vec::new(), &mut finish);
+        assert_eq!(steps, 3);
+        let c_drain = SimDuration::from_secs_f64(1e-7 / (10.0 / 3.0));
+        assert_eq!(finish[2], c.start + c_drain);
+        assert_eq!(finish[1], finish[0] + SimDuration::from_secs(1));
+        let secs: Vec<f64> = finish.iter().map(|t| t.as_secs_f64()).collect();
+        assert_close(&secs, &[20.0, 21.0, 5.0]);
     }
 
     #[test]

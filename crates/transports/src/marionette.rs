@@ -21,6 +21,7 @@
 //!   nothing about marionette's slowness is hard-coded.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
@@ -319,8 +320,14 @@ pub struct DerivedPerformance {
 }
 
 /// The marionette transport model.
+///
+/// Clones share one automaton. [`Marionette::default`] parses and
+/// derives the built-in FTP model once per process and hands out
+/// clones of that value, so instantiating the default transport costs
+/// a reference-count bump, not a re-derivation.
+#[derive(Clone)]
 pub struct Marionette {
-    automaton: Automaton,
+    automaton: Arc<Automaton>,
     /// Cover-protocol pacing: time per automaton transition.
     pub transition_delay: SimDuration,
     // Derived once at construction: executing 5k automaton transitions
@@ -331,8 +338,12 @@ pub struct Marionette {
 
 impl Default for Marionette {
     fn default() -> Self {
-        // FTP-style covers pace at command cadence.
-        Marionette::with_automaton(Automaton::default_ftp(), SimDuration::from_millis(60))
+        static FTP: OnceLock<Marionette> = OnceLock::new();
+        FTP.get_or_init(|| {
+            // FTP-style covers pace at command cadence.
+            Marionette::with_automaton(Automaton::default_ftp(), SimDuration::from_millis(60))
+        })
+        .clone()
     }
 }
 
@@ -344,7 +355,7 @@ impl Marionette {
         let mut rng = SimRng::new(0x6d61_7269_6f6e);
         let derived = automaton.derive_performance(transition_delay, &mut rng);
         Marionette {
-            automaton,
+            automaton: Arc::new(automaton),
             transition_delay,
             derived,
         }
@@ -507,6 +518,24 @@ mod tests {
         assert!(perf.goodput_bps < 100_000.0, "{}", perf.goodput_bps);
         assert!(perf.goodput_bps > 20_000.0, "{}", perf.goodput_bps);
         assert!(perf.ramp_up > SimDuration::from_millis(300));
+    }
+
+    #[test]
+    fn default_shares_one_automaton_derived_like_a_fresh_build() {
+        let (a, b) = (Marionette::default(), Marionette::default());
+        assert!(std::ptr::eq(a.automaton(), b.automaton()));
+        let bits = |m: &Marionette| {
+            let d = m.derived();
+            (d.goodput_bps.to_bits(), d.ramp_up)
+        };
+        let fresh = std::thread::spawn(|| {
+            Marionette::with_automaton(Automaton::default_ftp(), SimDuration::from_millis(60))
+        })
+        .join()
+        .unwrap();
+        assert_eq!(bits(&a), bits(&fresh));
+        assert_eq!(bits(&b), bits(&fresh));
+        assert_eq!(a.transition_delay, fresh.transition_delay);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! it finishes, so the index sits *below* the full load time — the
 //! paper's §5.4 observation.
 
-use ptperf_obs::{obs_debug, NullRecorder, Recorder};
+use ptperf_obs::{obs_debug, Recorder};
 use ptperf_sim::{share_link, LinkFlow, SimDuration, SimRng, SimTime};
 
 use crate::channel::{Channel, Outcome};
@@ -103,26 +103,11 @@ impl std::fmt::Display for BrowserError {
 
 impl std::error::Error for BrowserError {}
 
-/// Loads a full page through `channel`, selenium-style, on a cold
-/// scratch and without observation.
-pub fn load_page(
-    channel: &Channel,
-    site: &Website,
-    rng: &mut SimRng,
-) -> Result<PageLoad, BrowserError> {
-    load_page_pooled(
-        channel,
-        site,
-        rng,
-        &mut NullRecorder,
-        &mut PageScratch::new(),
-    )
-}
-
-/// Loads a full page through `channel` against a caller-owned
-/// [`PageScratch`] — the executor threads one per worker so every page
-/// load after the first reuses the same buffers. Per-page counters flow
-/// into `rec`; recording never changes a result or an RNG draw.
+/// Loads a full page through `channel`, selenium-style, against a
+/// caller-owned [`PageScratch`] — the executor threads one per worker
+/// so every page load after the first reuses the same buffers. Per-page
+/// counters flow into `rec`; recording never changes a result or an RNG
+/// draw.
 pub fn load_page_pooled(
     channel: &Channel,
     site: &Website,
@@ -260,6 +245,7 @@ pub fn load_page_pooled(
 mod tests {
     use super::*;
     use crate::website::SiteList;
+    use ptperf_obs::NullRecorder;
     use ptperf_sim::TransferModel;
 
     fn channel(rate: f64) -> Channel {
@@ -270,12 +256,27 @@ mod tests {
         Website::generate(SiteList::Tranco, 3)
     }
 
+    /// A page load on a cold scratch, without observation.
+    fn cold_load(
+        channel: &Channel,
+        site: &Website,
+        rng: &mut SimRng,
+    ) -> Result<PageLoad, BrowserError> {
+        load_page_pooled(
+            channel,
+            site,
+            rng,
+            &mut NullRecorder,
+            &mut PageScratch::new(),
+        )
+    }
+
     #[test]
     fn page_load_exceeds_curl_fetch() {
         let mut rng = SimRng::new(1);
         let ch = channel(1.0e6);
         let s = site();
-        let page = load_page(&ch, &s, &mut rng).unwrap();
+        let page = cold_load(&ch, &s, &mut rng).unwrap();
         let mut rng2 = SimRng::new(1);
         let curl = crate::curl::fetch(&ch, &s, &mut rng2);
         assert!(page.total > curl.total, "browser must load more than curl");
@@ -285,7 +286,7 @@ mod tests {
     #[test]
     fn speed_index_below_total_load() {
         let mut rng = SimRng::new(2);
-        let page = load_page(&channel(1.0e6), &site(), &mut rng).unwrap();
+        let page = cold_load(&channel(1.0e6), &site(), &mut rng).unwrap();
         assert!(
             page.speed_index < page.total,
             "SI {} vs total {}",
@@ -300,7 +301,7 @@ mod tests {
         let mut rng = SimRng::new(3);
         let mut ch = channel(1.0e6);
         ch.max_parallel_streams = 1;
-        let err = load_page(&ch, &site(), &mut rng).unwrap_err();
+        let err = cold_load(&ch, &site(), &mut rng).unwrap_err();
         assert!(matches!(err, BrowserError::ParallelismUnsupported { .. }));
     }
 
@@ -308,8 +309,8 @@ mod tests {
     fn faster_channel_loads_faster() {
         let mut a = SimRng::new(4);
         let mut b = SimRng::new(4);
-        let fast = load_page(&channel(3.0e6), &site(), &mut a).unwrap();
-        let slow = load_page(&channel(100.0e3), &site(), &mut b).unwrap();
+        let fast = cold_load(&channel(3.0e6), &site(), &mut a).unwrap();
+        let slow = cold_load(&channel(100.0e3), &site(), &mut b).unwrap();
         assert!(slow.total > fast.total);
         assert!(slow.speed_index > fast.speed_index);
     }
@@ -317,7 +318,7 @@ mod tests {
     #[test]
     fn timeout_declares_partial() {
         let mut rng = SimRng::new(5);
-        let page = load_page(&channel(1_000.0), &site(), &mut rng).unwrap();
+        let page = cold_load(&channel(1_000.0), &site(), &mut rng).unwrap();
         assert_eq!(page.outcome, Outcome::Partial);
         assert_eq!(page.total, PAGE_TIMEOUT);
     }
@@ -327,7 +328,7 @@ mod tests {
         let mut rng = SimRng::new(6);
         let mut ch = channel(1.0e6);
         ch.connect_failure_p = 1.0;
-        let page = load_page(&ch, &site(), &mut rng).unwrap();
+        let page = cold_load(&ch, &site(), &mut rng).unwrap();
         assert_eq!(page.outcome, Outcome::Failed);
     }
 
@@ -338,7 +339,7 @@ mod tests {
         let mut rng_a = SimRng::new(8);
         let mut rng_b = SimRng::new(8);
         let mut rec = ptperf_obs::MemoryRecorder::new();
-        let plain = load_page(&ch, &s, &mut rng_a).unwrap();
+        let plain = cold_load(&ch, &s, &mut rng_a).unwrap();
         let traced =
             load_page_pooled(&ch, &s, &mut rng_b, &mut rec, &mut PageScratch::new()).unwrap();
         assert_eq!(plain.total, traced.total);
@@ -357,7 +358,7 @@ mod tests {
         for round in 0..3 {
             let mut rng_a = SimRng::new(40 + round);
             let mut rng_b = SimRng::new(40 + round);
-            let cold = load_page(&ch, &s, &mut rng_a).unwrap();
+            let cold = cold_load(&ch, &s, &mut rng_a).unwrap();
             let warm =
                 load_page_pooled(&ch, &s, &mut rng_b, &mut NullRecorder, &mut scratch).unwrap();
             assert_eq!(cold.main_done, warm.main_done);
@@ -395,7 +396,7 @@ mod tests {
         let mut rng = SimRng::new(7);
         let ch = channel(2.0e6);
         let s = site();
-        let page = load_page(&ch, &s, &mut rng).unwrap();
+        let page = cold_load(&ch, &s, &mut rng).unwrap();
         let serial: f64 = s
             .resources
             .iter()

@@ -28,9 +28,7 @@ pub mod http;
 pub mod streaming;
 pub mod website;
 
-pub use browser::{
-    load_page, load_page_pooled, BrowserError, PageLoad, PageScratch, BROWSER_PARALLELISM,
-};
+pub use browser::{load_page_pooled, BrowserError, PageLoad, PageScratch, BROWSER_PARALLELISM};
 pub use channel::{Channel, Outcome};
 pub use curl::{fetch, fetch_faulted, FetchResult, PAGE_TIMEOUT};
 pub use faults::{FaultSession, FaultStats};

@@ -10,10 +10,11 @@
 #      per-PT phase histograms, finite quantiles) and the Chrome-trace
 #      smoke (--trace-chrome: parses, first event is process metadata)
 #   4a. whole-repro determinism smoke: every target at 1 and at 2
-#      workers, three times — at quick scale with --csv, at quick scale
-#      with --faults and --csv, and at paper scale (stdout only); stdout
-#      after the header line (which names the worker count) and the CSV
-#      directories must match
+#      workers, three times — at quick scale with --csv (also at 3
+#      workers: two spawned threads beside the calling thread), at quick
+#      scale with --faults and --csv, and at paper scale (stdout only);
+#      stdout after the header line (which names the worker count) and
+#      the CSV directories must match the 1-worker run's
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
@@ -93,24 +94,28 @@ sed -n '2p' "$obs_dir/chrome.json" | grep -q '"name":"process_name".*"ph":"M"'
 grep -q '"ph":"X"' "$obs_dir/chrome.json"
 grep -q '"ph":"C"' "$obs_dir/chrome.json"
 
-echo "== whole-repro determinism smoke (all targets, 1 vs 2 workers) =="
-# determinism_pair LANE csv|stdout [FLAGS...]: runs every target with
-# FLAGS at 1 and at 2 workers. Stdout after the header line must match;
-# with `csv` both runs also write --csv and the directories must match.
-determinism_pair() {
-  local lane="$1" keep="$2" w
-  shift 2
-  for w in 1 2; do
+echo "== whole-repro determinism smoke (all targets, 1 vs 2 and 3 workers) =="
+# determinism_lane LANE csv|stdout "COUNTS" [FLAGS...]: runs every target
+# with FLAGS at 1 worker and at each worker count in COUNTS. Stdout after
+# the header line must match the 1-worker run's; with `csv` every run
+# also writes --csv and the directories must match the 1-worker one.
+determinism_lane() {
+  local lane="$1" keep="$2" counts="$3" w
+  shift 3
+  for w in 1 $counts; do
     local csv=()
     if [ "$keep" = csv ]; then csv=(--csv "$obs_dir/${lane}_csv$w"); fi
     repro --quiet "${csv[@]}" --workers "$w" "$@" > "$obs_dir/${lane}_$w.txt"
   done
-  cmp <(tail -n +2 "$obs_dir/${lane}_1.txt") <(tail -n +2 "$obs_dir/${lane}_2.txt")
-  if [ "$keep" = csv ]; then diff -r "$obs_dir/${lane}_csv1" "$obs_dir/${lane}_csv2"; fi
+  for w in $counts; do
+    cmp <(tail -n +2 "$obs_dir/${lane}_1.txt") <(tail -n +2 "$obs_dir/${lane}_$w.txt")
+    if [ "$keep" = csv ]; then diff -r "$obs_dir/${lane}_csv1" "$obs_dir/${lane}_csv$w"; fi
+  done
 }
-determinism_pair quick csv
-determinism_pair faults csv --faults
-determinism_pair paper stdout --paper
+# Three workers are two spawned threads beside the calling thread.
+determinism_lane quick csv "2 3"
+determinism_lane faults csv 2 --faults
+determinism_lane paper stdout 2 --paper
 
 echo "== fault smoke (neutrality + seeded plan counters) =="
 cargo test --release -q --test fault_neutrality > /dev/null
