@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use ptperf::campaign;
 use ptperf::executor::Parallelism;
 use ptperf::experiments::{
     file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
@@ -17,6 +16,7 @@ use ptperf::experiments::{
     website_selenium,
 };
 use ptperf::scenario::Scenario;
+use ptperf_bench::{available_targets, run_targets, RunScale};
 
 fn scenario() -> Scenario {
     Scenario::baseline(42)
@@ -201,28 +201,25 @@ fn bench_streaming_extension(c: &mut Criterion) {
 }
 
 fn bench_campaign_parallelism(c: &mut Criterion) {
-    // The full quick campaign, sequential vs parallel: same shard pool,
-    // same bit-for-bit results, different wall clock. Small sample size
-    // because each iteration is a whole campaign.
+    // Every target at quick scale, sequential vs parallel: one shard
+    // pool, the same bit-for-bit results, different wall clock. Small
+    // sample size because each iteration is a whole campaign.
     let mut g = c.benchmark_group("campaign_parallelism");
     g.sample_size(3);
-    g.bench_function("run_quick_sequential", |b| {
-        b.iter(|| {
-            black_box(
-                campaign::run_quick_with(&scenario(), &Parallelism::sequential())
-                    .expect("campaign units do not panic"),
-            )
-        })
-    });
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    g.bench_function("run_quick_parallel_auto", |b| {
-        b.iter(|| {
-            black_box(
-                campaign::run_quick_with(&scenario(), &Parallelism::new(workers))
-                    .expect("campaign units do not panic"),
-            )
-        })
-    });
+    for (name, par) in [
+        ("quick_sequential", Parallelism::sequential()),
+        ("quick_parallel_auto", Parallelism::new(workers)),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(
+                    run_targets(&available_targets(), &scenario(), RunScale::Quick, &par)
+                        .expect("campaign units do not panic"),
+                )
+            })
+        });
+    }
     g.finish();
 }
 

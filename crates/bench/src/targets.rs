@@ -4,13 +4,15 @@
 //! Most targets are views of an experiment family's result: Tables 3, 4
 //! and 10 and Fig. 2a all come from one curl run, for instance. The
 //! family table below names each family's targets, and
-//! [`run_targets`] runs each family the named targets need exactly
-//! once, then renders every named target (and, on request, the CSV
-//! export) from that one result.
+//! [`run_targets`] runs every family the named targets need exactly
+//! once, all of them in one executor pool, then renders every named
+//! target (and, on request, the CSV export) from its family's result.
 
+use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 
-use ptperf::executor::{ExecError, Parallelism, ShardReport};
+use ptperf::executor::{self, ExecError, Parallelism, ShardReport, Unit};
 use ptperf::experiments::ttest_tables::{self, TTestRow};
 use ptperf::experiments::{
     file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
@@ -22,10 +24,11 @@ use ptperf::{campaign, ecosystem, report};
 /// A target's rendered text plus the executor shard reports behind it.
 ///
 /// The reports are those of the target's experiment family, in
-/// shard-index order — an order that is a function of the target alone,
-/// never of worker count or completion order, so trace serializations
-/// built from them are deterministic. Targets of one family carry the
-/// same reports, taken from the family's one run.
+/// shard-index order, numbered within the family — an order that is a
+/// function of the target alone, never of worker count, completion
+/// order or the other targets named, so trace serializations built
+/// from them are deterministic. Targets of one family carry the same
+/// reports, taken from the family's one run.
 #[derive(Debug)]
 pub struct TargetRun {
     /// The target's name, as passed to [`run_targets`].
@@ -72,6 +75,15 @@ impl Runs {
     pub fn csv(&self) -> Vec<(&'static str, String)> {
         self.results.iter().flat_map(|r| r.csv()).collect()
     }
+
+    /// The merged result of the family whose result type is `R`, e.g.
+    /// `runs.result::<website_curl::Result>()`; `None` when no named
+    /// target needed that family.
+    pub fn result<R: 'static>(&self) -> Option<&R> {
+        self.results
+            .iter()
+            .find_map(|r| (**r).as_any().downcast_ref())
+    }
 }
 
 /// Why [`run_targets`] returned no runs.
@@ -103,8 +115,11 @@ impl std::error::Error for RunError {}
 
 /// Runs the named targets and returns one [`TargetRun`] per name, in
 /// the order named. Each experiment family the names need runs exactly
-/// once, in its own executor pool, and every named target of that family
-/// renders from the one result and carries its shard reports.
+/// once, and all of them share one executor pool: their units enter it
+/// family by family in first-named order. Every named target of a
+/// family renders from its one result and carries its shard reports,
+/// numbered within the family as a pool of its own would number them,
+/// so a target's trace does not depend on the other targets named.
 ///
 /// The rendered text is bit-for-bit identical at any worker count (see
 /// [`ptperf::executor`]); whether the reports carry sim-time
@@ -112,7 +127,8 @@ impl std::error::Error for RunError {}
 /// [`ptperf::executor::Record`]), and the text is identical either way.
 /// Every name is checked before anything runs: an unknown one returns
 /// [`RunError::UnknownTarget`]. A failed experiment shard returns
-/// [`RunError::Failed`].
+/// [`RunError::Failed`] for the first family, in run order, that
+/// failed.
 pub fn run_targets(
     names: &[&str],
     scenario: &Scenario,
@@ -122,38 +138,54 @@ pub fn run_targets(
     if let Some(name) = names.iter().find(|n| !available_targets().contains(n)) {
         return Err(RunError::UnknownTarget(name.to_string()));
     }
-    let mut ran: Vec<Option<FamilyRun>> = FAMILIES.iter().map(|_| None).collect();
-    let mut targets = Vec::with_capacity(names.len());
+    let family_of = |name: &str| FAMILIES.iter().position(|f| f.targets.contains(&name));
+    let mut needed: Vec<Needed> = Vec::new();
+    let mut pool = Vec::new();
     for &name in names {
-        let (text, reports) = match name {
-            "table1" => (campaign::render_plan(), Vec::new()),
-            "table2" => (ecosystem::render(), Vec::new()),
-            _ => {
-                let i = FAMILIES
-                    .iter()
-                    .position(|f| f.targets.contains(&name))
-                    .expect("every listed target but table1 and table2 has a family");
-                let (result, reports) = match &mut ran[i] {
-                    Some(done) => done,
-                    slot => {
-                        let run = (FAMILIES[i].run)(scenario, scale, par).map_err(|error| {
-                            RunError::Failed {
-                                target: name.to_string(),
-                                error,
-                            }
-                        })?;
-                        slot.insert(run)
-                    }
-                };
-                (result.artifact(name), reports.clone())
+        match family_of(name) {
+            Some(family) if needed.iter().all(|n| n.family != family) => {
+                let start = pool.len();
+                pool.extend((FAMILIES[family].units)(scenario, scale));
+                needed.push(Needed {
+                    family,
+                    first: name,
+                    shards: start..pool.len(),
+                });
             }
-        };
-        targets.push(TargetRun {
-            name: name.to_string(),
-            text,
-            reports,
-        });
+            _ => {}
+        }
     }
+    let executed = executor::run_units(par, pool).map_err(|error| first_failure(error, &needed))?;
+    let mut ran: Vec<Option<FamilyRun>> = FAMILIES.iter().map(|_| None).collect();
+    let mut values = executed.values.into_iter();
+    let mut reports = executed.reports.into_iter();
+    for Needed { family, shards, .. } in needed {
+        let result = (FAMILIES[family].merge)(values.by_ref().take(shards.len()).collect());
+        let reports = reports
+            .by_ref()
+            .take(shards.len())
+            .map(|mut report| {
+                report.index -= shards.start;
+                report
+            })
+            .collect();
+        ran[family] = Some((result, reports));
+    }
+    let targets = names
+        .iter()
+        .map(|&name| {
+            let (text, reports) = match family_of(name).and_then(|f| ran[f].as_ref()) {
+                Some((result, reports)) => (result.artifact(name), reports.clone()),
+                None if name == "table1" => (campaign::render_plan(), Vec::new()),
+                None => (ecosystem::render(), Vec::new()),
+            };
+            TargetRun {
+                name: name.to_string(),
+                text,
+                reports,
+            }
+        })
+        .collect();
     let results = ran.into_iter().flatten().map(|(r, _)| r).collect();
     Ok(Runs { targets, results })
 }
@@ -161,32 +193,79 @@ pub fn run_targets(
 /// One experiment family's result and every shard report behind it.
 type FamilyRun = (Box<dyn Artifacts>, Vec<ShardReport>);
 
-/// An experiment family: the targets it renders, and one run of it at
-/// a given scale.
+/// A family a [`run_targets`] call needs: its index in [`FAMILIES`],
+/// the first target naming it, and its units' range in the pool.
+struct Needed<'a> {
+    family: usize,
+    first: &'a str,
+    shards: Range<usize>,
+}
+
+/// The error of a failed pool, as the first failing family's own pool
+/// would have reported it: named after that family's first-named
+/// target, with only its failures, numbered within the family.
+fn first_failure(mut error: ExecError, needed: &[Needed]) -> RunError {
+    let first = error.failures[0].index;
+    let failed = needed
+        .iter()
+        .find(|n| n.shards.contains(&first))
+        .expect("every pool index lies in one family's range");
+    error.failures.retain(|f| failed.shards.contains(&f.index));
+    for failure in &mut error.failures {
+        failure.index -= failed.shards.start;
+    }
+    error.completed = failed.shards.len() - error.failures.len();
+    RunError::Failed {
+        target: failed.first.to_string(),
+        error,
+    }
+}
+
+/// A shard value with its type erased, so that every family's units
+/// share one pool.
+type Erased = Box<dyn Any + Send>;
+
+/// An experiment family: the targets it renders, its units at a given
+/// scale and the merge of their values into its result.
 struct Family {
     /// The family's targets, each rendered by its result's
     /// [`Artifacts::artifact`].
     targets: &'static [&'static str],
-    /// Runs the family at the scale's config through its `run_with`.
-    run: fn(&Scenario, RunScale, &Parallelism) -> Result<FamilyRun, ExecError>,
+    /// The family's units at the scale's config.
+    units: fn(&Scenario, RunScale) -> Vec<Unit<Erased>>,
+    /// Merges the family's shard values, in shard-index order.
+    merge: fn(Vec<Erased>) -> Box<dyn Artifacts>,
 }
 
-/// The [`Family`] entry of an experiment module: its
-/// `Config::quick()` or `Config::paper()`, run through its `run_with`.
+/// The [`Family`] entry of an experiment module: the `units` of its
+/// `Config::quick()` or `Config::paper()`, and its `merge`.
 macro_rules! family {
     ($experiment:ident: $($target:literal),+) => {
         Family {
             targets: &[$($target),+],
-            run: |scenario, scale, par| {
+            units: |scenario, scale| {
                 let cfg = match scale {
                     RunScale::Quick => $experiment::Config::quick(),
                     RunScale::Paper => $experiment::Config::paper(),
                 };
-                let (result, reports) = $experiment::run_with(scenario, &cfg, par)?;
-                Ok((Box::new(result), reports))
+                $experiment::units(scenario, &cfg).into_iter().map(Unit::boxed).collect()
             },
+            merge: |values| Box::new($experiment::merge(downcast(values))),
         }
     };
+}
+
+/// A family's shard values, back as its shard type. They come from the
+/// family's own range of the pool, so every downcast succeeds.
+fn downcast<T: 'static>(values: Vec<Erased>) -> Vec<T> {
+    values
+        .into_iter()
+        .map(|value| {
+            *value
+                .downcast()
+                .expect("a family's pool range holds its shard values")
+        })
+        .collect()
 }
 
 /// The thirteen experiment families and their targets.
@@ -207,13 +286,24 @@ const FAMILIES: [Family; 13] = [
 ];
 
 /// An experiment family's result, rendered as each of its targets.
-trait Artifacts: fmt::Debug {
+trait Artifacts: AsAny + fmt::Debug {
     /// Renders `target`, one of the family's [`Family::targets`].
     fn artifact(&self, target: &str) -> String;
 
     /// The family's CSV export as `(file_stem, csv_document)` pairs.
     fn csv(&self) -> Vec<(&'static str, String)> {
         Vec::new()
+    }
+}
+
+/// A family's result as [`Any`], which [`Runs::result`] downcasts.
+trait AsAny {
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Any> AsAny for T {
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -502,6 +592,34 @@ mod tests {
         for run in &runs.targets[1..] {
             assert_eq!(shards(run), first, "{} ran its own pool", run.name);
         }
+    }
+
+    #[test]
+    fn a_failure_reads_as_the_first_failing_family_run_alone() {
+        use ptperf::executor::ShardFailure;
+        let needed = |family, first, shards| Needed {
+            family,
+            first,
+            shards,
+        };
+        let needed = [
+            needed(0, "table3", 0..13),
+            needed(4, "fig5", 13..26),
+            needed(9, "fig9", 26..27),
+        ];
+        let failure = |index: usize| ShardFailure {
+            index,
+            label: format!("shard{index}"),
+            message: "boom".to_string(),
+        };
+        let error = ExecError {
+            failures: vec![failure(15), failure(20), failure(26)],
+            completed: 24,
+        };
+        assert_eq!(
+            first_failure(error, &needed).to_string(),
+            "fig5: 2 shard(s) failed (11 completed): [#2 shard15: boom] [#7 shard20: boom]"
+        );
     }
 
     #[test]

@@ -1,16 +1,9 @@
-//! **Table 1** — the measurement-campaign plan, and a one-call runner
-//! that executes a scaled-down version of the entire campaign.
-
-use std::any::Any;
-use std::time::Duration;
+//! **Table 1** — the measurement-campaign plan, and the scheduled
+//! snowflake monitoring campaign over the §5.3 timeline.
 
 use ptperf_stats::Table;
 
 use crate::executor::{self, ExecError, Parallelism, ShardReport, Unit};
-use crate::experiments::{
-    file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
-    snowflake_load, speed_index, ttfb, website_curl, website_selenium,
-};
 use crate::scenario::Scenario;
 
 /// One row of Table 1.
@@ -47,229 +40,6 @@ pub fn render_plan() -> String {
     format!("Table 1 — Overview of measurement types\n{}", table.render())
 }
 
-/// Per-family execution summary of a campaign run.
-#[derive(Debug, Clone)]
-pub struct FamilyStats {
-    /// Experiment family name.
-    pub name: &'static str,
-    /// Number of shards the family contributed to the pool.
-    pub shards: usize,
-    /// Raw measurements taken across the family's shards.
-    pub samples: usize,
-    /// Cumulative shard wall-clock time (sum over the family's shards,
-    /// so it exceeds elapsed time when shards overlap on workers).
-    pub wall: Duration,
-}
-
-/// Execution statistics for a campaign run.
-#[derive(Debug, Clone)]
-pub struct CampaignStats {
-    /// Per-family rollups, in campaign order.
-    pub families: Vec<FamilyStats>,
-    /// Every shard's record, in shard-index (= merge) order.
-    pub reports: Vec<ShardReport>,
-    /// Elapsed wall-clock time for the whole pool.
-    pub wall: Duration,
-    /// Worker threads used.
-    pub workers: usize,
-}
-
-impl CampaignStats {
-    /// Renders the per-family execution table.
-    pub fn render(&self) -> String {
-        let mut table = Table::new(["family", "shards", "samples", "shard time (s)"]);
-        for f in &self.families {
-            table.row([
-                f.name.to_string(),
-                f.shards.to_string(),
-                f.samples.to_string(),
-                format!("{:.2}", f.wall.as_secs_f64()),
-            ]);
-        }
-        format!(
-            "Campaign execution — {} shards on {} worker(s), {:.2} s elapsed\n{}",
-            self.reports.len(),
-            self.workers,
-            self.wall.as_secs_f64(),
-            table.render()
-        )
-    }
-}
-
-/// Results of a full (scaled) campaign run.
-pub struct CampaignResults {
-    /// Figure 2a.
-    pub website_curl: website_curl::Result,
-    /// Figure 2b.
-    pub website_selenium: website_selenium::Result,
-    /// Figure 3.
-    pub fixed_circuit: fixed_circuit::Result,
-    /// Figure 4.
-    pub fixed_guard: fixed_guard::Result,
-    /// Figure 5 / Table 7.
-    pub file_download: file_download::Result,
-    /// Figure 6.
-    pub ttfb: ttfb::Result,
-    /// Figure 7.
-    pub location: location::Result,
-    /// Figure 8.
-    pub reliability: reliability::Result,
-    /// §4.7.
-    pub medium: medium::Result,
-    /// Figure 9.
-    pub overhead: overhead::Result,
-    /// Figures 10 and 12.
-    pub snowflake: snowflake_load::Result,
-    /// Figure 11 / Tables 8, 9.
-    pub speed_index: speed_index::Result,
-    /// Execution statistics (per-shard wall clock and sample counts).
-    pub stats: CampaignStats,
-}
-
-/// Takes the next `n` type-erased shard values and downcasts them back
-/// to the family's shard type. Panics only on a bug in the pool layout
-/// (the counts and order come straight from the family `units()` calls).
-fn drain<T: 'static>(
-    values: &mut std::vec::IntoIter<Box<dyn Any + Send>>,
-    n: usize,
-) -> Vec<T> {
-    (0..n)
-        .map(|_| {
-            *values
-                .next()
-                .expect("pool has as many values as enlisted units")
-                .downcast::<T>()
-                .expect("family ranges drain in enlist order")
-        })
-        .collect()
-}
-
-/// Runs every experiment at test scale through the parallel executor:
-/// the campaign is sharded into one type-erased pool spanning all
-/// twelve families, executed at the requested [`Parallelism`], and
-/// merged per family in shard-index order — so the results are
-/// bit-for-bit identical at any worker count (see [`crate::executor`]).
-pub fn run_quick_with(
-    scenario: &Scenario,
-    par: &Parallelism,
-) -> std::result::Result<CampaignResults, ExecError> {
-    let mut pool: Vec<Unit<Box<dyn Any + Send>>> = Vec::new();
-    let mut family_names: Vec<&'static str> = Vec::new();
-    macro_rules! enlist {
-        ($name:literal, $units:expr) => {{
-            let units = $units;
-            let n = units.len();
-            pool.extend(units.into_iter().map(Unit::boxed));
-            family_names.push($name);
-            n
-        }};
-    }
-    let n_curl = enlist!(
-        "website_curl",
-        website_curl::units(scenario, &website_curl::Config::quick())
-    );
-    let n_selenium = enlist!(
-        "website_selenium",
-        website_selenium::units(scenario, &website_selenium::Config::quick())
-    );
-    let n_circuit = enlist!(
-        "fixed_circuit",
-        fixed_circuit::units(scenario, &fixed_circuit::Config::quick())
-    );
-    let n_guard = enlist!(
-        "fixed_guard",
-        fixed_guard::units(scenario, &fixed_guard::Config::quick())
-    );
-    let n_file = enlist!(
-        "file_download",
-        file_download::units(scenario, &file_download::Config::quick())
-    );
-    let n_ttfb = enlist!("ttfb", ttfb::units(scenario, &ttfb::Config::quick()));
-    let n_location = enlist!(
-        "location",
-        location::units(scenario, &location::Config::quick())
-    );
-    let n_reliability = enlist!(
-        "reliability",
-        reliability::units(scenario, &reliability::Config::quick())
-    );
-    let n_medium = enlist!("medium", medium::units(scenario, &medium::Config::quick()));
-    let n_overhead = enlist!(
-        "overhead",
-        overhead::units(scenario, &overhead::Config::quick())
-    );
-    let n_snowflake = enlist!(
-        "snowflake",
-        snowflake_load::units(scenario, &snowflake_load::Config::quick())
-    );
-    let n_si = enlist!(
-        "speed_index",
-        speed_index::units(scenario, &speed_index::Config::quick())
-    );
-
-    let executed = executor::run_units(par, pool)?;
-
-    let counts = [
-        n_curl, n_selenium, n_circuit, n_guard, n_file, n_ttfb, n_location,
-        n_reliability, n_medium, n_overhead, n_snowflake, n_si,
-    ];
-    let mut families = Vec::with_capacity(counts.len());
-    let mut offset = 0;
-    for (&name, &shards) in family_names.iter().zip(&counts) {
-        let reports = &executed.reports[offset..offset + shards];
-        families.push(FamilyStats {
-            name,
-            shards,
-            samples: reports.iter().map(|r| r.samples).sum(),
-            wall: reports.iter().map(|r| r.wall).sum(),
-        });
-        offset += shards;
-    }
-    let stats = CampaignStats {
-        families,
-        reports: executed.reports,
-        wall: executed.wall,
-        workers: executed.workers,
-    };
-
-    let mut values = executed.values.into_iter();
-    let website_curl = website_curl::merge(drain(&mut values, n_curl));
-    let website_selenium = website_selenium::merge(drain(&mut values, n_selenium));
-    let fixed_circuit = fixed_circuit::merge(drain(&mut values, n_circuit));
-    let fixed_guard = fixed_guard::merge(drain(&mut values, n_guard));
-    let file_download = file_download::merge(drain(&mut values, n_file));
-    let ttfb = ttfb::merge(drain(&mut values, n_ttfb));
-    let location = location::merge(drain(&mut values, n_location));
-    let reliability = reliability::merge(drain(&mut values, n_reliability));
-    let medium = medium::merge(drain(&mut values, n_medium));
-    let overhead = overhead::merge(drain(&mut values, n_overhead));
-    let snowflake = snowflake_load::merge(drain(&mut values, n_snowflake));
-    let speed_index = speed_index::merge(drain(&mut values, n_si));
-
-    Ok(CampaignResults {
-        website_curl,
-        website_selenium,
-        fixed_circuit,
-        fixed_guard,
-        file_download,
-        ttfb,
-        location,
-        reliability,
-        medium,
-        overhead,
-        snowflake,
-        speed_index,
-        stats,
-    })
-}
-
-/// Runs every experiment at test scale (seconds, not hours). The `repro`
-/// binary runs them at configurable scale instead.
-pub fn run_quick(scenario: &Scenario) -> CampaignResults {
-    run_quick_with(scenario, &Parallelism::sequential())
-        .expect("sequential campaign units do not panic")
-}
-
 /// A timestamped measurement from a scheduled campaign run.
 #[derive(Debug, Clone, Copy)]
 pub struct TimedMeasurement {
@@ -287,8 +57,9 @@ pub struct TimedMeasurement {
 /// the load in effect at its timestamp (the Figure 10a step curve), and
 /// the slots automatically thin out once the surge-caution limits kick
 /// in — reproducing how the paper's own campaign stretched "into
-/// months".
-pub fn run_scheduled_snowflake_with(
+/// months". Slots run in 250-slot shards at `par`; the series is
+/// identical at any worker count.
+pub fn run_scheduled_snowflake(
     scenario: &Scenario,
     measurements: u32,
     par: &Parallelism,
@@ -375,16 +146,6 @@ pub fn run_scheduled_snowflake_with(
     ))
 }
 
-/// Sequential wrapper over [`run_scheduled_snowflake_with`].
-pub fn run_scheduled_snowflake(
-    scenario: &Scenario,
-    measurements: u32,
-) -> Vec<TimedMeasurement> {
-    run_scheduled_snowflake_with(scenario, measurements, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,7 +160,8 @@ mod tests {
     #[test]
     fn scheduled_campaign_tracks_the_timeline() {
         let scenario = Scenario::baseline(314);
-        let series = run_scheduled_snowflake(&scenario, 6_500);
+        let (series, _) = run_scheduled_snowflake(&scenario, 6_500, &Parallelism::sequential())
+            .expect("campaign units do not panic");
         assert_eq!(series.len(), 6_500);
         // Slots are time-ordered and the campaign spans multiple weeks
         // under the surge-cautious limits.
@@ -419,16 +181,5 @@ mod tests {
             mean(&surge),
             mean(&calm)
         );
-    }
-
-    #[test]
-    fn quick_campaign_runs_end_to_end() {
-        let results = run_quick(&Scenario::baseline(777));
-        // Spot-check one cross-experiment consistency property: the PTs
-        // that fail bulk downloads are the ones excluded from Figure 5.
-        let excluded = results.file_download.excluded();
-        for pt in crate::experiments::reliability::WORST {
-            assert!(excluded.contains(&pt), "{pt} not excluded from fig5");
-        }
     }
 }

@@ -171,8 +171,8 @@ impl<T> Unit<T> {
 
 impl<T: Send + 'static> Unit<T> {
     /// Type-erase the shard value so units of different families can
-    /// share one executor pool (the campaign runner downcasts per
-    /// family when merging).
+    /// share one executor pool (`ptperf-bench`'s `run_targets`
+    /// downcasts each family's values when merging).
     pub fn boxed(self) -> Unit<Box<dyn std::any::Any + Send>> {
         let Unit { label, work } = self;
         Unit {

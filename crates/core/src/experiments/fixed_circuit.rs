@@ -9,11 +9,11 @@
 
 use ptperf_sim::LoadProfile;
 use ptperf_stats::{ascii_boxplots, ascii_ecdf, Ecdf, PairedTTest, Summary};
-use ptperf_tor::{PathSelector, Relay, RelayFlags, RelayId};
+use ptperf_tor::{PathConfig, PathSelector, Relay, RelayFlags, RelayId};
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
 use ptperf_web::{curl, SiteList, Website};
 
-use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
+use crate::executor::{run_units, Parallelism, Unit};
 use crate::scenario::Scenario;
 
 /// The three configurations compared.
@@ -67,21 +67,11 @@ pub fn merge(shards: Vec<Result>) -> Result {
     shards.into_iter().next().expect("exactly one shard")
 }
 
-/// Runs the experiment through the executor at the given parallelism.
-pub fn run_with(
-    scenario: &Scenario,
-    cfg: &Config,
-    par: &Parallelism,
-) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
-    let executed = crate::executor::run_units(par, units(scenario, cfg))?;
-    Ok((merge(executed.values), executed.reports))
-}
-
 /// Runs the experiment.
 pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
+    let executed = run_units(&Parallelism::sequential(), units(scenario, cfg))
+        .expect("campaign units do not panic");
+    merge(executed.values)
 }
 
 /// The experiment's one shard: per-fetch phase accumulation and an
@@ -118,10 +108,13 @@ fn run_shard(
     let mut times: Vec<(PtId, Vec<f64>)> =
         CONFIGS.iter().map(|&pt| (pt, Vec::new())).collect();
     let mut abs_diffs = Vec::new();
+    let transports = CONFIGS.map(transport_for);
+    let mut selector = PathSelector::new();
 
     for _ in 0..cfg.iterations {
-        // Fresh middle/exit for this iteration, shared by all configs.
-        let mut selector = PathSelector::new();
+        // Fresh middle/exit for this iteration, shared by all configs. A
+        // reset selector draws exactly like a new one.
+        selector.reset(PathConfig::default());
         let fresh = selector
             .select(&dep.consensus, &mut rng)
             .expect("consensus has relays");
@@ -132,8 +125,7 @@ fn run_shard(
 
         for site in &sites {
             let mut per_config = Vec::with_capacity(CONFIGS.len());
-            for (ci, &pt) in CONFIGS.iter().enumerate() {
-                let transport = transport_for(pt);
+            for (ci, transport) in transports.iter().enumerate() {
                 let ch =
                     transport.establish_with(&dep, &opts, site.server, &mut rng, scratch);
                 let fetch = curl::fetch(&ch, site, &mut rng);

@@ -14,7 +14,7 @@ use ptperf_stats::{ascii_boxplots, Summary};
 use ptperf_transports::PtId;
 use ptperf_web::FaultSession;
 
-use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
+use crate::executor::{run_units, Parallelism, Unit};
 use crate::measure::curl_site_averages;
 use crate::scenario::Scenario;
 
@@ -107,21 +107,11 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     Result { samples: shards.into_iter().collect() }
 }
 
-/// Runs the experiment through the executor at the given parallelism.
-pub fn run_with(
-    scenario: &Scenario,
-    cfg: &Config,
-    par: &Parallelism,
-) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
-    let executed = crate::executor::run_units(par, units(scenario, cfg))?;
-    Ok((merge(executed.values), executed.reports))
-}
-
 /// Runs the experiment over the 3×3 location grid.
 pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
+    let executed = run_units(&Parallelism::sequential(), units(scenario, cfg))
+        .expect("campaign units do not panic");
+    merge(executed.values)
 }
 
 impl Result {

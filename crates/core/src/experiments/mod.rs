@@ -3,10 +3,11 @@
 //! Every runner follows the same shape: a `Config` with a `quick()`
 //! preset (seconds, for tests) and a `paper()` preset (the full scale of
 //! the original campaign), `units` and `merge` that split the work into
-//! executor shards and join their values, `run_with` running those
-//! shards at a given [`crate::executor::Parallelism`], `run` as its
-//! sequential shorthand, and a `render()` producing the text
-//! figure/table.
+//! executor shards and join their values, `run` running them on the
+//! calling thread, and a `render()` producing the text figure/table.
+//! To run shards on several workers, or beside other families' shards,
+//! pass `units` to [`crate::executor::run_units`] and its values to
+//! `merge`; `repro` runs every selected family in one such pool.
 
 pub mod file_download;
 pub mod fixed_circuit;

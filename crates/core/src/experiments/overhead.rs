@@ -24,7 +24,7 @@ use ptperf_tor::{PathConfig, PathSelector, Relay, RelayFlags, RelayId};
 use ptperf_transports::{dnstt, transport_for, EstablishScratch, PluggableTransport, PtId};
 use ptperf_web::{curl, SiteList};
 
-use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
+use crate::executor::{run_units, Parallelism, Unit};
 use crate::scenario::Scenario;
 
 /// The PTs whose overhead Figure 9 isolates.
@@ -96,21 +96,11 @@ pub fn merge(shards: Vec<Result>) -> Result {
     shards.into_iter().next().expect("exactly one shard")
 }
 
-/// Runs the experiment through the executor at the given parallelism.
-pub fn run_with(
-    scenario: &Scenario,
-    cfg: &Config,
-    par: &Parallelism,
-) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
-    let executed = crate::executor::run_units(par, units(scenario, cfg))?;
-    Ok((merge(executed.values), executed.reports))
-}
-
 /// Runs the experiment.
 pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
+    let executed = run_units(&Parallelism::sequential(), units(scenario, cfg))
+        .expect("campaign units do not panic");
+    merge(executed.values)
 }
 
 /// The experiment's one shard: per-fetch phase accumulation and an

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use ptperf_stats::{ascii_boxplots, PairedTTest, Summary};
 use ptperf_transports::{fault_bias, PtId};
 
-use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
+use crate::executor::{run_units, Parallelism, Unit};
 use crate::measure::curl_site_averages;
 use crate::scenario::{Epoch, Scenario};
 
@@ -230,21 +230,11 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     Result { pre, post, pre_monitor, weekly }
 }
 
-/// Runs the experiment through the executor at the given parallelism.
-pub fn run_with(
-    scenario: &Scenario,
-    cfg: &Config,
-    par: &Parallelism,
-) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
-    let executed = crate::executor::run_units(par, units(scenario, cfg))?;
-    Ok((merge(executed.values), executed.reports))
-}
-
 /// Runs the experiment.
 pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
+    let executed = run_units(&Parallelism::sequential(), units(scenario, cfg))
+        .expect("campaign units do not panic");
+    merge(executed.values)
 }
 
 impl Result {

@@ -11,7 +11,7 @@ use ptperf_stats::{ascii_boxplots, Summary};
 use ptperf_transports::{transport_for, PtId};
 use ptperf_web::browser;
 
-use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
+use crate::executor::{run_units, Parallelism, Unit};
 use crate::measure::{record_page_phases, PairedSamples};
 use crate::scenario::{Epoch, Scenario};
 
@@ -129,21 +129,11 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     }
 }
 
-/// Runs the experiment through the executor at the given parallelism.
-pub fn run_with(
-    scenario: &Scenario,
-    cfg: &Config,
-    par: &Parallelism,
-) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
-    let executed = crate::executor::run_units(par, units(scenario, cfg))?;
-    Ok((merge(executed.values), executed.reports))
-}
-
 /// Runs the experiment (post-surge epoch, like the selenium runs).
 pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
+    let executed = run_units(&Parallelism::sequential(), units(scenario, cfg))
+        .expect("campaign units do not panic");
+    merge(executed.values)
 }
 
 impl Result {

@@ -17,7 +17,7 @@ use ptperf_stats::Table;
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
 use ptperf_web::streaming::{play, MediaStream, StreamingSession};
 
-use crate::executor::{ExecError, Parallelism, ShardReport, Unit};
+use crate::executor::{run_units, Parallelism, Unit};
 use crate::scenario::Scenario;
 
 use super::figure_order;
@@ -177,21 +177,11 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     Result { audio, video }
 }
 
-/// Runs the experiment through the executor at the given parallelism.
-pub fn run_with(
-    scenario: &Scenario,
-    cfg: &Config,
-    par: &Parallelism,
-) -> std::result::Result<(Result, Vec<ShardReport>), ExecError> {
-    let executed = crate::executor::run_units(par, units(scenario, cfg))?;
-    Ok((merge(executed.values), executed.reports))
-}
-
 /// Runs the experiment.
 pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
-    run_with(scenario, cfg, &Parallelism::sequential())
-        .expect("campaign units do not panic")
-        .0
+    let executed = run_units(&Parallelism::sequential(), units(scenario, cfg))
+        .expect("campaign units do not panic");
+    merge(executed.values)
 }
 
 impl Result {

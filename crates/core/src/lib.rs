@@ -10,9 +10,11 @@
 //! * [`experiments`] — one runner per table/figure (Fig. 2a/2b, 3, 4, 5,
 //!   6, 7, 8, 9, 10, 11, 12; Tables 3–10; §4.7 medium study);
 //! * [`ecosystem`] — the Table 2 survey of all 28 candidate PTs;
-//! * [`campaign`] — the Table 1 plan and an end-to-end campaign runner;
+//! * [`campaign`] — the Table 1 plan and the scheduled snowflake
+//!   campaign over the §5.3 timeline;
 //! * [`executor`] — the deterministic work-claiming parallel executor
-//!   the campaign and experiment runners are built on;
+//!   the experiment runners are built on (`ptperf-bench`'s
+//!   `run_targets` runs every selected family in one of its pools);
 //! * [`report`] — CSV export of results for external analysis;
 //! * [`schedule`] — the §5.1 ethical measurement planner (batching,
 //!   per-infrastructure rate limits, surge caution).

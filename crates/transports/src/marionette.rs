@@ -328,8 +328,7 @@ pub struct DerivedPerformance {
 #[derive(Clone)]
 pub struct Marionette {
     automaton: Arc<Automaton>,
-    /// Cover-protocol pacing: time per automaton transition.
-    pub transition_delay: SimDuration,
+    transition_delay: SimDuration,
     // Derived once at construction: executing 5k automaton transitions
     // per establish() would dominate experiment runtime for statistics
     // that do not change between sessions.
@@ -364,6 +363,12 @@ impl Marionette {
     /// The automaton in use.
     pub fn automaton(&self) -> &Automaton {
         &self.automaton
+    }
+
+    /// Cover-protocol pacing: time per automaton transition. Fixed at
+    /// construction, since [`Marionette::derived`] is computed from it.
+    pub fn transition_delay(&self) -> SimDuration {
+        self.transition_delay
     }
 
     /// The cached performance derivation.
@@ -535,7 +540,7 @@ mod tests {
         .unwrap();
         assert_eq!(bits(&a), bits(&fresh));
         assert_eq!(bits(&b), bits(&fresh));
-        assert_eq!(a.transition_delay, fresh.transition_delay);
+        assert_eq!(a.transition_delay(), fresh.transition_delay());
     }
 
     #[test]

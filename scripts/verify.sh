@@ -10,11 +10,12 @@
 #      per-PT phase histograms, finite quantiles) and the Chrome-trace
 #      smoke (--trace-chrome: parses, first event is process metadata)
 #   4a. whole-repro determinism smoke: every target at 1 and at 2
-#      workers, three times — at quick scale with --csv (also at 3
-#      workers: two spawned threads beside the calling thread), at quick
-#      scale with --faults and --csv, and at paper scale (stdout only);
-#      stdout after the header line (which names the worker count) and
-#      the CSV directories must match the 1-worker run's
+#      workers, three times — at quick scale with --csv, --trace and
+#      --hist (also at 3 workers: two spawned threads beside the calling
+#      thread), at quick scale with --faults and the same outputs, and at
+#      paper scale (stdout only); stdout after the header line (which
+#      names the worker count), the CSV directories, the traces and the
+#      hist reports must match the 1-worker run's
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
@@ -95,26 +96,35 @@ grep -q '"ph":"X"' "$obs_dir/chrome.json"
 grep -q '"ph":"C"' "$obs_dir/chrome.json"
 
 echo "== whole-repro determinism smoke (all targets, 1 vs 2 and 3 workers) =="
-# determinism_lane LANE csv|stdout "COUNTS" [FLAGS...]: runs every target
-# with FLAGS at 1 worker and at each worker count in COUNTS. Stdout after
-# the header line must match the 1-worker run's; with `csv` every run
-# also writes --csv and the directories must match the 1-worker one.
+# determinism_lane LANE files|stdout "COUNTS" [FLAGS...]: runs every
+# target with FLAGS at 1 worker and at each worker count in COUNTS.
+# Stdout after the header line must match the 1-worker run's; with
+# `files` every run also writes --csv, --trace and --hist, and each must
+# match the 1-worker run's too. All targets share one executor pool, so
+# the trace and hist check that shard numbering stays within a family.
 determinism_lane() {
   local lane="$1" keep="$2" counts="$3" w
   shift 3
   for w in 1 $counts; do
-    local csv=()
-    if [ "$keep" = csv ]; then csv=(--csv "$obs_dir/${lane}_csv$w"); fi
-    repro --quiet "${csv[@]}" --workers "$w" "$@" > "$obs_dir/${lane}_$w.txt"
+    local files=()
+    if [ "$keep" = files ]; then
+      files=(--csv "$obs_dir/${lane}_csv$w" --trace "$obs_dir/${lane}_$w.jsonl"
+        --hist "$obs_dir/${lane}_$w.hist.json")
+    fi
+    repro --quiet "${files[@]}" --workers "$w" "$@" > "$obs_dir/${lane}_$w.txt"
   done
   for w in $counts; do
     cmp <(tail -n +2 "$obs_dir/${lane}_1.txt") <(tail -n +2 "$obs_dir/${lane}_$w.txt")
-    if [ "$keep" = csv ]; then diff -r "$obs_dir/${lane}_csv1" "$obs_dir/${lane}_csv$w"; fi
+    if [ "$keep" = files ]; then
+      diff -r "$obs_dir/${lane}_csv1" "$obs_dir/${lane}_csv$w"
+      cmp "$obs_dir/${lane}_1.jsonl" "$obs_dir/${lane}_$w.jsonl"
+      cmp "$obs_dir/${lane}_1.hist.json" "$obs_dir/${lane}_$w.hist.json"
+    fi
   done
 }
 # Three workers are two spawned threads beside the calling thread.
-determinism_lane quick csv "2 3"
-determinism_lane faults csv 2 --faults
+determinism_lane quick files "2 3"
+determinism_lane faults files 2 --faults
 determinism_lane paper stdout 2 --paper
 
 echo "== fault smoke (neutrality + seeded plan counters) =="

@@ -163,7 +163,8 @@ fn shared_deployment_matches_per_unit_rebuild_bit_for_bit() {
     let shared = Scenario::baseline(29);
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
-        let (a, _) = file_download::run_with(&shared, &cfg, &par).unwrap();
+        let memoized = run_units(&par, file_download::units(&shared, &cfg)).unwrap();
+        let a = file_download::merge(memoized.values);
         let rebuilt = rebuilt_per_unit(29, |sc| file_download::units(sc, &cfg));
         let b = file_download::merge(run_units(&par, rebuilt).unwrap().values);
         for (pt, list) in &a.attempts {
@@ -196,7 +197,8 @@ fn warm_scratch_matches_cold_scratch_bit_for_bit() {
     let scenario = Scenario::baseline(53);
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
-        let (a, _) = website_selenium::run_with(&scenario, &cfg, &par).unwrap();
+        let warm = run_units(&par, website_selenium::units(&scenario, &cfg)).unwrap();
+        let a = website_selenium::merge(warm.values);
         let cold = one_pool_per_unit(&par, website_selenium::units(&scenario, &cfg));
         let b = website_selenium::merge(cold);
         for pt in a.samples.pts() {
@@ -228,7 +230,8 @@ fn cached_sites_match_per_unit_rebuilds_bit_for_bit() {
     let shared = Scenario::baseline(37);
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
-        let (a, _) = website_curl::run_with(&shared, &cfg, &par).unwrap();
+        let cached = run_units(&par, website_curl::units(&shared, &cfg)).unwrap();
+        let a = website_curl::merge(cached.values);
         let rebuilt = rebuilt_per_unit(37, |sc| website_curl::units(sc, &cfg));
         let b = website_curl::merge(run_units(&par, rebuilt).unwrap().values);
         for pt in PtId::ALL_WITH_VANILLA {

@@ -5,8 +5,12 @@
 
 use ptperf::campaign;
 use ptperf::executor::{self, Parallelism, Unit};
-use ptperf::experiments::{file_download, ttfb, website_curl};
+use ptperf::experiments::{
+    file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
+    snowflake_load, speed_index, streaming, ttfb, website_curl, website_selenium,
+};
 use ptperf::scenario::Scenario;
+use ptperf_bench::{available_targets, run_targets, RunScale, Runs};
 use ptperf_transports::PtId;
 
 const SEEDS: [u64; 2] = [11, 97];
@@ -43,8 +47,9 @@ fn website_curl_is_invariant_under_parallelism() {
         let scenario = Scenario::baseline(seed);
         let reference = website_curl::run(&scenario, &cfg);
         for par in worker_grid() {
-            let (result, reports) =
-                website_curl::run_with(&scenario, &cfg, &par).expect("no panics");
+            let executed = executor::run_units(&par, website_curl::units(&scenario, &cfg))
+                .expect("no panics");
+            let result = website_curl::merge(executed.values);
             for pt in PtId::ALL_WITH_VANILLA {
                 assert_bits_eq(
                     result.samples.samples(pt),
@@ -53,7 +58,7 @@ fn website_curl_is_invariant_under_parallelism() {
                 );
             }
             assert_eq!(result.render(), reference.render(), "seed {seed} {par:?}");
-            assert!(reports.iter().enumerate().all(|(i, r)| r.index == i));
+            assert!(executed.reports.iter().enumerate().all(|(i, r)| r.index == i));
         }
     }
 }
@@ -65,7 +70,9 @@ fn ttfb_is_invariant_under_parallelism() {
         let scenario = Scenario::baseline(seed);
         let reference = ttfb::run(&scenario, &cfg);
         for par in worker_grid() {
-            let (result, _) = ttfb::run_with(&scenario, &cfg, &par).expect("no panics");
+            let executed =
+                executor::run_units(&par, ttfb::units(&scenario, &cfg)).expect("no panics");
+            let result = ttfb::merge(executed.values);
             assert_eq!(result.ttfb.len(), reference.ttfb.len());
             for (pt, samples) in &reference.ttfb {
                 assert_bits_eq(
@@ -89,8 +96,9 @@ fn file_download_is_invariant_under_parallelism() {
         let scenario = Scenario::baseline(seed);
         let reference = file_download::run(&scenario, &cfg);
         for par in worker_grid() {
-            let (result, _) =
-                file_download::run_with(&scenario, &cfg, &par).expect("no panics");
+            let executed = executor::run_units(&par, file_download::units(&scenario, &cfg))
+                .expect("no panics");
+            let result = file_download::merge(executed.values);
             for (pt, attempts) in &reference.attempts {
                 let got = &result.attempts[pt];
                 assert_eq!(got.len(), attempts.len());
@@ -113,86 +121,87 @@ fn file_download_is_invariant_under_parallelism() {
     }
 }
 
+/// Every target at quick scale: the whole campaign in one pool.
+fn whole_campaign(scenario: &Scenario, par: &Parallelism) -> Runs {
+    run_targets(&available_targets(), scenario, RunScale::Quick, par).expect("no panics")
+}
+
+/// Family `R`'s result in each of two whole-campaign runs.
+fn results<'a, R: 'static>(a: &'a Runs, b: &'a Runs) -> (&'a R, &'a R) {
+    let result = |runs: &'a Runs| runs.result::<R>().expect("every family ran");
+    (result(a), result(b))
+}
+
 #[test]
 fn whole_campaign_is_invariant_under_parallelism() {
     let scenario = Scenario::baseline(23);
-    let sequential = campaign::run_quick_with(&scenario, &Parallelism::sequential())
-        .expect("no panics");
-    let parallel = campaign::run_quick_with(&scenario, &Parallelism::new(4))
-        .expect("no panics");
+    let sequential = whole_campaign(&scenario, &Parallelism::sequential());
+    let parallel = whole_campaign(&scenario, &Parallelism::new(4));
 
+    let (seq, par) = results::<website_curl::Result>(&sequential, &parallel);
     for pt in PtId::ALL_WITH_VANILLA {
         assert_bits_eq(
-            parallel.website_curl.samples.samples(pt),
-            sequential.website_curl.samples.samples(pt),
+            par.samples.samples(pt),
+            seq.samples.samples(pt),
             &format!("campaign curl {pt}"),
         );
     }
-    assert_eq!(
-        parallel.website_selenium.excluded,
-        sequential.website_selenium.excluded
-    );
-    assert_bits_eq(
-        &parallel.fixed_circuit.abs_diffs,
-        &sequential.fixed_circuit.abs_diffs,
-        "campaign fixed_circuit",
-    );
-    assert_bits_eq(
-        &parallel.fixed_guard.tor,
-        &sequential.fixed_guard.tor,
-        "campaign fixed_guard",
-    );
-    assert_bits_eq(
-        &parallel.snowflake.pre,
-        &sequential.snowflake.pre,
-        "campaign snowflake pre",
-    );
-    assert_eq!(
-        parallel.location.render(),
-        sequential.location.render(),
-        "campaign location"
-    );
-    assert_eq!(
-        parallel.reliability.render_stacked(),
-        sequential.reliability.render_stacked()
-    );
-    assert_eq!(parallel.medium.render(), sequential.medium.render());
-    assert_eq!(parallel.overhead.render(), sequential.overhead.render());
-    assert_eq!(
-        parallel.speed_index.render(),
-        sequential.speed_index.render()
-    );
-    assert_eq!(parallel.ttfb.render(), sequential.ttfb.render());
-    assert_eq!(
-        parallel.file_download.render(),
-        sequential.file_download.render()
-    );
+    let (seq, par) = results::<website_selenium::Result>(&sequential, &parallel);
+    assert_eq!(par.excluded, seq.excluded);
+    let (seq, par) = results::<fixed_circuit::Result>(&sequential, &parallel);
+    assert_bits_eq(&par.abs_diffs, &seq.abs_diffs, "campaign fixed_circuit");
+    let (seq, par) = results::<fixed_guard::Result>(&sequential, &parallel);
+    assert_bits_eq(&par.tor, &seq.tor, "campaign fixed_guard");
+    let (seq, par) = results::<snowflake_load::Result>(&sequential, &parallel);
+    assert_bits_eq(&par.pre, &seq.pre, "campaign snowflake pre");
+    let (seq, par) = results::<location::Result>(&sequential, &parallel);
+    assert_eq!(par.render(), seq.render(), "campaign location");
+    let (seq, par) = results::<reliability::Result>(&sequential, &parallel);
+    assert_eq!(par.render_stacked(), seq.render_stacked());
+    let (seq, par) = results::<medium::Result>(&sequential, &parallel);
+    assert_eq!(par.render(), seq.render());
+    let (seq, par) = results::<overhead::Result>(&sequential, &parallel);
+    assert_eq!(par.render(), seq.render());
+    let (seq, par) = results::<speed_index::Result>(&sequential, &parallel);
+    assert_eq!(par.render(), seq.render());
+    let (seq, par) = results::<ttfb::Result>(&sequential, &parallel);
+    assert_eq!(par.render(), seq.render());
+    let (seq, par) = results::<streaming::Result>(&sequential, &parallel);
+    assert_eq!(par.render(), seq.render());
+    let (seq, par) = results::<file_download::Result>(&sequential, &parallel);
+    assert_eq!(par.render(), seq.render());
+    // A cross-family consistency property: the PTs that fail bulk
+    // downloads are the ones excluded from Figure 5.
+    for pt in reliability::WORST {
+        assert!(seq.excluded().contains(&pt), "{pt} not excluded from fig5");
+    }
 
-    // The stats cover the same shard pool either way.
-    assert_eq!(
-        parallel.stats.reports.len(),
-        sequential.stats.reports.len()
+    // Every target renders the same text over the same shards.
+    let shards = |runs: &Runs| -> Vec<(String, usize, usize)> {
+        runs.targets
+            .iter()
+            .flat_map(|t| &t.reports)
+            .map(|r| (r.label.clone(), r.index, r.samples))
+            .collect()
+    };
+    assert_eq!(shards(&parallel), shards(&sequential));
+    assert!(
+        shards(&sequential).len() > 20,
+        "the campaign spans many shards"
     );
-    assert_eq!(parallel.stats.workers, 4);
-    assert_eq!(sequential.stats.workers, 1);
-    let labels = |r: &campaign::CampaignStats| -> Vec<String> {
-        r.reports.iter().map(|s| s.label.clone()).collect()
-    };
-    assert_eq!(labels(&parallel.stats), labels(&sequential.stats));
-    let samples = |r: &campaign::CampaignStats| -> Vec<usize> {
-        r.reports.iter().map(|s| s.samples).collect()
-    };
-    assert_eq!(samples(&parallel.stats), samples(&sequential.stats));
+    for (a, b) in parallel.targets.iter().zip(&sequential.targets) {
+        assert_eq!(a.text, b.text, "{}", a.name);
+    }
 }
 
 #[test]
 fn scheduled_campaign_is_invariant_under_parallelism() {
     let scenario = Scenario::baseline(314);
     let (sequential, _) =
-        campaign::run_scheduled_snowflake_with(&scenario, 1_200, &Parallelism::sequential())
+        campaign::run_scheduled_snowflake(&scenario, 1_200, &Parallelism::sequential())
             .expect("no panics");
     let (parallel, reports) =
-        campaign::run_scheduled_snowflake_with(&scenario, 1_200, &Parallelism::new(8))
+        campaign::run_scheduled_snowflake(&scenario, 1_200, &Parallelism::new(8))
             .expect("no panics");
     assert_eq!(sequential.len(), 1_200);
     assert_eq!(parallel.len(), 1_200);
@@ -214,19 +223,17 @@ fn parallel_campaign_is_faster_on_multicore() {
     }
     let scenario = Scenario::baseline(42);
     // Warm once so lazy statics (site corpus) don't bias the timings.
-    let _ = campaign::run_quick_with(&scenario, &Parallelism::sequential());
+    let _ = whole_campaign(&scenario, &Parallelism::sequential());
 
     let t0 = std::time::Instant::now();
-    let seq = campaign::run_quick_with(&scenario, &Parallelism::sequential())
-        .expect("no panics");
+    let seq = whole_campaign(&scenario, &Parallelism::sequential());
     let sequential_wall = t0.elapsed();
 
     let t1 = std::time::Instant::now();
-    let par = campaign::run_quick_with(&scenario, &Parallelism::new(4))
-        .expect("no panics");
+    let par = whole_campaign(&scenario, &Parallelism::new(4));
     let parallel_wall = t1.elapsed();
 
-    assert_eq!(seq.stats.reports.len(), par.stats.reports.len());
+    assert_eq!(seq.targets.len(), par.targets.len());
     // Generous bound (1.25×) to stay robust on loaded CI machines; the
     // typical speedup on 4 idle cores is ~3×.
     assert!(

@@ -9,12 +9,11 @@
 //! identical either way; these tests prove it holds through every
 //! layer, target by target.
 
-use ptperf::campaign;
-use ptperf::executor::{Parallelism, Record};
+use ptperf::executor::{run_units, Parallelism, Record};
 use ptperf::experiments::fixed_circuit;
 use ptperf::scenario::Scenario;
 use ptperf_bench::obs_export::{hist_json, trace_chrome, trace_jsonl};
-use ptperf_bench::{run_targets, RunScale, TargetRun};
+use ptperf_bench::{available_targets, run_targets, RunScale, TargetRun};
 
 const SEEDS: [u64; 2] = [11, 97];
 
@@ -106,7 +105,8 @@ fn raw_samples_are_bit_identical_with_recording_on() {
         let cfg = fixed_circuit::Config::quick();
         let off = fixed_circuit::run(&scenario, &cfg);
         let traced = Parallelism::sequential().with_recording(Record::Trace);
-        let (on, reports) = fixed_circuit::run_with(&scenario, &cfg, &traced).unwrap();
+        let executed = run_units(&traced, fixed_circuit::units(&scenario, &cfg)).unwrap();
+        let (on, reports) = (fixed_circuit::merge(executed.values), executed.reports);
         for ((pt_a, a), (pt_b, b)) in off.times.iter().zip(&on.times) {
             assert_eq!(pt_a, pt_b);
             assert_bits_eq(a, b, &format!("seed {seed} {pt_a} times"));
@@ -175,33 +175,30 @@ fn hist_and_chrome_reports_are_identical_across_worker_counts() {
 }
 
 #[test]
-fn campaign_trace_is_invariant_under_parallelism() {
-    // The campaign's per-family table embeds wall-clock columns, which
-    // legitimately vary run to run — the deterministic artifact is the
-    // trace plus the per-shard structure.
-    let traced = |par: Parallelism| -> TargetRun {
-        let par = par.with_recording(Record::Trace);
-        let results =
-            campaign::run_quick_with(&Scenario::baseline(SEEDS[0]), &par).expect("no shard fails");
-        TargetRun {
-            name: "campaign".to_string(),
-            text: String::new(),
-            reports: results.stats.reports,
+fn each_target_traces_alike_alone_and_in_the_whole_run() {
+    // `repro` runs every selected family in one pool; a target's trace
+    // and hist must still be those of a run naming it alone, so shard
+    // numbers count within the family, not across the pool.
+    let scenario = Scenario::baseline(SEEDS[0]);
+    let names = available_targets();
+    for workers in [1, 2] {
+        let par = Parallelism::new(workers).with_recording(Record::Trace);
+        let whole = run_targets(&names, &scenario, RunScale::Quick, &par)
+            .expect("no shard fails")
+            .targets;
+        for (name, in_whole) in names.iter().zip(&whole) {
+            let alone = [run(name, SEEDS[0], &par)];
+            let in_whole = std::slice::from_ref(in_whole);
+            assert_eq!(
+                trace_jsonl(in_whole),
+                trace_jsonl(&alone),
+                "{name} workers {workers}: trace depends on the other targets"
+            );
+            assert_eq!(
+                hist_json(in_whole),
+                hist_json(&alone),
+                "{name} workers {workers}: hist depends on the other targets"
+            );
         }
-    };
-    let sequential = traced(Parallelism::sequential());
-    let parallel = traced(Parallelism::new(4));
-    assert_eq!(
-        trace_jsonl(std::slice::from_ref(&sequential)),
-        trace_jsonl(std::slice::from_ref(&parallel)),
-        "campaign trace differs across worker counts"
-    );
-    let structure = |r: &TargetRun| -> Vec<(String, usize)> {
-        r.reports
-            .iter()
-            .map(|s| (s.label.clone(), s.samples))
-            .collect()
-    };
-    assert_eq!(structure(&sequential), structure(&parallel));
-    assert!(sequential.reports.len() > 20, "campaign spans many shards");
+    }
 }
