@@ -8,9 +8,11 @@
 //! * [`relay`] — relay descriptors and load-dependent available capacity;
 //! * [`path`] — bandwidth-weighted path selection, guard persistence, and
 //!   the stem/carml-style pinning controls the paper's fixed-circuit
-//!   experiments need;
+//!   experiments need, set directly on [`PathConfig`];
 //! * [`cell`] — real 514-byte cell and RELAY-cell codecs (the framing
-//!   overhead used by the timing model is *derived* from these);
+//!   overhead used by the timing model is *derived* from these, and
+//!   `ptperf-transports`' `codec_model` test pins it to their output);
+//! * [`ntor`] — the CREATE2/CREATED2 key exchange over real X25519;
 //! * [`onion`] — per-hop key derivation and layered encryption over real
 //!   bytes (HKDF + ChaCha20);
 //! * [`circuit`] — circuit build timing (telescoping extends), end-to-end
@@ -27,17 +29,14 @@
 
 pub mod cell;
 pub mod circuit;
-pub mod control;
 pub mod consensus;
 pub mod index;
 pub mod ntor;
 pub mod onion;
 pub mod path;
 pub mod relay;
-pub mod socks;
 
 pub use cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_LEN, RELAY_DATA_LEN};
-pub use control::{Command as ControlCommand, Reply as ControlReply, TorController};
 pub use circuit::{access_capacity, window_capped_rate, Circuit, CircuitOptions, Via};
 pub use consensus::{Consensus, ConsensusParams};
 pub use index::{ClassIndex, ConsensusIndex, FilterClass};

@@ -1,14 +1,12 @@
 //! Property tests for the Tor substrate: cell codecs, onion layering,
-//! SOCKS, the control protocol, and path-selection validity over
-//! arbitrary consensuses.
+//! and path-selection validity over arbitrary consensuses.
 
 use proptest::prelude::*;
 
 use ptperf_sim::{LoadProfile, SimRng};
 use ptperf_tor::cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_PAYLOAD_LEN, RELAY_DATA_LEN};
 use ptperf_tor::consensus::{Consensus, ConsensusParams};
-use ptperf_tor::socks;
-use ptperf_tor::{ControlCommand, OnionStack, PathSelector};
+use ptperf_tor::{OnionStack, PathSelector};
 
 fn arb_relay_command() -> impl Strategy<Value = RelayCommand> {
     prop::sample::select(vec![
@@ -71,59 +69,6 @@ proptest! {
             relays.peel_at(hop, &mut payload);
         }
         prop_assert_eq!(payload, original);
-    }
-
-    /// SOCKS CONNECT round-trips arbitrary domains and ports.
-    #[test]
-    fn socks_connect_round_trip(domain in "[a-z0-9.-]{1,64}", port in any::<u16>()) {
-        let addr = socks::SocksAddr::Domain(domain.clone());
-        let wire = socks::encode_connect(&addr, port);
-        let (back, back_port) = socks::decode_connect(&wire).unwrap();
-        prop_assert_eq!(back, addr);
-        prop_assert_eq!(back_port, port);
-    }
-
-    /// SOCKS decoders never panic on arbitrary bytes.
-    #[test]
-    fn socks_decoders_total(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = socks::decode_greeting(&bytes);
-        let _ = socks::decode_connect(&bytes);
-        let _ = socks::decode_reply(&bytes);
-    }
-
-    /// Control commands format/parse round-trip.
-    #[test]
-    fn control_round_trip(
-        pending in 0u32..100,
-        dirtiness in 0u64..1_000_000,
-        r1 in 0u32..1000,
-        r2 in 0u32..1000,
-        r3 in 0u32..1000,
-        stream in any::<u32>(),
-        circuit in any::<u32>(),
-    ) {
-        let cmds = vec![
-            ControlCommand::SetConf(vec![
-                ("MaxClientCircuitsPending".into(), pending.to_string()),
-                ("MaxCircuitDirtiness".into(), dirtiness.to_string()),
-            ]),
-            ControlCommand::ExtendCircuit(vec![
-                ptperf_tor::RelayId(r1),
-                ptperf_tor::RelayId(r2),
-                ptperf_tor::RelayId(r3),
-            ]),
-            ControlCommand::AttachStream { stream, circuit },
-            ControlCommand::CloseCircuit(circuit),
-        ];
-        for cmd in cmds {
-            prop_assert_eq!(ControlCommand::parse(&cmd.format()).unwrap(), cmd);
-        }
-    }
-
-    /// Control parser never panics on arbitrary lines.
-    #[test]
-    fn control_parser_total(line in "\\PC{0,80}") {
-        let _ = ControlCommand::parse(&line);
     }
 
     /// Path selection over arbitrary consensus shapes always yields

@@ -136,6 +136,11 @@ impl RateLimiter {
     }
 }
 
+/// Round trips to the IM peer before the tunnel carries data: login and
+/// session setup through the IM service's servers, which sit between
+/// client and peer (the model adds them as the circuit's via host).
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 3;
+
 /// The camoufler transport model.
 pub struct Camoufler {
     /// IM API message quota (messages per second).
@@ -165,9 +170,7 @@ impl PluggableTransport for Camoufler {
         scratch: &mut EstablishScratch,
     ) -> Channel {
         let peer = dep.server(PtId::Camoufler);
-        // The IM service's servers sit between client and peer; model the
-        // extra relay point as the via host plus login/session setup.
-        let bootstrap = bootstrap_time(opts, peer.location, 3, rng);
+        let bootstrap = bootstrap_time(opts, peer.location, HANDSHAKE_ROUND_TRIPS, rng);
         let limiter = RateLimiter::new(self.api_rate_per_sec, 10.0);
 
         let mut ch = tor_channel_with(

@@ -121,6 +121,11 @@ pub fn frame_overhead() -> f64 {
     (MAX_FRAME + MUX_HEADER) as f64 / MAX_FRAME as f64
 }
 
+/// Round trips to the cloak server before the tunnel carries data: TCP
+/// and TLS. The credential rides the ClientHello, so authentication adds
+/// no round trip of its own.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The cloak transport model.
 pub struct Cloak;
 
@@ -138,9 +143,7 @@ impl PluggableTransport for Cloak {
         scratch: &mut EstablishScratch,
     ) -> Channel {
         let server = dep.server(PtId::Cloak);
-        // TCP + TLS; the credential rides the ClientHello, so no extra
-        // auth round trip (zero-RTT authentication).
-        let bootstrap = bootstrap_time(opts, server.location, 2, rng);
+        let bootstrap = bootstrap_time(opts, server.location, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

@@ -92,6 +92,11 @@ impl Registration {
     }
 }
 
+/// Round trips to the station before the tunnel carries data: the
+/// registration round trip, then the TCP dial to the phantom (intercepted
+/// at the station).
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The conjure transport model.
 pub struct Conjure;
 
@@ -110,9 +115,7 @@ impl PluggableTransport for Conjure {
     ) -> Channel {
         let station = dep.bridge(PtId::Conjure);
         let station_loc = dep.consensus.relay(station).location;
-        // Registration round trip + TCP dial to the phantom (intercepted
-        // at the station): ~2 round trips.
-        let bootstrap = bootstrap_time(opts, station_loc, 2, rng);
+        let bootstrap = bootstrap_time(opts, station_loc, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

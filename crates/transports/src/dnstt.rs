@@ -221,6 +221,10 @@ pub fn downstream_rate(window: u32, resolver_rtt: SimDuration, max_qps: f64) -> 
     per_rtt.min(per_qps)
 }
 
+/// Round trips to the DoH resolver before the tunnel carries data: the
+/// DoH session's TCP and TLS setup.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The dnstt transport model.
 pub struct Dnstt {
     /// In-flight query window.
@@ -261,8 +265,7 @@ impl PluggableTransport for Dnstt {
         // The DoH resolver is anycast-near the client.
         let resolver_loc = opts.client;
         let resolver_leg = sample_path(rng, opts.client, resolver_loc, opts.medium, 0.10);
-        // DoH session setup: TCP + TLS to the resolver.
-        let bootstrap = bootstrap_time(opts, resolver_loc, 2, rng);
+        let bootstrap = bootstrap_time(opts, resolver_loc, HANDSHAKE_ROUND_TRIPS, rng);
 
         let mut ch = tor_channel_with(
             dep,

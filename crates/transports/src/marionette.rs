@@ -319,6 +319,10 @@ pub struct DerivedPerformance {
     pub ramp_up: SimDuration,
 }
 
+/// Round trips to the marionette server before the tunnel carries data:
+/// TCP, then the cover-model session establishment.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The marionette transport model.
 ///
 /// Clones share one automaton. [`Marionette::default`] parses and
@@ -393,8 +397,7 @@ impl PluggableTransport for Marionette {
         let server = dep.server(PtId::Marionette);
         let perf = self.derived;
 
-        // TCP + cover-model session establishment.
-        let bootstrap = bootstrap_time(opts, server.location, 2, rng);
+        let bootstrap = bootstrap_time(opts, server.location, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

@@ -10,10 +10,9 @@
 //!
 //! * real HTTP/1.1 request/response building and parsing with the
 //!   `X-Session-Id` header meek uses to correlate polls;
-//! * the **poll scheduler** with meek's exponential back-off (100 ms
-//!   doubling to a 5 s cap, reset on data);
 //! * the performance model: domain-front TLS setup, per-request front
-//!   processing, the **bridge rate limit** (the public meek bridge is
+//!   processing (one lognormal delay per request; the idle-poll back-off
+//!   is not simulated), the **bridge rate limit** (the public meek bridge is
 //!   rate-limited by its maintainer (paper ref. 28) — the paper's explanation for
 //!   both meek's high TTFB and its bulk-download failures).
 
@@ -139,93 +138,10 @@ pub enum HttpError {
     BadStatus,
 }
 
-/// meek's idle-poll scheduler: starts at 100 ms, doubles per empty poll,
-/// caps at 5 s, resets when data flows.
-#[derive(Debug, Clone, Copy)]
-pub struct PollScheduler {
-    current: SimDuration,
-}
-
-impl PollScheduler {
-    /// Initial poll interval.
-    pub const MIN: SimDuration = SimDuration::from_millis(100);
-    /// Back-off ceiling.
-    pub const MAX: SimDuration = SimDuration::from_secs(5);
-
-    /// A fresh scheduler at the minimum interval.
-    pub fn new() -> PollScheduler {
-        PollScheduler { current: Self::MIN }
-    }
-
-    /// The next poll delay, advancing the back-off if the last poll was
-    /// empty.
-    pub fn next_delay(&mut self, last_had_data: bool) -> SimDuration {
-        if last_had_data {
-            self.current = Self::MIN;
-        } else {
-            self.current = (self.current * 2).min(Self::MAX);
-        }
-        self.current
-    }
-}
-
-impl Default for PollScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One downstream datum's delivery record from [`simulate_polls`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PollDelivery {
-    /// When the datum became available at the bridge.
-    pub available: SimDuration,
-    /// When the client's poll picked it up.
-    pub delivered: SimDuration,
-}
-
-impl PollDelivery {
-    /// The polling-induced delay.
-    pub fn delay(&self) -> SimDuration {
-        self.delivered.saturating_sub(self.available)
-    }
-}
-
-/// Simulates a meek polling session: downstream data appears at the
-/// bridge at `arrivals` (sorted, session-relative); the client polls per
-/// the [`PollScheduler`] back-off; each datum is delivered by the first
-/// poll at-or-after its arrival. Returns the deliveries and how many
-/// polls the session issued before `horizon`.
-///
-/// This is the mechanism behind meek's downstream latency: data that
-/// lands while the client is deep in back-off waits up to
-/// [`PollScheduler::MAX`] before a poll fetches it.
-pub fn simulate_polls(arrivals: &[SimDuration], horizon: SimDuration) -> (Vec<PollDelivery>, u32) {
-    debug_assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "arrivals sorted");
-    let mut scheduler = PollScheduler::new();
-    let mut deliveries = Vec::with_capacity(arrivals.len());
-    let mut next_datum = 0usize;
-    let mut now = SimDuration::ZERO;
-    let mut polls = 0u32;
-    let mut last_had_data = true; // the first poll fires at MIN
-    while now <= horizon {
-        now += scheduler.next_delay(last_had_data);
-        if now > horizon {
-            break;
-        }
-        polls += 1;
-        last_had_data = false;
-        while next_datum < arrivals.len() && arrivals[next_datum] <= now {
-            deliveries.push(PollDelivery {
-                available: arrivals[next_datum],
-                delivered: now,
-            });
-            next_datum += 1;
-            last_had_data = true;
-        }
-    }
-    (deliveries, polls)
-}
+/// Round trips to the fronting CDN edge before the tunnel carries data:
+/// TCP and TLS on a short path. The edge then holds its own pooled
+/// connection to the bridge.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
 
 /// The meek transport model.
 pub struct Meek;
@@ -244,11 +160,9 @@ impl PluggableTransport for Meek {
         scratch: &mut EstablishScratch,
     ) -> Channel {
         let bridge = dep.bridge(PtId::Meek);
-        // The fronting CDN edge is anycast-near the client; TLS to the
-        // edge costs ~2 RTT on a short path, then the edge holds its own
-        // pooled connection to the bridge.
+        // The fronting CDN edge is anycast-near the client.
         let front_edge = opts.client; // nearest edge = client's region
-        let bootstrap = bootstrap_time(opts, front_edge, 2, rng);
+        let bootstrap = bootstrap_time(opts, front_edge, HANDSHAKE_ROUND_TRIPS, rng);
 
         let mut ch = tor_channel_with(
             dep,
@@ -332,63 +246,6 @@ mod tests {
     fn response_rejects_non_200() {
         let wire = b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n";
         assert_eq!(decode_response(wire), Err(HttpError::BadStatus));
-    }
-
-    #[test]
-    fn poll_backoff_doubles_to_cap() {
-        let mut p = PollScheduler::new();
-        let mut delays = Vec::new();
-        for _ in 0..8 {
-            delays.push(p.next_delay(false).as_millis());
-        }
-        assert_eq!(&delays[..5], &[200, 400, 800, 1600, 3200]);
-        assert_eq!(*delays.last().unwrap(), 5000);
-    }
-
-    #[test]
-    fn poll_resets_on_data() {
-        let mut p = PollScheduler::new();
-        for _ in 0..6 {
-            p.next_delay(false);
-        }
-        assert_eq!(p.next_delay(true).as_millis(), 100);
-    }
-
-    #[test]
-    fn idle_sessions_poll_rarely() {
-        // One minute with no data: back-off caps polling near 1 per 5 s.
-        let (deliveries, polls) = simulate_polls(&[], SimDuration::from_secs(60));
-        assert!(deliveries.is_empty());
-        assert!(polls >= 12, "{polls}");
-        assert!(polls <= 25, "{polls}");
-    }
-
-    #[test]
-    fn busy_sessions_poll_fast_and_deliver_quickly() {
-        // Data every 50 ms for 5 s: the scheduler stays at MIN.
-        let arrivals: Vec<SimDuration> =
-            (1..100).map(|i| SimDuration::from_millis(i * 50)).collect();
-        let (deliveries, _) = simulate_polls(&arrivals, SimDuration::from_secs(6));
-        assert_eq!(deliveries.len(), arrivals.len());
-        for d in &deliveries {
-            assert!(
-                d.delay() <= PollScheduler::MIN * 3,
-                "delay {} too large under active polling",
-                d.delay()
-            );
-        }
-    }
-
-    #[test]
-    fn data_after_an_idle_gap_waits_for_the_backoff() {
-        // One datum lands 20 s into an idle session: it waits for the
-        // next (deep back-off) poll — up to 5 s.
-        let (deliveries, _) =
-            simulate_polls(&[SimDuration::from_secs(20)], SimDuration::from_secs(30));
-        assert_eq!(deliveries.len(), 1);
-        let delay = deliveries[0].delay();
-        assert!(delay > SimDuration::from_millis(200), "delay {delay}");
-        assert!(delay <= PollScheduler::MAX, "delay {delay}");
     }
 
     #[test]

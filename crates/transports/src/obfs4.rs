@@ -425,6 +425,10 @@ impl IatMode {
     }
 }
 
+/// Round trips to the bridge before the tunnel carries data: TCP connect
+/// (1), then the obfs4 ntor handshake (1).
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The obfs4 transport model.
 #[derive(Default)]
 pub struct Obfs4 {
@@ -447,8 +451,7 @@ impl PluggableTransport for Obfs4 {
     ) -> Channel {
         let bridge = dep.bridge(PtId::Obfs4);
         let bridge_loc = dep.consensus.relay(bridge).location;
-        // TCP connect (1 RTT) + obfs4 ntor handshake (1 RTT).
-        let bootstrap = bootstrap_time(opts, bridge_loc, 2, rng);
+        let bootstrap = bootstrap_time(opts, bridge_loc, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

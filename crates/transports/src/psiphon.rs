@@ -118,6 +118,10 @@ pub fn frame_overhead() -> f64 {
     (MAX_PAYLOAD + 5 + BLOCK + MAC_LEN) as f64 / MAX_PAYLOAD as f64
 }
 
+/// Round trips to the psiphon server before the tunnel carries data: TCP,
+/// the SSH version exchange and the DH key exchange.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 3;
+
 /// The psiphon transport model.
 pub struct Psiphon;
 
@@ -135,8 +139,7 @@ impl PluggableTransport for Psiphon {
         scratch: &mut EstablishScratch,
     ) -> Channel {
         let server = dep.server(PtId::Psiphon);
-        // TCP + SSH version exchange + DH kex: ~3 round trips.
-        let bootstrap = bootstrap_time(opts, server.location, 3, rng);
+        let bootstrap = bootstrap_time(opts, server.location, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

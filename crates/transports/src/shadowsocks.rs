@@ -212,6 +212,11 @@ pub fn frame_overhead() -> f64 {
     (MAX_CHUNK + 2 + 2 * TAG_LEN) as f64 / MAX_CHUNK as f64
 }
 
+/// Round trips to the shadowsocks server before the tunnel carries data:
+/// TCP connect only. The AEAD protocol is zero-RTT after transport
+/// establishment: the first sealed chunk carries the target address.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 1;
+
 /// The shadowsocks transport model.
 pub struct Shadowsocks;
 
@@ -229,9 +234,7 @@ impl PluggableTransport for Shadowsocks {
         scratch: &mut EstablishScratch,
     ) -> Channel {
         let server = dep.server(PtId::Shadowsocks);
-        // TCP connect only: shadowsocks AEAD is zero-RTT after transport
-        // establishment.
-        let bootstrap = bootstrap_time(opts, server.location, 1, rng);
+        let bootstrap = bootstrap_time(opts, server.location, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

@@ -20,7 +20,7 @@
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
 
-use crate::common::{bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
+use crate::common::{apply_frame_overhead, bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
@@ -114,6 +114,11 @@ pub fn reassemble(stream: u32, chunks: &[Vec<u8>]) -> Option<Vec<u8>> {
         out.extend_from_slice(p?);
     }
     Some(out)
+}
+
+/// Data-channel wire overhead: the SCTP chunk header over a full chunk.
+pub fn frame_overhead() -> f64 {
+    (MAX_CHUNK + CHUNK_HEADER) as f64 / MAX_CHUNK as f64
 }
 
 /// NAT types, as snowflake's broker classifies endpoints for
@@ -245,6 +250,10 @@ pub fn churn_hazard(load_mult: f64) -> f64 {
     (1.0 / 80.0) * load_mult.max(1.0)
 }
 
+/// Round trips to the volunteer proxy once the broker has matched one:
+/// ICE, then DTLS.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The snowflake transport model.
 pub struct Snowflake;
 
@@ -269,10 +278,10 @@ impl PluggableTransport for Snowflake {
         let (proxy, match_rounds) = broker_match(rng, client_nat, opts.load_mult);
 
         // Rendezvous: domain-fronted broker round trip(s) + queue wait,
-        // then ICE/DTLS to the volunteer (2 round trips).
+        // then ICE/DTLS to the volunteer.
         let rendezvous = broker_wait(rng, opts.load_mult)
             + SimDuration::from_millis(250) * u64::from(match_rounds.saturating_sub(1));
-        let ice = bootstrap_time(opts, proxy.location, 2, rng);
+        let ice = bootstrap_time(opts, proxy.location, HANDSHAKE_ROUND_TRIPS, rng);
 
         let mut ch = tor_channel_with(
             dep,
@@ -292,11 +301,7 @@ impl PluggableTransport for Snowflake {
             scratch,
         );
         ch.setup += rendezvous + ice;
-        // SCTP chunk header overhead.
-        crate::common::apply_frame_overhead(
-            &mut ch,
-            (MAX_CHUNK + CHUNK_HEADER) as f64 / MAX_CHUNK as f64,
-        );
+        apply_frame_overhead(&mut ch, frame_overhead());
         ch.hazard_per_sec = churn_hazard(opts.load_mult);
         // Under heavy surge the broker sometimes has nothing to hand out.
         ch.connect_failure_p = (0.01 * (opts.load_mult - 1.0)).clamp(0.0, 0.15);

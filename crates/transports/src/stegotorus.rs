@@ -32,7 +32,8 @@ pub const MAX_BLOCK: usize = 2048;
 pub const CONNECTIONS: usize = 4;
 
 /// Steganographic cover expansion: an HTTP cover transaction carries
-/// roughly 1 payload byte per 1.6 cover bytes.
+/// roughly 1 payload byte per 1.6 cover bytes. A modelled figure: no
+/// cover codec is implemented, so no test derives it from wire bytes.
 pub const COVER_EXPANSION: f64 = 1.6;
 
 /// A chopper block.
@@ -157,6 +158,10 @@ pub fn frame_overhead(min_block: usize) -> f64 {
     ((avg_block + BLOCK_HEADER as f64) / avg_block) * COVER_EXPANSION
 }
 
+/// Round trips to the stegotorus server before the tunnel carries data:
+/// TCP on all [`CONNECTIONS`] (pipelined: ~1) plus the chopper hello (1).
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The stegotorus transport model.
 pub struct Stegotorus;
 
@@ -174,8 +179,7 @@ impl PluggableTransport for Stegotorus {
         scratch: &mut EstablishScratch,
     ) -> Channel {
         let server = dep.server(PtId::Stegotorus);
-        // TCP × CONNECTIONS (pipelined: ~1 RTT) + chopper hello (1 RTT).
-        let bootstrap = bootstrap_time(opts, server.location, 2, rng);
+        let bootstrap = bootstrap_time(opts, server.location, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

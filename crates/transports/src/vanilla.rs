@@ -13,6 +13,10 @@ use crate::common::{bootstrap_time, tor_channel_with, EstablishScratch, FirstHop
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
+/// Round trips of the TLS link handshake with the guard before circuit
+/// building.
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
+
 /// The vanilla Tor "transport".
 pub struct Vanilla;
 
@@ -29,10 +33,10 @@ impl PluggableTransport for Vanilla {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        // TLS link handshake with the guard before circuit building. The
-        // guard is not known until selection, so approximate with a
-        // continental-median path (the cost is small either way).
-        let bootstrap = bootstrap_time(opts, Location::Frankfurt, 2, rng);
+        // The guard is not known until selection, so approximate the link
+        // handshake with a continental-median path (the cost is small
+        // either way).
+        let bootstrap = bootstrap_time(opts, Location::Frankfurt, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

@@ -95,6 +95,10 @@ pub fn frame_overhead() -> f64 {
     (MAX_RECORD + 2) as f64 / MAX_RECORD as f64
 }
 
+/// Round trips to the bridge before the tunnel carries data: TCP (1),
+/// TLS (1) and the HTTP upgrade (1).
+pub const HANDSHAKE_ROUND_TRIPS: u32 = 3;
+
 /// The webtunnel transport model.
 pub struct WebTunnel;
 
@@ -113,8 +117,7 @@ impl PluggableTransport for WebTunnel {
     ) -> Channel {
         let bridge = dep.bridge(PtId::WebTunnel);
         let bridge_loc = dep.consensus.relay(bridge).location;
-        // TCP (1) + TLS (1) + HTTP upgrade (1): 3 round trips.
-        let bootstrap = bootstrap_time(opts, bridge_loc, 3, rng);
+        let bootstrap = bootstrap_time(opts, bridge_loc, HANDSHAKE_ROUND_TRIPS, rng);
         let mut ch = tor_channel_with(
             dep,
             opts,

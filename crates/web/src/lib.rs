@@ -15,6 +15,9 @@
 //!   download accounting (Figures 5 and 8);
 //! * [`streaming`] — segmented media playback with startup/rebuffering
 //!   QoE metrics (the paper's Appendix A.4 future-work use case).
+//!
+//! HTTP is modelled by its round trips over a [`Channel`] alone: no HTTP
+//! bytes are built here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +27,6 @@ pub mod channel;
 pub mod curl;
 pub mod faults;
 pub mod filedl;
-pub mod http;
 pub mod streaming;
 pub mod website;
 
@@ -32,7 +34,6 @@ pub use browser::{load_page_pooled, BrowserError, PageLoad, PageScratch, BROWSER
 pub use channel::{Channel, Outcome};
 pub use curl::{fetch, fetch_faulted, FetchResult, PAGE_TIMEOUT};
 pub use faults::{FaultSession, FaultStats};
-pub use http::{Request as HttpRequest, Response as HttpResponse};
 pub use filedl::{download, download_faulted, Download, ReliabilityCounts, FILE_SIZES, FILE_TIMEOUT};
 pub use streaming::{play, MediaStream, StreamingSession};
 pub use website::{SiteCategory, SiteList, Website};

@@ -3,7 +3,9 @@
 #   1. release build of the whole workspace (all targets)
 #   2. full workspace test suite, then the ptbench package's own tests
 #      (its artifact-digest gates among them) with --locked, so a change
-#      that would rewrite the benchmark's Cargo.lock fails here
+#      that would rewrite the benchmark's Cargo.lock fails here; they run
+#      on one test thread because one of them reads process-wide fault
+#      counters that its siblings' faulted workloads bump
 #   3. clippy with warnings promoted to errors
 #   4. repro observability smoke run (--profile/--trace/--metrics),
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
@@ -58,8 +60,8 @@ cargo build --release --workspace --all-targets
 echo "== test (workspace) =="
 cargo test --workspace -q
 
-echo "== test (ptbench package, locked) =="
-cargo test -q --locked --manifest-path crates/bench/src/bin/ptbench/Cargo.toml
+echo "== test (ptbench package, locked, serialized) =="
+cargo test -q --locked --manifest-path crates/bench/src/bin/ptbench/Cargo.toml -- --test-threads=1
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -8,7 +8,6 @@ use ptperf_crypto::Keypair;
 use ptperf_sim::SimRng;
 use ptperf_tor::{OnionStack, RelayCell, RelayCommand};
 use ptperf_transports::{camoufler, dnstt, obfs4, shadowsocks, snowflake, stegotorus};
-use ptperf_web::{HttpRequest, HttpResponse};
 
 /// Build a relay cell, onion-encrypt it for a 3-hop circuit, and carry
 /// the resulting link payload through the obfs4 handshake + frame layer.
@@ -190,13 +189,28 @@ fn camoufler_carries_cells_as_im_text() {
     assert!(RelayCell::decode(&arr).unwrap().digest_ok());
 }
 
-/// The full stack over real bytes: an HTTP GET is packed into relay
+/// The full stack over real bytes: a request is packed into relay
 /// cells, onion-encrypted for three hops, framed by obfs4, shipped,
-/// unframed, peeled hop by hop, and the exit recovers the exact request;
-/// the HTTP response makes the return trip the same way.
+/// unframed, peeled hop by hop, and the exit recovers it exactly; the
+/// response makes the return trip the same way. Both span several cells,
+/// so each direction crosses several obfs4 frames.
 #[test]
-fn http_through_cells_onion_and_obfs4_end_to_end() {
+fn request_and_response_through_cells_onion_and_obfs4_end_to_end() {
     use ptperf_tor::cell::RELAY_DATA_LEN;
+
+    let request = [
+        b"GET /index.html HTTP/1.1\r\nHost: blocked.example.com\r\nCookie: ".as_slice(),
+        &[b'c'; 600],
+        b"\r\n\r\n",
+    ]
+    .concat();
+    let body: Vec<u8> = (0..1500u32).map(|i| (i % 251) as u8).collect();
+    let response = [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 1500\r\n\r\n".as_slice(),
+        &body,
+    ]
+    .concat();
+    assert!(request.len() > RELAY_DATA_LEN && response.len() > RELAY_DATA_LEN);
 
     let secrets = [[1u8; 32], [2u8; 32], [3u8; 32]];
     let mut client_onion = OnionStack::new(&secrets);
@@ -205,11 +219,9 @@ fn http_through_cells_onion_and_obfs4_end_to_end() {
     let mut tx = obfs4::FrameCodec::derive(&frame_seed, false);
     let mut rx = obfs4::FrameCodec::derive(&frame_seed, false);
 
-    // --- upstream: HTTP request → cells → onion → obfs4 frames ---
-    let request = HttpRequest::get("blocked.example.com", "/index.html");
-    let req_bytes = request.encode();
+    // --- upstream: request → cells → onion → obfs4 frames ---
     let mut wire = Vec::new();
-    for chunk in req_bytes.chunks(RELAY_DATA_LEN) {
+    for chunk in request.chunks(RELAY_DATA_LEN) {
         let cell = RelayCell::new(RelayCommand::Data, 1, chunk.to_vec());
         let mut payload = cell.encode();
         client_onion.encrypt_outbound(&mut payload);
@@ -221,7 +233,9 @@ fn http_through_cells_onion_and_obfs4_end_to_end() {
     // --- the bridge/relays: unframe, peel, reassemble at the exit ---
     let mut at_exit = Vec::new();
     let mut cell_buf = Vec::new();
+    let mut frames = 0;
     while let Some(frame) = rx.open(&mut wire).expect("frames authentic") {
+        frames += 1;
         cell_buf.extend_from_slice(&frame);
         while cell_buf.len() >= 509 {
             let mut payload: [u8; 509] = cell_buf[..509].try_into().unwrap();
@@ -234,16 +248,14 @@ fn http_through_cells_onion_and_obfs4_end_to_end() {
             at_exit.extend_from_slice(&cell.data);
         }
     }
-    let recovered = HttpRequest::decode(&at_exit).expect("exit sees the real request");
-    assert_eq!(recovered, request);
+    assert!(frames > 1, "upstream crossed {frames} frame(s)");
+    assert_eq!(at_exit, request, "exit sees the exact request");
 
     // --- downstream: the response returns through the same layers ---
-    let response = HttpResponse::ok(b"<html>the censored page</html>".to_vec());
-    let resp_bytes = response.encode();
     let mut down_wire = Vec::new();
     let mut stx = obfs4::FrameCodec::derive(&frame_seed, true);
     let mut srx = obfs4::FrameCodec::derive(&frame_seed, true);
-    for chunk in resp_bytes.chunks(RELAY_DATA_LEN) {
+    for chunk in response.chunks(RELAY_DATA_LEN) {
         let cell = RelayCell::new(RelayCommand::Data, 1, chunk.to_vec());
         let mut payload = cell.encode();
         // Exit wraps first, then middle, then guard.
@@ -256,7 +268,9 @@ fn http_through_cells_onion_and_obfs4_end_to_end() {
     }
     let mut at_client = Vec::new();
     let mut cell_buf = Vec::new();
+    let mut frames = 0;
     while let Some(frame) = srx.open(&mut down_wire).unwrap() {
+        frames += 1;
         cell_buf.extend_from_slice(&frame);
         while cell_buf.len() >= 509 {
             let mut payload: [u8; 509] = cell_buf[..509].try_into().unwrap();
@@ -267,6 +281,6 @@ fn http_through_cells_onion_and_obfs4_end_to_end() {
             at_client.extend_from_slice(&cell.data);
         }
     }
-    let got = HttpResponse::decode(&mut at_client).unwrap().unwrap();
-    assert_eq!(got, response);
+    assert!(frames > 1, "downstream crossed {frames} frame(s)");
+    assert_eq!(at_client, response, "client sees the exact response");
 }
