@@ -98,7 +98,7 @@ fn run_shard(
             fast: true,
             stable: true,
         },
-        utilization: LoadProfile::Dedicated.sample_utilization(&mut rng),
+        utilization: LoadProfile::Dedicated.sampler().sample(&mut rng),
     });
 
     // Five sample Tranco sites, one per genre (static, news, video

@@ -99,7 +99,7 @@ fn run_shard(
             fast: true,
             stable: true,
         },
-        utilization: LoadProfile::Dedicated.sample_utilization(&mut rng),
+        utilization: LoadProfile::Dedicated.sampler().sample(&mut rng),
     });
     let mut opts = scenario.access_options();
     opts.path.fixed_guard = Some(host);

@@ -137,7 +137,7 @@ fn run_shard(
             fast: true,
             stable: true,
         },
-        utilization: LoadProfile::Dedicated.sample_utilization(&mut rng),
+        utilization: LoadProfile::Dedicated.sampler().sample(&mut rng),
     });
 
     let sites = scenario.top_sites(SiteList::Tranco, cfg.sites);

@@ -43,8 +43,8 @@ pub use fault::{
     FaultProfile, FaultRun, RetryPolicy, TransferSpec,
 };
 pub use flow::{share_link, LinkFlow};
-pub use load::{effective_capacity, LoadProfile, LoadTimeline};
-pub use rng::SimRng;
+pub use load::{effective_capacity, LoadProfile, LoadTimeline, UtilizationSampler};
+pub use rng::{BoundedPareto, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use topology::{base_owd, base_rtt, sample_path, Continent, Location, Medium, PathSample};
 pub use xfer::{TransferModel, INIT_WINDOW, MSS};

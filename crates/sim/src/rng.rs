@@ -9,7 +9,7 @@
 //! On top of the raw generator this module provides the small set of
 //! distributions the network model needs: uniform ranges, Bernoulli trials,
 //! exponential, log-normal (latency jitter), and bounded Pareto
-//! (heavy-tailed relay load and page sizes).
+//! (heavy-tailed relay bandwidth and background load).
 
 use crate::time::SimDuration;
 
@@ -183,26 +183,59 @@ impl SimRng {
         median * (sigma * self.normal()).exp()
     }
 
-    /// A bounded Pareto variate in `[lo, hi]` with tail index `alpha`.
-    ///
-    /// Used for heavy-tailed quantities: relay background load, web page
-    /// weight. Inverse-CDF sampling of the truncated Pareto distribution.
-    pub fn pareto_bounded(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
-        debug_assert!(lo > 0.0 && hi >= lo && alpha > 0.0);
-        if lo == hi {
-            return lo;
-        }
-        let u = self.next_f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
-        x.clamp(lo, hi)
-    }
-
     /// A jittered duration: `base` scaled by a log-normal factor with
     /// median 1 and the given shape.
     pub fn jitter(&mut self, base: SimDuration, sigma: f64) -> SimDuration {
         base.mul_f64(self.lognormal(1.0, sigma))
+    }
+}
+
+/// The bounded Pareto distribution on `[lo, hi]` with tail index
+/// `alpha`, sampled by inverse CDF.
+///
+/// Used for heavy-tailed quantities: relay bandwidth and background
+/// load. The powers `lo^alpha` and `hi^alpha` and the exponent
+/// `-1/alpha` are taken once, when the sampler is built, so a draw
+/// costs one `powf`; a loop that draws many variates builds one sampler
+/// and reuses it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BoundedPareto {
+    lo: f64,
+    hi: f64,
+    lo_pow: f64,
+    hi_pow: f64,
+    neg_inv_alpha: f64,
+}
+
+impl BoundedPareto {
+    /// The distribution on `[lo, hi]` with tail index `alpha`.
+    ///
+    /// # Panics
+    /// Panics unless `0 < lo <= hi` and `alpha > 0`.
+    pub fn new(lo: f64, hi: f64, alpha: f64) -> BoundedPareto {
+        assert!(
+            lo > 0.0 && hi >= lo && alpha > 0.0,
+            "BoundedPareto needs 0 < lo <= hi and alpha > 0"
+        );
+        BoundedPareto {
+            lo,
+            hi,
+            lo_pow: lo.powf(alpha),
+            hi_pow: hi.powf(alpha),
+            neg_inv_alpha: -1.0 / alpha,
+        }
+    }
+
+    /// One variate in `[lo, hi]`. A point distribution (`lo == hi`)
+    /// returns `lo` without drawing from `rng`.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        if self.lo == self.hi {
+            return self.lo;
+        }
+        let u = rng.next_f64();
+        let (la, ha) = (self.lo_pow, self.hi_pow);
+        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(self.neg_inv_alpha);
+        x.clamp(self.lo, self.hi)
     }
 }
 
@@ -328,8 +361,9 @@ mod tests {
     #[test]
     fn pareto_bounded_within_bounds() {
         let mut r = SimRng::new(29);
+        let pareto = BoundedPareto::new(1.0, 100.0, 1.2);
         for _ in 0..10_000 {
-            let x = r.pareto_bounded(1.0, 100.0, 1.2);
+            let x = pareto.sample(&mut r);
             assert!((1.0..=100.0).contains(&x));
         }
     }
@@ -337,9 +371,8 @@ mod tests {
     #[test]
     fn pareto_is_heavy_tailed_toward_lo() {
         let mut r = SimRng::new(31);
-        let below_10 = (0..10_000)
-            .filter(|_| r.pareto_bounded(1.0, 100.0, 1.2) < 10.0)
-            .count();
+        let pareto = BoundedPareto::new(1.0, 100.0, 1.2);
+        let below_10 = (0..10_000).filter(|_| pareto.sample(&mut r) < 10.0).count();
         // With alpha=1.2 the vast majority of mass sits near the lower bound.
         assert!(below_10 > 8_000, "below_10 {below_10}");
     }

@@ -1,15 +1,31 @@
 //! Property tests for the simulation substrate: the max–min fairness
 //! invariants of the test oracle, single-link sharing bounds,
-//! transfer-model monotonicity, and RNG/time arithmetic laws.
+//! transfer-model monotonicity, RNG/time arithmetic laws, and the
+//! bounded-Pareto sampler against the per-draw formula it replaced.
 
 mod oracle;
 
 use proptest::prelude::*;
 
 use oracle::{maxmin_rates, FairNetwork, FlowDemand};
-use ptperf_sim::{share_link, LinkFlow, SimDuration, SimRng, SimTime, TransferModel};
+use ptperf_sim::{
+    share_link, BoundedPareto, LinkFlow, SimDuration, SimRng, SimTime, TransferModel,
+};
 
 type FlowSpecs = Vec<(Vec<usize>, Option<f64>)>;
+
+/// The bounded-Pareto draw as it was before [`BoundedPareto`]: both
+/// powers and the exponent taken on every draw. Kept as the oracle.
+fn pareto_bounded_oracle(rng: &mut SimRng, lo: f64, hi: f64, alpha: f64) -> f64 {
+    if lo == hi {
+        return lo;
+    }
+    let u = rng.next_f64();
+    let la = lo.powf(alpha);
+    let ha = hi.powf(alpha);
+    let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
+    x.clamp(lo, hi)
+}
 
 fn arb_network_and_flows() -> impl Strategy<Value = (Vec<f64>, FlowSpecs)> {
     (1usize..6).prop_flat_map(|n_nodes| {
@@ -161,6 +177,30 @@ proptest! {
             prop_assert!((lo..=lo + span).contains(&v));
             let f = rng.range_f64(-3.0, 7.5);
             prop_assert!((-3.0..7.5).contains(&f));
+        }
+    }
+
+    /// A built sampler draws the oracle's variates bit for bit and
+    /// leaves the RNG where the oracle leaves it; a point distribution
+    /// (`lo == hi`) draws nothing.
+    #[test]
+    fn bounded_pareto_matches_the_per_draw_formula(
+        seed in any::<u64>(),
+        lo in 1e-3f64..1e7,
+        spread in 0.0f64..1e3,
+        point in any::<bool>(),
+        alpha in 0.05f64..5.0,
+    ) {
+        let hi = if point { lo } else { lo * (1.0 + spread) };
+        let pareto = BoundedPareto::new(lo, hi, alpha);
+        let (mut fast, mut oracle) = (SimRng::new(seed), SimRng::new(seed));
+        for _ in 0..16 {
+            let (x, y) = (pareto.sample(&mut fast), pareto_bounded_oracle(&mut oracle, lo, hi, alpha));
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs {}", x, y);
+            prop_assert_eq!(&fast, &oracle);
+        }
+        if point {
+            prop_assert_eq!(fast, SimRng::new(seed));
         }
     }
 

@@ -242,18 +242,6 @@ impl RelayCell {
     }
 }
 
-/// Number of RELAY_DATA cells needed to carry `bytes` of application data.
-pub fn cells_for(bytes: u64) -> u64 {
-    bytes.div_ceil(RELAY_DATA_LEN as u64)
-}
-
-/// Wire bytes on a Tor link for `bytes` of application data, derived from
-/// the real framing: every [`RELAY_DATA_LEN`] application bytes cost
-/// [`CELL_LEN`] link bytes.
-pub fn wire_bytes_for(bytes: u64) -> u64 {
-    cells_for(bytes) * CELL_LEN as u64
-}
-
 /// Multiplicative overhead of Tor cell framing for large transfers
 /// (≈ 1.033).
 pub fn relay_payload_overhead() -> f64 {
@@ -329,20 +317,8 @@ mod tests {
     }
 
     #[test]
-    fn cells_for_rounds_up() {
-        assert_eq!(cells_for(0), 0);
-        assert_eq!(cells_for(1), 1);
-        assert_eq!(cells_for(RELAY_DATA_LEN as u64), 1);
-        assert_eq!(cells_for(RELAY_DATA_LEN as u64 + 1), 2);
-    }
-
-    #[test]
     fn overhead_close_to_three_percent() {
         let oh = relay_payload_overhead();
         assert!(oh > 1.02 && oh < 1.05, "{oh}");
-        // wire_bytes_for agrees with the factor on large sizes.
-        let app = 10_000_000u64;
-        let wire = wire_bytes_for(app) as f64;
-        assert!((wire / app as f64 - oh).abs() < 0.01);
     }
 }

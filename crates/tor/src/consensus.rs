@@ -7,7 +7,8 @@
 //! * relays are concentrated in Europe (~55%), then North America (~30%),
 //!   then Asia (~15%) — this drives the paper's §4.5 observation that
 //!   Bangalore clients see longer access times;
-//! * advertised bandwidth is heavy-tailed (bounded Pareto, 1–120 MB/s);
+//! * per-client deliverable bandwidth is heavy-tailed (bounded Pareto,
+//!   0.8–12 MB/s, median about 1.4 MB/s);
 //! * roughly half of `Fast` relays hold the `Guard` flag and ~15% hold
 //!   `Exit`;
 //! * volunteer relays carry heavy-tailed background utilization
@@ -15,7 +16,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use ptperf_sim::{Location, LoadProfile, SimRng};
+use ptperf_sim::{BoundedPareto, LoadProfile, Location, SimRng};
 
 use crate::index::ConsensusIndex;
 use crate::relay::{Relay, RelayFlags, RelayId};
@@ -65,32 +66,37 @@ impl Default for ConsensusParams {
 impl Consensus {
     /// Generates a consensus with the default parameters.
     pub fn generate(rng: &mut SimRng) -> Self {
-        Self::generate_with(rng, &ConsensusParams::default())
+        Self::generate_with(rng, &ConsensusParams::default(), 0)
     }
 
-    /// Generates a consensus with explicit parameters.
+    /// Generates a consensus with explicit parameters, with room for
+    /// `spare` more relays: a caller that registers bridges right after
+    /// generation passes their count, so [`Self::add_relay`] does not
+    /// reallocate the relay list for them.
     ///
     /// # Panics
     /// Panics if `n_relays` is zero or fractions are outside `[0, 1]`.
-    pub fn generate_with(rng: &mut SimRng, params: &ConsensusParams) -> Self {
+    pub fn generate_with(rng: &mut SimRng, params: &ConsensusParams, spare: usize) -> Self {
         assert!(params.n_relays > 0, "consensus needs at least one relay");
         assert!((0.0..=1.0).contains(&params.guard_fraction));
         assert!((0.0..=1.0).contains(&params.exit_fraction));
 
-        let mut relays = Vec::with_capacity(params.n_relays);
+        // Heavy-tailed *per-client deliverable* bandwidth: 0.8–12 MB/s.
+        // (Relays advertise far more, but a single client's share of a
+        // relay shared with thousands of users is what matters here;
+        // typical Tor per-stream throughput is a few hundred KB/s to a
+        // few MB/s.)
+        let bandwidth = BoundedPareto::new(0.8e6, 12.0e6, 1.15);
+        let load = params.load.sampler();
+        let mut relays = Vec::with_capacity(params.n_relays + spare);
         for i in 0..params.n_relays {
             let location = sample_location(rng);
-            // Heavy-tailed *per-client deliverable* bandwidth: 0.4–10 MB/s.
-            // (Relays advertise far more, but a single client's share of a
-            // relay shared with thousands of users is what matters here;
-            // typical Tor per-stream throughput is a few hundred KB/s to a
-            // few MB/s.)
-            let bandwidth_bps = rng.pareto_bounded(0.8e6, 12.0e6, 1.15);
+            let bandwidth_bps = bandwidth.sample(rng);
             let fast = bandwidth_bps > 1.2e6;
             let stable = rng.chance(0.7);
             let guard = fast && stable && rng.chance(params.guard_fraction);
             let exit = rng.chance(params.exit_fraction);
-            let utilization = params.load.sample_utilization(rng);
+            let utilization = load.sample(rng);
             relays.push(Relay {
                 id: RelayId(i as u32),
                 location,
@@ -303,7 +309,7 @@ mod tests {
             exit_fraction: 0.0,
             load: LoadProfile::Fixed(0.1),
         };
-        let c = Consensus::generate_with(&mut rng, &params);
+        let c = Consensus::generate_with(&mut rng, &params, 0);
         assert!(c.guards().count() >= 1);
         assert!(c.exits().count() >= 1);
     }
@@ -382,6 +388,6 @@ mod tests {
             n_relays: 0,
             ..ConsensusParams::default()
         };
-        let _ = Consensus::generate_with(&mut rng, &params);
+        let _ = Consensus::generate_with(&mut rng, &params, 0);
     }
 }

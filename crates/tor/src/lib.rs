@@ -12,7 +12,6 @@
 //! * [`cell`] — real 514-byte cell and RELAY-cell codecs (the framing
 //!   overhead used by the timing model is *derived* from these, and
 //!   `ptperf-transports`' `codec_model` test pins it to their output);
-//! * [`ntor`] — the CREATE2/CREATED2 key exchange over real X25519;
 //! * [`onion`] — per-hop key derivation and layered encryption over real
 //!   bytes (HKDF + ChaCha20);
 //! * [`circuit`] — circuit build timing (telescoping extends), end-to-end
@@ -31,7 +30,6 @@ pub mod cell;
 pub mod circuit;
 pub mod consensus;
 pub mod index;
-pub mod ntor;
 pub mod onion;
 pub mod path;
 pub mod relay;
@@ -40,7 +38,6 @@ pub use cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_LEN, RELAY_DATA_
 pub use circuit::{access_capacity, window_capped_rate, Circuit, CircuitOptions, Via};
 pub use consensus::{Consensus, ConsensusParams};
 pub use index::{ClassIndex, ConsensusIndex, FilterClass};
-pub use ntor::{ClientHandshake, NtorKeys, RelayIdentity};
 pub use onion::{HopCrypto, OnionStack};
 pub use path::{
     CircuitSpec, PathConfig, PathError, PathSelector, PickMode, Role, PRIMARY_GUARDS,

@@ -30,6 +30,7 @@ fn gen_consensus(seed: u64, n: usize) -> Consensus {
             n_relays: n,
             ..ConsensusParams::default()
         },
+        0,
     )
 }
 

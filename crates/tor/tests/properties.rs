@@ -89,6 +89,7 @@ proptest! {
                 exit_fraction,
                 load: LoadProfile::VolunteerRelay,
             },
+            0,
         );
         let mut selector = PathSelector::new();
         for _ in 0..10 {

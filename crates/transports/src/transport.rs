@@ -51,17 +51,23 @@ impl Deployment {
         server_region: Location,
         params: &ConsensusParams,
     ) -> Deployment {
+        // Set 1 — PT server doubles as guard: (PT, host, capacity, load).
+        let set1 = [
+            // Tor-operated bridges: well provisioned, lightly loaded (§4.2.1).
+            (PtId::Obfs4, Location::Frankfurt, 5.5e6, LoadProfile::ManagedBridge),
+            (PtId::Meek, Location::NewYork, 4.0e6, LoadProfile::ManagedBridge),
+            (PtId::Conjure, Location::Frankfurt, 6.0e6, LoadProfile::ManagedBridge),
+            // Snowflake's bridge (behind the volunteer proxies) is Tor-operated.
+            (PtId::Snowflake, Location::Frankfurt, 5.0e6, LoadProfile::ManagedBridge),
+            // Self-hosted set-1 servers at the campaign server region.
+            (PtId::WebTunnel, server_region, 5.0e6, LoadProfile::Dedicated),
+            (PtId::Dnstt, server_region, 5.0e6, LoadProfile::Dedicated),
+        ];
         let mut rng = SimRng::new(seed);
-        let mut consensus = Consensus::generate_with(&mut rng, params);
+        let mut consensus = Consensus::generate_with(&mut rng, params, set1.len());
         let mut bridges = BTreeMap::new();
         let mut servers = BTreeMap::new();
-
-        let mut add_bridge = |consensus: &mut Consensus,
-                              rng: &mut SimRng,
-                              pt: PtId,
-                              location: Location,
-                              capacity: f64,
-                              profile: LoadProfile| {
+        for (pt, location, capacity, profile) in set1 {
             let id = consensus.add_relay(Relay {
                 id: RelayId(0), // reassigned by add_relay
                 location,
@@ -72,21 +78,10 @@ impl Deployment {
                     fast: true,
                     stable: true,
                 },
-                utilization: profile.sample_utilization(rng),
+                utilization: profile.sampler().sample(&mut rng),
             });
             bridges.insert(pt, id);
-        };
-
-        // Set 1 — PT server doubles as guard.
-        // Tor-operated bridges: well provisioned, lightly loaded (§4.2.1).
-        add_bridge(&mut consensus, &mut rng, PtId::Obfs4, Location::Frankfurt, 5.5e6, LoadProfile::ManagedBridge);
-        add_bridge(&mut consensus, &mut rng, PtId::Meek, Location::NewYork, 4.0e6, LoadProfile::ManagedBridge);
-        add_bridge(&mut consensus, &mut rng, PtId::Conjure, Location::Frankfurt, 6.0e6, LoadProfile::ManagedBridge);
-        // Snowflake's bridge (behind the volunteer proxies) is Tor-operated.
-        add_bridge(&mut consensus, &mut rng, PtId::Snowflake, Location::Frankfurt, 5.0e6, LoadProfile::ManagedBridge);
-        // Self-hosted set-1 servers at the campaign server region.
-        add_bridge(&mut consensus, &mut rng, PtId::WebTunnel, server_region, 5.0e6, LoadProfile::Dedicated);
-        add_bridge(&mut consensus, &mut rng, PtId::Dnstt, server_region, 5.0e6, LoadProfile::Dedicated);
+        }
 
         // Sets 2 and 3 — separate PT server hosts (self-hosted).
         for pt in [

@@ -250,6 +250,50 @@ fn cached_sites_match_per_unit_rebuilds_bit_for_bit() {
 }
 
 #[test]
+fn site_prefix_reuse_matches_fresh_builds_in_every_request_order() {
+    // A scenario builds a missing site key from the longest prefix of
+    // each list that an earlier key holds. Whatever order a corpus
+    // scenario's four keys arrive in, each list must equal a fresh build.
+    use ptperf::measure::target_sites;
+    use ptperf_web::{SiteList, Website};
+    let keys = [
+        (None, 1000),
+        (Some(SiteList::Tranco), 1000),
+        (None, 500),
+        (None, 51),
+    ];
+    let fresh: Vec<Vec<Website>> = keys
+        .iter()
+        .map(|&(list, n)| match list {
+            None => target_sites(n),
+            Some(list) => Website::top(list, n),
+        })
+        .collect();
+    let mut orders = 0;
+    // Every order of the four keys: the four-digit base-4 codes whose
+    // digits are distinct.
+    for order in (0..4usize.pow(4)).map(|code| [code % 4, code / 4 % 4, code / 16 % 4, code / 64]) {
+        if (1..4).any(|i| order[..i].contains(&order[i])) {
+            continue;
+        }
+        orders += 1;
+        let scenario = Scenario::baseline(41);
+        for k in order {
+            let got = match keys[k] {
+                (None, n) => scenario.target_sites(n),
+                (Some(list), n) => scenario.top_sites(list, n),
+            };
+            assert!(
+                got.iter().eq(&fresh[k]),
+                "key {:?} requested in order {order:?} differs from a fresh build",
+                keys[k]
+            );
+        }
+    }
+    assert_eq!(orders, 24);
+}
+
+#[test]
 fn cached_deployment_equals_a_fresh_standard_build() {
     use ptperf_transports::Deployment;
     let s = Scenario::baseline(31);

@@ -217,28 +217,35 @@ fn scheduled_campaign_is_invariant_under_parallelism() {
 #[test]
 fn parallel_campaign_is_faster_on_multicore() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < 4 {
-        eprintln!("skipping speedup check: only {cores} core(s)");
+    if cores < 2 {
+        eprintln!("skipping speedup check: only one hardware thread");
         return;
     }
+    // Paper-scale fig2a is 13 equal shards, long enough to time. The
+    // best of three runs per side keeps one unlucky run (a sibling test
+    // or another process holding a core) from deciding the verdict.
     let scenario = Scenario::baseline(42);
-    // Warm once so lazy statics (site corpus) don't bias the timings.
-    let _ = whole_campaign(&scenario, &Parallelism::sequential());
+    let best_of_3 = |par: &Parallelism| {
+        (0..3)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                let runs =
+                    run_targets(&["fig2a"], &scenario, RunScale::Paper, par).expect("no panics");
+                (started.elapsed(), runs.targets.len())
+            })
+            .min()
+            .expect("three runs")
+    };
+    let workers = cores.min(4);
+    let (sequential_wall, seq_targets) = best_of_3(&Parallelism::sequential());
+    let (parallel_wall, par_targets) = best_of_3(&Parallelism::new(workers));
 
-    let t0 = std::time::Instant::now();
-    let seq = whole_campaign(&scenario, &Parallelism::sequential());
-    let sequential_wall = t0.elapsed();
-
-    let t1 = std::time::Instant::now();
-    let par = whole_campaign(&scenario, &Parallelism::new(4));
-    let parallel_wall = t1.elapsed();
-
-    assert_eq!(seq.targets.len(), par.targets.len());
-    // Generous bound (1.25×) to stay robust on loaded CI machines; the
-    // typical speedup on 4 idle cores is ~3×.
+    assert_eq!(seq_targets, par_targets);
+    // Two idle workers run it about 1.4–1.7× faster than one; 1.2× keeps
+    // the check clear of noise on a loaded 2-core host.
     assert!(
-        parallel_wall.as_secs_f64() < sequential_wall.as_secs_f64() / 1.25,
-        "parallel {:.2}s not measurably faster than sequential {:.2}s",
+        parallel_wall.as_secs_f64() < sequential_wall.as_secs_f64() / 1.2,
+        "{workers} workers took {:.3}s, not measurably faster than sequential {:.3}s",
         parallel_wall.as_secs_f64(),
         sequential_wall.as_secs_f64()
     );
