@@ -388,19 +388,19 @@ mod tests {
         let r = bench_class(w, 4);
         assert_eq!(r.name, "vanilla_600");
         assert!(r.relays >= 600);
-        assert!(r.picks_per_establish > 0.0);
-        // Single-threaded, nearly every pick resolves on the index
-        // (verify.sh gates >= 0.99), but the counters are process-wide
-        // and parallel tests share them, so only loose bounds hold here.
+        // The pick counters count per calling thread, so tests running
+        // beside this one leave them alone and verify.sh's gates hold
+        // here too.
+        assert!(r.picks_per_establish > 0.0 && r.picks_per_establish <= 3.0);
         assert!(
-            r.index_pick_fraction > 0.0 && r.index_pick_fraction <= 1.0,
+            r.index_pick_fraction >= 0.99 && r.index_pick_fraction <= 1.0,
             "index fraction {}",
             r.index_pick_fraction
         );
         assert_eq!(r.allocs_per_establish, 0.0);
         assert!(r.idx_p50_us >= 0.0 && r.idx_p95_us >= r.idx_p50_us * 0.999);
         let dep = bench_deployment(4);
-        assert!(dep.rebuilds_saved >= 4);
+        assert_eq!(dep.rebuilds_saved, 4);
         let json = render_json(&[r], &dep, 4);
         assert!(json.contains("\"schema\": \"ptperf-bench-establish/v1\""));
         assert!(json.contains("\"vanilla_600\""));

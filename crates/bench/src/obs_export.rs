@@ -24,11 +24,11 @@ use ptperf_stats::Table;
 
 use crate::targets::TargetRun;
 
-/// The shard reports behind `runs`, each family's once, in run order.
-/// The targets of one family carry the same reports (those of its one
-/// run), so a target whose shard labels match an earlier target's adds
-/// nothing.
-fn family_reports(runs: &[TargetRun]) -> impl Iterator<Item = &ShardReport> {
+/// The shard reports behind `runs`, each family's once, in run order,
+/// with the family they belong to. The targets of one family carry the
+/// same reports (those of its one run), so a target whose shard labels
+/// match an earlier target's adds nothing.
+fn family_reports(runs: &[TargetRun]) -> impl Iterator<Item = (&str, &ShardReport)> {
     fn same_reports(a: &TargetRun, b: &TargetRun) -> bool {
         a.reports
             .iter()
@@ -38,14 +38,19 @@ fn family_reports(runs: &[TargetRun]) -> impl Iterator<Item = &ShardReport> {
     runs.iter()
         .enumerate()
         .filter(|&(i, run)| !runs[..i].iter().any(|earlier| same_reports(earlier, run)))
-        .flat_map(|(_, run)| &run.reports)
+        .flat_map(|(_, run)| run.reports.iter().map(move |r| (family_of(run), r)))
 }
 
-/// The family a shard belongs to: its label up to the first `/` (shard
-/// labels are `family/detail`, e.g. `fig2a/obfs4`; single-shard
-/// families use the bare family name).
-pub fn family_of(label: &str) -> &str {
-    label.split('/').next().unwrap_or(label)
+/// The experiment family behind a target's run, named after its first
+/// shard's label up to the first `/` (shard labels are
+/// `family/detail`, e.g. `fig2a/obfs4`; single-shard families use the
+/// bare family name). Every shard of the run counts under this one
+/// name, whatever its own label: snowflake_load's `fig12/*` shards join
+/// its `fig10` row and lane.
+fn family_of(run: &TargetRun) -> &str {
+    run.reports
+        .first()
+        .map_or(&run.name, |r| r.label.split('/').next().unwrap_or(&r.label))
 }
 
 /// The pluggable transport a shard measured: the last `/`-segment of
@@ -105,7 +110,7 @@ pub fn trace_jsonl(runs: &[TargetRun]) -> String {
 pub fn hist_json(runs: &[TargetRun]) -> String {
     // Merge in first-seen order: (pt, phase) → Hist.
     let mut merged: Vec<(String, Vec<(&'static str, Hist)>)> = Vec::new();
-    for report in family_reports(runs) {
+    for (_, report) in family_reports(runs) {
         let pt = pt_of(&report.label);
         for (phase, h) in &report.obs.hists {
             let slot = match merged.iter_mut().find(|(p, _)| p == pt) {
@@ -185,8 +190,8 @@ pub fn trace_chrome(runs: &[TargetRun]) -> String {
     // Family → (tid, sim-ns cursor for consecutive shard layout).
     let mut lanes: Vec<(String, u64)> = Vec::new();
     for run in runs {
+        let family = family_of(run);
         for report in &run.reports {
-            let family = family_of(&report.label);
             let tid = match lanes.iter().position(|(f, _)| f == family) {
                 Some(i) => i + 1,
                 None => {
@@ -232,8 +237,8 @@ pub fn trace_chrome(runs: &[TargetRun]) -> String {
 /// run-level worker count and elapsed time.
 pub fn build_metrics(runs: &[TargetRun], workers: usize, elapsed: Duration) -> MetricsRegistry {
     let mut registry = MetricsRegistry::new();
-    for report in family_reports(runs) {
-        registry.observe(family_of(&report.label), report.wall, report.samples);
+    for (family, report) in family_reports(runs) {
+        registry.observe(family, report.wall, report.samples);
     }
     registry.set_run(workers, elapsed);
     registry
@@ -253,8 +258,7 @@ pub fn profile_table(runs: &[TargetRun]) -> String {
         wall_secs: f64,
     }
     let mut rows: Vec<Row> = Vec::new();
-    for report in family_reports(runs) {
-        let family = family_of(&report.label);
+    for (family, report) in family_reports(runs) {
         let row = match rows.iter_mut().find(|r| r.family == family) {
             Some(row) => row,
             None => {
@@ -345,10 +349,59 @@ mod tests {
     }
 
     #[test]
-    fn family_strips_the_shard_detail() {
-        assert_eq!(family_of("fig2a/obfs4"), "fig2a");
-        assert_eq!(family_of("fig3"), "fig3");
-        assert_eq!(family_of("scheduled-snowflake/3"), "scheduled-snowflake");
+    fn family_is_the_first_shard_label_without_its_detail() {
+        let mut run = sample_run();
+        assert_eq!(family_of(&run), "fig6");
+        run.reports[0].label = "fig3".to_string();
+        assert_eq!(family_of(&run), "fig3");
+        run.reports[0].label = "scheduled-snowflake/3".to_string();
+        assert_eq!(family_of(&run), "scheduled-snowflake");
+        run.reports.clear();
+        assert_eq!(
+            family_of(&run),
+            "fig6",
+            "a run without shards goes by its name"
+        );
+    }
+
+    #[test]
+    fn one_run_with_two_label_prefixes_is_one_family() {
+        // snowflake_load's shards are labelled `fig10/*` and `fig12/*`.
+        let mut run = sample_run();
+        run.name = "fig10a".to_string();
+        run.reports[0].label = "fig10/pre".to_string();
+        let mut weekly = run.reports[0].clone();
+        weekly.index = 1;
+        weekly.label = "fig12/week1".to_string();
+        run.reports.push(weekly);
+        let runs = [run];
+
+        let profile = profile_table(&runs);
+        assert!(profile.contains("Profile — 2 shard(s)"), "{profile}");
+        assert!(profile.contains("fig10"), "{profile}");
+        assert!(
+            !profile.contains("fig12"),
+            "fig12 shards got their own row: {profile}"
+        );
+
+        let metrics = build_metrics(&runs, 1, Duration::from_secs(1)).to_json();
+        assert!(metrics.contains("\"family\":\"fig10\""), "{metrics}");
+        assert!(!metrics.contains("\"family\":\"fig12\""), "{metrics}");
+
+        let doc = trace_chrome(&runs);
+        let v = json::parse(&doc).unwrap();
+        let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+        let lanes: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("thread_name"))
+            .collect();
+        assert_eq!(lanes.len(), 1, "one lane for the family");
+        let tids: Vec<f64> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+            .map(|e| e.get("tid").and_then(|t| t.as_f64()).unwrap())
+            .collect();
+        assert_eq!(tids, [1.0, 1.0]);
     }
 
     #[test]

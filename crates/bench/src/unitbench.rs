@@ -382,7 +382,7 @@ mod tests {
         assert_eq!(r.allocs_per_unit, 0.0, "warm browser unit still allocates");
         assert!(r.opt_p50_us >= 0.0 && r.opt_p95_us >= r.opt_p50_us * 0.999);
         let sites = bench_sites(4);
-        assert!(sites.rebuilds_saved >= 4);
+        assert_eq!(sites.rebuilds_saved, 4);
         let json = render_json(&[r], &sites, 4);
         assert!(json.contains("\"schema\": \"ptperf-bench-unit/v1\""));
         assert!(json.contains("\"browser_obfs4_16\""));

@@ -23,14 +23,17 @@
 //! spawns, and one worker claims the units in index order without
 //! leaving the calling thread. Each unit runs under
 //! [`std::panic::catch_unwind`], so one failing shard is reported with
-//! its label while sibling shards complete normally.
+//! its label while sibling shards complete normally. When the pool
+//! ends, each spawned worker hands its [`ptperf_obs::perf`] counts to
+//! the calling thread, so a snapshot delta taken around [`run_units`]
+//! covers exactly the pools that thread ran, nested pools included.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ptperf_obs::{MemoryRecorder, NullRecorder, Recorder, ShardObsData};
+use ptperf_obs::{perf, MemoryRecorder, NullRecorder, Recorder, ShardObsData};
 use ptperf_transports::EstablishScratch;
 use ptperf_web::PageScratch;
 
@@ -311,7 +314,9 @@ fn run_one<T>(
 /// at a time from a shared cursor until the list is drained. The
 /// calling thread is worker 0 and the other `workers − 1` run on scoped
 /// threads, so one worker runs the units on the calling thread in index
-/// order. Any worker count gives the same output (see the module docs).
+/// order; the spawned workers' [`perf`] counts join the calling
+/// thread's when the pool ends. Any worker count gives the same output
+/// (see the module docs).
 /// If any shard panics, the error lists every failing shard and the
 /// panic is *contained*: sibling shards still run to completion.
 pub fn run_units<T: Send>(
@@ -342,10 +347,19 @@ pub fn run_units<T: Send>(
         }
     };
     std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(worker);
-        }
+        // Each scoped thread is new, so its counts are its own work.
+        let spawned: Vec<_> = (1..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    worker();
+                    perf::snapshot()
+                })
+            })
+            .collect();
         worker();
+        for handle in spawned {
+            perf::absorb(&handle.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
     });
 
     let mut failures = failures.into_inner().expect("failures lock");
@@ -440,6 +454,56 @@ mod tests {
         assert_eq!(out.workers, 2);
         assert_ne!(out.values[0], out.values[1]);
         assert!(out.values.contains(&caller), "{:?} vs caller {caller:?}", out.values);
+    }
+
+    #[test]
+    fn the_callers_perf_delta_counts_its_pools_and_no_other_thread() {
+        use std::sync::{Arc, Barrier};
+        // Both units and an unrelated thread meet at the barrier, so the
+        // two workers each run one unit while the outsider counts too.
+        let met = Arc::new(Barrier::new(3));
+        let bump = |n: u64| (0..n).for_each(|_| perf::incr_path_index_pick());
+        let nested = move || -> Vec<Unit<()>> {
+            let both = Arc::new(Barrier::new(2));
+            [4, 6]
+                .into_iter()
+                .map(|n| {
+                    let both = Arc::clone(&both);
+                    Unit::new(format!("nested/{n}"), move || {
+                        both.wait();
+                        bump(n);
+                        ((), 1)
+                    })
+                })
+                .collect()
+        };
+        let units: Vec<Unit<()>> = (0..2)
+            .map(|i| {
+                let met = Arc::clone(&met);
+                Unit::new(format!("count/{i}"), move || {
+                    met.wait();
+                    if i == 0 {
+                        bump(1);
+                    } else {
+                        run_units(&Parallelism::new(2), nested()).unwrap();
+                    }
+                    ((), 1)
+                })
+            })
+            .collect();
+        let outsider = {
+            let met = Arc::clone(&met);
+            std::thread::spawn(move || {
+                met.wait();
+                bump(100);
+            })
+        };
+        let before = perf::snapshot();
+        let out = run_units(&Parallelism::new(2), units).unwrap();
+        let delta = perf::snapshot().delta_since(&before);
+        outsider.join().unwrap();
+        assert_eq!(out.workers, 2);
+        assert_eq!(delta.path_index_pick, 1 + 4 + 6);
     }
 
     #[test]

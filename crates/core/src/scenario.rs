@@ -2,12 +2,17 @@
 //! under — deployment seed, client/server locations, access medium, and
 //! the snowflake load epoch.
 //!
-//! A scenario also memoizes its deployment and site workloads: all of
-//! its clones share one build per key, and there is no switch to turn
-//! that off. A lane that must rebuild per unit builds each unit on its
-//! own fresh [`Scenario::baseline`], as the determinism suite does.
+//! A scenario also memoizes its deployment and site workloads, and
+//! there is no switch to turn that off. All clones of a scenario share
+//! one deployment per key; a lane that must rebuild the deployment per
+//! unit builds each unit on its own fresh [`Scenario::baseline`], as the
+//! determinism suite does. The site memo is shared by every live
+//! scenario, whatever its seed, because a site list does not depend on
+//! the seed; it is freed with the last scenario that holds it, so a
+//! process that builds scenarios one after another builds each list
+//! afresh.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use ptperf_sim::fault::FaultBias;
 use ptperf_sim::{Location, Medium, SimRng};
@@ -16,7 +21,8 @@ use ptperf_web::{FaultSession, SiteList, Website};
 
 pub use ptperf_sim::fault::{FaultConfig, FaultProfile};
 
-/// Memoized builds, shared by every clone of a [`Scenario`].
+/// Memoized builds: the deployment memo is shared by every clone of a
+/// [`Scenario`], and the site memo is shared by every live scenario.
 ///
 /// Deployments and site workloads are pure functions of their keys —
 /// `(seed, server_region)` and `(list, n)` — so all thirteen families
@@ -57,6 +63,24 @@ impl<K: PartialEq, V: ?Sized> Memo<K, V> {
 /// Key for a memoized site workload: `None` is the paper's standard
 /// mixed Tranco + CBL list, `Some(list)` a single-list top-`n` slice.
 type SiteKey = (Option<SiteList>, usize);
+
+/// The site memo: one list per [`SiteKey`].
+type SiteMemo = Memo<SiteKey, [Website]>;
+
+/// The site memo of the scenarios alive now. The slot holds it weakly,
+/// so the memo and every list only it holds are freed with the last
+/// scenario that shares it.
+static LIVE_SITES: Mutex<Weak<SiteMemo>> = Mutex::new(Weak::new());
+
+/// The live site memo, or a new one when no scenario holds one.
+fn live_site_memo() -> Arc<SiteMemo> {
+    let mut live = LIVE_SITES.lock().expect("site memo slot");
+    live.upgrade().unwrap_or_else(|| {
+        let memo = Memo::new();
+        *live = Arc::downgrade(&memo);
+        memo
+    })
+}
 
 /// The longest run of `list`'s top sites, at most `n`, that a memoized
 /// site workload already holds.
@@ -116,12 +140,13 @@ pub struct Scenario {
     /// driver with plan-generated fault schedules.
     pub faults: FaultConfig,
     dep_cache: Arc<Memo<(u64, Location), Deployment>>,
-    site_cache: Arc<Memo<SiteKey, [Website]>>,
+    site_cache: Arc<SiteMemo>,
 }
 
 impl Scenario {
     /// The campaign's primary configuration: London client, Frankfurt
-    /// servers, wired, pre-surge.
+    /// servers, wired, pre-surge. It shares the site memo of the
+    /// scenarios alive now and starts its own deployment memo.
     pub fn baseline(seed: u64) -> Scenario {
         Scenario {
             seed,
@@ -131,7 +156,7 @@ impl Scenario {
             epoch: Epoch::PreSurge,
             faults: FaultConfig::Off,
             dep_cache: Memo::new(),
-            site_cache: Memo::new(),
+            site_cache: live_site_memo(),
         }
     }
 
@@ -186,8 +211,8 @@ impl Scenario {
 
     /// The paper's standard mixed workload — `n` sites from each of
     /// Tranco and CBL, as [`crate::measure::target_sites`] lists them —
-    /// built once per `n` and shared by reference across all families
-    /// and executor shards, exactly like [`Scenario::deployment`].
+    /// built once per `n` and shared by reference across all families,
+    /// executor shards and every other live scenario.
     pub fn target_sites(&self, n_per_list: usize) -> Arc<[Website]> {
         self.sites_for((None, n_per_list))
     }
@@ -317,6 +342,97 @@ mod tests {
         assert_eq!(top.len(), 7);
         assert!(Arc::ptr_eq(&top, &s.top_sites(SiteList::Tranco, 7)));
         assert!(Arc::ptr_eq(&a, &s.target_sites(7)));
+    }
+
+    #[test]
+    fn live_scenarios_of_different_seeds_share_site_lists() {
+        let a = Scenario::baseline(61);
+        let b = Scenario::baseline(62);
+        let pairs = [
+            (a.target_sites(9), b.target_sites(9)),
+            (a.top_sites(SiteList::Cbl, 9), b.top_sites(SiteList::Cbl, 9)),
+            (a.clone().target_sites(9), b.target_sites(9)),
+            (
+                b.clone().top_sites(SiteList::Cbl, 9),
+                a.top_sites(SiteList::Cbl, 9),
+            ),
+        ];
+        for (i, (x, y)) in pairs.iter().enumerate() {
+            assert!(Arc::ptr_eq(x, y), "pair {i} was built twice");
+        }
+    }
+
+    #[test]
+    fn scenarios_built_on_four_threads_at_once_share_one_list() {
+        use std::sync::Barrier;
+        // Every thread holds its scenario before any asks for the key,
+        // so all four share one memo and race on one build.
+        let all_built = Arc::new(Barrier::new(4));
+        let lists: Vec<Arc<[Website]>> = (0..4u64)
+            .map(|seed| {
+                let all_built = Arc::clone(&all_built);
+                std::thread::spawn(move || {
+                    let scenario = Scenario::baseline(80 + seed);
+                    all_built.wait();
+                    scenario.target_sites(17)
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|thread| thread.join().unwrap())
+            .collect();
+        let fresh = crate::measure::target_sites(17);
+        for list in &lists {
+            assert!(Arc::ptr_eq(list, &lists[0]), "a thread built its own list");
+            assert_eq!(&list[..], &fresh[..]);
+        }
+    }
+
+    #[test]
+    fn site_prefix_reuse_matches_fresh_builds_in_every_request_order() {
+        // A missing site key is built from the longest prefix of each
+        // list that an earlier key holds. Whatever order a corpus
+        // scenario's four keys arrive in, each list must equal a fresh
+        // build. A private site memo per order keeps the live scenarios
+        // of concurrently running tests from pre-filling it.
+        let keys = [
+            (None, 1000),
+            (Some(SiteList::Tranco), 1000),
+            (None, 500),
+            (None, 51),
+        ];
+        let fresh: Vec<Vec<Website>> = keys
+            .iter()
+            .map(|&(list, n)| match list {
+                None => crate::measure::target_sites(n),
+                Some(list) => Website::top(list, n),
+            })
+            .collect();
+        let mut orders = 0;
+        // Every order of the four keys: the four-digit base-4 codes
+        // whose digits are distinct.
+        for order in
+            (0..4usize.pow(4)).map(|code| [code % 4, code / 4 % 4, code / 16 % 4, code / 64])
+        {
+            if (1..4).any(|i| order[..i].contains(&order[i])) {
+                continue;
+            }
+            orders += 1;
+            let mut scenario = Scenario::baseline(41);
+            scenario.site_cache = SiteMemo::new();
+            for k in order {
+                let got = match keys[k] {
+                    (None, n) => scenario.target_sites(n),
+                    (Some(list), n) => scenario.top_sites(list, n),
+                };
+                assert!(
+                    got.iter().eq(&fresh[k]),
+                    "key {:?} requested in order {order:?} differs from a fresh build",
+                    keys[k]
+                );
+            }
+        }
+        assert_eq!(orders, 24);
     }
 
     #[test]

@@ -36,18 +36,20 @@
 //! module is the documented census of every counter key the workspace
 //! emits, enforced by a grep-based coverage test.
 //!
-//! A fourth facility is the process-wide performance counter set in
-//! [`perf`] — monotone relaxed atomics (`path/index_pick`,
-//! `path/scan_fallback`, `deployment/rebuilds_saved`,
-//! `browser/scratch_hits`, `site/rebuilds_saved`, `fault/*`)
-//! for hot paths that have no recorder handle or whose tallies depend
-//! on warmup state and therefore must not enter the trace stream. They are write-only from simulation
+//! A fourth facility is the performance counter set in [`perf`] —
+//! monotone counts (`path/index_pick`, `path/scan_fallback`,
+//! `deployment/rebuilds_saved`, `browser/scratch_hits`,
+//! `site/rebuilds_saved`, `fault/*`), kept per calling thread,
+//! including the pools it ran, for hot paths that have no recorder
+//! handle or whose tallies depend on warmup state and therefore must
+//! not enter the trace stream. They are write-only from simulation
 //! code and excluded from the deterministic trace stream.
 //!
 //! The crate is intentionally dependency-free (it sits *below*
 //! `ptperf-sim` in the crate graph, so the simulator itself can record
 //! into it) and contains no randomness and no global mutable state
-//! besides the log-level atomic and the write-only [`perf`] counters.
+//! besides the log-level atomic and the write-only, thread-local
+//! [`perf`] counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

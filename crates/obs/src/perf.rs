@@ -1,90 +1,99 @@
-//! Process-wide performance counters for hot paths that have no
-//! [`crate::Recorder`] handle.
+//! Performance counters for hot paths that have no [`crate::Recorder`]
+//! handle, counted per calling thread, including the pools it ran.
 //!
 //! Path selection and deployment construction run deep inside the
 //! per-measurement hot loop, below the layer where the executor threads
 //! a per-shard recorder. Routing a recorder down there would widen
 //! every signature on the establishment path for three counters, so
-//! they live here instead: monotone process-wide atomics, bumped with
-//! `Relaxed` ordering (they order nothing) and *never read back by
-//! simulation logic*. They therefore cannot perturb a single result
-//! bit — the neutrality guarantee `tests/obs_neutrality.rs` proves for
-//! the recorder applies trivially here — and they are deliberately kept
-//! out of the deterministic trace stream, because shard scheduling
-//! makes their interleaving (though not their totals) nondeterministic.
+//! they live here instead: nine monotone counts in one const-initialised
+//! `thread_local!` cell, bumped without a lock or an atomic and *never
+//! read back by simulation logic*. They therefore cannot perturb a single
+//! result bit — the neutrality guarantee `tests/obs_neutrality.rs` proves
+//! for the recorder applies trivially here — and they are deliberately
+//! kept out of the deterministic trace stream, because which worker a
+//! unit runs on (and so whose counts it bumps) depends on scheduling,
+//! though the totals do not.
 //!
-//! Consumers take a [`snapshot`] before and after a region of interest
-//! and report the [`PerfSnapshot::delta_since`]; `repro --bench
-//! establish` is the canonical reader.
+//! A thread's counts cover the work it ran itself and, once each pool
+//! has ended, the work of the pools it ran: `ptperf::executor::run_units`
+//! hands every spawned worker's counts back to its calling thread
+//! through [`absorb`], nested pools included. Consumers take a
+//! [`snapshot`] before and after a region of interest on one thread and
+//! report the [`PerfSnapshot::delta_since`]; a count bumped on an
+//! unrelated thread never appears in it. `repro --bench establish` and
+//! ptbench are the readers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static PATH_INDEX_PICK: AtomicU64 = AtomicU64::new(0);
-static PATH_SCAN_FALLBACK: AtomicU64 = AtomicU64::new(0);
-static DEPLOYMENT_REBUILDS_SAVED: AtomicU64 = AtomicU64::new(0);
-static BROWSER_SCRATCH_HITS: AtomicU64 = AtomicU64::new(0);
-static SITE_REBUILDS_SAVED: AtomicU64 = AtomicU64::new(0);
-static FAULT_INJECTED: AtomicU64 = AtomicU64::new(0);
-static FAULT_RETRIED: AtomicU64 = AtomicU64::new(0);
-static FAULT_RECOVERED: AtomicU64 = AtomicU64::new(0);
-static FAULT_GAVE_UP: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static COUNTS: Cell<PerfSnapshot> = const { Cell::new(PerfSnapshot::ZERO) };
+}
+
+/// Adds `n` to the calling thread's count that `field` selects.
+fn bump(field: impl FnOnce(&mut PerfSnapshot) -> &mut u64, n: u64) {
+    COUNTS.with(|counts| {
+        let mut c = counts.get();
+        *field(&mut c) += n;
+        counts.set(c);
+    });
+}
 
 /// Counts one `path/index_pick`: a bandwidth-weighted relay pick
 /// resolved by binary search over the consensus index. Guard-sample
 /// picks that path selection defers count only once resolved.
 pub fn incr_path_index_pick() {
-    PATH_INDEX_PICK.fetch_add(1, Ordering::Relaxed);
+    bump(|c| &mut c.path_index_pick, 1);
 }
 
 /// Counts one `path/scan_fallback`: a pick that fell back to the exact
 /// dense scan (a draw near a decision boundary or in the tail,
 /// degenerate bandwidths, or a near-zero class total).
 pub fn incr_path_scan_fallback() {
-    PATH_SCAN_FALLBACK.fetch_add(1, Ordering::Relaxed);
+    bump(|c| &mut c.path_scan_fallback, 1);
 }
 
 /// Counts one `deployment/rebuilds_saved`: a `Scenario::deployment()`
 /// call served from the shared cache instead of regenerating the
 /// consensus and bridge registry.
 pub fn incr_deployment_rebuilds_saved() {
-    DEPLOYMENT_REBUILDS_SAVED.fetch_add(1, Ordering::Relaxed);
+    bump(|c| &mut c.deployment_rebuilds_saved, 1);
 }
 
 /// Counts one `browser/scratch_hits`: a page load served by an
 /// already-warm `PageScratch` (no buffer had to be created).
 pub fn incr_browser_scratch_hits() {
-    BROWSER_SCRATCH_HITS.fetch_add(1, Ordering::Relaxed);
+    bump(|c| &mut c.browser_scratch_hits, 1);
 }
 
 /// Counts one `site/rebuilds_saved`: a site-workload request served
 /// from the memoized `Arc<[Website]>` cache instead of regenerating
 /// the list.
 pub fn incr_site_rebuilds_saved() {
-    SITE_REBUILDS_SAVED.fetch_add(1, Ordering::Relaxed);
+    bump(|c| &mut c.site_rebuilds_saved, 1);
 }
 
 /// Counts `n` `fault/injected`: fault events that fired in a faulted
-/// workload. Process-wide totals only; the deterministic per-unit
-/// counts live in the recorder stream.
+/// workload. Totals only; the deterministic per-unit counts live in the
+/// recorder stream.
 pub fn incr_fault_injected(n: u64) {
-    FAULT_INJECTED.fetch_add(n, Ordering::Relaxed);
+    bump(|c| &mut c.fault_injected, n);
 }
 
 /// Counts `n` `fault/retried`: injected events answered with a retry.
 pub fn incr_fault_retried(n: u64) {
-    FAULT_RETRIED.fetch_add(n, Ordering::Relaxed);
+    bump(|c| &mut c.fault_retried, n);
 }
 
 /// Counts `n` `fault/recovered`: injected events absorbed without a
 /// retry (stalls, degradation ramps).
 pub fn incr_fault_recovered(n: u64) {
-    FAULT_RECOVERED.fetch_add(n, Ordering::Relaxed);
+    bump(|c| &mut c.fault_recovered, n);
 }
 
 /// Counts `n` `fault/gave_up`: injected events that were terminal
 /// (retry budget exhausted).
 pub fn incr_fault_gave_up(n: u64) {
-    FAULT_GAVE_UP.fetch_add(n, Ordering::Relaxed);
+    bump(|c| &mut c.fault_gave_up, n);
 }
 
 /// A point-in-time reading of every perf counter.
@@ -111,44 +120,53 @@ pub struct PerfSnapshot {
 }
 
 impl PerfSnapshot {
+    const ZERO: PerfSnapshot = PerfSnapshot {
+        path_index_pick: 0,
+        path_scan_fallback: 0,
+        deployment_rebuilds_saved: 0,
+        browser_scratch_hits: 0,
+        site_rebuilds_saved: 0,
+        fault_injected: 0,
+        fault_retried: 0,
+        fault_recovered: 0,
+        fault_gave_up: 0,
+    };
+
+    /// `op` applied to each pair of matching counters.
+    fn zip(&self, other: &PerfSnapshot, op: fn(u64, u64) -> u64) -> PerfSnapshot {
+        PerfSnapshot {
+            path_index_pick: op(self.path_index_pick, other.path_index_pick),
+            path_scan_fallback: op(self.path_scan_fallback, other.path_scan_fallback),
+            deployment_rebuilds_saved: op(
+                self.deployment_rebuilds_saved,
+                other.deployment_rebuilds_saved,
+            ),
+            browser_scratch_hits: op(self.browser_scratch_hits, other.browser_scratch_hits),
+            site_rebuilds_saved: op(self.site_rebuilds_saved, other.site_rebuilds_saved),
+            fault_injected: op(self.fault_injected, other.fault_injected),
+            fault_retried: op(self.fault_retried, other.fault_retried),
+            fault_recovered: op(self.fault_recovered, other.fault_recovered),
+            fault_gave_up: op(self.fault_gave_up, other.fault_gave_up),
+        }
+    }
+
     /// Counter increments between `earlier` and `self` (saturating, so
     /// snapshots taken out of order read as zero rather than wrapping).
     pub fn delta_since(&self, earlier: &PerfSnapshot) -> PerfSnapshot {
-        PerfSnapshot {
-            path_index_pick: self.path_index_pick.saturating_sub(earlier.path_index_pick),
-            path_scan_fallback: self
-                .path_scan_fallback
-                .saturating_sub(earlier.path_scan_fallback),
-            deployment_rebuilds_saved: self
-                .deployment_rebuilds_saved
-                .saturating_sub(earlier.deployment_rebuilds_saved),
-            browser_scratch_hits: self
-                .browser_scratch_hits
-                .saturating_sub(earlier.browser_scratch_hits),
-            site_rebuilds_saved: self
-                .site_rebuilds_saved
-                .saturating_sub(earlier.site_rebuilds_saved),
-            fault_injected: self.fault_injected.saturating_sub(earlier.fault_injected),
-            fault_retried: self.fault_retried.saturating_sub(earlier.fault_retried),
-            fault_recovered: self.fault_recovered.saturating_sub(earlier.fault_recovered),
-            fault_gave_up: self.fault_gave_up.saturating_sub(earlier.fault_gave_up),
-        }
+        self.zip(earlier, u64::saturating_sub)
     }
 }
 
-/// Reads all perf counters at once.
+/// Reads the calling thread's perf counters, including those of every
+/// pool it ran that has ended.
 pub fn snapshot() -> PerfSnapshot {
-    PerfSnapshot {
-        path_index_pick: PATH_INDEX_PICK.load(Ordering::Relaxed),
-        path_scan_fallback: PATH_SCAN_FALLBACK.load(Ordering::Relaxed),
-        deployment_rebuilds_saved: DEPLOYMENT_REBUILDS_SAVED.load(Ordering::Relaxed),
-        browser_scratch_hits: BROWSER_SCRATCH_HITS.load(Ordering::Relaxed),
-        site_rebuilds_saved: SITE_REBUILDS_SAVED.load(Ordering::Relaxed),
-        fault_injected: FAULT_INJECTED.load(Ordering::Relaxed),
-        fault_retried: FAULT_RETRIED.load(Ordering::Relaxed),
-        fault_recovered: FAULT_RECOVERED.load(Ordering::Relaxed),
-        fault_gave_up: FAULT_GAVE_UP.load(Ordering::Relaxed),
-    }
+    COUNTS.with(Cell::get)
+}
+
+/// Adds `counts` to the calling thread's counters: how a pool's calling
+/// thread takes over what its spawned workers counted.
+pub fn absorb(counts: &PerfSnapshot) {
+    COUNTS.with(|c| c.set(c.get().zip(counts, u64::wrapping_add)));
 }
 
 #[cfg(test)]
@@ -162,13 +180,16 @@ mod tests {
         incr_path_index_pick();
         incr_path_scan_fallback();
         incr_deployment_rebuilds_saved();
-        let after = snapshot();
-        let d = after.delta_since(&before);
-        // Other tests may bump the same process-wide counters
-        // concurrently, so deltas are lower bounds here.
-        assert!(d.path_index_pick >= 2);
-        assert!(d.path_scan_fallback >= 1);
-        assert!(d.deployment_rebuilds_saved >= 1);
+        let d = snapshot().delta_since(&before);
+        assert_eq!(
+            d,
+            PerfSnapshot {
+                path_index_pick: 2,
+                path_scan_fallback: 1,
+                deployment_rebuilds_saved: 1,
+                ..PerfSnapshot::ZERO
+            }
+        );
     }
 
     #[test]
@@ -177,8 +198,14 @@ mod tests {
         incr_browser_scratch_hits();
         incr_site_rebuilds_saved();
         let d = snapshot().delta_since(&before);
-        assert!(d.browser_scratch_hits >= 1);
-        assert!(d.site_rebuilds_saved >= 1);
+        assert_eq!(
+            d,
+            PerfSnapshot {
+                browser_scratch_hits: 1,
+                site_rebuilds_saved: 1,
+                ..PerfSnapshot::ZERO
+            }
+        );
     }
 
     #[test]
@@ -189,10 +216,40 @@ mod tests {
         incr_fault_recovered(2);
         incr_fault_gave_up(1);
         let d = snapshot().delta_since(&before);
-        assert!(d.fault_injected >= 5);
-        assert!(d.fault_retried >= 2);
-        assert!(d.fault_recovered >= 2);
-        assert!(d.fault_gave_up >= 1);
+        assert_eq!(
+            d,
+            PerfSnapshot {
+                fault_injected: 5,
+                fault_retried: 2,
+                fault_recovered: 2,
+                fault_gave_up: 1,
+                ..PerfSnapshot::ZERO
+            }
+        );
+    }
+
+    #[test]
+    fn absorb_adds_another_threads_counts_and_nothing_else() {
+        let before = snapshot();
+        let theirs = std::thread::spawn(|| {
+            incr_path_index_pick();
+            incr_fault_injected(3);
+            snapshot()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(snapshot(), before, "another thread's bumps are its own");
+        absorb(&theirs);
+        absorb(&theirs);
+        let d = snapshot().delta_since(&before);
+        assert_eq!(
+            d,
+            PerfSnapshot {
+                path_index_pick: 2,
+                fault_injected: 6,
+                ..PerfSnapshot::ZERO
+            }
+        );
     }
 
     #[test]
@@ -203,5 +260,6 @@ mod tests {
         let even_later = snapshot();
         let d = later.delta_since(&even_later);
         assert_eq!(d.path_index_pick, 0);
+        assert_eq!(even_later.delta_since(&later).path_index_pick, 1);
     }
 }

@@ -4,7 +4,7 @@
 //! cheap, allocation-free, and greppable — but that style lets a typo'd
 //! or undocumented key slip into the trace stream silently. This module
 //! is the antidote: **every** key that reaches [`crate::Recorder::add`]
-//! or a [`crate::perf`] atomic must have a row here, with one line of
+//! or a [`crate::perf`] counter must have a row here, with one line of
 //! documentation. `crates/obs/tests/registry_coverage.rs` greps the
 //! workspace for emission sites and fails if it finds a key missing
 //! from the registry (or vice versa for the perf set), so the registry
@@ -21,9 +21,9 @@ pub enum CounterKind {
     /// [`crate::Recorder::add`]; byte-identical across runs and worker
     /// counts.
     Trace,
-    /// A process-wide relaxed atomic in [`crate::perf`]; totals are
-    /// deterministic, interleavings are not, so it stays out of the
-    /// trace stream.
+    /// A [`crate::perf`] counter, counted per calling thread, including
+    /// the pools it ran; totals are deterministic, which worker counts a
+    /// unit is not, so it stays out of the trace stream.
     Perf,
 }
 
@@ -83,7 +83,7 @@ pub const COUNTERS: &[CounterDef] = &[
         kind: CounterKind::Trace,
         doc: "simulated nanoseconds covered by a shard's phase span tree",
     },
-    // -- process-wide perf counters (crate::perf) ---------------------
+    // -- perf counters, per calling thread (crate::perf) --------------
     CounterDef {
         key: "browser/scratch_hits",
         kind: CounterKind::Perf,
@@ -97,22 +97,22 @@ pub const COUNTERS: &[CounterDef] = &[
     CounterDef {
         key: "fault/gave_up",
         kind: CounterKind::Perf,
-        doc: "process-wide mirror of the fault/gave_up trace counter",
+        doc: "per-thread mirror of the fault/gave_up trace counter",
     },
     CounterDef {
         key: "fault/injected",
         kind: CounterKind::Perf,
-        doc: "process-wide mirror of the fault/injected trace counter",
+        doc: "per-thread mirror of the fault/injected trace counter",
     },
     CounterDef {
         key: "fault/recovered",
         kind: CounterKind::Perf,
-        doc: "process-wide mirror of the fault/recovered trace counter",
+        doc: "per-thread mirror of the fault/recovered trace counter",
     },
     CounterDef {
         key: "fault/retried",
         kind: CounterKind::Perf,
-        doc: "process-wide mirror of the fault/retried trace counter",
+        doc: "per-thread mirror of the fault/retried trace counter",
     },
     CounterDef {
         key: "path/index_pick",

@@ -1,7 +1,7 @@
 //! The counter registry and the code cannot drift apart: this test
 //! greps every non-test source file in the workspace for counter
 //! emission sites (`Recorder::add("...")` literals plus the documented
-//! `perf` atomics) and checks the set equals the registry in
+//! `perf` counters) and checks the set equals the registry in
 //! `ptperf_obs::registry` — in both directions, so an undocumented new
 //! key fails just like a stale registry row.
 
@@ -105,8 +105,8 @@ fn every_emitted_trace_counter_is_registered_and_vice_versa() {
 
 #[test]
 fn perf_registry_matches_the_documented_atomics() {
-    // The perf counters are atomics, not string literals; their keys
-    // live in the `/// Counts one `key`` doc lines of perf.rs.
+    // The perf counters are struct fields, not string literals; their
+    // keys live in the `/// Counts one `key`` doc lines of perf.rs.
     let perf_src = std::fs::read_to_string(
         workspace_root().join("crates/obs/src/perf.rs"),
     )
@@ -134,6 +134,6 @@ fn perf_registry_matches_the_documented_atomics() {
         keys(CounterKind::Perf).map(str::to_string).collect();
     assert_eq!(
         documented, registered,
-        "perf.rs documented atomics and the Perf registry rows diverged"
+        "perf.rs documented counters and the Perf registry rows diverged"
     );
 }

@@ -149,11 +149,11 @@ impl Consensus {
                 }
             }
         }
-        let guards = relays.iter().filter(|r| r.flags.guard).count();
-        let exits = relays.iter().filter(|r| r.flags.exit).count();
         ptperf_obs::obs_debug!(
-            "consensus: generated {} relays ({guards} guards, {exits} exits)",
-            relays.len()
+            "consensus: generated {} relays ({} guards, {} exits)",
+            relays.len(),
+            relays.iter().filter(|r| r.flags.guard).count(),
+            relays.iter().filter(|r| r.flags.exit).count()
         );
         Consensus {
             relays,

@@ -137,7 +137,7 @@ impl FaultSession {
     }
 
     /// Fold one driver run's dispositions into the session (also bumps
-    /// the process-wide write-only perf counters).
+    /// the calling thread's write-only perf counters).
     pub fn absorb(&mut self, run: &FaultRun) {
         self.stats.absorb(run);
         ptperf_obs::perf::incr_fault_injected(run.injected);

@@ -4,8 +4,8 @@
 #   2. full workspace test suite, then the ptbench package's own tests
 #      (its artifact-digest gates among them) with --locked, so a change
 #      that would rewrite the benchmark's Cargo.lock fails here; they run
-#      on one test thread because one of them reads process-wide fault
-#      counters that its siblings' faulted workloads bump
+#      on parallel test threads, since the perf counters they read count
+#      per calling thread, including the pools it ran
 #   3. clippy with warnings promoted to errors
 #   4. repro observability smoke run (--profile/--trace/--metrics),
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
@@ -60,8 +60,8 @@ cargo build --release --workspace --all-targets
 echo "== test (workspace) =="
 cargo test --workspace -q
 
-echo "== test (ptbench package, locked, serialized) =="
-cargo test -q --locked --manifest-path crates/bench/src/bin/ptbench/Cargo.toml -- --test-threads=1
+echo "== test (ptbench package, locked) =="
+cargo test -q --locked --manifest-path crates/bench/src/bin/ptbench/Cargo.toml
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -175,9 +175,9 @@ PTPERF_BENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench establish --bench-out "$obs_dir/BENCH_establish.json" > "$obs_dir/establish_out.txt"
 check_finite "$obs_dir/BENCH_establish.json"
 # Structural gate (one class per JSON line): picks resolve by binary
-# search, not the dense scan. The bench runs single-threaded in its own
-# process, so the process-wide pick counters behind the fraction are
-# exact. Guard sampling defers all but the guard it uses, so these
+# search, not the dense scan. The bench runs each class on the calling
+# thread, and the pick counters behind the fraction count per thread,
+# so they are exact. Guard sampling defers all but the guard it uses, so these
 # establishes no longer resolve its growing exclude sets;
 # crates/tor/tests/path_equivalence.rs still covers them.
 awk '

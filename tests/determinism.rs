@@ -7,8 +7,9 @@ use ptperf::scenario::Scenario;
 use ptperf_transports::PtId;
 
 /// For every `i`, unit `i` of a unit list built on its own fresh
-/// `Scenario::baseline(seed)`: no two units share a scenario memo, so
-/// each builds its own deployment and site workload from the seed.
+/// `Scenario::baseline(seed)`: no two units share a deployment memo, so
+/// each builds its own deployment from the seed. (Site lists are shared
+/// by every live scenario, so this lane does not rebuild them.)
 fn rebuilt_per_unit<T>(seed: u64, units: impl Fn(&Scenario) -> Vec<Unit<T>>) -> Vec<Unit<T>> {
     let n = units(&Scenario::baseline(seed)).len();
     (0..n)
@@ -219,25 +220,53 @@ fn warm_scratch_matches_cold_scratch_bit_for_bit() {
 
 #[test]
 fn cached_sites_match_per_unit_rebuilds_bit_for_bit() {
-    // The scenario's site-workload memo shares one Arc<[Website]> build
-    // across every unit; the rebuilt lane gives every unit a fresh
-    // scenario, so each regenerates the corpus. Samples must be
-    // bit-identical either way at 1 and 4 workers.
+    // The site memo shares one Arc<[Website]> build across every unit
+    // (and every live scenario); the rebuilt lane runs the same curl
+    // units by hand, each on a corpus it generates afresh with
+    // `measure::target_sites`. Samples must be bit-identical either way
+    // at 1 and 4 workers.
+    use ptperf::executor::Unit;
+    use ptperf::experiments::figure_order;
+    use ptperf::measure::{curl_site_averages, target_sites};
+    use ptperf_web::FaultSession;
     let cfg = website_curl::Config {
         sites_per_list: 10,
         repeats: 1,
     };
     let shared = Scenario::baseline(37);
+    let rebuilt = || -> Vec<Unit<website_curl::Shard>> {
+        figure_order()
+            .into_iter()
+            .map(|pt| {
+                let scenario = shared.clone();
+                Unit::pooled(format!("fig2a/{pt}"), move |rec, scratch| {
+                    let sites = target_sites(cfg.sites_per_list);
+                    let avgs = curl_site_averages(
+                        &scenario,
+                        pt,
+                        &sites,
+                        cfg.repeats,
+                        &mut scenario.rng(&format!("fig2a/{pt}")),
+                        rec,
+                        &mut scratch.establish,
+                        &mut FaultSession::off(),
+                    );
+                    let n = avgs.len();
+                    ((pt, avgs), n)
+                })
+            })
+            .collect()
+    };
     for workers in [1usize, 4] {
         let par = Parallelism::new(workers);
         let cached = run_units(&par, website_curl::units(&shared, &cfg)).unwrap();
         let a = website_curl::merge(cached.values);
-        let rebuilt = rebuilt_per_unit(37, |sc| website_curl::units(sc, &cfg));
-        let b = website_curl::merge(run_units(&par, rebuilt).unwrap().values);
+        let b = website_curl::merge(run_units(&par, rebuilt()).unwrap().values);
         for pt in PtId::ALL_WITH_VANILLA {
             let xs = a.samples.samples(pt);
             let ys = b.samples.samples(pt);
             assert_eq!(xs.len(), ys.len(), "{pt} at {workers} workers");
+            assert!(!xs.is_empty(), "{pt} at {workers} workers");
             for (x, y) in xs.iter().zip(ys) {
                 assert_eq!(
                     x.to_bits(),
@@ -247,50 +276,6 @@ fn cached_sites_match_per_unit_rebuilds_bit_for_bit() {
             }
         }
     }
-}
-
-#[test]
-fn site_prefix_reuse_matches_fresh_builds_in_every_request_order() {
-    // A scenario builds a missing site key from the longest prefix of
-    // each list that an earlier key holds. Whatever order a corpus
-    // scenario's four keys arrive in, each list must equal a fresh build.
-    use ptperf::measure::target_sites;
-    use ptperf_web::{SiteList, Website};
-    let keys = [
-        (None, 1000),
-        (Some(SiteList::Tranco), 1000),
-        (None, 500),
-        (None, 51),
-    ];
-    let fresh: Vec<Vec<Website>> = keys
-        .iter()
-        .map(|&(list, n)| match list {
-            None => target_sites(n),
-            Some(list) => Website::top(list, n),
-        })
-        .collect();
-    let mut orders = 0;
-    // Every order of the four keys: the four-digit base-4 codes whose
-    // digits are distinct.
-    for order in (0..4usize.pow(4)).map(|code| [code % 4, code / 4 % 4, code / 16 % 4, code / 64]) {
-        if (1..4).any(|i| order[..i].contains(&order[i])) {
-            continue;
-        }
-        orders += 1;
-        let scenario = Scenario::baseline(41);
-        for k in order {
-            let got = match keys[k] {
-                (None, n) => scenario.target_sites(n),
-                (Some(list), n) => scenario.top_sites(list, n),
-            };
-            assert!(
-                got.iter().eq(&fresh[k]),
-                "key {:?} requested in order {order:?} differs from a fresh build",
-                keys[k]
-            );
-        }
-    }
-    assert_eq!(orders, 24);
 }
 
 #[test]
