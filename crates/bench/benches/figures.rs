@@ -63,6 +63,12 @@ fn bench_tables_3_4_ttests(c: &mut Criterion) {
     g.bench_function("category_table10", |b| {
         b.iter(|| black_box(ttest_tables::category_pairwise(&result.samples)))
     });
+    // Table 7 at paper scale: 78 rows over 50 aligned downloads each.
+    let downloads = file_download::run(&scenario(), &file_download::Config::paper());
+    let table7 = ttest_tables::pairwise(&downloads.paired);
+    g.bench_function("render_78_rows", |b| {
+        b.iter(|| black_box(ttest_tables::render("Table 7", black_box(&table7))))
+    });
     g.finish();
 }
 

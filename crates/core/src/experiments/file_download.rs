@@ -208,8 +208,10 @@ impl Result {
     /// its completed downloads, log y).
     pub fn render(&self) -> String {
         let mut entries: Vec<(String, Summary)> = Vec::new();
+        let mut excluded: Vec<&str> = Vec::new();
         for pt in figure_order() {
             if !self.qualifies(pt) {
+                excluded.push(pt.name());
                 continue;
             }
             let v: Vec<f64> = self.attempts[&pt]
@@ -223,7 +225,6 @@ impl Result {
             "Figure 5 — File download time across sizes (s, log scale), completed downloads\n",
         );
         out.push_str(&ascii_boxplots(&entries, 100, true));
-        let excluded: Vec<&str> = self.excluded().iter().map(|p| p.name()).collect();
         if !excluded.is_empty() {
             out.push_str(&format!(
                 "excluded (could not complete every size at least twice): {}\n",

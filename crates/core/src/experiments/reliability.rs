@@ -7,9 +7,10 @@
 //! meek fail outright ~10% of the time.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::sync::Arc;
 
-use ptperf_stats::{ascii_ecdf, Ecdf};
+use ptperf_stats::{ascii_ecdf, Ecdf, Fixed, Table};
 use ptperf_transports::{fault_bias, transport_for, PtId};
 use ptperf_web::{filedl, ReliabilityCounts, FILE_SIZES};
 
@@ -150,14 +151,14 @@ impl Result {
         let mut out = String::from(
             "Figure 8a — Fraction of complete / partial / failed file downloads\n",
         );
-        let mut table = ptperf_stats::Table::new(["PT", "complete", "partial", "failed"]);
+        let mut table = Table::new(["PT", "complete", "partial", "failed"]);
         for (pt, c) in &self.counts {
             let (comp, part, fail) = c.fractions();
             table.row([
-                pt.name().to_string(),
-                format!("{comp:.2}"),
-                format!("{part:.2}"),
-                format!("{fail:.2}"),
+                &pt.name() as &dyn Display,
+                &Fixed(comp, 2),
+                &Fixed(part, 2),
+                &Fixed(fail, 2),
             ]);
         }
         out.push_str(&table.render());

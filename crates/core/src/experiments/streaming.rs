@@ -10,10 +10,11 @@
 //! latency) from the rest.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use ptperf_obs::obs_debug;
 use ptperf_sim::SimDuration;
-use ptperf_stats::Table;
+use ptperf_stats::{Fixed, Table};
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
 use ptperf_web::streaming::{play, MediaStream, StreamingSession};
 
@@ -196,11 +197,11 @@ impl Result {
             for pt in figure_order() {
                 let q = &data[&pt];
                 table.row([
-                    pt.name().to_string(),
-                    format!("{:.1}", q.startup_s),
-                    format!("{:.1}", q.rebuffers),
-                    format!("{:.0}%", q.rebuffer_ratio * 100.0),
-                    format!("{:.0}%", q.watchable * 100.0),
+                    &pt.name() as &dyn Display,
+                    &Fixed(q.startup_s, 1),
+                    &Fixed(q.rebuffers, 1),
+                    &format_args!("{}%", Fixed(q.rebuffer_ratio * 100.0, 0)),
+                    &format_args!("{}%", Fixed(q.watchable * 100.0, 0)),
                 ]);
             }
             out.push_str(&table.render());

@@ -5,7 +5,9 @@
 //! *category-level* comparison (each category's mean per-site time
 //! against the others and vanilla Tor).
 
-use ptperf_stats::{PairedTTest, Table};
+use std::fmt::Display;
+
+use ptperf_stats::{Fixed, PairedTTest, Table};
 use ptperf_transports::{Category, PtId};
 
 use crate::measure::PairedSamples;
@@ -23,19 +25,26 @@ pub struct TTestRow {
 pub fn pairwise(samples: &PairedSamples) -> Vec<TTestRow> {
     samples
         .pairs()
-        .map(|(a, b)| TTestRow {
-            pair: format!("{}-{}", display_name(a), display_name(b)),
-            test: samples.ttest(a, b),
+        .map(|(a, b)| {
+            let (a_name, b_name) = (a.name(), b.name());
+            let mut pair = String::with_capacity(a_name.len() + b_name.len() + 1);
+            push_display_name(&mut pair, a_name);
+            pair.push('-');
+            push_display_name(&mut pair, b_name);
+            TTestRow {
+                pair,
+                test: samples.ttest(a, b),
+            }
         })
         .collect()
 }
 
-fn display_name(pt: PtId) -> String {
-    let name = pt.name();
+/// Appends a PT name with its first letter upper-cased (`Tor`, `Dnstt`).
+fn push_display_name(out: &mut String, name: &str) {
     let mut c = name.chars();
-    match c.next() {
-        Some(first) => first.to_uppercase().collect::<String>() + c.as_str(),
-        None => String::new(),
+    if let Some(first) = c.next() {
+        out.extend(first.to_uppercase());
+        out.push_str(c.as_str());
     }
 }
 
@@ -87,13 +96,14 @@ pub fn render(title: &str, rows: &[TTestRow]) -> String {
         "Mean diff.",
     ]);
     for row in rows {
+        let t = &row.test;
         table.row([
-            row.pair.clone(),
-            format!("{:.3}", row.test.ci_lower),
-            format!("{:.3}", row.test.ci_upper),
-            format!("{:.3}", row.test.t),
-            row.test.p_display(),
-            format!("{:.3}", row.test.mean_diff),
+            &row.pair as &dyn Display,
+            &Fixed(t.ci_lower, 3),
+            &Fixed(t.ci_upper, 3),
+            &Fixed(t.t, 3),
+            &t.p_display(),
+            &Fixed(t.mean_diff, 3),
         ]);
     }
     format!("{title}\n{}", table.render())

@@ -24,8 +24,8 @@ impl Ecdf {
         self.sorted.len()
     }
 
-    /// True if the sample had one element... never: construction rejects
-    /// empty samples, so this is always false.
+    /// Whether the sample is empty: always false, since construction
+    /// rejects empty samples.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }

@@ -35,6 +35,31 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
+thread_local! {
+    /// The last `(a, b)` [`inc_beta`] saw on this thread, as bit
+    /// patterns, and its `ln Γ(a+b) − ln Γ(a) − ln Γ(b)`.
+    static LAST_LN_BETA: Cell<Option<(u64, u64, f64)>> = const { Cell::new(None) };
+}
+
+/// `ln Γ(a+b) − ln Γ(a) − ln Γ(b)`, summed left to right.
+///
+/// Each thread remembers its last `(a, b)` and answer, because every
+/// t-test of a table evaluates `I_x(df/2, 1/2)` at one `df`, through
+/// both its p-value and the critical value's bisection. The three
+/// `ln_gamma` calls are a pure function of the two bit patterns the memo
+/// is keyed on, so a hit returns exactly what they would.
+fn ln_beta_front(a: f64, b: f64) -> f64 {
+    let key = (a.to_bits(), b.to_bits());
+    if let Some((ma, mb, v)) = LAST_LN_BETA.get() {
+        if (ma, mb) == key {
+            return v;
+        }
+    }
+    let v = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b);
+    LAST_LN_BETA.set(Some((key.0, key.1, v)));
+    v
+}
+
 /// Regularized incomplete beta function `I_x(a, b)`.
 ///
 /// Continued-fraction evaluation with the symmetry transformation for
@@ -48,7 +73,7 @@ pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
     if x == 1.0 {
         return 1.0;
     }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+    let ln_front = ln_beta_front(a, b) + a * x.ln() + b * (1.0 - x).ln();
     let front = ln_front.exp();
     if x < (a + 1.0) / (a + b + 2.0) {
         front * betacf(a, b, x) / a
@@ -286,6 +311,52 @@ mod tests {
         ] {
             let q = student_t_quantile(0.975, df);
             assert_eq!(q.to_bits(), bits, "t*(0.975, {df}) = {q}");
+        }
+    }
+
+    /// `inc_beta` as it reads without the memo.
+    fn inc_beta_unmemoized(a: f64, b: f64, x: f64) -> f64 {
+        if x == 0.0 || x == 1.0 {
+            return x;
+        }
+        let ln_front =
+            ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+        let front = ln_front.exp();
+        if x < (a + 1.0) / (a + b + 2.0) {
+            front * betacf(a, b, x) / a
+        } else {
+            1.0 - front * betacf(b, a, 1.0 - x) / b
+        }
+    }
+
+    #[test]
+    fn ln_beta_memo_matches_a_fresh_thread_call_by_call() {
+        // Runs of one (a, b), as a t-test table makes, broken by other
+        // keys, one of them sharing `a`, and tiny and huge arguments.
+        let mut calls = Vec::new();
+        for (a, b) in [
+            (24.5, 0.5),
+            (14.5, 0.5),
+            (24.5, 0.5),
+            (0.5, 24.5),
+            (2.0, 3.0),
+            (2.0, 0.5),
+            (24.5, 0.5),
+        ] {
+            for i in 1..40 {
+                calls.push((a, b, f64::from(i) / 40.0));
+            }
+        }
+        calls.push((f64::MIN_POSITIVE, 1e300, 0.25));
+        calls.push((1e-300, 0.5, 0.5));
+        for &(a, b, x) in &calls {
+            let warm = inc_beta(a, b, x);
+            let fresh = std::thread::spawn(move || inc_beta(a, b, x))
+                .join()
+                .unwrap();
+            assert_eq!(warm.to_bits(), fresh.to_bits(), "I_{x}({a}, {b})");
+            let plain = inc_beta_unmemoized(a, b, x);
+            assert_eq!(warm.to_bits(), plain.to_bits(), "I_{x}({a}, {b})");
         }
     }
 

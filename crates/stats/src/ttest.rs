@@ -4,6 +4,7 @@
 //! difference, and the mean difference itself.
 
 use crate::desc::{mean, std_dev};
+use crate::fixed::Fixed;
 use crate::special::{student_t_quantile, t_two_sided_p};
 
 /// Result of a paired t-test between two matched samples.
@@ -34,16 +35,23 @@ impl PairedTTest {
     pub fn run(a: &[f64], b: &[f64]) -> PairedTTest {
         assert_eq!(a.len(), b.len(), "paired t-test requires matched samples");
         assert!(a.len() >= 2, "paired t-test requires at least 2 pairs");
-        let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
-        Self::from_differences(&diffs)
+        // `mean` and `std_dev` over the differences, in their operations
+        // and order, without collecting the differences.
+        let diffs = || a.iter().zip(b).map(|(x, y)| x - y);
+        let n = a.len();
+        let md = diffs().sum::<f64>() / n as f64;
+        let ss: f64 = diffs().map(|d| (d - md) * (d - md)).sum();
+        Self::from_moments(n, md, (ss / (n - 1) as f64).sqrt())
     }
 
     /// Runs the test given the per-pair differences directly.
     pub fn from_differences(diffs: &[f64]) -> PairedTTest {
         assert!(diffs.len() >= 2, "paired t-test requires at least 2 pairs");
-        let n = diffs.len();
-        let md = mean(diffs);
-        let sd = std_dev(diffs);
+        Self::from_moments(diffs.len(), mean(diffs), std_dev(diffs))
+    }
+
+    /// The test from `n` differences' mean `md` and sample SD `sd`.
+    fn from_moments(n: usize, md: f64, sd: f64) -> PairedTTest {
         let se = sd / (n as f64).sqrt();
         let df = (n - 1) as f64;
         // A zero standard error (identical differences) makes t undefined;
@@ -82,7 +90,7 @@ impl PairedTTest {
         if self.p < 0.001 {
             "<.001".to_string()
         } else {
-            format!("{:.3}", self.p)
+            Fixed(self.p, 3).to_string()
         }
     }
 }

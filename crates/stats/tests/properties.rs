@@ -46,6 +46,43 @@ fn fresh_thread_quantile_bits(prob: f64, df: f64) -> u64 {
         .expect("a key of memo_keys")
 }
 
+/// `(a, b, x)` for `I_x(a, b)`.
+type BetaKey = (f64, f64, f64);
+
+/// The t tables' `(df/2, 1/2)` at df 49 and 9 on both sides of the
+/// continued fraction's switch, the mirrored `(1/2, df/2)`, and a pair
+/// off the t family that shares its `a`.
+fn beta_keys() -> Vec<BetaKey> {
+    let pairs = [(24.5, 0.5), (4.5, 0.5), (0.5, 24.5), (24.5, 3.0)];
+    let xs = [0.05, 0.5, 0.97];
+    pairs
+        .iter()
+        .flat_map(|&(a, b)| xs.iter().map(move |&x| (a, b, x)))
+        .collect()
+}
+
+/// The bits of `inc_beta(a, b, x)` for a key of [`beta_keys`], each
+/// computed once on its own freshly spawned thread.
+fn fresh_thread_inc_beta_bits(key: BetaKey) -> u64 {
+    static EXPECTED: OnceLock<Vec<(BetaKey, u64)>> = OnceLock::new();
+    let expected = EXPECTED.get_or_init(|| {
+        beta_keys()
+            .into_iter()
+            .map(|(a, b, x)| {
+                let bits = std::thread::spawn(move || inc_beta(a, b, x).to_bits())
+                    .join()
+                    .expect("inc_beta thread panicked");
+                ((a, b, x), bits)
+            })
+            .collect()
+    });
+    expected
+        .iter()
+        .find(|&&(k, _)| k == key)
+        .map(|&(_, bits)| bits)
+        .expect("a key of beta_keys")
+}
+
 proptest! {
     /// Quantiles lie within [min, max] and are monotone in q.
     #[test]
@@ -174,6 +211,51 @@ proptest! {
         for (prob, df) in keys {
             let bits = student_t_quantile(prob, df).to_bits();
             prop_assert_eq!(bits, fresh_thread_quantile_bits(prob, df), "t*({}, {})", prob, df);
+        }
+    }
+
+    /// The per-thread ln Γ memo behind `inc_beta` is exact: whatever
+    /// `(a, b)` came before, each call returns the bits a fresh thread,
+    /// whose memo starts empty, computes. Sequences over the 12 keys
+    /// repeat a pair, switch `x` at one pair, and switch pairs, also to
+    /// one with the same `a`.
+    #[test]
+    fn inc_beta_memo_matches_a_fresh_thread(
+        keys in prop::collection::vec(prop::sample::select(beta_keys()), 1..=40),
+    ) {
+        for (a, b, x) in keys {
+            let bits = inc_beta(a, b, x).to_bits();
+            prop_assert_eq!(bits, fresh_thread_inc_beta_bits((a, b, x)), "I_{}({}, {})", x, a, b);
+        }
+    }
+
+    /// `run(a, b)` is `from_differences(a − b)` to the bit, in every field.
+    #[test]
+    fn ttest_run_equals_from_differences(
+        pairs in proptest::collection::vec((-1.0e6f64..1.0e6, -1.0e6f64..1.0e6), 2..80),
+        tied in 0usize..4,
+    ) {
+        let a: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+        // Some cases pair a sample with itself, or with itself plus a
+        // constant, the degenerate zero-SE branches.
+        let b: Vec<f64> = match tied {
+            0 => a.clone(),
+            1 => a.iter().map(|x| x + 0.5).collect(),
+            _ => pairs.iter().map(|p| p.1).collect(),
+        };
+        let diffs: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
+        let run = PairedTTest::run(&a, &b);
+        let reference = PairedTTest::from_differences(&diffs);
+        prop_assert_eq!(run.n, reference.n);
+        for (got, want) in [
+            (run.mean_diff, reference.mean_diff),
+            (run.t, reference.t),
+            (run.df, reference.df),
+            (run.p, reference.p),
+            (run.ci_lower, reference.ci_lower),
+            (run.ci_upper, reference.ci_upper),
+        ] {
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} vs {:?}", run, reference);
         }
     }
 

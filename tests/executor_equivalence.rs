@@ -192,6 +192,36 @@ fn whole_campaign_is_invariant_under_parallelism() {
     for (a, b) in parallel.targets.iter().zip(&sequential.targets) {
         assert_eq!(a.text, b.text, "{}", a.name);
     }
+    assert_eq!(
+        format!("{:016x}", rendered_digest(&sequential)),
+        CAMPAIGN_DIGEST,
+        "the rendered campaign changed"
+    );
+}
+
+/// FNV-1a-64 of the quick seed-23 campaign's rendered bytes: every
+/// target's name and text in the order named, then every CSV document's
+/// file stem and text.
+///
+/// A refactor of the rendering or statistics code must leave it alone.
+/// A deliberate output change (a model change such as ROADMAP item 4)
+/// updates this constant and states in CHANGES.md why the output moved.
+const CAMPAIGN_DIGEST: &str = "b797c0201c781d59";
+
+/// The digest behind [`CAMPAIGN_DIGEST`]. Each piece is followed by a
+/// NUL byte, so text moved across a boundary changes the digest.
+fn rendered_digest(runs: &Runs) -> u64 {
+    let csv = runs.csv();
+    let texts = runs.targets.iter().flat_map(|t| [t.name.as_str(), &t.text]);
+    let docs = csv.iter().flat_map(|(stem, doc)| [*stem, doc.as_str()]);
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for piece in texts.chain(docs) {
+        for &b in piece.as_bytes().iter().chain(&[0u8]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
 
 #[test]
