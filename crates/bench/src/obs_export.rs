@@ -354,8 +354,8 @@ mod tests {
         assert_eq!(family_of(&run), "fig6");
         run.reports[0].label = "fig3".to_string();
         assert_eq!(family_of(&run), "fig3");
-        run.reports[0].label = "scheduled-snowflake/3".to_string();
-        assert_eq!(family_of(&run), "scheduled-snowflake");
+        run.reports[0].label = "fig12/week3".to_string();
+        assert_eq!(family_of(&run), "fig12");
         run.reports.clear();
         assert_eq!(
             family_of(&run),

@@ -9,7 +9,7 @@
 
 use ptperf_sim::LoadProfile;
 use ptperf_stats::{ascii_boxplots, ascii_ecdf, Ecdf, PairedTTest, Summary};
-use ptperf_tor::{PathConfig, PathSelector, Relay, RelayFlags, RelayId};
+use ptperf_tor::{PathConfig, PathSelector};
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
 use ptperf_web::{curl, SiteList, Website};
 
@@ -88,18 +88,11 @@ fn run_shard(
     let mut phases = ptperf_obs::PhaseAccum::new();
 
     // Our own host: guard utility + private PT server on one machine.
-    let host = dep.consensus.add_relay(Relay {
-        id: RelayId(0),
-        location: scenario.server_region,
-        bandwidth_bps: 5.0e6,
-        flags: RelayFlags {
-            guard: true,
-            exit: false,
-            fast: true,
-            stable: true,
-        },
-        utilization: LoadProfile::Dedicated.sampler().sample(&mut rng),
-    });
+    let host = dep.consensus.add_guard(
+        scenario.server_region,
+        5.0e6,
+        LoadProfile::Dedicated.sampler().sample(&mut rng),
+    );
 
     // Five sample Tranco sites, one per genre (static, news, video
     // streaming, gaming, online shopping — the paper's §4.2.1 set).

@@ -8,7 +8,6 @@
 
 use ptperf_sim::LoadProfile;
 use ptperf_stats::{ascii_boxplots, PairedTTest, Summary};
-use ptperf_tor::{Relay, RelayFlags, RelayId};
 use ptperf_transports::{transport_for, EstablishScratch, PtId};
 use ptperf_web::{curl, SiteList};
 
@@ -89,18 +88,11 @@ fn run_shard(
     let mut dep = scenario.deployment_owned();
     let mut rng = scenario.rng("fig4");
     let mut phases = ptperf_obs::PhaseAccum::new();
-    let host = dep.consensus.add_relay(Relay {
-        id: RelayId(0),
-        location: scenario.server_region,
-        bandwidth_bps: 5.0e6,
-        flags: RelayFlags {
-            guard: true,
-            exit: false,
-            fast: true,
-            stable: true,
-        },
-        utilization: LoadProfile::Dedicated.sampler().sample(&mut rng),
-    });
+    let host = dep.consensus.add_guard(
+        scenario.server_region,
+        5.0e6,
+        LoadProfile::Dedicated.sampler().sample(&mut rng),
+    );
     let mut opts = scenario.access_options();
     opts.path.fixed_guard = Some(host);
 

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use ptperf_sim::LoadProfile;
 use ptperf_stats::Summary;
-use ptperf_tor::{PathConfig, PathSelector, Relay, RelayFlags, RelayId};
+use ptperf_tor::{PathConfig, PathSelector};
 use ptperf_transports::{dnstt, transport_for, EstablishScratch, PluggableTransport, PtId};
 use ptperf_web::{curl, SiteList};
 
@@ -127,18 +127,11 @@ fn run_shard(
         5.0e6,
     );
     let mut rng = scenario.rng("fig9");
-    let host = dep.consensus.add_relay(Relay {
-        id: RelayId(0),
-        location: scenario.client,
-        bandwidth_bps: 5.0e6,
-        flags: RelayFlags {
-            guard: true,
-            exit: false,
-            fast: true,
-            stable: true,
-        },
-        utilization: LoadProfile::Dedicated.sampler().sample(&mut rng),
-    });
+    let host = dep.consensus.add_guard(
+        scenario.client,
+        5.0e6,
+        LoadProfile::Dedicated.sampler().sample(&mut rng),
+    );
 
     let sites = scenario.top_sites(SiteList::Tranco, cfg.sites);
     let vanilla = transport_for(PtId::Vanilla);

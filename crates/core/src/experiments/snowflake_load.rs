@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use ptperf_stats::{ascii_boxplots, PairedTTest, Summary};
 use ptperf_transports::{fault_bias, PtId};
+use ptperf_web::Website;
 
 use crate::executor::{run_units, Parallelism, Unit};
 use crate::measure::curl_site_averages;
@@ -110,82 +111,15 @@ pub type Shard = Vec<f64>;
 pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
     let sites = scenario.target_sites(cfg.sites_per_list);
     let monitor_sites = scenario.target_sites(cfg.monitor_sites / 2 + 1);
-    let cfg = *cfg;
-    let mut units = Vec::new();
-
-    let mut pre_sc = scenario.clone();
-    pre_sc.epoch = Epoch::PreSurge;
-
-    {
-        let sc = pre_sc.clone();
-        let sites = Arc::clone(&sites);
-        units.push(Unit::pooled("fig10/pre", move |rec, scratch| {
-            let mut rng = sc.rng("fig10/pre");
-            let mut faults = sc.fault_session("fig10/pre", fault_bias(PtId::Snowflake));
-            let v = curl_site_averages(
-                &sc,
-                PtId::Snowflake,
-                &sites,
-                cfg.repeats,
-                &mut rng,
-                rec,
-                &mut scratch.establish,
-                &mut faults,
-            );
-            if faults.is_active() {
-                faults.emit(rec);
-            }
-            let n = v.len();
-            (v, n)
-        }));
-    }
-    {
-        let mut sc = scenario.clone();
-        sc.epoch = Epoch::Plateau;
-        let sites = Arc::clone(&sites);
-        units.push(Unit::pooled("fig10/post", move |rec, scratch| {
-            let mut rng = sc.rng("fig10/post");
-            let mut faults = sc.fault_session("fig10/post", fault_bias(PtId::Snowflake));
-            let v = curl_site_averages(
-                &sc,
-                PtId::Snowflake,
-                &sites,
-                cfg.repeats,
-                &mut rng,
-                rec,
-                &mut scratch.establish,
-                &mut faults,
-            );
-            if faults.is_active() {
-                faults.emit(rec);
-            }
-            let n = v.len();
-            (v, n)
-        }));
-    }
-    {
-        let sc = pre_sc;
-        let monitor_sites = Arc::clone(&monitor_sites);
-        units.push(Unit::pooled("fig12/pre", move |rec, scratch| {
-            let mut rng = sc.rng("fig12/pre");
-            let mut faults = sc.fault_session("fig12/pre", fault_bias(PtId::Snowflake));
-            let v = curl_site_averages(
-                &sc,
-                PtId::Snowflake,
-                &monitor_sites,
-                cfg.repeats,
-                &mut rng,
-                rec,
-                &mut scratch.establish,
-                &mut faults,
-            );
-            if faults.is_active() {
-                faults.emit(rec);
-            }
-            let n = v.len();
-            (v, n)
-        }));
-    }
+    let mut pre = scenario.clone();
+    pre.epoch = Epoch::PreSurge;
+    let mut post = scenario.clone();
+    post.epoch = Epoch::Plateau;
+    let mut units = vec![
+        series("fig10/pre".into(), pre.clone(), Arc::clone(&sites), cfg.repeats),
+        series("fig10/post".into(), post, sites, cfg.repeats),
+        series("fig12/pre".into(), pre, Arc::clone(&monitor_sites), cfg.repeats),
+    ];
     // Weekly monitoring (March 2023 in the paper): plateau-level load
     // with mild week-to-week wobble, against the same (smaller) site set
     // as the pre-surge baseline box.
@@ -195,29 +129,34 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
         // paper's observation was that users never went back down.
         let wobble = 1.0 + 0.08 * ((week % 3) as f64);
         sc.epoch = Epoch::LoadMult(Epoch::Plateau.load_mult() * wobble);
-        let monitor_sites = Arc::clone(&monitor_sites);
-        units.push(Unit::pooled(format!("fig12/week{week}"), move |rec, scratch| {
-            let mut rng = sc.rng(&format!("fig12/week{week}"));
-            let mut faults =
-                sc.fault_session(&format!("fig12/week{week}"), fault_bias(PtId::Snowflake));
-            let v = curl_site_averages(
-                &sc,
-                PtId::Snowflake,
-                &monitor_sites,
-                cfg.repeats,
-                &mut rng,
-                rec,
-                &mut scratch.establish,
-                &mut faults,
-            );
-            if faults.is_active() {
-                faults.emit(rec);
-            }
-            let n = v.len();
-            (v, n)
-        }));
+        let tag = format!("fig12/week{week}");
+        units.push(series(tag, sc, Arc::clone(&monitor_sites), cfg.repeats));
     }
     units
+}
+
+/// One snowflake curl series: per-site averages over `sites` under
+/// `sc`'s epoch, on the RNG stream and fault session named `tag`.
+fn series(tag: String, sc: Scenario, sites: Arc<[Website]>, repeats: usize) -> Unit<Shard> {
+    Unit::pooled(tag.clone(), move |rec, scratch| {
+        let mut rng = sc.rng(&tag);
+        let mut faults = sc.fault_session(&tag, fault_bias(PtId::Snowflake));
+        let v = curl_site_averages(
+            &sc,
+            PtId::Snowflake,
+            &sites,
+            repeats,
+            &mut rng,
+            rec,
+            &mut scratch.establish,
+            &mut faults,
+        );
+        if faults.is_active() {
+            faults.emit(rec);
+        }
+        let n = v.len();
+        (v, n)
+    })
 }
 
 /// Merges shards (in shard-index order) into the experiment result.

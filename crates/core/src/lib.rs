@@ -10,14 +10,11 @@
 //! * [`experiments`] — one runner per table/figure (Fig. 2a/2b, 3, 4, 5,
 //!   6, 7, 8, 9, 10, 11, 12; Tables 3–10; §4.7 medium study);
 //! * [`ecosystem`] — the Table 2 survey of all 28 candidate PTs;
-//! * [`campaign`] — the Table 1 plan and the scheduled snowflake
-//!   campaign over the §5.3 timeline;
+//! * [`campaign`] — the Table 1 plan;
 //! * [`executor`] — the deterministic work-claiming parallel executor
 //!   the experiment runners are built on (`ptperf-bench`'s
 //!   `run_targets` runs every selected family in one of its pools);
-//! * [`report`] — CSV export of results for external analysis;
-//! * [`schedule`] — the §5.1 ethical measurement planner (batching,
-//!   per-infrastructure rate limits, surge caution).
+//! * [`report`] — CSV export of results for external analysis.
 //!
 //! ## Quickstart
 //!
@@ -44,7 +41,6 @@ pub mod experiments;
 pub mod measure;
 pub mod report;
 pub mod scenario;
-pub mod schedule;
 
 pub use executor::Parallelism;
 pub use measure::PairedSamples;

@@ -2,11 +2,6 @@
 //! the artifact: every experiment result can be dumped as CSV for
 //! external plotting, exactly like the repository the paper published.
 
-use std::fmt::Write as _;
-
-use ptperf_stats::Summary;
-use ptperf_transports::PtId;
-
 use crate::measure::PairedSamples;
 
 /// Escapes one CSV field (RFC 4180 quoting).
@@ -57,31 +52,6 @@ pub fn samples_csv(samples: &PairedSamples) -> String {
     csv(&["pt", "target", "seconds"], &rows)
 }
 
-/// Exports per-PT boxplot summaries:
-/// `pt,n,min,q1,median,q3,max,mean,sd`.
-pub fn summaries_csv(entries: &[(PtId, Summary)]) -> String {
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|(pt, s)| {
-            vec![
-                pt.name().to_string(),
-                s.n.to_string(),
-                format!("{:.6}", s.min),
-                format!("{:.6}", s.q1),
-                format!("{:.6}", s.median),
-                format!("{:.6}", s.q3),
-                format!("{:.6}", s.max),
-                format!("{:.6}", s.mean),
-                format!("{:.6}", s.sd),
-            ]
-        })
-        .collect();
-    csv(
-        &["pt", "n", "min", "q1", "median", "q3", "max", "mean", "sd"],
-        &rows,
-    )
-}
-
 /// Exports pairwise t-test rows in the appendix-table schema.
 pub fn ttests_csv(rows: &[crate::experiments::ttest_tables::TTestRow]) -> String {
     let data: Vec<Vec<String>> = rows
@@ -103,29 +73,10 @@ pub fn ttests_csv(rows: &[crate::experiments::ttest_tables::TTestRow]) -> String
     )
 }
 
-/// A quick numeric-matrix export helper used by sweeps: row labels +
-/// column labels + values.
-pub fn matrix_csv(row_label: &str, cols: &[String], rows: &[(String, Vec<f64>)]) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{}", csv_field(row_label));
-    for c in cols {
-        let _ = write!(out, ",{}", csv_field(c));
-    }
-    out.push('\n');
-    for (label, values) in rows {
-        assert_eq!(values.len(), cols.len(), "ragged matrix row");
-        let _ = write!(out, "{}", csv_field(label));
-        for v in values {
-            let _ = write!(out, ",{v:.6}");
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptperf_transports::PtId;
 
     #[test]
     fn field_escaping() {
@@ -161,25 +112,5 @@ mod tests {
         assert_eq!(lines[0], "pt,target,seconds");
         assert_eq!(lines.len(), 5);
         assert!(lines.iter().any(|l| l.starts_with("obfs4,0,")));
-    }
-
-    #[test]
-    fn summaries_have_nine_columns() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        let doc = summaries_csv(&[(PtId::Meek, s)]);
-        let line = doc.lines().nth(1).unwrap();
-        assert_eq!(line.split(',').count(), 9);
-        assert!(line.starts_with("meek,3,"));
-    }
-
-    #[test]
-    fn matrix_export() {
-        let doc = matrix_csv(
-            "client",
-            &["SGP".into(), "FRA".into()],
-            &[("BLR".into(), vec![5.0, 4.0]), ("LON".into(), vec![2.0, 1.5])],
-        );
-        assert!(doc.starts_with("client,SGP,FRA\n"));
-        assert!(doc.contains("BLR,5.000000,4.000000"));
     }
 }

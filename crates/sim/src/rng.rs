@@ -161,11 +161,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
     }
 
-    /// A normal variate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
-    }
-
     /// An exponential variate with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);

@@ -100,19 +100,9 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// True if the span is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Checked subtraction; `None` on underflow.

@@ -71,7 +71,7 @@ impl Consensus {
 
     /// Generates a consensus with explicit parameters, with room for
     /// `spare` more relays: a caller that registers bridges right after
-    /// generation passes their count, so [`Self::add_relay`] does not
+    /// generation passes their count, so [`Self::add_guard`] does not
     /// reallocate the relay list for them.
     ///
     /// # Panics
@@ -162,7 +162,7 @@ impl Consensus {
     }
 
     /// The precomputed pick index, built on first use and shared by
-    /// clones. Invalidated by [`Self::relay_mut`] and [`Self::add_relay`].
+    /// clones. Invalidated by [`Self::relay_mut`] and [`Self::add_guard`].
     pub fn index(&self) -> &ConsensusIndex {
         self.index
             .get_or_init(|| Arc::new(ConsensusIndex::build(&self.relays)))
@@ -195,13 +195,28 @@ impl Consensus {
         &mut self.relays[id.0 as usize]
     }
 
-    /// Adds a relay under our control (a self-hosted guard or bridge) and
-    /// returns its id.
-    pub fn add_relay(&mut self, mut relay: Relay) -> RelayId {
+    /// Adds a guard under our control (a self-hosted guard or bridge:
+    /// Guard, Fast and Stable, never Exit) and returns its id.
+    pub fn add_guard(
+        &mut self,
+        location: Location,
+        bandwidth_bps: f64,
+        utilization: f64,
+    ) -> RelayId {
         self.index.take();
         let id = RelayId(self.relays.len() as u32);
-        relay.id = id;
-        self.relays.push(relay);
+        self.relays.push(Relay {
+            id,
+            location,
+            bandwidth_bps,
+            flags: RelayFlags {
+                guard: true,
+                exit: false,
+                fast: true,
+                stable: true,
+            },
+            utilization,
+        });
         id
     }
 
@@ -315,24 +330,19 @@ mod tests {
     }
 
     #[test]
-    fn add_relay_assigns_fresh_id() {
+    fn add_guard_assigns_fresh_id() {
         let mut rng = SimRng::new(6);
         let mut c = Consensus::generate(&mut rng);
         let n = c.len();
-        let id = c.add_relay(Relay {
-            id: RelayId(0),
-            location: Location::Frankfurt,
-            bandwidth_bps: 50e6,
-            flags: RelayFlags {
-                guard: true,
-                exit: false,
-                fast: true,
-                stable: true,
-            },
-            utilization: 0.05,
-        });
+        let id = c.add_guard(Location::Frankfurt, 50e6, 0.05);
         assert_eq!(id.0 as usize, n);
-        assert_eq!(c.relay(id).bandwidth_bps, 50e6);
+        let relay = c.relay(id);
+        assert_eq!(relay.id, id);
+        assert_eq!(relay.location, Location::Frankfurt);
+        assert_eq!(relay.bandwidth_bps, 50e6);
+        assert_eq!(relay.utilization, 0.05);
+        assert!(relay.flags.guard && relay.flags.fast && relay.flags.stable);
+        assert!(!relay.flags.exit);
     }
 
     #[test]
@@ -353,18 +363,7 @@ mod tests {
             .position(RelayId(0))
             .is_some());
         let n = c.len();
-        c.add_relay(Relay {
-            id: RelayId(0),
-            location: Location::London,
-            bandwidth_bps: 9e6,
-            flags: RelayFlags {
-                guard: true,
-                exit: false,
-                fast: true,
-                stable: true,
-            },
-            utilization: 0.0,
-        });
+        c.add_guard(Location::London, 9e6, 0.0);
         assert_eq!(c.index().class(crate::index::FilterClass::All).len(), n + 1);
         // The clone's index is unaffected by the original's mutations.
         assert_eq!(clone.index().class(crate::index::FilterClass::All).len(), before);

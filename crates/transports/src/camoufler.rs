@@ -18,7 +18,7 @@
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
 
-use crate::common::{bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
+use crate::common::{own_host_channel, EstablishScratch};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
@@ -169,27 +169,9 @@ impl PluggableTransport for Camoufler {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let peer = dep.server(PtId::Camoufler);
-        let bootstrap = bootstrap_time(opts, peer.location, HANDSHAKE_ROUND_TRIPS, rng);
         let limiter = RateLimiter::new(self.api_rate_per_sec, 10.0);
-
-        let mut ch = tor_channel_with(
-            dep,
-            opts,
-            TorChannelSpec {
-                first_hop: FirstHop::VolunteerGuard,
-                via: Some(ptperf_tor::Via {
-                    location: peer.location,
-                    capacity_bps: peer.capacity_bps,
-                    extra_loss: 0.0,
-                }),
-                guard_load_mult: 1.0,
-            },
-            dest,
-            rng,
-            scratch,
-        );
-        ch.setup += bootstrap;
+        let mut ch =
+            own_host_channel(PtId::Camoufler, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
         // Bulk throughput = message quota × payload per message.
         ch.rate_cap = Some(limiter.throughput(MAX_MESSAGE_PAYLOAD));
         // Every request rides the IM polling/batching cycle: the peer

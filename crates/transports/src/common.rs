@@ -5,13 +5,17 @@
 //! forwarding PT server sits before it, the transport's own bootstrap
 //! cost, its framing overhead, and its carrier constraints. This module
 //! builds the common part so each transport's `establish` stays focused
-//! on what makes that transport different.
+//! on what makes that transport different: [`own_host_channel`] for the
+//! nine PTs whose handshake runs to their own registered host, and
+//! [`tor_channel_with`] for meek, snowflake, dnstt and vanilla Tor,
+//! whose handshake endpoint is not their host.
 
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_tor::{Circuit, CircuitOptions, PathSelector, PickMode, RelayId, Via};
 use ptperf_web::Channel;
 
-use crate::transport::{AccessOptions, Deployment};
+use crate::ids::PtId;
+use crate::transport::{AccessOptions, Deployment, Host};
 
 /// Reusable per-client establishment state: a persistent
 /// [`PathSelector`] whose buffers survive across establishes.
@@ -124,6 +128,49 @@ pub fn tor_channel_with(
         hazard_per_sec: 0.0,
         connect_failure_p: 0.0,
     }
+}
+
+/// Builds the channel of a PT whose handshake of `round_trips`
+/// exchanges runs to its own host, as the deployment registers it
+/// (§4.1). A bridge is the circuit's first hop and carries the surge
+/// load `opts.load_mult`; a server outside the consensus sits before a
+/// volunteer guard at normal load. The bootstrap is drawn before the
+/// circuit and added to `setup`.
+pub fn own_host_channel(
+    pt: PtId,
+    round_trips: u32,
+    dep: &Deployment,
+    opts: &AccessOptions,
+    dest: Location,
+    rng: &mut SimRng,
+    scratch: &mut EstablishScratch,
+) -> Channel {
+    let (host, spec) = match dep.host(pt) {
+        Host::Bridge(bridge) => (
+            dep.consensus.relay(bridge).location,
+            TorChannelSpec {
+                first_hop: FirstHop::Bridge(bridge),
+                via: None,
+                guard_load_mult: opts.load_mult,
+            },
+        ),
+        Host::Server(server) => (
+            server.location,
+            TorChannelSpec {
+                first_hop: FirstHop::VolunteerGuard,
+                via: Some(Via {
+                    location: server.location,
+                    capacity_bps: server.capacity_bps,
+                    extra_loss: 0.0,
+                }),
+                guard_load_mult: 1.0,
+            },
+        ),
+    };
+    let bootstrap = bootstrap_time(opts, host, round_trips, rng);
+    let mut ch = tor_channel_with(dep, opts, spec, dest, rng, scratch);
+    ch.setup += bootstrap;
+    ch
 }
 
 /// Applies a multiplicative wire-framing overhead (wire bytes per payload

@@ -24,7 +24,7 @@ use ptperf_crypto::{ct_eq, hkdf, hmac_sha256};
 use ptperf_sim::{Location, SimRng};
 use ptperf_web::Channel;
 
-use crate::common::{bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
+use crate::common::{own_host_channel, EstablishScratch};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
@@ -113,23 +113,7 @@ impl PluggableTransport for Conjure {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let station = dep.bridge(PtId::Conjure);
-        let station_loc = dep.consensus.relay(station).location;
-        let bootstrap = bootstrap_time(opts, station_loc, HANDSHAKE_ROUND_TRIPS, rng);
-        let mut ch = tor_channel_with(
-            dep,
-            opts,
-            TorChannelSpec {
-                first_hop: FirstHop::Bridge(station),
-                via: None,
-                guard_load_mult: opts.load_mult,
-            },
-            dest,
-            rng,
-            scratch,
-        );
-        ch.setup += bootstrap;
-        ch
+        own_host_channel(PtId::Conjure, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch)
     }
 }
 

@@ -128,28 +128,6 @@ impl PtId {
             PtId::Obfs4 | PtId::Shadowsocks => Category::FullyEncrypted,
         })
     }
-
-    /// The implementation set (§4.1): where the PT server sits relative to
-    /// the Tor circuit.
-    pub fn hop_set(self) -> HopSet {
-        match self {
-            PtId::Vanilla => HopSet::NoPt,
-            // Set 1: PT server is the first Tor hop. (dnstt's server is a
-            // guard too, but the DoH resolver adds a hop — captured in its
-            // model, not here.)
-            PtId::Obfs4 | PtId::Meek | PtId::Conjure | PtId::WebTunnel | PtId::Dnstt => {
-                HopSet::ServerIsGuard
-            }
-            // Set 2: PT server forwards to a separate guard.
-            PtId::Shadowsocks
-            | PtId::Snowflake
-            | PtId::Camoufler
-            | PtId::Stegotorus
-            | PtId::Psiphon => HopSet::ServerBeforeGuard,
-            // Set 3: the Tor client runs on the PT server.
-            PtId::Marionette | PtId::Cloak => HopSet::TorClientOnServer,
-        }
-    }
 }
 
 impl std::fmt::Display for PtId {
@@ -208,19 +186,6 @@ impl std::fmt::Display for Category {
     }
 }
 
-/// Where the PT server sits relative to the Tor circuit (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopSet {
-    /// Vanilla Tor: no PT at all.
-    NoPt,
-    /// Set 1: the PT server doubles as the circuit's guard — 3 hops total.
-    ServerIsGuard,
-    /// Set 2: PT server forwards to a separate volunteer guard — 4 hops.
-    ServerBeforeGuard,
-    /// Set 3: the Tor client itself runs on the PT server — 4 hops.
-    TorClientOnServer,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,21 +215,6 @@ mod tests {
     fn categories_partition_the_pts() {
         let total: usize = Category::ALL.iter().map(|c| c.members().len()).sum();
         assert_eq!(total, 12);
-    }
-
-    #[test]
-    fn hop_sets_match_section_4_1() {
-        assert_eq!(PtId::Obfs4.hop_set(), HopSet::ServerIsGuard);
-        assert_eq!(PtId::Meek.hop_set(), HopSet::ServerIsGuard);
-        assert_eq!(PtId::Conjure.hop_set(), HopSet::ServerIsGuard);
-        assert_eq!(PtId::WebTunnel.hop_set(), HopSet::ServerIsGuard);
-        assert_eq!(PtId::Shadowsocks.hop_set(), HopSet::ServerBeforeGuard);
-        assert_eq!(PtId::Snowflake.hop_set(), HopSet::ServerBeforeGuard);
-        assert_eq!(PtId::Camoufler.hop_set(), HopSet::ServerBeforeGuard);
-        assert_eq!(PtId::Stegotorus.hop_set(), HopSet::ServerBeforeGuard);
-        assert_eq!(PtId::Psiphon.hop_set(), HopSet::ServerBeforeGuard);
-        assert_eq!(PtId::Marionette.hop_set(), HopSet::TorClientOnServer);
-        assert_eq!(PtId::Cloak.hop_set(), HopSet::TorClientOnServer);
     }
 
     #[test]

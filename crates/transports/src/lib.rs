@@ -11,6 +11,14 @@
 //!   limits, volunteer-proxy churn), and the shared Tor-circuit
 //!   machinery into a [`ptperf_web::Channel`].
 //!
+//! The [`Deployment`] registers each PT's host, a bridge relay or a
+//! server outside the consensus, and [`common::own_host_channel`] builds
+//! the first hop from it for the nine PTs whose handshake runs to that
+//! host. Meek, snowflake, dnstt and vanilla Tor call
+//! [`common::tor_channel_with`] directly: their handshake endpoint is a
+//! CDN edge, a broker and volunteer proxy, a DoH resolver, or a fixed
+//! path, not their host.
+//!
 //! | PT | category | distinguishing mechanism |
 //! |---|---|---|
 //! | [`obfs4`] | fully encrypted | ntor handshake (X25519), obfuscated frames |
@@ -50,7 +58,7 @@ pub mod webtunnel;
 
 pub use common::EstablishScratch;
 pub use faults::fault_bias;
-pub use ids::{Category, HopSet, PtId};
+pub use ids::{Category, PtId};
 pub use transport::{AccessOptions, Deployment, PluggableTransport, PtServer};
 
 /// Instantiates the transport implementation for `pt` with its default

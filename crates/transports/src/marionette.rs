@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
 
-use crate::common::{bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
+use crate::common::{own_host_channel, EstablishScratch};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
@@ -394,27 +394,17 @@ impl PluggableTransport for Marionette {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let server = dep.server(PtId::Marionette);
         let perf = self.derived;
-
-        let bootstrap = bootstrap_time(opts, server.location, HANDSHAKE_ROUND_TRIPS, rng);
-        let mut ch = tor_channel_with(
+        let mut ch = own_host_channel(
+            PtId::Marionette,
+            HANDSHAKE_ROUND_TRIPS,
             dep,
             opts,
-            TorChannelSpec {
-                first_hop: FirstHop::VolunteerGuard,
-                via: Some(ptperf_tor::Via {
-                    location: server.location,
-                    capacity_bps: server.capacity_bps,
-                    extra_loss: 0.0,
-                }),
-                guard_load_mult: 1.0,
-            },
             dest,
             rng,
             scratch,
         );
-        ch.setup += bootstrap + perf.ramp_up;
+        ch.setup += perf.ramp_up;
         // Payload only moves through payload transitions: the derived
         // goodput is the hard ceiling, and the circuit build + every
         // request ride the automaton's pacing. The Tor circuit build

@@ -19,7 +19,7 @@ use ptperf_crypto::{ct_eq, hmac_sha256, Keypair};
 use ptperf_sim::{Location, SimRng};
 use ptperf_web::Channel;
 
-use crate::common::{apply_frame_overhead, bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
+use crate::common::{apply_frame_overhead, own_host_channel, EstablishScratch};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
@@ -138,25 +138,8 @@ impl PluggableTransport for Psiphon {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let server = dep.server(PtId::Psiphon);
-        let bootstrap = bootstrap_time(opts, server.location, HANDSHAKE_ROUND_TRIPS, rng);
-        let mut ch = tor_channel_with(
-            dep,
-            opts,
-            TorChannelSpec {
-                first_hop: FirstHop::VolunteerGuard,
-                via: Some(ptperf_tor::Via {
-                    location: server.location,
-                    capacity_bps: server.capacity_bps,
-                    extra_loss: 0.0,
-                }),
-                guard_load_mult: 1.0,
-            },
-            dest,
-            rng,
-            scratch,
-        );
-        ch.setup += bootstrap;
+        let mut ch =
+            own_host_channel(PtId::Psiphon, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
         apply_frame_overhead(&mut ch, frame_overhead());
         ch
     }

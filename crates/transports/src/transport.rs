@@ -1,10 +1,8 @@
 //! The `PluggableTransport` trait, deployment registry, and access
 //! options shared by all transport implementations.
 
-use std::collections::BTreeMap;
-
 use ptperf_sim::{Location, LoadProfile, Medium, SimRng};
-use ptperf_tor::{Consensus, ConsensusParams, PathConfig, Relay, RelayFlags, RelayId};
+use ptperf_tor::{Consensus, ConsensusParams, PathConfig, RelayId};
 use ptperf_web::Channel;
 
 use crate::common::EstablishScratch;
@@ -19,6 +17,15 @@ pub struct PtServer {
     pub capacity_bps: f64,
 }
 
+/// Where a PT's server runs (§4.1): a bridge relay that is the
+/// circuit's first hop (set 1), or a host outside the consensus that
+/// forwards to a volunteer guard or runs the Tor client (sets 2 and 3).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Host {
+    Bridge(RelayId),
+    Server(PtServer),
+}
+
 /// The deployed measurement infrastructure: a relay consensus plus the PT
 /// bridges/servers registered for the campaign.
 ///
@@ -29,8 +36,8 @@ pub struct PtServer {
 pub struct Deployment {
     /// The relay consensus, including registered PT bridges.
     pub consensus: Consensus,
-    bridges: BTreeMap<PtId, RelayId>,
-    servers: BTreeMap<PtId, PtServer>,
+    /// Each PT's registered host, by [`PtId::index`].
+    hosts: [Option<Host>; PtId::COUNT],
 }
 
 impl Deployment {
@@ -65,22 +72,10 @@ impl Deployment {
         ];
         let mut rng = SimRng::new(seed);
         let mut consensus = Consensus::generate_with(&mut rng, params, set1.len());
-        let mut bridges = BTreeMap::new();
-        let mut servers = BTreeMap::new();
+        let mut hosts = [None; PtId::COUNT];
         for (pt, location, capacity, profile) in set1 {
-            let id = consensus.add_relay(Relay {
-                id: RelayId(0), // reassigned by add_relay
-                location,
-                bandwidth_bps: capacity,
-                flags: RelayFlags {
-                    guard: true,
-                    exit: false,
-                    fast: true,
-                    stable: true,
-                },
-                utilization: profile.sampler().sample(&mut rng),
-            });
-            bridges.insert(pt, id);
+            let id = consensus.add_guard(location, capacity, profile.sampler().sample(&mut rng));
+            hosts[pt.index()] = Some(Host::Bridge(id));
         }
 
         // Sets 2 and 3 — separate PT server hosts (self-hosted).
@@ -92,20 +87,21 @@ impl Deployment {
             PtId::Cloak,
             PtId::Marionette,
         ] {
-            servers.insert(
-                pt,
-                PtServer {
-                    location: server_region,
-                    capacity_bps: rng.range_f64(4.0e6, 8.0e6),
-                },
-            );
+            hosts[pt.index()] = Some(Host::Server(PtServer {
+                location: server_region,
+                capacity_bps: rng.range_f64(4.0e6, 8.0e6),
+            }));
         }
 
-        Deployment {
-            consensus,
-            bridges,
-            servers,
-        }
+        Deployment { consensus, hosts }
+    }
+
+    /// The registered host of `pt`.
+    ///
+    /// # Panics
+    /// Panics if the PT has none (vanilla Tor).
+    pub(crate) fn host(&self, pt: PtId) -> Host {
+        self.hosts[pt.index()].unwrap_or_else(|| panic!("{pt} has no registered host"))
     }
 
     /// The registered bridge relay for a set-1 PT.
@@ -113,10 +109,10 @@ impl Deployment {
     /// # Panics
     /// Panics if the PT has no bridge in this deployment (wrong hop set).
     pub fn bridge(&self, pt: PtId) -> RelayId {
-        *self
-            .bridges
-            .get(&pt)
-            .unwrap_or_else(|| panic!("{pt} has no registered bridge relay"))
+        match self.hosts[pt.index()] {
+            Some(Host::Bridge(id)) => id,
+            _ => panic!("{pt} has no registered bridge relay"),
+        }
     }
 
     /// The PT server host for a set-2/3 PT.
@@ -124,28 +120,17 @@ impl Deployment {
     /// # Panics
     /// Panics if the PT has no server host (wrong hop set).
     pub fn server(&self, pt: PtId) -> PtServer {
-        *self
-            .servers
-            .get(&pt)
-            .unwrap_or_else(|| panic!("{pt} has no registered server host"))
+        match self.hosts[pt.index()] {
+            Some(Host::Server(server)) => server,
+            _ => panic!("{pt} has no registered server host"),
+        }
     }
 
-    /// Replaces a PT's bridge with a private, self-hosted one at
+    /// Replaces a PT's host with a private, self-hosted bridge at
     /// `location` (§4.2.1's "hosting private PT servers" experiment).
     pub fn host_private_bridge(&mut self, pt: PtId, location: Location, capacity_bps: f64) {
-        let id = self.consensus.add_relay(Relay {
-            id: RelayId(0),
-            location,
-            bandwidth_bps: capacity_bps,
-            flags: RelayFlags {
-                guard: true,
-                exit: false,
-                fast: true,
-                stable: true,
-            },
-            utilization: 0.03,
-        });
-        self.bridges.insert(pt, id);
+        let id = self.consensus.add_guard(location, capacity_bps, 0.03);
+        self.hosts[pt.index()] = Some(Host::Bridge(id));
     }
 }
 

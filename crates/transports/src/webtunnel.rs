@@ -18,7 +18,7 @@
 use ptperf_sim::{Location, SimRng};
 use ptperf_web::Channel;
 
-use crate::common::{apply_frame_overhead, bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
+use crate::common::{apply_frame_overhead, own_host_channel, EstablishScratch};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
@@ -115,22 +115,8 @@ impl PluggableTransport for WebTunnel {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let bridge = dep.bridge(PtId::WebTunnel);
-        let bridge_loc = dep.consensus.relay(bridge).location;
-        let bootstrap = bootstrap_time(opts, bridge_loc, HANDSHAKE_ROUND_TRIPS, rng);
-        let mut ch = tor_channel_with(
-            dep,
-            opts,
-            TorChannelSpec {
-                first_hop: FirstHop::Bridge(bridge),
-                via: None,
-                guard_load_mult: opts.load_mult,
-            },
-            dest,
-            rng,
-            scratch,
-        );
-        ch.setup += bootstrap;
+        let mut ch =
+            own_host_channel(PtId::WebTunnel, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
         apply_frame_overhead(&mut ch, frame_overhead());
         ch
     }
