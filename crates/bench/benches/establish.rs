@@ -96,10 +96,7 @@ fn bench_selector_reuse(c: &mut Criterion) {
             let mut selector = PathSelector::new();
             selector.set_pick_mode(mode);
             let mut rng = SimRng::new(4);
-            b.iter(|| {
-                selector.reset(Default::default());
-                black_box(selector.select(&w.dep.consensus, &mut rng))
-            })
+            b.iter(|| black_box(selector.select(Default::default(), &w.dep.consensus, &mut rng)))
         });
     }
     g.finish();

@@ -15,11 +15,11 @@
 //! from a fixed per-run seed, so the *work* is identical run to run and
 //! across commits; only wall-clock numbers move. Warmups assert that the
 //! indexed and reference lanes produce bit-identical channels from
-//! identical RNG draw sequences (for the vanilla classes, deferred guard
-//! sampling against eager) — the benchmark refuses to time two
-//! implementations that disagree. The harness fails hard on NaN or
-//! non-finite measurements but never on thresholds: speed regressions
-//! are for review to catch, not CI flakes.
+//! identical RNG draw sequences (for the vanilla classes, a guard sample
+//! that resolves only its first pick against an eager one) — the
+//! benchmark refuses to time two implementations that disagree. The
+//! harness fails hard on NaN or non-finite measurements but never on
+//! thresholds: speed regressions are for review to catch, not CI flakes.
 
 use ptperf::scenario::Scenario;
 use ptperf_obs::json;
@@ -60,7 +60,7 @@ pub struct ClassResult {
     /// Consensus size (relays, including registered bridges).
     pub relays: usize,
     /// Relay picks resolved per establish: the guard in use, if sampled,
-    /// plus the circuit roles (the sample's other picks stay deferred).
+    /// plus the circuit roles (the sample's other draws go unresolved).
     pub picks_per_establish: f64,
     /// Fraction of picks the indexed fast path resolved without a scan.
     pub index_pick_fraction: f64,

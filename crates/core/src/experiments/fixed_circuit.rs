@@ -105,11 +105,9 @@ fn run_shard(
     let mut selector = PathSelector::new();
 
     for _ in 0..cfg.iterations {
-        // Fresh middle/exit for this iteration, shared by all configs. A
-        // reset selector draws exactly like a new one.
-        selector.reset(PathConfig::default());
+        // Fresh middle/exit for this iteration, shared by all configs.
         let fresh = selector
-            .select(&dep.consensus, &mut rng)
+            .select(PathConfig::default(), &dep.consensus, &mut rng)
             .expect("consensus has relays");
         let mut opts = scenario.access_options();
         opts.path.fixed_guard = Some(host);

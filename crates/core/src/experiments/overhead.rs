@@ -142,11 +142,9 @@ fn run_shard(
     let mut selector = PathSelector::new();
 
     for site in sites.iter() {
-        // A fresh fixed circuit for this site, shared by every config. A
-        // reset selector draws exactly like a new one.
-        selector.reset(PathConfig::default());
+        // A fresh fixed circuit for this site, shared by every config.
         let fresh = selector
-            .select(&dep.consensus, &mut rng)
+            .select(PathConfig::default(), &dep.consensus, &mut rng)
             .expect("relays available");
         let mut opts = scenario.access_options();
         opts.path.fixed_guard = Some(host);

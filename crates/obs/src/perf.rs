@@ -39,8 +39,8 @@ fn bump(field: impl FnOnce(&mut PerfSnapshot) -> &mut u64, n: u64) {
 }
 
 /// Counts one `path/index_pick`: a bandwidth-weighted relay pick
-/// resolved by binary search over the consensus index. Guard-sample
-/// picks that path selection defers count only once resolved.
+/// resolved by binary search over the consensus index. A guard-sample
+/// draw that path selection takes but never resolves is not counted.
 pub fn incr_path_index_pick() {
     bump(|c| &mut c.path_index_pick, 1);
 }

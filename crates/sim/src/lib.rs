@@ -9,8 +9,12 @@
 //! processor sharing of one link among concurrent flows, a relay/bridge
 //! load model, and deterministic fault plans with a retry driver.
 //!
-//! Everything is deterministic given a seed: same seed, same results,
-//! bit for bit, across platforms.
+//! Everything is deterministic given a seed: the same seed gives
+//! bit-identical results on a given platform and libm. The random
+//! stream itself is platform-independent, but the normal, log-normal,
+//! exponential and bounded-Pareto draws call the platform libm (`ln`,
+//! `cos`, `exp`, `powf`), whose last bit IEEE 754 does not fix (see
+//! [`rng`]).
 //!
 //! ## Layering
 //!
@@ -20,7 +24,7 @@
 //! Location / Medium / PathSample           topology.rs
 //! TransferModel (TCP-like timing)          xfer.rs
 //! LinkFlow / share_link                    flow.rs
-//! LoadProfile / LoadTimeline               load.rs
+//! LoadProfile / effective_capacity         load.rs
 //! FaultPlan / run_transfer                 fault.rs
 //! ```
 //!
@@ -43,7 +47,7 @@ pub use fault::{
     FaultProfile, FaultRun, RetryPolicy, TransferSpec,
 };
 pub use flow::{share_link, LinkFlow};
-pub use load::{effective_capacity, LoadProfile, LoadTimeline, UtilizationSampler};
+pub use load::{effective_capacity, LoadProfile, UtilizationSampler};
 pub use rng::{BoundedPareto, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use topology::{base_owd, base_rtt, sample_path, Continent, Location, Medium, PathSample};

@@ -11,12 +11,14 @@
 //!   `raw · (1 − utilization)`;
 //! * volunteer guards draw utilization from a heavy-tailed distribution
 //!   (most relays moderately busy, some crushed);
-//! * Tor-project PT bridges draw from a low-utilization distribution;
-//! * a [`LoadTimeline`] scales utilization over simulated weeks, which is
-//!   how the September-2022 Iran surge on snowflake (§5.3) is reproduced.
+//! * Tor-project PT bridges draw from a low-utilization distribution.
+//!
+//! The September-2022 Iran surge on snowflake (§5.3) is replayed above
+//! this crate: each snowflake load epoch is a multiplier on the
+//! infrastructure's utilization (`AccessOptions::load_mult` in
+//! `ptperf-transports`), clamped before [`effective_capacity`] reads it.
 
 use crate::rng::{BoundedPareto, SimRng};
-use crate::time::SimTime;
 
 /// How a node's background utilization is sampled.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,56 +78,6 @@ impl UtilizationSampler {
     }
 }
 
-/// A step function of utilization multipliers over simulated time, used to
-/// replay load events such as the September-2022 snowflake surge.
-///
-/// Each entry `(from, multiplier)` applies from `from` (inclusive) until
-/// the next entry. Before the first entry the multiplier is 1.
-#[derive(Debug, Clone, Default)]
-pub struct LoadTimeline {
-    steps: Vec<(SimTime, f64)>,
-}
-
-impl LoadTimeline {
-    /// An empty timeline (multiplier 1 forever).
-    pub fn flat() -> Self {
-        LoadTimeline::default()
-    }
-
-    /// Appends a step. Steps must be appended in increasing time order.
-    ///
-    /// # Panics
-    /// Panics if `from` precedes the previous step or the multiplier is
-    /// negative.
-    pub fn step(mut self, from: SimTime, multiplier: f64) -> Self {
-        assert!(multiplier >= 0.0, "negative load multiplier");
-        if let Some(&(last, _)) = self.steps.last() {
-            assert!(from >= last, "timeline steps must be time-ordered");
-        }
-        self.steps.push((from, multiplier));
-        self
-    }
-
-    /// The multiplier in effect at `t`.
-    pub fn multiplier_at(&self, t: SimTime) -> f64 {
-        let mut m = 1.0;
-        for &(from, mult) in &self.steps {
-            if t >= from {
-                m = mult;
-            } else {
-                break;
-            }
-        }
-        m
-    }
-
-    /// Applies the timeline to a base utilization, clamping to `[0, 0.99]`
-    /// (a node never fully dies from load alone; it just crawls).
-    pub fn utilization_at(&self, base: f64, t: SimTime) -> f64 {
-        (base * self.multiplier_at(t)).clamp(0.0, 0.99)
-    }
-}
-
 /// Effective capacity available to foreground flows at a node.
 pub fn effective_capacity(raw_bps: f64, utilization: f64) -> f64 {
     debug_assert!((0.0..1.0).contains(&utilization.min(0.999)));
@@ -135,7 +87,6 @@ pub fn effective_capacity(raw_bps: f64, utilization: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn volunteer_relays_are_busier_than_bridges() {
@@ -176,31 +127,6 @@ mod tests {
             .count();
         assert!(crushed > 100, "tail too light: {crushed}");
         assert!(crushed < 4_000, "tail too heavy: {crushed}");
-    }
-
-    #[test]
-    fn timeline_steps_apply_in_order() {
-        let week = SimDuration::from_secs(7 * 24 * 3600);
-        let tl = LoadTimeline::flat()
-            .step(SimTime::ZERO + week, 3.0)
-            .step(SimTime::ZERO + week * 2, 2.0);
-        assert_eq!(tl.multiplier_at(SimTime::ZERO), 1.0);
-        assert_eq!(tl.multiplier_at(SimTime::ZERO + week), 3.0);
-        assert_eq!(tl.multiplier_at(SimTime::ZERO + week * 3), 2.0);
-    }
-
-    #[test]
-    fn timeline_utilization_clamps() {
-        let tl = LoadTimeline::flat().step(SimTime::ZERO, 10.0);
-        assert!(tl.utilization_at(0.5, SimTime::ZERO) <= 0.99);
-    }
-
-    #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn timeline_rejects_out_of_order_steps() {
-        let _ = LoadTimeline::flat()
-            .step(SimTime::from_nanos(10), 1.0)
-            .step(SimTime::from_nanos(5), 1.0);
     }
 
     #[test]

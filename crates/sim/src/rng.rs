@@ -1,15 +1,20 @@
 //! Deterministic pseudo-random number generation for the simulator.
 //!
-//! The simulator must be reproducible bit-for-bit given a seed, across
-//! platforms and library versions, so it carries its own generator rather
-//! than depending on an external crate whose stream might change:
-//! a SplitMix64-seeded xoshiro256++ (Blackman & Vigna), the same
-//! construction used by many language runtimes.
+//! The simulator must be reproducible bit-for-bit given a seed, so it
+//! carries its own generator rather than depending on an external crate
+//! whose stream might change between versions: a SplitMix64-seeded
+//! xoshiro256++ (Blackman & Vigna), the same construction used by many
+//! language runtimes. Its integer stream, and the uniform draws built
+//! on it, are the same on every platform.
 //!
 //! On top of the raw generator this module provides the small set of
 //! distributions the network model needs: uniform ranges, Bernoulli trials,
 //! exponential, log-normal (latency jitter), and bounded Pareto
-//! (heavy-tailed relay bandwidth and background load).
+//! (heavy-tailed relay bandwidth and background load). The last three,
+//! and [`SimRng::normal`] beneath the log-normal, call the platform libm
+//! (`ln`, `cos`, `exp`, `powf`). IEEE 754 does not fix the last bit of
+//! those functions, so their draws, and every result built on them, are
+//! bit-identical for a given platform and libm, not across all of them.
 
 use crate::time::SimDuration;
 

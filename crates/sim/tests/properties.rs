@@ -1,7 +1,8 @@
 //! Property tests for the simulation substrate: the max–min fairness
 //! invariants of the test oracle, single-link sharing bounds,
-//! transfer-model monotonicity, RNG/time arithmetic laws, and the
-//! bounded-Pareto sampler against the per-draw formula it replaced.
+//! transfer-model monotonicity, RNG/time arithmetic laws, the
+//! bounded-Pareto sampler against the per-draw formula it replaced, and
+//! the bounds of a loaded node's effective capacity.
 
 mod oracle;
 
@@ -9,7 +10,8 @@ use proptest::prelude::*;
 
 use oracle::{maxmin_rates, FairNetwork, FlowDemand};
 use ptperf_sim::{
-    share_link, BoundedPareto, LinkFlow, SimDuration, SimRng, SimTime, TransferModel,
+    effective_capacity, share_link, BoundedPareto, LinkFlow, SimDuration, SimRng, SimTime,
+    TransferModel,
 };
 
 type FlowSpecs = Vec<(Vec<usize>, Option<f64>)>;
@@ -238,5 +240,17 @@ proptest! {
             t.duration_since(SimTime::ZERO).as_nanos(),
             delays.iter().sum::<u64>()
         );
+    }
+
+    /// A node's effective capacity is positive and at most its raw
+    /// bandwidth at any utilization, including a surge-scaled one past 1.
+    #[test]
+    fn effective_capacity_is_positive_and_at_most_raw(
+        raw in 1.0f64..1e10,
+        utilization in 0.0f64..20.0,
+    ) {
+        let avail = effective_capacity(raw, utilization);
+        prop_assert!(avail > 0.0);
+        prop_assert!(avail <= raw);
     }
 }

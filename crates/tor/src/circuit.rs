@@ -227,8 +227,9 @@ mod tests {
     fn setup(seed: u64) -> (Consensus, CircuitSpec, SimRng) {
         let mut rng = SimRng::new(seed);
         let consensus = Consensus::generate(&mut rng);
-        let mut sel = PathSelector::new();
-        let spec = sel.select(&consensus, &mut rng).unwrap();
+        let spec = PathSelector::new()
+            .select(Default::default(), &consensus, &mut rng)
+            .unwrap();
         (consensus, spec, rng)
     }
 

@@ -32,7 +32,7 @@ const ABSENT: u32 = u32::MAX;
 /// The three relay filters path selection uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterClass {
-    /// First-hop eligible: `Guard && Fast` (the `ensure_sampled` filter).
+    /// First-hop eligible: `Guard && Fast` (the guard-sample filter).
     Guard,
     /// Third-hop eligible: `Exit`.
     Exit,
@@ -64,8 +64,9 @@ pub struct ClassIndex {
     /// the reference's full filtered sum bit-for-bit.
     pub prefix: Vec<f64>,
     /// How many members have `bandwidth > 0` (a NaN counts as not
-    /// positive): guard sampling defers its picks only when this is at
-    /// least `path::SAMPLED_GUARDS` (see `PathSelector`).
+    /// positive): a guard sample resolves only its first pick when this
+    /// is at least `path::SAMPLED_GUARDS` and the index is exact (see
+    /// `PathSelector::select`).
     pub positive: usize,
     /// Position of relay id `r` within this class, or `u32::MAX` when the
     /// relay is not a member. Indexed by `RelayId::0` (relay ids equal

@@ -5,10 +5,12 @@
 //!
 //! * [`consensus`] — synthetic relay population with realistic location,
 //!   bandwidth, flag, and background-load distributions;
-//! * [`relay`] — relay descriptors and load-dependent available capacity;
-//! * [`path`] — bandwidth-weighted path selection, guard persistence, and
-//!   the stem/carml-style pinning controls the paper's fixed-circuit
-//!   experiments need, set directly on [`PathConfig`];
+//! * [`relay`] — relay descriptors: location, bandwidth, flags and
+//!   background utilization;
+//! * [`path`] — bandwidth-weighted path selection with a freshly sampled
+//!   guard per circuit, and the stem/carml-style pinning controls the
+//!   paper's fixed-circuit experiments need, set directly on
+//!   [`PathConfig`];
 //! * [`cell`] — real 514-byte cell and RELAY-cell codecs (the framing
 //!   overhead used by the timing model is *derived* from these, and
 //!   `ptperf-transports`' `codec_model` test pins it to their output);
@@ -40,7 +42,6 @@ pub use consensus::{Consensus, ConsensusParams};
 pub use index::{ClassIndex, ConsensusIndex, FilterClass};
 pub use onion::{HopCrypto, OnionStack};
 pub use path::{
-    CircuitSpec, PathConfig, PathError, PathSelector, PickMode, Role, PRIMARY_GUARDS,
-    SAMPLED_GUARDS,
+    CircuitSpec, PathConfig, PathError, PathSelector, PickMode, Role, SAMPLED_GUARDS,
 };
 pub use relay::{Relay, RelayFlags, RelayId};

@@ -47,8 +47,8 @@
 //!
 //! Fast-path picks count as `path/index_pick`, exact scans as
 //! `path/scan_fallback` ([`ptperf_obs::perf`]). Both count resolved
-//! picks only: a guard-sample pick whose draw a
-//! [`PathSelector`](super::PathSelector) took but never resolved counts
+//! picks only: a guard-sample draw that a
+//! [`PathSelector`](super::PathSelector) takes but never resolves counts
 //! in neither.
 //!
 //! [`exact_ok`]: crate::index::ConsensusIndex::exact_ok
@@ -115,7 +115,7 @@ pub fn weighted_pick(
 }
 
 /// [`weighted_pick`] with an externally supplied draw value: resolves a
-/// draw taken earlier (a deferred guard-sample pick), and lets
+/// draw taken earlier (the first pick of a guard sample), and lets
 /// equivalence tests probe specific (boundary, tail) targets. The
 /// closure-produced `u` is consumed at most once, exactly when
 /// [`weighted_pick`] would consume an RNG draw.

@@ -1,20 +1,20 @@
-//! Path selection: bandwidth-weighted relay choice, guard persistence, and
-//! the circuit-pinning controls the paper's experiments rely on
-//! (stem/carml-style `MaxCircuitDirtiness`, fixed guard, fixed circuit —
-//! Appendix A.3).
+//! Path selection: bandwidth-weighted relay choice with a freshly
+//! sampled guard per selection, and the circuit-pinning controls the
+//! paper's experiments rely on (stem/carml-style fixed guard and fixed
+//! circuit — Appendix A.3), passed to each call as a [`PathConfig`].
 //!
 //! Picks resolve through the precomputed [`crate::index::ConsensusIndex`]
 //! ([`indexed`], the default) or the original full-scan oracle
 //! ([`reference`], retained for equivalence testing and benchmarking);
 //! the two are bit-for-bit interchangeable (`tests/path_equivalence.rs`).
-//! On the indexed path a client's guard sample takes all its draws up
-//! front but resolves its picks on demand, so a selection through a
-//! volunteer guard usually resolves three picks (guard, exit, middle)
-//! rather than [`SAMPLED_GUARDS`] + 2, with the same draws and the same
-//! results as eager sampling (see [`PathSelector`]).
-//! A [`PathSelector`] is built for reuse: [`PathSelector::reset`] clears
-//! guard state while keeping its buffers, so a persistent selector makes
-//! repeated channel establishment allocation-free in steady state.
+//! On the indexed path a selection through a volunteer guard takes all
+//! [`SAMPLED_GUARDS`] draws of its guard sample but, when that provably
+//! changes no draw, resolves only the first, so it resolves three picks
+//! (guard, exit, middle) rather than [`SAMPLED_GUARDS`] + 2, with the
+//! same draws and the same results as the eager sample.
+//! A [`PathSelector`] carries no guard state from one call to the next;
+//! reusing one keeps its buffers, which makes repeated channel
+//! establishment allocation-free in steady state.
 
 pub mod indexed;
 pub mod reference;
@@ -97,13 +97,9 @@ impl std::fmt::Display for PathError {
 
 impl std::error::Error for PathError {}
 
-/// How many guards a client samples up front (guard-spec's
-/// `SAMPLED_GUARDS`, simplified).
+/// How many guards a client samples for each selection (guard-spec's
+/// `SAMPLED_GUARDS`, simplified); the circuit uses the first.
 pub const SAMPLED_GUARDS: usize = 20;
-
-/// How many sampled guards are "primary" — tried in order until one is
-/// reachable.
-pub const PRIMARY_GUARDS: usize = 3;
 
 /// Which `weighted_pick` implementation a [`PathSelector`] dispatches to.
 /// Both produce bit-identical selections; `Reference` exists for the
@@ -117,60 +113,31 @@ pub enum PickMode {
     Reference,
 }
 
-/// Selects circuit paths for one client, with Tor's guard-spec behavior:
-/// a bandwidth-weighted *sampled set* of guards is drawn once, the first
-/// few are primaries tried in order, and the client sticks to its
-/// current primary across circuits ("for a client, the guard node does
-/// not change often", §4.2.1). Marking a guard down fails over to the
-/// next sampled guard.
-///
-/// The sample is drawn in full but resolved lazily whenever that cannot
-/// change a draw (see `ensure_sampled`): its draws are stored, and pick
-/// `i` resolves only when a caller needs the `i`-th sampled guard. The
-/// methods that read guard state therefore take the consensus the
-/// selector samples from, and resolve the picks they need first.
+/// Selects circuit paths. Each [`select`](Self::select) is a fresh
+/// client: unless pinned, its guard is the first pick of a freshly drawn
+/// bandwidth-weighted sample of [`SAMPLED_GUARDS`] guards, so every
+/// measurement sees a newly sampled first hop (§4.2.1). No guard state
+/// survives a call; the selector holds only the pick mode and buffers
+/// that keep repeated selections allocation-free.
 #[derive(Debug)]
 pub struct PathSelector {
-    config: PathConfig,
-    /// The resolved prefix of the guard sample, in draw order.
-    sampled_guards: Vec<RelayId>,
-    /// The sample's draws when its resolution is deferred, else empty:
-    /// pick `i` resolves `guard_draws[i]`, so the pending picks are
-    /// `guard_draws[sampled_guards.len()..]`.
-    guard_draws: Vec<f64>,
-    down: Vec<RelayId>,
+    /// The eager guard sample, in draw order; refilled by each eager
+    /// selection and kept only for its capacity.
+    sample: Vec<RelayId>,
     mode: PickMode,
     scratch: PickScratch,
     vec_grows: u64,
 }
 
 impl PathSelector {
-    /// A selector with default (unpinned) configuration.
+    /// A selector on the indexed pick path.
     pub fn new() -> Self {
-        Self::with_config(PathConfig::default())
-    }
-
-    /// A selector with pinning applied.
-    pub fn with_config(config: PathConfig) -> Self {
         PathSelector {
-            config,
-            sampled_guards: Vec::new(),
-            guard_draws: Vec::new(),
-            down: Vec::new(),
+            sample: Vec::new(),
             mode: PickMode::default(),
             scratch: PickScratch::new(),
             vec_grows: 0,
         }
-    }
-
-    /// Reconfigures the selector for a fresh client, retaining buffer
-    /// capacity: guard state is dropped (the next selection resamples, so
-    /// a reused selector draws exactly like a freshly constructed one)
-    /// while the sampled-guard vector and pick scratch keep their
-    /// allocations.
-    pub fn reset(&mut self, config: PathConfig) {
-        self.config = config;
-        self.rotate_guard();
     }
 
     /// Switches the pick implementation (selections are identical either
@@ -191,144 +158,23 @@ impl PathSelector {
         self.scratch.grows() + self.vec_grows
     }
 
-    /// The guard this client is currently pinned or settled on, if any:
-    /// the pin, else the first sampled guard not marked down. Resolves
-    /// pending sample picks only up to that guard; the answer is the one
-    /// resolving the whole sample first would give. `consensus` must be
-    /// the one the selector samples from.
-    pub fn current_guard(&mut self, consensus: &Consensus) -> Option<RelayId> {
-        if let Some(g) = self.config.fixed_guard {
-            return Some(g);
-        }
-        if let Some(&g) = self.sampled_guards.iter().find(|g| !self.down.contains(g)) {
-            return Some(g);
-        }
-        while let Some(g) = self.resolve_next(consensus) {
-            if !self.down.contains(&g) {
-                return Some(g);
-            }
-        }
-        None
-    }
-
-    /// The client's sampled guard list (empty until the first
-    /// selection), with every pending pick resolved. `consensus` must be
-    /// the one the selector samples from.
-    pub fn sampled_guards(&mut self, consensus: &Consensus) -> &[RelayId] {
-        while self.resolve_next(consensus).is_some() {}
-        &self.sampled_guards
-    }
-
-    /// The primary guards: the first [`PRIMARY_GUARDS`] of the sample
-    /// (see [`Self::sampled_guards`]).
-    pub fn primary_guards(&mut self, consensus: &Consensus) -> &[RelayId] {
-        let sample = self.sampled_guards(consensus);
-        &sample[..sample.len().min(PRIMARY_GUARDS)]
-    }
-
-    /// Marks a guard unreachable; subsequent selections fail over to the
-    /// next sampled guard.
-    pub fn mark_guard_down(&mut self, guard: RelayId) {
-        if !self.down.contains(&guard) {
-            self.down.push(guard);
-        }
-    }
-
-    /// Marks a guard reachable again.
-    pub fn mark_guard_up(&mut self, guard: RelayId) {
-        self.down.retain(|g| *g != guard);
-    }
-
-    /// Drops guard state entirely (a "new identity" in Tor terms): the
-    /// next selection samples a fresh guard list.
-    pub fn rotate_guard(&mut self) {
-        self.sampled_guards.clear();
-        self.guard_draws.clear();
-        self.down.clear();
-    }
-
-    /// Samples [`SAMPLED_GUARDS`] guards by bandwidth-weighted picks
-    /// without replacement, unless this client already has a sample.
-    ///
-    /// Pick `j` excludes the `j` picks before it. When the consensus
-    /// index is exact (every bandwidth finite and non-negative) and the
-    /// guard class has at least [`SAMPLED_GUARDS`] members with positive
-    /// bandwidth, each pick provably draws exactly once and returns a
-    /// guard: it excludes at most `SAMPLED_GUARDS − 1` relays, so a
-    /// positive-bandwidth member stays eligible and the exact eligible
-    /// total is positive. The draws then do not depend on the picks, so
-    /// this takes all of them now, in the eager order, and
-    /// `resolve_next` resolves the picks later, in order, as they are
-    /// needed. Otherwise — fewer positive-bandwidth guards, an inexact
-    /// index, or [`PickMode::Reference`], which stays the eager oracle —
-    /// every pick resolves here and sampling stops at the first `None`.
-    fn ensure_sampled(&mut self, consensus: &Consensus, rng: &mut SimRng) {
-        if !self.sampled_guards.is_empty() || !self.guard_draws.is_empty() {
-            return;
-        }
-        if self.mode == PickMode::Indexed && guard_picks_always_draw(consensus) {
-            let cap = self.guard_draws.capacity();
-            self.guard_draws
-                .extend((0..SAMPLED_GUARDS).map(|_| rng.next_f64()));
-            if self.guard_draws.capacity() != cap {
-                self.vec_grows += 1;
-            }
-            return;
-        }
-        for _ in 0..SAMPLED_GUARDS {
-            match dispatch_pick(
-                self.mode,
-                rng,
-                consensus,
-                FilterClass::Guard,
-                &self.sampled_guards,
-                &mut self.scratch,
-            ) {
-                Some(g) => self.push_sampled(g),
-                None => break, // consensus has fewer eligible guards
-            }
-        }
-    }
-
-    /// Resolves the next deferred guard pick from its stored draw and
-    /// returns it; `None` once no pick is pending.
-    fn resolve_next(&mut self, consensus: &Consensus) -> Option<RelayId> {
-        let &u = self.guard_draws.get(self.sampled_guards.len())?;
-        let g = indexed::weighted_pick_with_u(
-            u,
-            consensus,
-            FilterClass::Guard,
-            &self.sampled_guards,
-            &mut self.scratch,
-        )
-        .expect("a deferred guard pick always resolves (see `ensure_sampled`)");
-        self.push_sampled(g);
-        Some(g)
-    }
-
-    /// Appends a guard to the sample, counting a reallocation.
-    fn push_sampled(&mut self, g: RelayId) {
-        let cap = self.sampled_guards.capacity();
-        self.sampled_guards.push(g);
-        if self.sampled_guards.capacity() != cap {
-            self.vec_grows += 1;
-        }
-    }
-
-    /// Picks a circuit path.
-    ///
-    /// Bandwidth-weighted without replacement; honors pinning; keeps the
-    /// persistent (primary) guard across calls.
-    pub fn select(&mut self, consensus: &Consensus, rng: &mut SimRng) -> Result<CircuitSpec, PathError> {
-        let guard = match self.config.fixed_guard {
+    /// Picks a circuit path for a fresh client: bandwidth-weighted
+    /// without replacement, honoring `config`'s pins. The guard, unless
+    /// pinned, is the first pick of a [`SAMPLED_GUARDS`]-pick sample,
+    /// then the exit and the middle follow.
+    pub fn select(
+        &mut self,
+        config: PathConfig,
+        consensus: &Consensus,
+        rng: &mut SimRng,
+    ) -> Result<CircuitSpec, PathError> {
+        let guard = match config.fixed_guard {
             Some(g) => g,
-            None => {
-                self.ensure_sampled(consensus, rng);
-                self.current_guard(consensus)
-                    .ok_or(PathError::NoEligibleRelay(Role::Guard))?
-            }
+            None => self
+                .sample_guard(consensus, rng)
+                .ok_or(PathError::NoEligibleRelay(Role::Guard))?,
         };
-        let exit = match self.config.fixed_exit {
+        let exit = match config.fixed_exit {
             Some(e) => e,
             None => dispatch_pick(
                 self.mode,
@@ -340,7 +186,7 @@ impl PathSelector {
             )
             .ok_or(PathError::NoEligibleRelay(Role::Exit))?,
         };
-        let middle = match self.config.fixed_middle {
+        let middle = match config.fixed_middle {
             Some(m) => m,
             None => dispatch_pick(
                 self.mode,
@@ -358,6 +204,56 @@ impl PathSelector {
             exit,
         })
     }
+
+    /// Draws a [`SAMPLED_GUARDS`]-pick guard sample, bandwidth-weighted
+    /// without replacement, and returns its first pick.
+    ///
+    /// Pick `j` excludes the `j` picks before it. When the consensus
+    /// index is exact (every bandwidth finite and non-negative) and the
+    /// guard class has at least [`SAMPLED_GUARDS`] members with positive
+    /// bandwidth, each pick provably draws exactly once and returns a
+    /// guard: it excludes at most `SAMPLED_GUARDS − 1` relays, so a
+    /// positive-bandwidth member stays eligible and the exact eligible
+    /// total is positive. The draws then do not depend on the picks, so
+    /// this resolves the first pick from the first draw and takes the
+    /// other draws unused. Otherwise — fewer positive-bandwidth guards,
+    /// an inexact index, or [`PickMode::Reference`], which stays the
+    /// eager oracle — every pick resolves, and sampling stops at the
+    /// first `None`.
+    fn sample_guard(&mut self, consensus: &Consensus, rng: &mut SimRng) -> Option<RelayId> {
+        if self.mode == PickMode::Indexed && guard_picks_always_draw(consensus) {
+            let u = rng.next_f64();
+            for _ in 1..SAMPLED_GUARDS {
+                rng.next_f64();
+            }
+            return indexed::weighted_pick_with_u(
+                u,
+                consensus,
+                FilterClass::Guard,
+                &[],
+                &mut self.scratch,
+            );
+        }
+        self.sample.clear();
+        if self.sample.capacity() < SAMPLED_GUARDS {
+            self.sample.reserve_exact(SAMPLED_GUARDS);
+            self.vec_grows += 1;
+        }
+        for _ in 0..SAMPLED_GUARDS {
+            match dispatch_pick(
+                self.mode,
+                rng,
+                consensus,
+                FilterClass::Guard,
+                &self.sample,
+                &mut self.scratch,
+            ) {
+                Some(g) => self.sample.push(g),
+                None => break, // consensus has fewer eligible guards
+            }
+        }
+        self.sample.first().copied()
+    }
 }
 
 impl Default for PathSelector {
@@ -366,9 +262,10 @@ impl Default for PathSelector {
     }
 }
 
-/// The deferral precondition of `PathSelector::ensure_sampled`: every
-/// bandwidth is finite and non-negative, and at least [`SAMPLED_GUARDS`]
-/// guard-class members have positive bandwidth.
+/// The precondition under which `PathSelector::sample_guard` resolves
+/// only its first pick: every bandwidth is finite and non-negative, and
+/// at least [`SAMPLED_GUARDS`] guard-class members have positive
+/// bandwidth.
 fn guard_picks_always_draw(consensus: &Consensus) -> bool {
     let idx = consensus.index();
     idx.exact_ok && idx.class(FilterClass::Guard).positive >= SAMPLED_GUARDS
@@ -400,13 +297,17 @@ mod tests {
         Consensus::generate(&mut rng)
     }
 
+    fn select(sel: &mut PathSelector, c: &Consensus, rng: &mut SimRng) -> CircuitSpec {
+        sel.select(PathConfig::default(), c, rng).unwrap()
+    }
+
     #[test]
     fn selects_distinct_relays() {
         let c = consensus(1);
         let mut rng = SimRng::new(2);
         let mut sel = PathSelector::new();
         for _ in 0..200 {
-            let spec = sel.select(&c, &mut rng).unwrap();
+            let spec = select(&mut sel, &c, &mut rng);
             assert_ne!(spec.guard, spec.middle);
             assert_ne!(spec.guard, spec.exit);
             assert_ne!(spec.middle, spec.exit);
@@ -414,32 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn guard_persists_across_circuits() {
-        let c = consensus(3);
-        let mut rng = SimRng::new(4);
-        let mut sel = PathSelector::new();
-        let first = sel.select(&c, &mut rng).unwrap();
-        for _ in 0..50 {
-            let spec = sel.select(&c, &mut rng).unwrap();
-            assert_eq!(spec.guard, first.guard);
-        }
-    }
-
-    #[test]
-    fn rotate_guard_resamples() {
+    fn each_selection_samples_a_fresh_guard() {
         let c = consensus(5);
         let mut rng = SimRng::new(6);
         let mut sel = PathSelector::new();
-        let first = sel.select(&c, &mut rng).unwrap().guard;
-        let mut changed = false;
-        for _ in 0..20 {
-            sel.rotate_guard();
-            if sel.select(&c, &mut rng).unwrap().guard != first {
-                changed = true;
-                break;
-            }
-        }
-        assert!(changed, "guard never changed after 20 rotations");
+        let first = select(&mut sel, &c, &mut rng).guard;
+        assert!(
+            (0..20).any(|_| select(&mut sel, &c, &mut rng).guard != first),
+            "guard never changed in 20 selections"
+        );
     }
 
     #[test]
@@ -447,48 +331,35 @@ mod tests {
         let c = consensus(21);
         let mut rng = SimRng::new(22);
         let mut sel = PathSelector::new();
-        sel.select(&c, &mut rng).unwrap();
-        let sample = sel.sampled_guards(&c).to_vec();
+        sel.set_pick_mode(PickMode::Reference);
+        let guard = select(&mut sel, &c, &mut rng).guard;
+        let sample = sel.sample.clone();
         assert_eq!(sample.len(), SAMPLED_GUARDS);
         let mut dedup = sample.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), sample.len(), "duplicate guards in sample");
-        assert_eq!(sel.primary_guards(&c), &sample[..PRIMARY_GUARDS]);
-        assert_eq!(sel.current_guard(&c), Some(sample[0]));
+        assert_eq!(guard, sample[0]);
     }
 
     #[test]
-    fn guard_failover_walks_the_sample_in_order() {
-        let c = consensus(23);
-        let mut rng = SimRng::new(24);
-        let mut sel = PathSelector::new();
-        let first = sel.select(&c, &mut rng).unwrap().guard;
-        let sample = sel.sampled_guards(&c).to_vec();
-        assert_eq!(first, sample[0]);
-
-        sel.mark_guard_down(sample[0]);
-        assert_eq!(sel.select(&c, &mut rng).unwrap().guard, sample[1]);
-        sel.mark_guard_down(sample[1]);
-        assert_eq!(sel.select(&c, &mut rng).unwrap().guard, sample[2]);
-        // Recovery restores the original primary.
-        sel.mark_guard_up(sample[0]);
-        assert_eq!(sel.select(&c, &mut rng).unwrap().guard, sample[0]);
-    }
-
-    #[test]
-    fn all_guards_down_is_an_error() {
-        let c = consensus(25);
-        let mut rng = SimRng::new(26);
-        let mut sel = PathSelector::new();
-        sel.select(&c, &mut rng).unwrap();
-        for g in sel.sampled_guards(&c).to_vec() {
-            sel.mark_guard_down(g);
+    fn no_eligible_guard_is_an_error() {
+        let mut c = consensus(25);
+        for i in 0..c.len() {
+            let r = c.relay_mut(RelayId(i as u32));
+            if r.flags.guard {
+                r.bandwidth_bps = 0.0;
+            }
         }
-        assert_eq!(
-            sel.select(&c, &mut rng).unwrap_err(),
-            PathError::NoEligibleRelay(Role::Guard)
-        );
+        for mode in [PickMode::Indexed, PickMode::Reference] {
+            let mut sel = PathSelector::new();
+            sel.set_pick_mode(mode);
+            assert_eq!(
+                sel.select(PathConfig::default(), &c, &mut SimRng::new(26))
+                    .unwrap_err(),
+                PathError::NoEligibleRelay(Role::Guard)
+            );
+        }
     }
 
     #[test]
@@ -498,7 +369,7 @@ mod tests {
         let mut sel = PathSelector::new();
         let mut middles = std::collections::HashSet::new();
         for _ in 0..100 {
-            middles.insert(sel.select(&c, &mut rng).unwrap().middle);
+            middles.insert(select(&mut sel, &c, &mut rng).middle);
         }
         assert!(middles.len() > 20, "only {} distinct middles", middles.len());
     }
@@ -512,8 +383,7 @@ mod tests {
             fixed_middle: Some(RelayId(6)),
             fixed_exit: Some(RelayId(7)),
         };
-        let mut sel = PathSelector::with_config(cfg);
-        let spec = sel.select(&c, &mut rng).unwrap();
+        let spec = PathSelector::new().select(cfg, &c, &mut rng).unwrap();
         assert_eq!(
             spec,
             CircuitSpec {
@@ -534,10 +404,7 @@ mod tests {
         let mut sel = PathSelector::new();
         let n = 400;
         let mean_sel: f64 = (0..n)
-            .map(|_| {
-                let spec = sel.select(&c, &mut rng).unwrap();
-                c.relay(spec.exit).bandwidth_bps
-            })
+            .map(|_| c.relay(select(&mut sel, &c, &mut rng).exit).bandwidth_bps)
             .sum::<f64>()
             / n as f64;
         assert!(
@@ -553,48 +420,52 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuse_matches_fresh_selector_exactly() {
+    fn reused_selector_matches_fresh_selector_exactly() {
         let c = consensus(31);
-        let mut reused = PathSelector::new();
-        for round in 0..10u64 {
-            let cfg = if round % 2 == 0 {
-                PathConfig::default()
-            } else {
-                PathConfig {
-                    fixed_guard: Some(RelayId(round as u32)),
-                    ..PathConfig::default()
+        for mode in [PickMode::Indexed, PickMode::Reference] {
+            let mut reused = PathSelector::new();
+            reused.set_pick_mode(mode);
+            for round in 0..10u64 {
+                let cfg = if round % 2 == 0 {
+                    PathConfig::default()
+                } else {
+                    PathConfig {
+                        fixed_guard: Some(RelayId(round as u32)),
+                        ..PathConfig::default()
+                    }
+                };
+                let mut rng_a = SimRng::new(100 + round);
+                let mut rng_b = rng_a.clone();
+                for _ in 0..5 {
+                    let mut fresh = PathSelector::new();
+                    fresh.set_pick_mode(mode);
+                    assert_eq!(
+                        reused.select(cfg, &c, &mut rng_a).unwrap(),
+                        fresh.select(cfg, &c, &mut rng_b).unwrap()
+                    );
                 }
-            };
-            let mut rng_a = SimRng::new(100 + round);
-            let mut rng_b = rng_a.clone();
-            reused.reset(cfg);
-            let mut fresh = PathSelector::with_config(cfg);
-            for _ in 0..5 {
-                assert_eq!(
-                    reused.select(&c, &mut rng_a).unwrap(),
-                    fresh.select(&c, &mut rng_b).unwrap()
-                );
+                assert_eq!(rng_a, rng_b, "reused selector consumed extra draws");
             }
-            assert_eq!(rng_a, rng_b, "reused selector consumed extra draws");
         }
     }
 
     #[test]
     fn reused_selector_stops_growing() {
         let c = consensus(33);
-        let mut sel = PathSelector::new();
-        let mut rng = SimRng::new(34);
-        // Warm up: first establishes grow the sample + scratch buffers.
-        for _ in 0..3 {
-            sel.reset(PathConfig::default());
-            sel.select(&c, &mut rng).unwrap();
+        for mode in [PickMode::Indexed, PickMode::Reference] {
+            let mut sel = PathSelector::new();
+            sel.set_pick_mode(mode);
+            let mut rng = SimRng::new(34);
+            // Warm up: the first selections grow the sample + scratch buffers.
+            for _ in 0..3 {
+                select(&mut sel, &c, &mut rng);
+            }
+            let grows = sel.scratch_grows();
+            for _ in 0..50 {
+                select(&mut sel, &c, &mut rng);
+            }
+            assert_eq!(sel.scratch_grows(), grows, "steady-state reuse reallocated");
         }
-        let grows = sel.scratch_grows();
-        for _ in 0..50 {
-            sel.reset(PathConfig::default());
-            sel.select(&c, &mut rng).unwrap();
-        }
-        assert_eq!(sel.scratch_grows(), grows, "steady-state reuse reallocated");
     }
 
     #[test]
@@ -609,38 +480,11 @@ mod tests {
             assert_eq!(sel_i.pick_mode(), PickMode::Indexed);
             for _ in 0..20 {
                 assert_eq!(
-                    sel_i.select(&c, &mut rng_i).unwrap(),
-                    sel_r.select(&c, &mut rng_r).unwrap()
+                    select(&mut sel_i, &c, &mut rng_i),
+                    select(&mut sel_r, &c, &mut rng_r)
                 );
             }
-            assert_eq!(sel_i.sampled_guards(&c), sel_r.sampled_guards(&c));
             assert_eq!(rng_i, rng_r, "modes consumed different draw counts");
         }
-    }
-
-    #[test]
-    fn deferred_sample_resolves_guard_picks_on_demand() {
-        let c = consensus(35);
-        assert!(guard_picks_always_draw(&c));
-        let mut rng = SimRng::new(36);
-        let mut sel = PathSelector::new();
-        let first = sel.select(&c, &mut rng).unwrap().guard;
-        // Every draw is taken, but only the guard in use is resolved.
-        assert_eq!(sel.guard_draws.len(), SAMPLED_GUARDS);
-        assert_eq!(sel.sampled_guards, [first]);
-        // Failing over past two guards resolves exactly the next two.
-        sel.mark_guard_down(first);
-        let second = sel.select(&c, &mut rng).unwrap().guard;
-        sel.mark_guard_down(second);
-        sel.select(&c, &mut rng).unwrap();
-        assert_eq!(sel.sampled_guards.len(), 3);
-        assert_eq!(sel.sampled_guards(&c).len(), SAMPLED_GUARDS);
-
-        // The reference oracle samples eagerly.
-        let mut oracle = PathSelector::new();
-        oracle.set_pick_mode(PickMode::Reference);
-        oracle.select(&c, &mut SimRng::new(36)).unwrap();
-        assert!(oracle.guard_draws.is_empty());
-        assert_eq!(oracle.sampled_guards.len(), SAMPLED_GUARDS);
     }
 }

@@ -6,7 +6,7 @@
 //! measurement flows only get what is left — the mechanism behind the
 //! paper's §4.2.1 finding).
 
-use ptperf_sim::{effective_capacity, Location};
+use ptperf_sim::Location;
 
 /// Identifier of a relay within a [`crate::Consensus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,51 +46,4 @@ pub struct Relay {
     /// Background utilization in `[0, 1)`: the fraction of capacity
     /// consumed by other users' traffic.
     pub utilization: f64,
-}
-
-impl Relay {
-    /// Capacity available to a foreground measurement flow, given an
-    /// additional load multiplier (e.g. from a [`ptperf_sim::LoadTimeline`]).
-    pub fn available_bps(&self, load_multiplier: f64) -> f64 {
-        let util = (self.utilization * load_multiplier).clamp(0.0, 0.99);
-        effective_capacity(self.bandwidth_bps, util)
-    }
-
-    /// Convenience: available capacity with no extra load.
-    pub fn idle_available_bps(&self) -> f64 {
-        self.available_bps(1.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn relay(bw: f64, util: f64) -> Relay {
-        Relay {
-            id: RelayId(0),
-            location: Location::Frankfurt,
-            bandwidth_bps: bw,
-            flags: RelayFlags::default(),
-            utilization: util,
-        }
-    }
-
-    #[test]
-    fn available_capacity_reflects_utilization() {
-        let r = relay(100.0, 0.5);
-        assert_eq!(r.idle_available_bps(), 50.0);
-    }
-
-    #[test]
-    fn load_multiplier_scales_utilization() {
-        let r = relay(100.0, 0.3);
-        assert!((r.available_bps(2.0) - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overload_clamps_but_never_zeroes() {
-        let r = relay(100.0, 0.5);
-        assert!(r.available_bps(10.0) >= 1.0);
-    }
 }

@@ -6,18 +6,21 @@
 //! bandwidths, decision-boundary draws, and the floating-point tail
 //! fallback. The deterministic bulk test alone covers thousands of
 //! picks; the proptests add structural diversity on top. At the
-//! selector level, an indexed `PathSelector` (which defers its guard
-//! picks when it provably may) walks the same circuits, samples and
-//! draws as the eagerly sampling reference one, on both sides of the
-//! deferral precondition and through guard failover.
+//! selector level, an indexed `PathSelector` (which resolves only the
+//! first pick of its guard sample when it provably may) selects the
+//! same circuits with the same draws as the eagerly sampling reference
+//! one, under every pinning shape and on both sides of that
+//! precondition, and one selection's draw and pick counts are pinned.
 
 use proptest::prelude::*;
 
+use ptperf_obs::perf;
 use ptperf_sim::SimRng;
 use ptperf_tor::path::indexed::{self, PickScratch};
 use ptperf_tor::path::reference;
 use ptperf_tor::{
-    Consensus, ConsensusParams, FilterClass, PathSelector, PickMode, Relay, RelayId, SAMPLED_GUARDS,
+    Consensus, ConsensusParams, FilterClass, PathConfig, PathSelector, PickMode, Relay, RelayId,
+    SAMPLED_GUARDS,
 };
 
 const CLASSES: [FilterClass; 3] = [FilterClass::Guard, FilterClass::Exit, FilterClass::All];
@@ -72,54 +75,63 @@ fn assert_with_u_equiv(c: &Consensus, class: FilterClass, exclude: &[RelayId], u
     assert_eq!(picked, picked_ref, "with_u mismatch: class {class:?}, u {u:e}");
 }
 
-/// Drives an indexed and a reference selector through the same
-/// selections from identical RNG states. Before each select after the
-/// first, `flips[s]` marks guards down (`true`) or up (`false`) by their
-/// position in the reference selector's sample — always fully resolved,
-/// so the indexed selector fails over onto picks it has not resolved
-/// yet; positions past the sample are skipped. Asserts identical
-/// circuits, samples and RNG positions.
-fn assert_selectors_equiv(c: &Consensus, rseed: u64, flips: &[Vec<(usize, bool)>]) {
+/// The pinning shapes a selector run cycles through: none, a fixed
+/// guard, a fixed exit, and all three hops pinned, to relays of `c`
+/// chosen by `salt`.
+fn pinnings(c: &Consensus, salt: usize) -> [PathConfig; 4] {
+    let id = |k: usize| Some(RelayId(((salt + 101 * k) % c.len()) as u32));
+    [
+        PathConfig::default(),
+        PathConfig {
+            fixed_guard: id(0),
+            ..PathConfig::default()
+        },
+        PathConfig {
+            fixed_exit: id(1),
+            ..PathConfig::default()
+        },
+        PathConfig {
+            fixed_guard: id(0),
+            fixed_middle: id(1),
+            fixed_exit: id(2),
+        },
+    ]
+}
+
+/// Runs one fresh `select(config, …)` per config on an indexed and a
+/// reference selector from identical RNG states. Asserts identical
+/// results (circuits, or the same error) and identical RNG states after
+/// every call.
+fn assert_selectors_equiv(c: &Consensus, rseed: u64, configs: &[PathConfig]) {
     let mut rng_i = SimRng::new(rseed);
     let mut rng_r = rng_i.clone();
     let mut sel_i = PathSelector::new();
     let mut sel_r = PathSelector::new();
     sel_r.set_pick_mode(PickMode::Reference);
-    assert_eq!(sel_i.select(c, &mut rng_i), sel_r.select(c, &mut rng_r));
-    for step in flips {
-        for &(pos, down) in step {
-            let Some(&g) = sel_r.sampled_guards(c).get(pos) else {
-                continue;
-            };
-            if down {
-                sel_i.mark_guard_down(g);
-                sel_r.mark_guard_down(g);
-            } else {
-                sel_i.mark_guard_up(g);
-                sel_r.mark_guard_up(g);
-            }
-        }
-        assert_eq!(sel_i.select(c, &mut rng_i), sel_r.select(c, &mut rng_r));
-        assert_eq!(rng_i, rng_r, "draw-count mismatch after flips {step:?}");
+    for &config in configs {
+        assert_eq!(
+            sel_i.select(config, c, &mut rng_i),
+            sel_r.select(config, c, &mut rng_r),
+            "selection mismatch under {config:?}"
+        );
+        assert_eq!(rng_i, rng_r, "draw-count mismatch under {config:?}");
     }
-    assert_eq!(sel_i.sampled_guards(c), sel_r.sampled_guards(c));
-    assert_eq!(rng_i, rng_r);
 }
 
 #[test]
 fn guard_sample_deferral_boundary_matches_the_eager_oracle() {
-    // Guard picks defer only when the guard class keeps at least
-    // SAMPLED_GUARDS positive-bandwidth members. Just below, a sample
-    // pick that finds every positive-bandwidth member excluded sees a
-    // zero eligible total and draws nothing; a selector that deferred
-    // there anyway would take one draw too many.
-    let flips: Vec<Vec<(usize, bool)>> = vec![
-        vec![(0, true), (1, true)],
-        vec![(5, true)],
-        vec![(0, false)],
-        vec![(0, true), (2, true), (SAMPLED_GUARDS - 2, true)],
-        vec![],
-    ];
+    // A guard sample resolves only its first pick when the guard class
+    // keeps at least SAMPLED_GUARDS positive-bandwidth members. Just
+    // below, a sample pick that finds every positive-bandwidth member
+    // excluded sees a zero eligible total and draws nothing; a selector
+    // that took all SAMPLED_GUARDS draws there anyway would take one
+    // draw too many.
+    const SHAPES: [usize; 7] = [0, 1, 0, 2, 3, 0, 2];
+    let run = |c: &Consensus, rseed: u64, salt: usize| {
+        let p = pinnings(c, salt);
+        let configs: Vec<PathConfig> = SHAPES.iter().map(|&k| p[k]).collect();
+        assert_selectors_equiv(c, rseed, &configs);
+    };
     for seed in 0..4u64 {
         for positive in [SAMPLED_GUARDS - 1, SAMPLED_GUARDS, SAMPLED_GUARDS + 1] {
             let mut c = gen_consensus(40 + seed, 300);
@@ -140,7 +152,7 @@ fn guard_sample_deferral_boundary_matches_the_eager_oracle() {
             }
             assert!(c.index().exact_ok);
             assert_eq!(c.index().class(FilterClass::Guard).positive, positive);
-            assert_selectors_equiv(&c, 500 + seed, &flips);
+            run(&c, 500 + seed, seed as usize);
         }
     }
     // An inexact index keeps sampling eager even with enough
@@ -153,7 +165,47 @@ fn guard_sample_deferral_boundary_matches_the_eager_oracle() {
         c.relay_mut(g).bandwidth_bps = bad;
         assert!(!c.index().exact_ok);
         assert!(c.index().class(FilterClass::Guard).positive >= SAMPLED_GUARDS);
-        assert_selectors_equiv(&c, 504, &flips);
+        run(&c, 504, 7);
+    }
+}
+
+/// `from` advanced by `steps` RNG draws.
+fn advanced(mut from: SimRng, steps: usize) -> SimRng {
+    for _ in 0..steps {
+        from.next_u64();
+    }
+    from
+}
+
+#[test]
+fn one_selection_takes_every_sample_draw_and_resolves_three_picks() {
+    // Through a volunteer guard: SAMPLED_GUARDS sample draws, of which
+    // only the first is resolved, then the exit and middle picks. A
+    // pinned guard skips the sample; a pinned path draws nothing.
+    for seed in 0..6u64 {
+        let c = gen_consensus(60 + seed, 600);
+        assert!(c.index().exact_ok);
+        assert!(c.index().class(FilterClass::Guard).positive >= SAMPLED_GUARDS);
+        let [volunteer, pinned_guard, _, pinned_path] = pinnings(&c, seed as usize);
+        let mut sel = PathSelector::new();
+        for (config, draws, picks) in [
+            (volunteer, SAMPLED_GUARDS + 2, 3),
+            (pinned_guard, 2, 2),
+            (pinned_path, 0, 0),
+        ] {
+            let mut rng = SimRng::new(700 + seed);
+            let start = rng.clone();
+            let before = perf::snapshot();
+            sel.select(config, &c, &mut rng)
+                .expect("generated consensus");
+            let counted = perf::snapshot().delta_since(&before);
+            assert_eq!(rng, advanced(start, draws), "draws under {config:?}");
+            assert_eq!(
+                counted.path_index_pick + counted.path_scan_fallback,
+                picks,
+                "resolved picks under {config:?}"
+            );
+        }
     }
 }
 
@@ -166,7 +218,7 @@ fn thousands_of_picks_match_across_sizes_classes_and_exclude_growth() {
             let c = gen_consensus(seed + 1, n);
             for class in CLASSES {
                 // Sampling-without-replacement shape: the exclude set grows
-                // with each pick, exactly like `ensure_sampled`, to 25 ids —
+                // with each pick, exactly like an eager guard sample, to 25 ids —
                 // past the 19 a full guard sample excludes.
                 let mut rng = SimRng::new(1000 + seed);
                 let mut exclude: Vec<RelayId> = Vec::new();
@@ -472,24 +524,24 @@ proptest! {
         assert_with_u_equiv(&c, class, &exclude, u);
     }
 
-    /// Whole-selector equivalence: a PathSelector in Indexed mode walks
-    /// the same guard samples and circuits as one in Reference mode,
-    /// while a generated subset of sampled guards goes down and comes
-    /// back up between selects. Consensuses from about 100 relays up
-    /// have a guard class large enough for the indexed selector to
-    /// defer its guard picks; smaller ones sample eagerly.
+    /// Whole-selector equivalence: a PathSelector in Indexed mode
+    /// selects the same circuits with the same draws as one in
+    /// Reference mode over a generated run of pinning shapes.
+    /// Consensuses from about 100 relays up have a guard class large
+    /// enough for the indexed selector to resolve only the first pick
+    /// of its guard sample; smaller ones sample eagerly.
     #[test]
     fn full_selector_sequences_match(
         cseed in 1..150u64,
         n in 2..240usize,
         rseed in any::<u64>(),
-        flips in proptest::collection::vec(
-            proptest::collection::vec((0..SAMPLED_GUARDS + 2, any::<bool>()), 0..4),
-            7,
-        ),
+        salt in 0..10_000usize,
+        shapes in proptest::collection::vec(0..4usize, 7),
     ) {
         let c = gen_consensus(cseed, n);
-        assert_selectors_equiv(&c, rseed, &flips);
+        let p = pinnings(&c, salt);
+        let configs: Vec<PathConfig> = shapes.iter().map(|&k| p[k]).collect();
+        assert_selectors_equiv(&c, rseed, &configs);
     }
 }
 

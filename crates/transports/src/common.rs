@@ -20,12 +20,13 @@ use crate::transport::{AccessOptions, Deployment, Host};
 /// Reusable per-client establishment state: a persistent
 /// [`PathSelector`] whose buffers survive across establishes.
 ///
-/// Each establish draws a fresh guard sample, so a reused scratch is
-/// draw-for-draw identical to a fresh one (proven by
-/// `reset_reuse_matches_fresh_selector_exactly` in `ptperf_tor`): every
-/// one of the sample's draws is taken, though usually only the guard
-/// the circuit uses is resolved. The draw, sampled-guard and exclude
-/// buffers keep their capacity, making steady-state establishment
+/// The selector keeps no guard state between calls, and each establish
+/// through a volunteer guard draws a fresh guard sample, so a reused
+/// scratch is draw-for-draw identical to a fresh one (proven by
+/// `reused_selector_matches_fresh_selector_exactly` in `ptperf_tor`):
+/// every one of the sample's draws is taken, though usually only the
+/// guard the circuit uses is resolved. The sample and exclude buffers
+/// keep their capacity, making steady-state establishment
 /// allocation-free.
 #[derive(Debug)]
 pub struct EstablishScratch {
@@ -104,10 +105,9 @@ pub fn tor_channel_with(
             path_cfg.fixed_guard = Some(id);
         }
     }
-    scratch.selector.reset(path_cfg);
     let circuit_spec = scratch
         .selector
-        .select(&dep.consensus, rng)
+        .select(path_cfg, &dep.consensus, rng)
         .expect("generated consensus always has eligible relays");
 
     let mut copts = CircuitOptions::new(opts.client);

@@ -6,6 +6,8 @@
 #      that would rewrite the benchmark's Cargo.lock fails here; they run
 #      on parallel test threads, since the perf counters they read count
 #      per calling thread, including the pools it ran
+#   2a. paper-scale output pins: the benchmark's own command for each
+#      ptbench workload at seed 42 must print its pinned artifact digest
 #   3. clippy with warnings promoted to errors
 #   4. repro observability smoke run (--profile/--trace/--metrics),
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
@@ -62,6 +64,22 @@ cargo test --workspace -q
 
 echo "== test (ptbench package, locked) =="
 cargo test -q --locked --manifest-path crates/bench/src/bin/ptbench/Cargo.toml
+
+echo "== ptbench paper-scale digests (seed 42) =="
+# Each workload folds every artifact it renders at paper scale into one
+# digest. A deliberate output change updates these pins and says why in
+# CHANGES.md, as with CAMPAIGN_DIGEST in tests/executor_equivalence.rs.
+for pin in corpus_paper:86ec0eb2d06bb6c7 browser_paper:7e4484bc1b9674b2 bulk_seeds:516d1c6d15191436; do
+  workload="${pin%%:*}" want="${pin#*:}"
+  got="$(cargo run --release --offline --locked --quiet \
+    --manifest-path crates/bench/src/bin/ptbench/Cargo.toml -- \
+    --workload "$workload" --seconds 0 --trace 0 |
+    awk -v w="$workload" '$1 == w && $2 == "digest" { print $3 }')"
+  if [ "$got" != "$want" ]; then
+    echo "ptbench $workload digest is '$got', pinned at $want" >&2
+    exit 1
+  fi
+done
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -177,9 +195,9 @@ check_finite "$obs_dir/BENCH_establish.json"
 # Structural gate (one class per JSON line): picks resolve by binary
 # search, not the dense scan. The bench runs each class on the calling
 # thread, and the pick counters behind the fraction count per thread,
-# so they are exact. Guard sampling defers all but the guard it uses, so these
-# establishes no longer resolve its growing exclude sets;
-# crates/tor/tests/path_equivalence.rs still covers them.
+# so they are exact. A guard sample resolves only the guard it uses, so
+# these establishes never resolve its growing exclude sets;
+# crates/tor/tests/path_equivalence.rs covers those.
 awk '
   /"index_pick_fraction":/ {
     n = $0; sub(/.*"name": "/, "", n);                sub(/".*/, "", n)
@@ -193,8 +211,8 @@ awk '
   END { if (classes == 0) { print "no establish classes found" > "/dev/stderr"; bad = 1 }; exit bad }' \
   "$obs_dir/BENCH_establish.json"
 # Deterministic pick counts: a volunteer-guard establish resolves one
-# guard pick plus its exit and middle (the sample's other picks stay
-# deferred); a bridge establish resolves only the exit and middle.
+# guard pick plus its exit and middle (the sample's other draws are
+# taken unused); a bridge establish resolves only the exit and middle.
 awk '
   /"picks_per_establish":/ {
     n = $0; sub(/.*"name": "/, "", n);                sub(/".*/, "", n)
