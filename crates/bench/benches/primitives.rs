@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use ptperf_crypto::{chacha20_xor, hmac_sha256, sha256, x25519_base, Keypair};
-use ptperf_tor::{Cell, CellCommand, OnionStack, RelayCell, RelayCommand};
+use ptperf_tor::{Cell, CellCommand, RelayCell, RelayCommand};
 
 fn bench_crypto(c: &mut Criterion) {
     let mut g = c.benchmark_group("crypto");
@@ -46,21 +46,11 @@ fn bench_cells(c: &mut Criterion) {
     let wire = cell.encode();
     g.bench_function("relay_cell_encode", |b| b.iter(|| black_box(relay.encode())));
     g.bench_function("cell_decode", |b| b.iter(|| black_box(Cell::decode(&wire))));
-
-    let secrets = [[1u8; 32], [2u8; 32], [3u8; 32]];
-    g.bench_function("onion_encrypt_3hops", |b| {
-        let mut stack = OnionStack::new(&secrets);
-        b.iter(|| {
-            let mut p = payload;
-            stack.encrypt_outbound(&mut p);
-            black_box(p)
-        })
-    });
     g.finish();
 }
 
 fn bench_transport_codecs(c: &mut Criterion) {
-    use ptperf_transports::{dnstt, obfs4, shadowsocks};
+    use ptperf_transports::{obfs4, shadowsocks};
 
     let mut g = c.benchmark_group("transport_codecs");
     let payload = vec![0xC3u8; 1400];
@@ -82,13 +72,6 @@ fn bench_transport_codecs(c: &mut Criterion) {
             let mut rx = shadowsocks::ChunkCodec::derive(&key, &salt, false);
             let mut buf = tx.seal(&payload);
             black_box(rx.open(&mut buf).unwrap())
-        })
-    });
-    g.bench_function("dnstt_query_roundtrip", |b| {
-        let data = vec![0x77u8; 100];
-        b.iter(|| {
-            let name = dnstt::encode_query_name(&data, "t.example.com").unwrap();
-            black_box(dnstt::decode_query_name(&name, "t.example.com"))
         })
     });
     g.finish();

@@ -1,8 +1,8 @@
-//! Constant-time comparison helpers.
+//! Constant-time comparison.
 //!
 //! Transport handshakes compare MACs and auth tags; doing that with `==`
-//! would leak the first-differing-byte position through timing. These
-//! helpers accumulate differences without early exit.
+//! would leak the first-differing-byte position through timing. [`ct_eq`]
+//! accumulates differences without early exit.
 
 /// Constant-time equality of two byte slices.
 ///
@@ -17,14 +17,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
         acc |= x ^ y;
     }
     acc == 0
-}
-
-/// Constant-time conditional select of a byte: `cond ? a : b` where `cond`
-/// must be 0 or 1.
-pub fn ct_select(cond: u8, a: u8, b: u8) -> u8 {
-    debug_assert!(cond <= 1);
-    let mask = cond.wrapping_neg();
-    (a & mask) | (b & !mask)
 }
 
 #[cfg(test)]
@@ -46,11 +38,5 @@ mod tests {
     #[test]
     fn different_lengths() {
         assert!(!ct_eq(b"abc", b"abcd"));
-    }
-
-    #[test]
-    fn select() {
-        assert_eq!(ct_select(1, 0xAA, 0x55), 0xAA);
-        assert_eq!(ct_select(0, 0xAA, 0x55), 0x55);
     }
 }

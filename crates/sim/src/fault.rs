@@ -272,16 +272,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Builds a plan from explicit events, sorting them ascending by
-    /// `at` (stable, so ties keep their given order) — the same
-    /// invariant [`FaultPlan::generate`] establishes. For crafted
-    /// boundary cases in tests and tools; generated plans should come
-    /// from [`FaultPlan::generate`].
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("fault times are finite"));
-        FaultPlan { events }
-    }
-
     /// The scheduled events, ascending by `at`.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -640,18 +630,6 @@ mod tests {
         assert_eq!(run.fraction, 0.0);
         assert_eq!(run.gave_up, 1);
         assert!(run.consistent());
-    }
-
-    #[test]
-    fn from_events_sorts_by_fraction() {
-        // Deliberately out of order: from_events must sort by fraction.
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent { at: 0.75, kind: FaultKind::Abort },
-            FaultEvent { at: 0.0, kind: FaultKind::ConnectRefusal },
-            FaultEvent { at: 0.25, kind: FaultKind::Churn },
-        ]);
-        let fractions: Vec<f64> = plan.events().iter().map(|e| e.at).collect();
-        assert_eq!(fractions, vec![0.0, 0.25, 0.75]);
     }
 
     #[test]

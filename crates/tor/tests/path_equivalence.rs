@@ -19,7 +19,7 @@ use ptperf_sim::SimRng;
 use ptperf_tor::path::indexed::{self, PickScratch};
 use ptperf_tor::path::reference;
 use ptperf_tor::{
-    Consensus, ConsensusParams, FilterClass, PathConfig, PathSelector, PickMode, Relay, RelayId,
+    Consensus, ConsensusParams, FilterClass, PathConfig, PathSelector, PickMode, RelayId,
     SAMPLED_GUARDS,
 };
 
@@ -545,9 +545,3 @@ proptest! {
     }
 }
 
-// Keep `Relay` imported for the signature of `FilterClass::matches`
-// closures above even if rustc's unused-import lint changes its mind.
-#[allow(dead_code)]
-fn _class_filter_typechecks(class: FilterClass, r: &Relay) -> bool {
-    class.matches(r)
-}

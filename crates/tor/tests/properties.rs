@@ -1,12 +1,12 @@
-//! Property tests for the Tor substrate: cell codecs, onion layering,
-//! and path-selection validity over arbitrary consensuses.
+//! Property tests for the Tor substrate: cell codecs and path-selection
+//! validity over arbitrary consensuses.
 
 use proptest::prelude::*;
 
 use ptperf_sim::{LoadProfile, SimRng};
 use ptperf_tor::cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_PAYLOAD_LEN, RELAY_DATA_LEN};
 use ptperf_tor::consensus::{Consensus, ConsensusParams};
-use ptperf_tor::{OnionStack, PathSelector};
+use ptperf_tor::PathSelector;
 
 fn arb_relay_command() -> impl Strategy<Value = RelayCommand> {
     prop::sample::select(vec![
@@ -48,27 +48,6 @@ proptest! {
     #[test]
     fn cell_decode_total(bytes in proptest::collection::vec(any::<u8>(), 514)) {
         let _ = Cell::decode(&bytes);
-    }
-
-    /// Onion encryption round-trips through 1–5 hops for arbitrary
-    /// secrets and payloads.
-    #[test]
-    fn onion_round_trip(
-        secrets in proptest::collection::vec(any::<[u8; 32]>(), 1..=5),
-        seed_payload in any::<[u8; 32]>(),
-    ) {
-        let mut payload = [0u8; CELL_PAYLOAD_LEN];
-        for (i, b) in payload.iter_mut().enumerate() {
-            *b = seed_payload[i % 32] ^ (i as u8);
-        }
-        let original = payload;
-        let mut client = OnionStack::new(&secrets);
-        let mut relays = OnionStack::new(&secrets);
-        client.encrypt_outbound(&mut payload);
-        for hop in 0..secrets.len() {
-            relays.peel_at(hop, &mut payload);
-        }
-        prop_assert_eq!(payload, original);
     }
 
     /// Path selection over arbitrary consensus shapes always yields

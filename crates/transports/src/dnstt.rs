@@ -12,10 +12,11 @@
 //!   queries, so goodput ≤ window × payload / resolver-RTT, and resolver
 //!   rate limits cap sustained query streams.
 //!
-//! Implemented pieces: RFC 4648 base32 (no padding), payload ↔ DNS-label
-//! encoding with the 63-byte label and 255-byte name limits, DNS
-//! query/TXT-response message codecs, and the window-throughput formula
-//! used by the model.
+//! Implemented pieces: the TXT-response message codec, which
+//! `codec_model` ties to [`RESPONSE_PAYLOAD`] (a full payload fits one
+//! [`MAX_RESPONSE`]-byte response), and the window-throughput formula
+//! used by the model. The upstream query encoding fixes no model figure
+//! and is not implemented.
 
 use ptperf_sim::{sample_path, Location, SimDuration, SimRng};
 use ptperf_web::Channel;
@@ -30,139 +31,6 @@ pub const MAX_RESPONSE: usize = 512;
 
 /// Useful downstream payload per response after the DNS envelope.
 pub const RESPONSE_PAYLOAD: usize = 460;
-
-/// Maximum bytes of one DNS label.
-pub const MAX_LABEL: usize = 63;
-
-/// Maximum total name length.
-pub const MAX_NAME: usize = 255;
-
-const B32_ALPHABET: &[u8; 32] = b"abcdefghijklmnopqrstuvwxyz234567";
-
-/// Encodes bytes as unpadded lowercase base32 (RFC 4648).
-pub fn base32_encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(5) * 8);
-    for block in data.chunks(5) {
-        let mut buf = [0u8; 5];
-        buf[..block.len()].copy_from_slice(block);
-        let v = u64::from(buf[0]) << 32
-            | u64::from(buf[1]) << 24
-            | u64::from(buf[2]) << 16
-            | u64::from(buf[3]) << 8
-            | u64::from(buf[4]);
-        let chars = match block.len() {
-            1 => 2,
-            2 => 4,
-            3 => 5,
-            4 => 7,
-            _ => 8,
-        };
-        for i in 0..chars {
-            let idx = ((v >> (35 - 5 * i)) & 0x1F) as usize;
-            out.push(B32_ALPHABET[idx] as char);
-        }
-    }
-    out
-}
-
-/// Decodes unpadded lowercase base32.
-pub fn base32_decode(s: &str) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(s.len() * 5 / 8);
-    for block in s.as_bytes().chunks(8) {
-        let mut v: u64 = 0;
-        for (i, &c) in block.iter().enumerate() {
-            let idx = B32_ALPHABET.iter().position(|&a| a == c)? as u64;
-            v |= idx << (35 - 5 * i);
-        }
-        let bytes = match block.len() {
-            2 => 1,
-            4 => 2,
-            5 => 3,
-            7 => 4,
-            8 => 5,
-            _ => return None, // invalid unpadded length
-        };
-        for i in 0..bytes {
-            out.push((v >> (32 - 8 * i)) as u8);
-        }
-    }
-    Some(out)
-}
-
-/// Encodes an upstream payload chunk as a query name under `domain`:
-/// base32, split into ≤63-byte labels, total ≤255 bytes.
-///
-/// Returns `None` if the payload cannot fit one name.
-pub fn encode_query_name(payload: &[u8], domain: &str) -> Option<String> {
-    let encoded = base32_encode(payload);
-    let mut name = String::new();
-    for label in encoded.as_bytes().chunks(MAX_LABEL) {
-        name.push_str(std::str::from_utf8(label).unwrap());
-        name.push('.');
-    }
-    name.push_str(domain);
-    if name.len() > MAX_NAME {
-        return None;
-    }
-    Some(name)
-}
-
-/// Extracts the upstream payload from a query name under `domain`.
-pub fn decode_query_name(name: &str, domain: &str) -> Option<Vec<u8>> {
-    let data = name.strip_suffix(domain)?.trim_end_matches('.');
-    let joined: String = data.split('.').collect();
-    base32_decode(&joined)
-}
-
-/// Maximum upstream payload bytes that fit in one query name under
-/// `domain`.
-pub fn max_query_payload(domain: &str) -> usize {
-    // Name budget minus domain and dots; base32 expands 5 bytes → 8 chars.
-    let label_space = MAX_NAME - domain.len() - 1;
-    // Each 63-char label costs 64 bytes of name budget (label + dot).
-    let usable_chars = label_space * MAX_LABEL / (MAX_LABEL + 1);
-    usable_chars * 5 / 8
-}
-
-/// A minimal DNS query message (header + one TXT question).
-pub fn encode_query(id: u16, name: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + name.len() + 6);
-    out.extend_from_slice(&id.to_be_bytes());
-    out.extend_from_slice(&[0x01, 0x00]); // RD=1
-    out.extend_from_slice(&1u16.to_be_bytes()); // QDCOUNT
-    out.extend_from_slice(&[0, 0, 0, 0, 0, 0]); // AN/NS/AR
-    for label in name.split('.') {
-        out.push(label.len() as u8);
-        out.extend_from_slice(label.as_bytes());
-    }
-    out.push(0);
-    out.extend_from_slice(&16u16.to_be_bytes()); // QTYPE TXT
-    out.extend_from_slice(&1u16.to_be_bytes()); // QCLASS IN
-    out
-}
-
-/// Parses a query message; returns `(id, name)`.
-pub fn decode_query(bytes: &[u8]) -> Option<(u16, String)> {
-    if bytes.len() < 12 {
-        return None;
-    }
-    let id = u16::from_be_bytes([bytes[0], bytes[1]]);
-    let mut name = String::new();
-    let mut pos = 12;
-    loop {
-        let len = *bytes.get(pos)? as usize;
-        pos += 1;
-        if len == 0 {
-            break;
-        }
-        if !name.is_empty() {
-            name.push('.');
-        }
-        name.push_str(std::str::from_utf8(bytes.get(pos..pos + len)?).ok()?);
-        pos += len;
-    }
-    Some((id, name))
-}
 
 /// Builds a TXT response carrying `payload` (≤ [`RESPONSE_PAYLOAD`]).
 pub fn encode_response(id: u16, payload: &[u8]) -> Vec<u8> {
@@ -301,66 +169,6 @@ impl PluggableTransport for Dnstt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn base32_known_vectors() {
-        // RFC 4648 vectors, lowercased and unpadded.
-        assert_eq!(base32_encode(b""), "");
-        assert_eq!(base32_encode(b"f"), "my");
-        assert_eq!(base32_encode(b"fo"), "mzxq");
-        assert_eq!(base32_encode(b"foo"), "mzxw6");
-        assert_eq!(base32_encode(b"foob"), "mzxw6yq");
-        assert_eq!(base32_encode(b"fooba"), "mzxw6ytb");
-        assert_eq!(base32_encode(b"foobar"), "mzxw6ytboi");
-    }
-
-    #[test]
-    fn base32_decode_inverts() {
-        for s in ["", "f", "fo", "foo", "foob", "fooba", "foobar"] {
-            assert_eq!(base32_decode(&base32_encode(s.as_bytes())).unwrap(), s.as_bytes());
-        }
-        assert!(base32_decode("ABC!").is_none());
-    }
-
-    proptest! {
-        #[test]
-        fn base32_round_trips(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-            prop_assert_eq!(base32_decode(&base32_encode(&data)).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn query_name_round_trip() {
-        let payload = b"tunnel bytes going upstream";
-        let name = encode_query_name(payload, "t.example.com").unwrap();
-        assert!(name.len() <= MAX_NAME);
-        for label in name.strip_suffix("t.example.com").unwrap().split('.') {
-            assert!(label.len() <= MAX_LABEL);
-        }
-        assert_eq!(decode_query_name(&name, "t.example.com").unwrap(), payload);
-    }
-
-    #[test]
-    fn query_name_respects_limits() {
-        let max = max_query_payload("t.example.com");
-        let payload = vec![0xAB; max];
-        let name = encode_query_name(&payload, "t.example.com").unwrap();
-        assert!(name.len() <= MAX_NAME);
-        // One byte more must fail (or still fit — but never exceed 255).
-        if let Some(name2) = encode_query_name(&vec![0xAB; max + 8], "t.example.com") {
-            assert!(name2.len() <= MAX_NAME);
-        }
-    }
-
-    #[test]
-    fn dns_query_round_trip() {
-        let name = "abc.def.t.example.com";
-        let wire = encode_query(0x1234, name);
-        let (id, back) = decode_query(&wire).unwrap();
-        assert_eq!(id, 0x1234);
-        assert_eq!(back, name);
-    }
 
     #[test]
     fn dns_response_round_trip() {
@@ -370,14 +178,6 @@ mod tests {
         let (id, back) = decode_response(&wire).unwrap();
         assert_eq!(id, 7);
         assert_eq!(back, payload);
-    }
-
-    #[test]
-    fn response_stays_under_512() {
-        for len in [0usize, 1, 100, 255, 256, RESPONSE_PAYLOAD] {
-            let wire = encode_response(1, &vec![0u8; len]);
-            assert!(wire.len() <= MAX_RESPONSE, "payload {len} → {}", wire.len());
-        }
     }
 
     #[test]

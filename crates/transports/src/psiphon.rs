@@ -6,16 +6,17 @@
 //! * SSH-style **binary packet framing** (RFC 4253 §6): 4-byte packet
 //!   length, 1-byte padding length, payload, random padding to an 8-byte
 //!   boundary, and a truncated-HMAC MAC;
-//! * a 2-round-trip key exchange model (version exchange + DH) with a
-//!   pre-shared host key check (psiphon pre-shares the server's SSH
-//!   public key with the client).
+//! * the handshake as a round-trip count: TCP, the version exchange and
+//!   the DH key exchange. The key exchange itself and psiphon's
+//!   pre-shared host key check fix no model figure and are not
+//!   implemented.
 //!
 //! Performance model (hop set 2): SSH tunnel to a psiphon server, which
 //! forwards into Tor through a volunteer guard. Psiphon adds little
 //! beyond the extra hop — the paper found it among the four fastest PTs
 //! for bulk downloads.
 
-use ptperf_crypto::{ct_eq, hmac_sha256, Keypair};
+use ptperf_crypto::{ct_eq, hmac_sha256};
 use ptperf_sim::{Location, SimRng};
 use ptperf_web::Channel;
 
@@ -98,18 +99,6 @@ pub fn open_packet(
     let payload = buf[5..4 + packet_len - pad].to_vec();
     buf.drain(..total);
     Ok(Some(payload))
-}
-
-/// The pre-shared host key check: psiphon clients carry the server's SSH
-/// public key and reject anything else.
-pub fn verify_host_key(pinned: &[u8; 32], presented: &[u8; 32]) -> bool {
-    ct_eq(pinned, presented)
-}
-
-/// Derives the tunnel MAC key from a completed DH exchange.
-pub fn session_mac_key(client: &Keypair, server_pub: &[u8; 32]) -> [u8; 32] {
-    let shared = client.diffie_hellman(server_pub);
-    hmac_sha256(b"psiphon-ssh-mac", &shared)
 }
 
 /// Average wire overhead per full packet: header + padding + MAC.
@@ -206,23 +195,6 @@ mod tests {
             let got = open_packet(&k, seq, &mut buf).unwrap().unwrap();
             assert_eq!(got, format!("msg{seq}").as_bytes());
         }
-    }
-
-    #[test]
-    fn host_key_pinning() {
-        let a = [1u8; 32];
-        let b = [2u8; 32];
-        assert!(verify_host_key(&a, &a));
-        assert!(!verify_host_key(&a, &b));
-    }
-
-    #[test]
-    fn kex_agrees() {
-        let c = Keypair::from_secret([3u8; 32]);
-        let s = Keypair::from_secret([4u8; 32]);
-        let k1 = session_mac_key(&c, &s.public);
-        let k2 = session_mac_key(&s, &c.public);
-        assert_eq!(k1, k2);
     }
 
     #[test]

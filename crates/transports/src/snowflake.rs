@@ -9,13 +9,15 @@
 //!
 //! Implemented pieces:
 //!
-//! * broker rendezvous message codec (offer/answer envelope with
-//!   client-poll semantics);
 //! * SCTP-like data-channel chunking (12-byte header: stream ‖ seq ‖
 //!   length, payload ≤ 1200 bytes) with reassembly;
 //! * a volunteer-proxy pool model whose wait time, proxy bandwidth, and
 //!   churn hazard all scale with the load multiplier — this single knob
 //!   replays the September-2022 Iran surge (§5.3).
+//!
+//! The broker's offer/answer message codec fixes no model figure and is
+//! not implemented; the model charges the rendezvous as broker wait and
+//! NAT-matching rounds.
 
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
@@ -29,50 +31,6 @@ pub const MAX_CHUNK: usize = 1200;
 
 /// Chunk header: 4-byte stream id, 4-byte sequence, 4-byte length.
 pub const CHUNK_HEADER: usize = 12;
-
-/// A broker rendezvous message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BrokerMessage {
-    /// Client → broker: an SDP offer blob.
-    Offer(Vec<u8>),
-    /// Broker → client: a volunteer's SDP answer.
-    Answer(Vec<u8>),
-    /// Broker → client: no proxies available right now, retry.
-    Unavailable,
-}
-
-impl BrokerMessage {
-    /// Serializes with a 1-byte tag + 4-byte length.
-    pub fn encode(&self) -> Vec<u8> {
-        let (tag, body): (u8, &[u8]) = match self {
-            BrokerMessage::Offer(b) => (1, b),
-            BrokerMessage::Answer(b) => (2, b),
-            BrokerMessage::Unavailable => (3, &[]),
-        };
-        let mut out = vec![tag];
-        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        out.extend_from_slice(body);
-        out
-    }
-
-    /// Parses a broker message.
-    pub fn decode(bytes: &[u8]) -> Option<BrokerMessage> {
-        if bytes.len() < 5 {
-            return None;
-        }
-        let len = u32::from_be_bytes(bytes[1..5].try_into().unwrap()) as usize;
-        if bytes.len() != 5 + len {
-            return None;
-        }
-        let body = bytes[5..].to_vec();
-        match bytes[0] {
-            1 => Some(BrokerMessage::Offer(body)),
-            2 => Some(BrokerMessage::Answer(body)),
-            3 if len == 0 => Some(BrokerMessage::Unavailable),
-            _ => None,
-        }
-    }
-}
 
 /// Splits a payload into data-channel chunks.
 pub fn chunk(stream: u32, payload: &[u8]) -> Vec<Vec<u8>> {
@@ -312,26 +270,6 @@ impl PluggableTransport for Snowflake {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn broker_messages_round_trip() {
-        for msg in [
-            BrokerMessage::Offer(b"sdp-offer-blob".to_vec()),
-            BrokerMessage::Answer(b"sdp-answer".to_vec()),
-            BrokerMessage::Unavailable,
-        ] {
-            assert_eq!(BrokerMessage::decode(&msg.encode()).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn broker_rejects_garbage() {
-        assert!(BrokerMessage::decode(&[]).is_none());
-        assert!(BrokerMessage::decode(&[9, 0, 0, 0, 0]).is_none());
-        let mut bad_len = BrokerMessage::Offer(b"x".to_vec()).encode();
-        bad_len.pop();
-        assert!(BrokerMessage::decode(&bad_len).is_none());
-    }
 
     #[test]
     fn chunks_round_trip_in_order() {

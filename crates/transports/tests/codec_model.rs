@@ -2,15 +2,17 @@
 //! checked against the wire codecs they are derived from.
 //!
 //! Each transport's `frame_overhead()` is arithmetic on its codec's
-//! constants, and each `HANDSHAKE_ROUND_TRIPS` is a count the model
-//! charges. These tests run the real codecs — seal a full-size payload,
-//! drive a handshake — and require the model's figures to match what
-//! the bytes show, so a codec change that alters the wire moves a test.
+//! constants, each `HANDSHAKE_ROUND_TRIPS` is a count the model charges,
+//! and dnstt's `RESPONSE_PAYLOAD` is the downstream payload its
+//! query-clocked rate charges per resolver response. These tests run the
+//! real codecs — seal a full-size payload, drive a handshake — and
+//! require the model's figures to match what the bytes show, so a codec
+//! change that alters the wire moves a test.
 
 use ptperf_crypto::Keypair;
 use ptperf_sim::SimRng;
 use ptperf_tor::cell::{self, Cell, CellCommand, RelayCell, RelayCommand, RELAY_DATA_LEN};
-use ptperf_transports::{cloak, obfs4, shadowsocks, snowflake, stegotorus, webtunnel};
+use ptperf_transports::{cloak, dnstt, obfs4, shadowsocks, snowflake, stegotorus, webtunnel};
 
 /// One codec against its model overhead: `seal` frames a payload of
 /// `payload` bytes and returns the wire length, and `model` is the
@@ -115,6 +117,19 @@ fn stegotorus_block_adds_exactly_its_header() {
             "body {len}"
         );
     }
+}
+
+#[test]
+fn dnstt_response_payload_fits_one_resolver_response() {
+    let payload = vec![0x5A; dnstt::RESPONSE_PAYLOAD];
+    let wire = dnstt::encode_response(1, &payload);
+    assert!(
+        wire.len() <= dnstt::MAX_RESPONSE,
+        "{} payload bytes take a {}-byte response, over the resolver's {}",
+        dnstt::RESPONSE_PAYLOAD,
+        wire.len(),
+        dnstt::MAX_RESPONSE
+    );
 }
 
 /// Transport round trips the handshake docs name before a PT's own

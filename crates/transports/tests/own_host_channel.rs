@@ -122,9 +122,8 @@ fn spelled_out(
         }
         PtId::Camoufler => {
             let rate = camoufler::Camoufler::default().api_rate_per_sec;
-            let limiter = camoufler::RateLimiter::new(rate, 10.0);
             ch.setup += bootstrap;
-            ch.rate_cap = Some(limiter.throughput(camoufler::MAX_MESSAGE_PAYLOAD));
+            ch.rate_cap = Some(rate * camoufler::MAX_MESSAGE_PAYLOAD as f64);
             ch.per_request_extra = SimDuration::from_secs_f64(rng.lognormal(6.5, 0.5));
             ch.max_parallel_streams = 1;
             ch.connect_failure_p = 0.09;

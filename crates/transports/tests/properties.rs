@@ -6,8 +6,7 @@ use proptest::prelude::*;
 
 use ptperf_sim::SimRng;
 use ptperf_transports::{
-    camoufler, cloak, dnstt, marionette, meek, obfs4, psiphon, shadowsocks, snowflake,
-    stegotorus, webtunnel,
+    cloak, dnstt, marionette, obfs4, psiphon, shadowsocks, snowflake, stegotorus, webtunnel,
 };
 
 /// Delivers `wire` to a buffer in arbitrary fragment sizes, draining
@@ -108,31 +107,6 @@ proptest! {
         prop_assert!(buf.is_empty());
     }
 
-    /// meek HTTP requests round-trip arbitrary bodies and session ids.
-    #[test]
-    fn meek_requests_round_trip(
-        session in "[A-Za-z0-9]{1,32}",
-        body in proptest::collection::vec(any::<u8>(), 0..5000),
-    ) {
-        let req = meek::MeekRequest {
-            inner_host: "bridge.example".into(),
-            session_id: session,
-            body,
-        };
-        prop_assert_eq!(meek::MeekRequest::decode(&req.encode()).unwrap(), req);
-    }
-
-    /// dnstt names and DNS messages round-trip payloads that fit.
-    #[test]
-    fn dnstt_name_round_trip(payload in proptest::collection::vec(any::<u8>(), 0..120)) {
-        let name = dnstt::encode_query_name(&payload, "t.example.com").unwrap();
-        prop_assert!(name.len() <= dnstt::MAX_NAME);
-        prop_assert_eq!(dnstt::decode_query_name(&name, "t.example.com").unwrap(), payload);
-        let wire = dnstt::encode_query(7, &name);
-        let (_, parsed) = dnstt::decode_query(&wire).unwrap();
-        prop_assert_eq!(parsed, name);
-    }
-
     /// dnstt responses stay under the resolver limit for any payload
     /// within the advertised budget.
     #[test]
@@ -145,17 +119,6 @@ proptest! {
         let (back_id, back) = dnstt::decode_response(&wire).unwrap();
         prop_assert_eq!(back_id, id);
         prop_assert_eq!(back, payload);
-    }
-
-    /// camoufler IM messages round-trip arbitrary payloads.
-    #[test]
-    fn camoufler_messages_round_trip(
-        seq in any::<u32>(),
-        fin in any::<bool>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..2000),
-    ) {
-        let msg = camoufler::ImMessage { seq, fin, payload };
-        prop_assert_eq!(camoufler::ImMessage::decode(&msg.encode()).unwrap(), msg);
     }
 
     /// webtunnel records survive arbitrary fragmentation.
@@ -213,25 +176,6 @@ proptest! {
         prop_assert_eq!(snowflake::reassemble(stream, &chunks).unwrap(), payload);
     }
 
-    /// stegotorus chop → shuffle → reassemble is the identity.
-    #[test]
-    fn stegotorus_round_trip(
-        payload in proptest::collection::vec(any::<u8>(), 0..8000),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = SimRng::new(seed);
-        let blocks = stegotorus::chop(&payload, 32, &mut rng);
-        let mut order: Vec<usize> = (0..blocks.len()).collect();
-        rng.shuffle(&mut order);
-        let mut r = stegotorus::Reassembler::new();
-        let mut out = Vec::new();
-        for i in order {
-            out.extend(r.push(blocks[i].clone()));
-        }
-        prop_assert_eq!(out, payload);
-        prop_assert!(r.finished());
-    }
-
     /// The marionette DSL parser is total: arbitrary input never panics.
     #[test]
     fn marionette_parser_total(src in "\\PC{0,300}") {
@@ -271,23 +215,6 @@ proptest! {
         while cloak::MuxFrame::decode(&mut buf).is_some() {}
         let mut buf = garbage.clone();
         while stegotorus::Block::decode(&mut buf).is_some() {}
-        let _ = meek::MeekRequest::decode(&garbage);
-        let _ = meek::decode_response(&garbage);
-        let _ = dnstt::decode_query(&garbage);
         let _ = dnstt::decode_response(&garbage);
-        let _ = snowflake::BrokerMessage::decode(&garbage);
-    }
-
-    /// Base32/base64 carriers round-trip arbitrary bytes.
-    #[test]
-    fn carrier_encodings_round_trip(data in proptest::collection::vec(any::<u8>(), 0..500)) {
-        prop_assert_eq!(
-            dnstt::base32_decode(&dnstt::base32_encode(&data)).unwrap(),
-            data.clone()
-        );
-        prop_assert_eq!(
-            camoufler::base64_decode(&camoufler::base64_encode(&data)).unwrap(),
-            data
-        );
     }
 }
