@@ -8,7 +8,9 @@ use std::hint::black_box;
 
 use ptperf_obs::NullRecorder;
 use ptperf_sim::{Location, SimDuration, SimRng, TransferModel};
-use ptperf_transports::{dnstt, snowflake, transport_for, AccessOptions, Deployment, PluggableTransport, PtId};
+use ptperf_transports::{
+    dnstt, snowflake, transport_for, AccessOptions, Deployment, PluggableTransport, PtId,
+};
 use ptperf_web::{curl, filedl, load_page_pooled, PageScratch, SiteList, Website};
 
 /// Ablation 1 — guard background-load distribution. The §4.2.1 anomaly
@@ -52,7 +54,10 @@ fn ablation_guard_load(c: &mut Criterion) {
                 .sum();
             total / sites.len() as f64
         };
-        (run_pt(PtId::Vanilla, &mut rng), run_pt(PtId::Obfs4, &mut rng))
+        (
+            run_pt(PtId::Vanilla, &mut rng),
+            run_pt(PtId::Obfs4, &mut rng),
+        )
     };
 
     let (tor_ht, obfs4_ht) = mean_access(None);
@@ -124,8 +129,7 @@ fn ablation_snowflake_churn(c: &mut Criterion) {
         let complete = (0..n)
             .filter(|_| {
                 let ch = t.establish(&dep, &opts, Location::Frankfurt, &mut rng);
-                filedl::download(&ch, 10_000_000, &mut rng).outcome
-                    == ptperf_web::Outcome::Complete
+                filedl::download(&ch, 10_000_000, &mut rng).outcome == ptperf_web::Outcome::Complete
             })
             .count();
         complete as f64 / n as f64

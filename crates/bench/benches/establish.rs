@@ -55,7 +55,10 @@ fn bench_weighted_pick(c: &mut Criterion) {
     let mut g = c.benchmark_group("weighted_pick");
     let workloads = standard_workloads();
     for name in ["vanilla_600", "vanilla_5000"] {
-        let w = workloads.iter().find(|w| w.name == name).expect("class exists");
+        let w = workloads
+            .iter()
+            .find(|w| w.name == name)
+            .expect("class exists");
         let consensus = &w.dep.consensus;
         let relays = consensus.relays();
         let size = relays.len();
@@ -90,8 +93,14 @@ fn bench_weighted_pick(c: &mut Criterion) {
 fn bench_selector_reuse(c: &mut Criterion) {
     let mut g = c.benchmark_group("path_selector");
     let workloads = standard_workloads();
-    let w = workloads.iter().find(|w| w.name == "vanilla_600").expect("class exists");
-    for (label, mode) in [("indexed", PickMode::Indexed), ("reference", PickMode::Reference)] {
+    let w = workloads
+        .iter()
+        .find(|w| w.name == "vanilla_600")
+        .expect("class exists");
+    for (label, mode) in [
+        ("indexed", PickMode::Indexed),
+        ("reference", PickMode::Reference),
+    ] {
         g.bench_function(format!("select_600_{label}"), |b| {
             let mut selector = PathSelector::new();
             selector.set_pick_mode(mode);
@@ -102,5 +111,10 @@ fn bench_selector_reuse(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(establish, bench_establish, bench_weighted_pick, bench_selector_reuse);
+criterion_group!(
+    establish,
+    bench_establish,
+    bench_weighted_pick,
+    bench_selector_reuse
+);
 criterion_main!(establish);

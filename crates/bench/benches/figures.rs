@@ -12,8 +12,7 @@ use std::hint::black_box;
 use ptperf::executor::Parallelism;
 use ptperf::experiments::{
     file_download, fixed_circuit, fixed_guard, location, medium, overhead, reliability,
-    snowflake_load, speed_index, streaming, ttest_tables, ttfb, website_curl,
-    website_selenium,
+    snowflake_load, speed_index, streaming, ttest_tables, ttfb, website_curl, website_selenium,
 };
 use ptperf::scenario::Scenario;
 use ptperf_bench::{available_targets, run_targets, RunScale};

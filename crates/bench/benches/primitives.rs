@@ -44,7 +44,9 @@ fn bench_cells(c: &mut Criterion) {
     let payload = relay.encode();
     let cell = Cell::new(7, CellCommand::Relay, &payload);
     let wire = cell.encode();
-    g.bench_function("relay_cell_encode", |b| b.iter(|| black_box(relay.encode())));
+    g.bench_function("relay_cell_encode", |b| {
+        b.iter(|| black_box(relay.encode()))
+    });
     g.bench_function("cell_decode", |b| b.iter(|| black_box(Cell::decode(&wire))));
     g.finish();
 }
@@ -77,5 +79,10 @@ fn bench_transport_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(primitives, bench_crypto, bench_cells, bench_transport_codecs);
+criterion_group!(
+    primitives,
+    bench_crypto,
+    bench_cells,
+    bench_transport_codecs
+);
 criterion_main!(primitives);

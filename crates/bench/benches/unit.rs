@@ -14,9 +14,7 @@ use std::hint::black_box;
 
 use ptperf::executor::UnitScratch;
 use ptperf::scenario::Scenario;
-use ptperf_bench::unitbench::{
-    run_unit_pooled, run_unit_reference, standard_workloads, Fixture,
-};
+use ptperf_bench::unitbench::{run_unit_pooled, run_unit_reference, standard_workloads, Fixture};
 use ptperf_web::{SiteList, Website};
 
 fn bench_units(c: &mut Criterion) {

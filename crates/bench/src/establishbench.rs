@@ -25,9 +25,7 @@ use ptperf::scenario::Scenario;
 use ptperf_obs::json;
 use ptperf_sim::{Location, SimRng};
 use ptperf_tor::ConsensusParams;
-use ptperf_transports::{
-    transport_for, AccessOptions, Deployment, EstablishScratch, PtId,
-};
+use ptperf_transports::{transport_for, AccessOptions, Deployment, EstablishScratch, PtId};
 
 use crate::emit;
 
@@ -141,8 +139,20 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
         let mut rng_i = SimRng::new(RUN_SEED);
         let mut rng_r = SimRng::new(RUN_SEED);
         for i in 0..ESTABLISHES_PER_RUN {
-            let a = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng_i, &mut idx_scratch);
-            let b = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng_r, &mut ref_scratch);
+            let a = transport.establish_with(
+                &w.dep,
+                &w.opts,
+                Location::NewYork,
+                &mut rng_i,
+                &mut idx_scratch,
+            );
+            let b = transport.establish_with(
+                &w.dep,
+                &w.opts,
+                Location::NewYork,
+                &mut rng_r,
+                &mut ref_scratch,
+            );
             assert_eq!(
                 rng_i, rng_r,
                 "establish bench {}: draw-count divergence at warmup {warm} establish {i}",
@@ -164,7 +174,13 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     {
         let mut rng = SimRng::new(RUN_SEED);
         for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng, &mut idx_scratch);
+            let ch = transport.establish_with(
+                &w.dep,
+                &w.opts,
+                Location::NewYork,
+                &mut rng,
+                &mut idx_scratch,
+            );
             std::hint::black_box(ch);
         }
     }
@@ -181,13 +197,22 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     // construction it now includes is a few nanoseconds against a
     // 32-establish batch); the per-establish scaling happens after.
     let per_establish = |batch_us: Vec<f64>| -> Vec<f64> {
-        batch_us.iter().map(|us| us / ESTABLISHES_PER_RUN as f64).collect()
+        batch_us
+            .iter()
+            .map(|us| us / ESTABLISHES_PER_RUN as f64)
+            .collect()
     };
     let grows_before = idx_scratch.grows();
     let idx_us = per_establish(emit::timed_runs(runs, || {
         let mut rng = SimRng::new(RUN_SEED);
         for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng, &mut idx_scratch);
+            let ch = transport.establish_with(
+                &w.dep,
+                &w.opts,
+                Location::NewYork,
+                &mut rng,
+                &mut idx_scratch,
+            );
             std::hint::black_box(ch);
         }
     }));
@@ -196,7 +221,13 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     let ref_us = per_establish(emit::timed_runs(runs, || {
         let mut rng = SimRng::new(RUN_SEED);
         for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng, &mut ref_scratch);
+            let ch = transport.establish_with(
+                &w.dep,
+                &w.opts,
+                Location::NewYork,
+                &mut rng,
+                &mut ref_scratch,
+            );
             std::hint::black_box(ch);
         }
     }));

@@ -480,7 +480,10 @@ mod tests {
         assert_eq!(span.get("ph").and_then(|p| p.as_str()), Some("X"));
         assert_eq!(span.get("dur").and_then(|d| d.as_f64()), Some(1_500_000.0));
         assert_eq!(
-            span.get("args").unwrap().get("label").and_then(|l| l.as_str()),
+            span.get("args")
+                .unwrap()
+                .get("label")
+                .and_then(|l| l.as_str()),
             Some("fig6/obfs4")
         );
         let counters: Vec<_> = events

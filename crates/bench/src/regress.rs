@@ -438,10 +438,7 @@ mod tests {
 
     #[test]
     fn check_dirs_gates_end_to_end() {
-        let dir = std::env::temp_dir().join(format!(
-            "ptperf-regress-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("ptperf-regress-test-{}", std::process::id()));
         let base_dir = dir.join("base");
         let fresh_dir = dir.join("fresh");
         std::fs::create_dir_all(&base_dir).unwrap();

@@ -51,9 +51,33 @@ pub enum RunScale {
 /// All repro target names, in paper order.
 pub fn available_targets() -> Vec<&'static str> {
     vec![
-        "table1", "table2", "fig2a", "fig2b", "table3", "table4", "table5", "table6", "fig3a",
-        "fig3b", "fig4", "fig5", "table7", "fig6", "fig7", "fig8a", "fig8b", "medium", "fig9",
-        "fig10a", "fig10b", "fig11", "table8", "table9", "table10", "fig12", "streaming",
+        "table1",
+        "table2",
+        "fig2a",
+        "fig2b",
+        "table3",
+        "table4",
+        "table5",
+        "table6",
+        "fig3a",
+        "fig3b",
+        "fig4",
+        "fig5",
+        "table7",
+        "fig6",
+        "fig7",
+        "fig8a",
+        "fig8b",
+        "medium",
+        "fig9",
+        "fig10a",
+        "fig10b",
+        "fig11",
+        "table8",
+        "table9",
+        "table10",
+        "fig12",
+        "streaming",
     ]
 }
 

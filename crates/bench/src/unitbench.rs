@@ -109,9 +109,24 @@ pub struct SiteResult {
 /// byte-for-byte identical across runs.
 pub fn standard_workloads() -> Vec<Workload> {
     vec![
-        Workload { name: "browser_obfs4_16", kind: UnitKind::Browser, pt: PtId::Obfs4, work_items: 16 },
-        Workload { name: "curl_vanilla_32", kind: UnitKind::Curl, pt: PtId::Vanilla, work_items: 32 },
-        Workload { name: "filedl_obfs4_16", kind: UnitKind::Filedl, pt: PtId::Obfs4, work_items: 16 },
+        Workload {
+            name: "browser_obfs4_16",
+            kind: UnitKind::Browser,
+            pt: PtId::Obfs4,
+            work_items: 16,
+        },
+        Workload {
+            name: "curl_vanilla_32",
+            kind: UnitKind::Curl,
+            pt: PtId::Vanilla,
+            work_items: 32,
+        },
+        Workload {
+            name: "filedl_obfs4_16",
+            kind: UnitKind::Filedl,
+            pt: PtId::Obfs4,
+            work_items: 16,
+        },
     ]
 }
 
@@ -144,7 +159,8 @@ pub fn run_unit_pooled(w: &Workload, fx: &Fixture, scratch: &mut UnitScratch) ->
     let mut rng = SimRng::new(29);
     let mut sum = 0u64;
     for site in fx.sites.iter() {
-        let ch = transport.establish_with(&dep, &opts, site.server, &mut rng, &mut scratch.establish);
+        let ch =
+            transport.establish_with(&dep, &opts, site.server, &mut rng, &mut scratch.establish);
         sum = sum.wrapping_add(match w.kind {
             UnitKind::Browser => {
                 match load_page_pooled(&ch, site, &mut rng, &mut NullRecorder, &mut scratch.page) {
@@ -152,10 +168,14 @@ pub fn run_unit_pooled(w: &Workload, fx: &Fixture, scratch: &mut UnitScratch) ->
                     Err(_) => 1,
                 }
             }
-            UnitKind::Curl => curl::fetch(&ch, site, &mut rng).total.as_secs_f64().to_bits(),
-            UnitKind::Filedl => {
-                filedl::download(&ch, 2_000_000, &mut rng).elapsed.as_secs_f64().to_bits()
-            }
+            UnitKind::Curl => curl::fetch(&ch, site, &mut rng)
+                .total
+                .as_secs_f64()
+                .to_bits(),
+            UnitKind::Filedl => filedl::download(&ch, 2_000_000, &mut rng)
+                .elapsed
+                .as_secs_f64()
+                .to_bits(),
         });
     }
     sum
@@ -182,10 +202,14 @@ pub fn run_unit_reference(w: &Workload, fx: &Fixture) -> u64 {
                     Err(_) => 1,
                 }
             }
-            UnitKind::Curl => curl::fetch(&ch, site, &mut rng).total.as_secs_f64().to_bits(),
-            UnitKind::Filedl => {
-                filedl::download(&ch, 2_000_000, &mut rng).elapsed.as_secs_f64().to_bits()
-            }
+            UnitKind::Curl => curl::fetch(&ch, site, &mut rng)
+                .total
+                .as_secs_f64()
+                .to_bits(),
+            UnitKind::Filedl => filedl::download(&ch, 2_000_000, &mut rng)
+                .elapsed
+                .as_secs_f64()
+                .to_bits(),
         });
     }
     sum
@@ -410,7 +434,12 @@ mod tests {
             .collect();
         let sites = bench_sites(4);
         let table = render_table(&results, &sites, 4);
-        for name in ["browser_obfs4_16", "curl_vanilla_32", "filedl_obfs4_16", "site memo"] {
+        for name in [
+            "browser_obfs4_16",
+            "curl_vanilla_32",
+            "filedl_obfs4_16",
+            "site memo",
+        ] {
             assert!(table.contains(name), "missing {name} in:\n{table}");
         }
     }

@@ -16,14 +16,46 @@ pub struct MeasurementType {
 /// The paper's Table 1 plan.
 pub fn plan() -> Vec<MeasurementType> {
     vec![
-        MeasurementType { name: "Website Download (curl)", count: "149.5 k", target: "Tranco top-1k & CBL-1k" },
-        MeasurementType { name: "Website Download (selenium)", count: "174 k", target: "Tranco top-1k & CBL-1k" },
-        MeasurementType { name: "File Downloads (curl)", count: "2.7 k", target: "5, 10, 20, 50, 100 MB" },
-        MeasurementType { name: "File Downloads (selenium)", count: "2.7 k", target: "5, 10, 20, 50, 100 MB" },
-        MeasurementType { name: "Medium Change (wired/wireless)", count: "60 k", target: "Tranco top-500 & CBL-500" },
-        MeasurementType { name: "Speed Index", count: "60 k", target: "Tranco top-1k" },
-        MeasurementType { name: "Pluggable Transport Overhead", count: "40 k", target: "Tranco top-1k" },
-        MeasurementType { name: "Location Variation", count: "686 k", target: "Tranco top-1k & CBL-1k" },
+        MeasurementType {
+            name: "Website Download (curl)",
+            count: "149.5 k",
+            target: "Tranco top-1k & CBL-1k",
+        },
+        MeasurementType {
+            name: "Website Download (selenium)",
+            count: "174 k",
+            target: "Tranco top-1k & CBL-1k",
+        },
+        MeasurementType {
+            name: "File Downloads (curl)",
+            count: "2.7 k",
+            target: "5, 10, 20, 50, 100 MB",
+        },
+        MeasurementType {
+            name: "File Downloads (selenium)",
+            count: "2.7 k",
+            target: "5, 10, 20, 50, 100 MB",
+        },
+        MeasurementType {
+            name: "Medium Change (wired/wireless)",
+            count: "60 k",
+            target: "Tranco top-500 & CBL-500",
+        },
+        MeasurementType {
+            name: "Speed Index",
+            count: "60 k",
+            target: "Tranco top-1k",
+        },
+        MeasurementType {
+            name: "Pluggable Transport Overhead",
+            count: "40 k",
+            target: "Tranco top-1k",
+        },
+        MeasurementType {
+            name: "Location Variation",
+            count: "686 k",
+            target: "Tranco top-1k & CBL-1k",
+        },
     ]
 }
 
@@ -33,7 +65,10 @@ pub fn render_plan() -> String {
     for m in plan() {
         table.row([m.name, m.count, m.target]);
     }
-    format!("Table 1 — Overview of measurement types\n{}", table.render())
+    format!(
+        "Table 1 — Overview of measurement types\n{}",
+        table.render()
+    )
 }
 
 #[cfg(test)]

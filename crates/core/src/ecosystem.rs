@@ -71,34 +71,286 @@ pub fn survey() -> Vec<PtSurveyEntry> {
         adoption,
     };
     vec![
-        e("obfs4", true, Some(true), Some(true), true, "none", "random obfuscation", Bundled),
-        e("meek", true, Some(true), Some(true), true, "requires CDN with domain fronting", "domain fronting", Bundled),
-        e("snowflake", true, Some(true), Some(true), true, "dependency on domain fronting", "WebRTC", Bundled),
-        e("dnstt", true, Some(true), Some(true), true, "none", "DoH/DoT tunneling", UnderDeployment),
-        e("conjure", true, Some(true), Some(true), true, "needs ISP support", "decoy routing", UnderDeployment),
-        e("webtunnel", true, Some(true), Some(true), true, "none", "tunneling over HTTP", UnderDeployment),
-        e("torcloak", false, None, None, false, "code not public", "tunneling over WebRTC", UnderDeployment),
-        e("marionette", true, Some(true), Some(true), true, "Python 2.7 only", "traffic-model obfuscation", Undeployed),
-        e("shadowsocks", true, Some(true), Some(true), true, "none", "traffic obfuscation", Undeployed),
-        e("stegotorus", true, Some(true), Some(true), true, "none", "steganographic obfuscation", Undeployed),
-        e("psiphon", true, Some(true), Some(true), true, "none", "proxy-based", Undeployed),
-        e("lantern-lampshade", true, Some(false), Some(false), false, "no ready-to-deploy code", "obfuscated encryption", Undeployed),
-        e("cloak", true, Some(true), Some(true), true, "none", "traffic obfuscation", Unlisted),
-        e("camoufler", true, Some(true), Some(true), true, "needs IM accounts", "tunneling over IM", Unlisted),
-        e("massbrowser", true, Some(true), Some(true), false, "invite code per device", "domain fronting + browser proxy", Unlisted),
-        e("protozoa", true, Some(false), Some(false), false, "code compilation issues", "tunneling over WebRTC", Unlisted),
-        e("stegozoa", true, Some(false), Some(false), false, "text-only prototype", "tunneling over WebRTC", Unlisted),
-        e("sweet", true, Some(false), None, false, "dependency issues", "tunneling over email", Unlisted),
-        e("deltashaper", true, Some(false), None, false, "needs unsupported Skype", "tunneling over video", Unlisted),
-        e("rook", true, Some(true), None, false, "messaging only, no proxy", "hiding data in games", Unlisted),
-        e("facet", true, Some(false), None, false, "needs unsupported Skype", "tunneling over video", Unlisted),
-        e("mailet", true, Some(true), None, false, "Twitter only, no proxy", "tunneling over email", Unlisted),
-        e("minecruft-pt", true, Some(false), None, false, "source-code issues", "hiding data in games", Unlisted),
-        e("cloudtransport", false, None, None, false, "code not public", "tunneling over cloud storage", Unlisted),
-        e("covertcast", false, None, None, false, "code not public", "tunneling over video streams", Unlisted),
-        e("freewave", false, None, None, false, "code not public", "tunneling over VoIP", Unlisted),
-        e("balboa", false, None, None, false, "code not public", "user-traffic-model obfuscation", Unlisted),
-        e("domain-shadowing", false, None, None, false, "code not public", "domain shadowing", Unlisted),
+        e(
+            "obfs4",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "none",
+            "random obfuscation",
+            Bundled,
+        ),
+        e(
+            "meek",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "requires CDN with domain fronting",
+            "domain fronting",
+            Bundled,
+        ),
+        e(
+            "snowflake",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "dependency on domain fronting",
+            "WebRTC",
+            Bundled,
+        ),
+        e(
+            "dnstt",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "none",
+            "DoH/DoT tunneling",
+            UnderDeployment,
+        ),
+        e(
+            "conjure",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "needs ISP support",
+            "decoy routing",
+            UnderDeployment,
+        ),
+        e(
+            "webtunnel",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "none",
+            "tunneling over HTTP",
+            UnderDeployment,
+        ),
+        e(
+            "torcloak",
+            false,
+            None,
+            None,
+            false,
+            "code not public",
+            "tunneling over WebRTC",
+            UnderDeployment,
+        ),
+        e(
+            "marionette",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "Python 2.7 only",
+            "traffic-model obfuscation",
+            Undeployed,
+        ),
+        e(
+            "shadowsocks",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "none",
+            "traffic obfuscation",
+            Undeployed,
+        ),
+        e(
+            "stegotorus",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "none",
+            "steganographic obfuscation",
+            Undeployed,
+        ),
+        e(
+            "psiphon",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "none",
+            "proxy-based",
+            Undeployed,
+        ),
+        e(
+            "lantern-lampshade",
+            true,
+            Some(false),
+            Some(false),
+            false,
+            "no ready-to-deploy code",
+            "obfuscated encryption",
+            Undeployed,
+        ),
+        e(
+            "cloak",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "none",
+            "traffic obfuscation",
+            Unlisted,
+        ),
+        e(
+            "camoufler",
+            true,
+            Some(true),
+            Some(true),
+            true,
+            "needs IM accounts",
+            "tunneling over IM",
+            Unlisted,
+        ),
+        e(
+            "massbrowser",
+            true,
+            Some(true),
+            Some(true),
+            false,
+            "invite code per device",
+            "domain fronting + browser proxy",
+            Unlisted,
+        ),
+        e(
+            "protozoa",
+            true,
+            Some(false),
+            Some(false),
+            false,
+            "code compilation issues",
+            "tunneling over WebRTC",
+            Unlisted,
+        ),
+        e(
+            "stegozoa",
+            true,
+            Some(false),
+            Some(false),
+            false,
+            "text-only prototype",
+            "tunneling over WebRTC",
+            Unlisted,
+        ),
+        e(
+            "sweet",
+            true,
+            Some(false),
+            None,
+            false,
+            "dependency issues",
+            "tunneling over email",
+            Unlisted,
+        ),
+        e(
+            "deltashaper",
+            true,
+            Some(false),
+            None,
+            false,
+            "needs unsupported Skype",
+            "tunneling over video",
+            Unlisted,
+        ),
+        e(
+            "rook",
+            true,
+            Some(true),
+            None,
+            false,
+            "messaging only, no proxy",
+            "hiding data in games",
+            Unlisted,
+        ),
+        e(
+            "facet",
+            true,
+            Some(false),
+            None,
+            false,
+            "needs unsupported Skype",
+            "tunneling over video",
+            Unlisted,
+        ),
+        e(
+            "mailet",
+            true,
+            Some(true),
+            None,
+            false,
+            "Twitter only, no proxy",
+            "tunneling over email",
+            Unlisted,
+        ),
+        e(
+            "minecruft-pt",
+            true,
+            Some(false),
+            None,
+            false,
+            "source-code issues",
+            "hiding data in games",
+            Unlisted,
+        ),
+        e(
+            "cloudtransport",
+            false,
+            None,
+            None,
+            false,
+            "code not public",
+            "tunneling over cloud storage",
+            Unlisted,
+        ),
+        e(
+            "covertcast",
+            false,
+            None,
+            None,
+            false,
+            "code not public",
+            "tunneling over video streams",
+            Unlisted,
+        ),
+        e(
+            "freewave",
+            false,
+            None,
+            None,
+            false,
+            "code not public",
+            "tunneling over VoIP",
+            Unlisted,
+        ),
+        e(
+            "balboa",
+            false,
+            None,
+            None,
+            false,
+            "code not public",
+            "user-traffic-model obfuscation",
+            Unlisted,
+        ),
+        e(
+            "domain-shadowing",
+            false,
+            None,
+            None,
+            false,
+            "code not public",
+            "domain shadowing",
+            Unlisted,
+        ),
     ]
 }
 
@@ -131,7 +383,10 @@ pub fn render() -> String {
             entry.adoption.label().to_string(),
         ]);
     }
-    format!("Table 2 — Comparison of pluggable transports (28 systems)\n{}", table.render())
+    format!(
+        "Table 2 — Comparison of pluggable transports (28 systems)\n{}",
+        table.render()
+    )
 }
 
 #[cfg(test)]

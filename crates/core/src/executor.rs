@@ -107,7 +107,10 @@ impl Parallelism {
 
     /// A fixed worker count.
     pub fn new(workers: usize) -> Parallelism {
-        Parallelism { workers: workers.max(1), record: Record::Off }
+        Parallelism {
+            workers: workers.max(1),
+            record: Record::Off,
+        }
     }
 
     /// One worker per available hardware thread.
@@ -138,8 +141,7 @@ pub struct Unit<T> {
 
 /// A shard's boxed closure: given the shard's recorder and the worker's
 /// reusable scratch, produces the shard value plus its raw sample count.
-type ShardWork<T> =
-    Box<dyn FnOnce(&mut dyn Recorder, &mut UnitScratch) -> (T, usize) + Send>;
+type ShardWork<T> = Box<dyn FnOnce(&mut dyn Recorder, &mut UnitScratch) -> (T, usize) + Send>;
 
 impl<T> Unit<T> {
     /// Create a unit that does not record observations. `work` returns
@@ -150,7 +152,10 @@ impl<T> Unit<T> {
         label: impl Into<String>,
         work: impl FnOnce() -> (T, usize) + Send + 'static,
     ) -> Unit<T> {
-        Unit { label: label.into(), work: Box::new(move |_, _| work()) }
+        Unit {
+            label: label.into(),
+            work: Box::new(move |_, _| work()),
+        }
     }
 
     /// Create a unit whose closure records into the shard's
@@ -163,7 +168,10 @@ impl<T> Unit<T> {
         label: impl Into<String>,
         work: impl FnOnce(&mut dyn Recorder, &mut UnitScratch) -> (T, usize) + Send + 'static,
     ) -> Unit<T> {
-        Unit { label: label.into(), work: Box::new(work) }
+        Unit {
+            label: label.into(),
+            work: Box::new(work),
+        }
     }
 
     /// The shard's display label.
@@ -292,8 +300,13 @@ fn run_one<T>(
     }));
     match outcome {
         Ok(((value, samples), obs)) => {
-            let report =
-                ShardReport { index, label, wall: started.elapsed(), samples, obs };
+            let report = ShardReport {
+                index,
+                label,
+                wall: started.elapsed(),
+                samples,
+                obs,
+            };
             results.lock().expect("results lock")[index] = Some((value, report));
             true
         }
@@ -327,8 +340,7 @@ pub fn run_units<T: Send>(
     let n = units.len();
     let workers = par.workers.clamp(1, n.max(1));
 
-    let results: Mutex<Vec<Option<(T, ShardReport)>>> =
-        Mutex::new((0..n).map(|_| None).collect());
+    let results: Mutex<Vec<Option<(T, ShardReport)>>> = Mutex::new((0..n).map(|_| None).collect());
     let failures: Mutex<Vec<ShardFailure>> = Mutex::new(Vec::new());
     let jobs: Vec<Mutex<Option<Unit<T>>>> =
         units.into_iter().map(|u| Mutex::new(Some(u))).collect();
@@ -338,7 +350,11 @@ pub fn run_units<T: Send>(
         loop {
             let index = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(job) = jobs.get(index) else { break };
-            let unit = job.lock().expect("job lock").take().expect("each unit is claimed once");
+            let unit = job
+                .lock()
+                .expect("job lock")
+                .take()
+                .expect("each unit is claimed once");
             if !run_one(unit, index, par.record, &mut scratch, &results, &failures) {
                 // A panicking unit may leave half-torn buffers; start
                 // the next unit from a cold scratch.
@@ -367,7 +383,10 @@ pub fn run_units<T: Send>(
     if !failures.is_empty() {
         failures.sort_by_key(|f| f.index);
         let completed = results.iter().filter(|r| r.is_some()).count();
-        return Err(ExecError { failures, completed });
+        return Err(ExecError {
+            failures,
+            completed,
+        });
     }
 
     let mut values = Vec::with_capacity(n);
@@ -377,7 +396,12 @@ pub fn run_units<T: Send>(
         values.push(value);
         reports.push(report);
     }
-    Ok(Executed { values, reports, wall: started.elapsed(), workers })
+    Ok(Executed {
+        values,
+        reports,
+        wall: started.elapsed(),
+        workers,
+    })
 }
 
 #[cfg(test)]
@@ -424,7 +448,13 @@ mod tests {
         // all clamp to one worker.
         for (par, n) in [
             (Parallelism::sequential(), 6),
-            (Parallelism { workers: 0, record: Record::Off }, 6),
+            (
+                Parallelism {
+                    workers: 0,
+                    record: Record::Off,
+                },
+                6,
+            ),
             (Parallelism::new(4), 1),
         ] {
             let log = Arc::new(Mutex::new(Vec::new()));
@@ -453,7 +483,11 @@ mod tests {
         let out = run_units(&Parallelism::new(2), units).unwrap();
         assert_eq!(out.workers, 2);
         assert_ne!(out.values[0], out.values[1]);
-        assert!(out.values.contains(&caller), "{:?} vs caller {caller:?}", out.values);
+        assert!(
+            out.values.contains(&caller),
+            "{:?} vs caller {caller:?}",
+            out.values
+        );
     }
 
     #[test]
@@ -594,8 +628,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(off.values, on.values);
-        let samples =
-            |r: &[ShardReport]| r.iter().map(|s| s.samples).collect::<Vec<_>>();
+        let samples = |r: &[ShardReport]| r.iter().map(|s| s.samples).collect::<Vec<_>>();
         assert_eq!(samples(&off.reports), samples(&on.reports));
     }
 
@@ -617,13 +650,8 @@ mod tests {
                         &mut rng,
                         &mut scratch.establish,
                     );
-                    let _ = ptperf_web::load_page_pooled(
-                        &ch,
-                        &site,
-                        &mut rng,
-                        rec,
-                        &mut scratch.page,
-                    );
+                    let _ =
+                        ptperf_web::load_page_pooled(&ch, &site, &mut rng, rec, &mut scratch.page);
                     (scratch.page.uses(), 1)
                 })
             })
@@ -640,7 +668,11 @@ mod tests {
         // a cold scratch.
         let cold: Vec<u64> = page_units(4)
             .into_iter()
-            .flat_map(|unit| run_units(&Parallelism::sequential(), vec![unit]).unwrap().values)
+            .flat_map(|unit| {
+                run_units(&Parallelism::sequential(), vec![unit])
+                    .unwrap()
+                    .values
+            })
             .collect();
         assert_eq!(cold, vec![1, 1, 1, 1]);
         // Two workers: each worker's count climbs from 1, so at most one

@@ -116,10 +116,8 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                         if rec.enabled() {
                             let handshake = (ch.setup + ch.stream_open).min(d.elapsed);
                             phases.add_ns("handshake", handshake.as_nanos());
-                            phases.add_ns(
-                                "transfer",
-                                d.elapsed.saturating_sub(handshake).as_nanos(),
-                            );
+                            phases
+                                .add_ns("transfer", d.elapsed.saturating_sub(handshake).as_nanos());
                             phases.hist_ns("total", d.elapsed.as_nanos());
                             rec.add("events", 1);
                         }
@@ -248,14 +246,23 @@ mod tests {
         let r = result();
         let excluded = r.excluded();
         for pt in [PtId::Meek, PtId::Snowflake, PtId::Dnstt] {
-            assert!(excluded.contains(&pt), "{pt} should be excluded: {excluded:?}");
+            assert!(
+                excluded.contains(&pt),
+                "{pt} should be excluded: {excluded:?}"
+            );
         }
     }
 
     #[test]
     fn fast_pts_qualify_and_win() {
         let r = result();
-        for pt in [PtId::Obfs4, PtId::Cloak, PtId::Psiphon, PtId::WebTunnel, PtId::Vanilla] {
+        for pt in [
+            PtId::Obfs4,
+            PtId::Cloak,
+            PtId::Psiphon,
+            PtId::WebTunnel,
+            PtId::Vanilla,
+        ] {
             assert!(r.qualifies(pt), "{pt} should qualify");
         }
         // obfs4 and cloak beat camoufler on a mid-size file when both

@@ -98,8 +98,7 @@ fn run_shard(
     // streaming, gaming, online shopping — the paper's §4.2.1 set).
     let sites: Vec<Website> = Website::one_per_category(SiteList::Tranco);
 
-    let mut times: Vec<(PtId, Vec<f64>)> =
-        CONFIGS.iter().map(|&pt| (pt, Vec::new())).collect();
+    let mut times: Vec<(PtId, Vec<f64>)> = CONFIGS.iter().map(|&pt| (pt, Vec::new())).collect();
     let mut abs_diffs = Vec::new();
     let transports = CONFIGS.map(transport_for);
     let mut selector = PathSelector::new();
@@ -117,8 +116,7 @@ fn run_shard(
         for site in &sites {
             let mut per_config = Vec::with_capacity(CONFIGS.len());
             for (ci, transport) in transports.iter().enumerate() {
-                let ch =
-                    transport.establish_with(&dep, &opts, site.server, &mut rng, scratch);
+                let ch = transport.establish_with(&dep, &opts, site.server, &mut rng, scratch);
                 let fetch = curl::fetch(&ch, site, &mut rng);
                 if rec.enabled() {
                     crate::measure::record_fetch_phases(&mut phases, &ch, &fetch);

@@ -89,8 +89,14 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                     move |rec, scratch| {
                         let mut rng = sc.rng(&format!("fig7/{client}/{server}/{pt}"));
                         let avgs = curl_site_averages(
-                            &sc, pt, &sites, cfg.repeats, &mut rng, rec,
-                            &mut scratch.establish, &mut FaultSession::off(),
+                            &sc,
+                            pt,
+                            &sites,
+                            cfg.repeats,
+                            &mut rng,
+                            rec,
+                            &mut scratch.establish,
+                            &mut FaultSession::off(),
                         );
                         let n = avgs.len();
                         (((client, server, pt), avgs), n)
@@ -104,7 +110,9 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
 
 /// Merges shards (in shard-index order) into the experiment result.
 pub fn merge(shards: Vec<Shard>) -> Result {
-    Result { samples: shards.into_iter().collect() }
+    Result {
+        samples: shards.into_iter().collect(),
+    }
 }
 
 /// Runs the experiment over the 3×3 location grid.
@@ -131,9 +139,8 @@ impl Result {
 
     /// Renders the Figure 7 grouped boxplots (per client location).
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Figure 7 — Website access time by client location (s, log scale)\n",
-        );
+        let mut out =
+            String::from("Figure 7 — Website access time by client location (s, log scale)\n");
         for &client in &Location::CLIENTS {
             out.push_str(&format!("\nclient: {client}\n"));
             let entries: Vec<(String, Summary)> = SHOWCASE

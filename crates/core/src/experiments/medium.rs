@@ -86,18 +86,27 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
         for pt in figure_order() {
             let sc = sc.clone();
             let sites = Arc::clone(&sites);
-            units.push(Unit::pooled(format!("medium/{medium:?}/{pt}"), move |rec, scratch| {
-                let mut rng = sc.rng(&format!("medium/{medium:?}/{pt}"));
-                let avgs = curl_site_averages(
-                    &sc, pt, &sites, cfg.repeats, &mut rng, rec, &mut scratch.establish,
-                    &mut FaultSession::off(),
-                );
-                let n = avgs.len();
-                (
-                    ((MediumKey::from(medium), pt), ptperf_stats::median(&avgs)),
-                    n,
-                )
-            }));
+            units.push(Unit::pooled(
+                format!("medium/{medium:?}/{pt}"),
+                move |rec, scratch| {
+                    let mut rng = sc.rng(&format!("medium/{medium:?}/{pt}"));
+                    let avgs = curl_site_averages(
+                        &sc,
+                        pt,
+                        &sites,
+                        cfg.repeats,
+                        &mut rng,
+                        rec,
+                        &mut scratch.establish,
+                        &mut FaultSession::off(),
+                    );
+                    let n = avgs.len();
+                    (
+                        ((MediumKey::from(medium), pt), ptperf_stats::median(&avgs)),
+                        n,
+                    )
+                },
+            ));
         }
     }
     units
@@ -105,7 +114,9 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
 
 /// Merges shards (in shard-index order) into the experiment result.
 pub fn merge(shards: Vec<Shard>) -> Result {
-    Result { medians: shards.into_iter().collect() }
+    Result {
+        medians: shards.into_iter().collect(),
+    }
 }
 
 /// Runs the experiment.
@@ -130,7 +141,10 @@ impl Result {
     /// media.
     pub fn rank_correlation(&self) -> f64 {
         let pts = super::figure_order();
-        let wired: Vec<f64> = pts.iter().map(|&pt| self.medians[&(MediumKey::Wired, pt)]).collect();
+        let wired: Vec<f64> = pts
+            .iter()
+            .map(|&pt| self.medians[&(MediumKey::Wired, pt)])
+            .collect();
         let wireless: Vec<f64> = pts
             .iter()
             .map(|&pt| self.medians[&(MediumKey::Wireless, pt)])

@@ -121,11 +121,7 @@ fn run_shard(
     // §5.2 uses *private, co-located* PT servers; replace the
     // Tor-operated obfs4 bridge so its bootstrap targets the same host
     // as everything else (webtunnel/dnstt already follow server_region).
-    dep.host_private_bridge(
-        ptperf_transports::PtId::Obfs4,
-        scenario.client,
-        5.0e6,
-    );
+    dep.host_private_bridge(ptperf_transports::PtId::Obfs4, scenario.client, 5.0e6);
     let mut rng = scenario.rng("fig9");
     let host = dep.consensus.add_guard(
         scenario.client,

@@ -105,10 +105,8 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                         if rec.enabled() {
                             let handshake = (ch.setup + ch.stream_open).min(d.elapsed);
                             phases.add_ns("handshake", handshake.as_nanos());
-                            phases.add_ns(
-                                "transfer",
-                                d.elapsed.saturating_sub(handshake).as_nanos(),
-                            );
+                            phases
+                                .add_ns("transfer", d.elapsed.saturating_sub(handshake).as_nanos());
                             phases.hist_ns("total", d.elapsed.as_nanos());
                             rec.add("events", 1);
                         }
@@ -148,9 +146,8 @@ pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
 impl Result {
     /// Renders Figure 8a as a table of outcome fractions.
     pub fn render_stacked(&self) -> String {
-        let mut out = String::from(
-            "Figure 8a — Fraction of complete / partial / failed file downloads\n",
-        );
+        let mut out =
+            String::from("Figure 8a — Fraction of complete / partial / failed file downloads\n");
         let mut table = Table::new(["PT", "complete", "partial", "failed"]);
         for (pt, c) in &self.counts {
             let (comp, part, fail) = c.fractions();
@@ -176,9 +173,8 @@ impl Result {
                 )
             })
             .collect();
-        let mut out = String::from(
-            "Figure 8b — ECDF of the portion of the file downloaded per attempt\n",
-        );
+        let mut out =
+            String::from("Figure 8b — ECDF of the portion of the file downloaded per attempt\n");
         out.push_str(&ascii_ecdf(&series, 80, 16));
         out
     }
@@ -214,7 +210,13 @@ mod tests {
     #[test]
     fn reliable_pts_mostly_complete() {
         let r = result();
-        for pt in [PtId::Obfs4, PtId::Cloak, PtId::Psiphon, PtId::WebTunnel, PtId::Shadowsocks] {
+        for pt in [
+            PtId::Obfs4,
+            PtId::Cloak,
+            PtId::Psiphon,
+            PtId::WebTunnel,
+            PtId::Shadowsocks,
+        ] {
             let (complete, _, _) = r.counts[&pt].fractions();
             assert!(complete > 0.8, "{pt}: complete {complete:.2}");
         }

@@ -71,13 +71,13 @@ pub fn user_timeline() -> Vec<TimelinePoint> {
         (-3, 1.0),
         (-2, 1.05),
         (-1, 1.1),
-        (0, 2.6),  // protests begin, users flood in
-        (1, 3.2),  // peak
-        (2, 1.6),  // October: snowflake TLS fingerprint blocked [30]
+        (0, 2.6), // protests begin, users flood in
+        (1, 3.2), // peak
+        (2, 1.6), // October: snowflake TLS fingerprint blocked [30]
         (3, 1.4),
-        (4, 2.8),  // November: fix shipped, users return
+        (4, 2.8), // November: fix shipped, users return
         (5, 2.9),
-        (6, 2.4),  // settling into the plateau
+        (6, 2.4), // settling into the plateau
         (7, 2.2),
     ];
     shape
@@ -116,9 +116,19 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
     let mut post = scenario.clone();
     post.epoch = Epoch::Plateau;
     let mut units = vec![
-        series("fig10/pre".into(), pre.clone(), Arc::clone(&sites), cfg.repeats),
+        series(
+            "fig10/pre".into(),
+            pre.clone(),
+            Arc::clone(&sites),
+            cfg.repeats,
+        ),
         series("fig10/post".into(), post, sites, cfg.repeats),
-        series("fig12/pre".into(), pre, Arc::clone(&monitor_sites), cfg.repeats),
+        series(
+            "fig12/pre".into(),
+            pre,
+            Arc::clone(&monitor_sites),
+            cfg.repeats,
+        ),
     ];
     // Weekly monitoring (March 2023 in the paper): plateau-level load
     // with mild week-to-week wobble, against the same (smaller) site set
@@ -166,7 +176,12 @@ pub fn merge(shards: Vec<Shard>) -> Result {
     let post = parts.next().expect("post shard");
     let pre_monitor = parts.next().expect("pre-monitor shard");
     let weekly: Vec<Vec<f64>> = parts.collect();
-    Result { pre, post, pre_monitor, weekly }
+    Result {
+        pre,
+        post,
+        pre_monitor,
+        weekly,
+    }
 }
 
 /// Runs the experiment.
@@ -198,15 +213,18 @@ impl Result {
             ("pre-Sept".to_string(), Summary::of(&self.pre)),
             ("post-Sept".to_string(), Summary::of(&self.post)),
         ];
-        let mut out = String::from(
-            "Figure 10b — Snowflake access time pre/post September 2022 (s, log)\n",
-        );
+        let mut out =
+            String::from("Figure 10b — Snowflake access time pre/post September 2022 (s, log)\n");
         out.push_str(&ascii_boxplots(&entries, 100, true));
         let t = self.ttest();
         out.push_str(&format!(
             "paired t-test pre−post: t={:.2}, P{}, 95% CI [{:.2}, {:.2}], mean diff {:.2}\n",
             t.t,
-            if t.p < 0.001 { "<.001".to_string() } else { format!("={:.3}", t.p) },
+            if t.p < 0.001 {
+                "<.001".to_string()
+            } else {
+                format!("={:.3}", t.p)
+            },
             t.ci_lower,
             t.ci_upper,
             t.mean_diff
@@ -220,9 +238,8 @@ impl Result {
         for (i, week) in self.weekly.iter().enumerate() {
             entries.push((format!("week {}", i + 1), Summary::of(week)));
         }
-        let mut out = String::from(
-            "Figure 12 — Snowflake weekly monitoring after the surge (s, log)\n",
-        );
+        let mut out =
+            String::from("Figure 12 — Snowflake weekly monitoring after the surge (s, log)\n");
         out.push_str(&ascii_boxplots(&entries, 100, true));
         out
     }
@@ -253,10 +270,7 @@ mod tests {
         let pre_med = ptperf_stats::median(&r.pre_monitor);
         for (i, week) in r.weekly.iter().enumerate() {
             let wm = ptperf_stats::median(week);
-            assert!(
-                wm > pre_med,
-                "week {i}: median {wm:.2} vs pre {pre_med:.2}"
-            );
+            assert!(wm > pre_med, "week {i}: median {wm:.2} vs pre {pre_med:.2}");
         }
     }
 

@@ -67,8 +67,16 @@ impl Qoe {
     fn from_sessions(sessions: &[StreamingSession]) -> Qoe {
         let n = sessions.len() as f64;
         Qoe {
-            startup_s: sessions.iter().map(|s| s.startup_delay.as_secs_f64()).sum::<f64>() / n,
-            rebuffers: sessions.iter().map(|s| f64::from(s.rebuffer_events)).sum::<f64>() / n,
+            startup_s: sessions
+                .iter()
+                .map(|s| s.startup_delay.as_secs_f64())
+                .sum::<f64>()
+                / n,
+            rebuffers: sessions
+                .iter()
+                .map(|s| f64::from(s.rebuffer_events))
+                .sum::<f64>()
+                / n,
             rebuffer_ratio: sessions.iter().map(|s| s.rebuffer_ratio).sum::<f64>() / n,
             watchable: sessions.iter().filter(|s| s.watchable()).count() as f64 / n,
         }
@@ -104,7 +112,8 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                 let mut rng = scenario.rng(&format!("streaming/{pt}"));
                 let mut phases = ptperf_obs::PhaseAccum::new();
                 let run_medium =
-                    |media: MediaStream, rng: &mut ptperf_sim::SimRng,
+                    |media: MediaStream,
+                     rng: &mut ptperf_sim::SimRng,
                      scratch: &mut EstablishScratch,
                      rec: &mut dyn ptperf_obs::Recorder,
                      phases: &mut ptperf_obs::PhaseAccum| {
@@ -119,15 +128,9 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
                                 );
                                 let session = play(&ch, &media, rng);
                                 if rec.enabled() {
-                                    phases.add_ns(
-                                        "startup",
-                                        session.startup_delay.as_nanos(),
-                                    );
+                                    phases.add_ns("startup", session.startup_delay.as_nanos());
                                     phases.add_ns("playback", cfg.duration.as_nanos());
-                                    phases.add_ns(
-                                        "stall",
-                                        session.rebuffer_time.as_nanos(),
-                                    );
+                                    phases.add_ns("stall", session.rebuffer_time.as_nanos());
                                     phases.hist_ns(
                                         "total",
                                         session.startup_delay.as_nanos()
@@ -188,10 +191,11 @@ pub fn run(scenario: &Scenario, cfg: &Config) -> Result {
 impl Result {
     /// Renders the QoE table.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Extension (App. A.4) — Media streaming QoE per PT\n",
-        );
-        for (label, data) in [("audio 128 kbit/s", &self.audio), ("video 1 Mbit/s", &self.video)] {
+        let mut out = String::from("Extension (App. A.4) — Media streaming QoE per PT\n");
+        for (label, data) in [
+            ("audio 128 kbit/s", &self.audio),
+            ("video 1 Mbit/s", &self.video),
+        ] {
             out.push_str(&format!("\n{label}:\n"));
             let mut table = Table::new(["PT", "startup (s)", "rebuffers", "stall %", "watchable"]);
             for pt in figure_order() {
@@ -221,7 +225,13 @@ mod tests {
     #[test]
     fn good_pts_stream_video() {
         let r = result();
-        for pt in [PtId::Vanilla, PtId::Obfs4, PtId::WebTunnel, PtId::Cloak, PtId::Conjure] {
+        for pt in [
+            PtId::Vanilla,
+            PtId::Obfs4,
+            PtId::WebTunnel,
+            PtId::Cloak,
+            PtId::Conjure,
+        ] {
             assert!(
                 r.video[&pt].watchable > 0.6,
                 "{pt}: video watchable {:.2}",

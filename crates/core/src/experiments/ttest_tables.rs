@@ -140,10 +140,12 @@ mod tests {
     fn category_table_matches_paper_directions() {
         let rows = category_pairwise(&samples());
         let find = |label: &str| {
-            rows.iter()
-                .find(|r| r.pair == label)
-                .unwrap_or_else(|| panic!("pair {label} missing: {:?}",
-                    rows.iter().map(|r| r.pair.clone()).collect::<Vec<_>>()))
+            rows.iter().find(|r| r.pair == label).unwrap_or_else(|| {
+                panic!(
+                    "pair {label} missing: {:?}",
+                    rows.iter().map(|r| r.pair.clone()).collect::<Vec<_>>()
+                )
+            })
         };
         // Fully encrypted beats tunneling and mimicry — Table 10's
         // headline (pairs are labeled in Category::ALL order, so the

@@ -91,7 +91,9 @@ pub fn units(scenario: &Scenario, cfg: &Config) -> Vec<Unit<Shard>> {
 
 /// Merges shards (in shard-index order) into the experiment result.
 pub fn merge(shards: Vec<Shard>) -> Result {
-    Result { ttfb: shards.into_iter().collect() }
+    Result {
+        ttfb: shards.into_iter().collect(),
+    }
 }
 
 /// Runs the experiment.

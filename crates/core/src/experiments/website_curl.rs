@@ -108,9 +108,8 @@ impl Result {
         for pt in figure_order() {
             entries.push((pt.name().to_string(), self.samples.summary(pt)));
         }
-        let mut out = String::from(
-            "Figure 2a — Website access time via curl (s), Tranco-1k + CBL-1k\n",
-        );
+        let mut out =
+            String::from("Figure 2a — Website access time via curl (s), Tranco-1k + CBL-1k\n");
         out.push_str(&ascii_boxplots(&entries, 100, false));
         out
     }

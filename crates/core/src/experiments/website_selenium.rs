@@ -146,9 +146,8 @@ impl Result {
             }
             entries.push((pt.name().to_string(), self.samples.summary(pt)));
         }
-        let mut out = String::from(
-            "Figure 2b — Website access time via selenium (s), Tranco-1k + CBL-1k\n",
-        );
+        let mut out =
+            String::from("Figure 2b — Website access time via selenium (s), Tranco-1k + CBL-1k\n");
         out.push_str(&ascii_boxplots(&entries, 100, false));
         if !self.excluded.is_empty() {
             let names: Vec<&str> = self.excluded.iter().map(|p| p.name()).collect();
@@ -179,8 +178,10 @@ mod tests {
     #[test]
     fn selenium_slower_than_curl() {
         let scenario = Scenario::baseline(22);
-        let curl =
-            crate::experiments::website_curl::run(&scenario, &crate::experiments::website_curl::Config::quick());
+        let curl = crate::experiments::website_curl::run(
+            &scenario,
+            &crate::experiments::website_curl::Config::quick(),
+        );
         let sel = run(&scenario, &Config::quick());
         // Page loads fetch many more resources.
         assert!(

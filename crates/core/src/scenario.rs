@@ -449,11 +449,7 @@ mod tests {
         let s = Scenario::baseline(14);
         let before = s.deployment().consensus.len();
         let mut owned = s.deployment_owned();
-        owned.host_private_bridge(
-            ptperf_transports::PtId::Obfs4,
-            Location::London,
-            3.0e6,
-        );
+        owned.host_private_bridge(ptperf_transports::PtId::Obfs4, Location::London, 3.0e6);
         assert_eq!(s.deployment().consensus.len(), before);
     }
 }

@@ -68,10 +68,14 @@ impl BenchmarkGroup<'_> {
         let id = id.into();
         let mut samples = Vec::with_capacity(self.sample_size);
         // Warmup pass, discarded.
-        let mut bencher = Bencher { elapsed: Duration::ZERO };
+        let mut bencher = Bencher {
+            elapsed: Duration::ZERO,
+        };
         f(&mut bencher);
         for _ in 0..self.sample_size {
-            let mut bencher = Bencher { elapsed: Duration::ZERO };
+            let mut bencher = Bencher {
+                elapsed: Duration::ZERO,
+            };
             f(&mut bencher);
             samples.push(bencher.elapsed);
         }

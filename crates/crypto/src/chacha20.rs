@@ -33,12 +33,8 @@ fn chacha20_block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) ->
     state[2] = 0x79622d32;
     state[3] = 0x6b206574;
     for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes([
-            key[4 * i],
-            key[4 * i + 1],
-            key[4 * i + 2],
-            key[4 * i + 3],
-        ]);
+        state[4 + i] =
+            u32::from_le_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
     }
     state[12] = counter;
     for i in 0..3 {
@@ -73,7 +69,12 @@ fn chacha20_block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) ->
 /// XORs `data` in place with the ChaCha20 keystream for
 /// `(key, nonce, initial_counter)`. Encryption and decryption are the same
 /// operation.
-pub fn chacha20_xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], initial_counter: u32, data: &mut [u8]) {
+pub fn chacha20_xor(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    initial_counter: u32,
+    data: &mut [u8],
+) {
     let mut counter = initial_counter;
     for chunk in data.chunks_mut(BLOCK_LEN) {
         let ks = chacha20_block(key, counter, nonce);

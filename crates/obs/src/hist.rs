@@ -171,7 +171,11 @@ impl Hist {
 
     /// Smallest recorded value, or 0 when empty.
     pub fn min_ns(&self) -> u64 {
-        if self.count == 0 { 0 } else { self.min_ns }
+        if self.count == 0 {
+            0
+        } else {
+            self.min_ns
+        }
     }
 
     /// Largest recorded value (exact even for saturated samples), or 0
@@ -278,7 +282,10 @@ mod tests {
         for v in [0, 1, 31, 32, 33, 63, 64, 65, 1000, 1 << 20, (1 << 42) - 1] {
             let i = bucket_index(v);
             let (lo, hi) = Hist::bucket_bounds(i);
-            assert!(lo <= v && v <= hi, "value {v} outside bucket {i} [{lo}, {hi}]");
+            assert!(
+                lo <= v && v <= hi,
+                "value {v} outside bucket {i} [{lo}, {hi}]"
+            );
         }
     }
 

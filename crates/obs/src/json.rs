@@ -105,7 +105,10 @@ impl Value {
 /// Parse a complete JSON document. Returns a byte-offset-tagged error
 /// message on malformed input or trailing garbage.
 pub fn parse(src: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: src.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -312,10 +315,12 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "e": "x"}"#)
-            .unwrap();
+        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": true, "d": null}, "e": "x"}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(-300.0));
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[2].as_f64(),
+            Some(-300.0)
+        );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
         assert_eq!(v.get("e").unwrap().as_str(), Some("x"));
@@ -324,7 +329,13 @@ mod tests {
 
     #[test]
     fn parses_escapes_emitted_by_string() {
-        for raw in ["plain", "with\"quote", "tab\tnl\n", "ctrl\u{1}end", "uni→de"] {
+        for raw in [
+            "plain",
+            "with\"quote",
+            "tab\tnl\n",
+            "ctrl\u{1}end",
+            "uni→de",
+        ] {
             let doc = format!("[{}]", string(raw));
             let v = parse(&doc).unwrap();
             assert_eq!(v.as_array().unwrap()[0].as_str(), Some(raw), "{raw:?}");
@@ -333,7 +344,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"\u{1}\"", "nan"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"\u{1}\"",
+            "nan",
+        ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }

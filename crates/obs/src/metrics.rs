@@ -111,7 +111,11 @@ impl MetricsRegistry {
         if capacity <= 0.0 {
             return 0.0;
         }
-        self.families.iter().map(FamilyMetrics::total_secs).sum::<f64>() / capacity
+        self.families
+            .iter()
+            .map(FamilyMetrics::total_secs)
+            .sum::<f64>()
+            / capacity
     }
 
     /// Serialize the registry as a JSON object. Field order is fixed,

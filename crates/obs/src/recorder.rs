@@ -123,13 +123,7 @@ pub trait Recorder {
     /// new span's stable id. Null implementations return 0, which is
     /// never a real id, so instrumented code can thread the returned
     /// value unconditionally.
-    fn span_in(
-        &mut self,
-        _phase: &'static str,
-        _start_ns: u64,
-        _end_ns: u64,
-        _parent: u32,
-    ) -> u32 {
+    fn span_in(&mut self, _phase: &'static str, _start_ns: u64, _end_ns: u64, _parent: u32) -> u32 {
         0
     }
 
@@ -184,13 +178,7 @@ impl Recorder for MemoryRecorder {
         true
     }
 
-    fn span_in(
-        &mut self,
-        phase: &'static str,
-        start_ns: u64,
-        end_ns: u64,
-        parent: u32,
-    ) -> u32 {
+    fn span_in(&mut self, phase: &'static str, start_ns: u64, end_ns: u64, parent: u32) -> u32 {
         let id = self.spans.len() as u32 + 1;
         self.spans.push(SpanRecord {
             phase,
@@ -318,8 +306,20 @@ mod tests {
         assert_eq!(
             data.spans,
             vec![
-                SpanRecord { phase: "b", start_ns: 5, end_ns: 9, id: 1, parent: 0 },
-                SpanRecord { phase: "a", start_ns: 0, end_ns: 5, id: 2, parent: 0 },
+                SpanRecord {
+                    phase: "b",
+                    start_ns: 5,
+                    end_ns: 9,
+                    id: 1,
+                    parent: 0
+                },
+                SpanRecord {
+                    phase: "a",
+                    start_ns: 0,
+                    end_ns: 5,
+                    id: 2,
+                    parent: 0
+                },
             ]
         );
         // Counters come back sorted by key with totals merged.
@@ -387,9 +387,27 @@ mod tests {
         assert_eq!(
             data.spans,
             vec![
-                SpanRecord { phase: "total", start_ns: 0, end_ns: 550, id: 1, parent: 0 },
-                SpanRecord { phase: "handshake", start_ns: 0, end_ns: 150, id: 2, parent: 1 },
-                SpanRecord { phase: "transfer", start_ns: 150, end_ns: 550, id: 3, parent: 1 },
+                SpanRecord {
+                    phase: "total",
+                    start_ns: 0,
+                    end_ns: 550,
+                    id: 1,
+                    parent: 0
+                },
+                SpanRecord {
+                    phase: "handshake",
+                    start_ns: 0,
+                    end_ns: 150,
+                    id: 2,
+                    parent: 1
+                },
+                SpanRecord {
+                    phase: "transfer",
+                    start_ns: 150,
+                    end_ns: 550,
+                    id: 3,
+                    parent: 1
+                },
             ]
         );
         assert_eq!(data.counter("sim_ns"), Some(550));

@@ -139,7 +139,10 @@ pub fn lookup(key: &str, kind: CounterKind) -> Option<&'static CounterDef> {
 
 /// All registered keys of one kind, in registry order (sorted).
 pub fn keys(kind: CounterKind) -> impl Iterator<Item = &'static str> {
-    COUNTERS.iter().filter(move |c| c.kind == kind).map(|c| c.key)
+    COUNTERS
+        .iter()
+        .filter(move |c| c.kind == kind)
+        .map(|c| c.key)
 }
 
 #[cfg(test)]

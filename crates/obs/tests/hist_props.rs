@@ -12,17 +12,17 @@ use ptperf_obs::Hist;
 /// (The offline shim has no `prop_oneof!`, so the class is drawn as a
 /// tuple component and matched in `prop_map`.)
 fn arb_value() -> impl Strategy<Value = u64> {
-    (0usize..6, 0u64..(1u64 << 20), 5u64..44, 0u64..3).prop_map(
-        |(class, raw, msb, delta)| match class {
-            0 => raw % 64,                        // exact sub-32 linear range
-            1 => 64 + raw,                        // low octave interiors
-            2 => (1u64 << 20) + (raw << 21),      // spread across mid octaves
-            3 => (1u64 << 42) + raw,              // just past the range: saturates
-            4 => u64::MAX - raw,                  // deep saturation
+    (0usize..6, 0u64..(1u64 << 20), 5u64..44, 0u64..3).prop_map(|(class, raw, msb, delta)| {
+        match class {
+            0 => raw % 64,                   // exact sub-32 linear range
+            1 => 64 + raw,                   // low octave interiors
+            2 => (1u64 << 20) + (raw << 21), // spread across mid octaves
+            3 => (1u64 << 42) + raw,         // just past the range: saturates
+            4 => u64::MAX - raw,             // deep saturation
             // Exactly at and around a power-of-two boundary.
             _ => (1u64 << msb) - 1 + delta,
-        },
-    )
+        }
+    })
 }
 
 fn hist_of(values: &[u64]) -> Hist {

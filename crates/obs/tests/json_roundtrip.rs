@@ -37,7 +37,9 @@ fn empty_registry_is_valid_json() {
     let doc = MetricsRegistry::new().to_json();
     let v = json::parse(&doc).expect("empty registry must still be valid JSON");
     assert_eq!(
-        v.get("families").and_then(Value::as_array).map(<[Value]>::len),
+        v.get("families")
+            .and_then(Value::as_array)
+            .map(<[Value]>::len),
         Some(0)
     );
     // No run context set: workers 0, elapsed 0 — and the utilization
@@ -60,11 +62,17 @@ fn zero_shard_family_cannot_exist_but_zero_samples_can() {
     let doc = reg.to_json();
     let v = json::parse(&doc).expect("zero-duration observations must serialize");
     let families = v.get("families").and_then(Value::as_array).unwrap();
-    assert_eq!(families[0].get("samples").and_then(Value::as_f64), Some(0.0));
+    assert_eq!(
+        families[0].get("samples").and_then(Value::as_f64),
+        Some(0.0)
+    );
     assert_eq!(families[0].get("shards").and_then(Value::as_f64), Some(1.0));
     // Zero elapsed time: whatever utilization reads, the JSON stays
     // parseable and non-finite values render as null, not `inf`.
-    assert!(!doc.contains("inf") && !doc.to_lowercase().contains("nan"), "{doc}");
+    assert!(
+        !doc.contains("inf") && !doc.to_lowercase().contains("nan"),
+        "{doc}"
+    );
 }
 
 #[test]
@@ -104,6 +112,9 @@ fn number_edge_cases_round_trip() {
     // Non-finite numbers render as null and parse back as null.
     for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let doc = format!("[{}]", json::number(x));
-        assert_eq!(json::parse(&doc).unwrap().as_array().unwrap()[0], Value::Null);
+        assert_eq!(
+            json::parse(&doc).unwrap().as_array().unwrap()[0],
+            Value::Null
+        );
     }
 }

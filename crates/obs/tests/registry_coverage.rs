@@ -86,8 +86,7 @@ fn every_emitted_trace_counter_is_registered_and_vice_versa() {
         emitted.contains("sim_ns") && emitted.contains("events"),
         "scan failed to find the canonical keys; found {emitted:?}"
     );
-    let registered: BTreeSet<String> =
-        keys(CounterKind::Trace).map(str::to_string).collect();
+    let registered: BTreeSet<String> = keys(CounterKind::Trace).map(str::to_string).collect();
     let undocumented: Vec<_> = sites
         .iter()
         .filter(|(k, _)| !registered.contains(k))
@@ -107,10 +106,8 @@ fn every_emitted_trace_counter_is_registered_and_vice_versa() {
 fn perf_registry_matches_the_documented_atomics() {
     // The perf counters are struct fields, not string literals; their
     // keys live in the `/// Counts one `key`` doc lines of perf.rs.
-    let perf_src = std::fs::read_to_string(
-        workspace_root().join("crates/obs/src/perf.rs"),
-    )
-    .expect("perf.rs");
+    let perf_src =
+        std::fs::read_to_string(workspace_root().join("crates/obs/src/perf.rs")).expect("perf.rs");
     let mut documented = BTreeSet::new();
     for line in perf_src.lines() {
         let trimmed = line.trim_start();
@@ -130,8 +127,7 @@ fn perf_registry_matches_the_documented_atomics() {
             rest = &rest[len + 1..];
         }
     }
-    let registered: BTreeSet<String> =
-        keys(CounterKind::Perf).map(str::to_string).collect();
+    let registered: BTreeSet<String> = keys(CounterKind::Perf).map(str::to_string).collect();
     assert_eq!(
         documented, registered,
         "perf.rs documented counters and the Perf registry rows diverged"

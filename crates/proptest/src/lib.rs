@@ -73,8 +73,7 @@ pub mod test_runner {
         for i in 0..cases {
             let seed = property_seed(name, i);
             let mut rng = TestRng::new(seed);
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng)));
             if let Err(payload) = outcome {
                 eprintln!(
                     "proptest(shim): property `{name}` failed at case {i}/{cases} (seed {seed:#018x})"
@@ -246,7 +245,9 @@ pub mod strategy {
     fn parse_class(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Atom {
         let mut ranges = Vec::new();
         loop {
-            let c = chars.next().expect("unterminated [class] in strategy pattern");
+            let c = chars
+                .next()
+                .expect("unterminated [class] in strategy pattern");
             if c == ']' {
                 break;
             }
@@ -402,14 +403,20 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end, "empty collection size range");
-            SizeRange { min: r.start, max: r.end - 1 }
+            SizeRange {
+                min: r.start,
+                max: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> Self {
             assert!(r.start() <= r.end(), "empty collection size range");
-            SizeRange { min: *r.start(), max: *r.end() }
+            SizeRange {
+                min: *r.start(),
+                max: *r.end(),
+            }
         }
     }
 
@@ -427,7 +434,10 @@ pub mod collection {
 
     /// `Vec` strategy with a length drawn from `size`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { elem, size: size.into() }
+        VecStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -452,7 +462,10 @@ pub mod collection {
         S: Strategy,
         S::Value: Ord,
     {
-        BTreeSetStrategy { elem, size: size.into() }
+        BTreeSetStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 
     impl<S> Strategy for BTreeSetStrategy<S>

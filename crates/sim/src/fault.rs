@@ -622,8 +622,12 @@ mod tests {
             hazard_per_sec: 0.0,
             transfer_secs: 10.0,
         };
-        let plan =
-            FaultPlan::generate(&k, &FaultProfile::paper(), &FaultBias::balanced(), &mut SimRng::new(7));
+        let plan = FaultPlan::generate(
+            &k,
+            &FaultProfile::paper(),
+            &FaultBias::balanced(),
+            &mut SimRng::new(7),
+        );
         assert_eq!(plan.refusals(), MAX_REFUSALS);
         let run = run_transfer(&spec(), &plan, &RetryPolicy::standard());
         assert!(!run.completed);
@@ -652,7 +656,10 @@ mod tests {
         let run = run_transfer(&spec(), &plan, &RetryPolicy::standard());
         assert!(run.completed);
         assert_eq!(run.fraction, 1.0);
-        assert_eq!(run.elapsed, spec().head + spec().body + SimDuration::from_secs(3));
+        assert_eq!(
+            run.elapsed,
+            spec().head + spec().body + SimDuration::from_secs(3)
+        );
         assert_eq!(run.recovered, 1);
         assert!(run.consistent());
     }
@@ -838,8 +845,9 @@ mod tests {
         };
         for (pli, plan) in [mixed, dead, churny].iter().enumerate() {
             for (si, sp) in specs.iter().enumerate() {
-                for (pi, policy) in
-                    [RetryPolicy::standard(), RetryPolicy::none(), restart].iter().enumerate()
+                for (pi, policy) in [RetryPolicy::standard(), RetryPolicy::none(), restart]
+                    .iter()
+                    .enumerate()
                 {
                     let run = run_transfer(sp, plan, policy);
                     assert_classified(&run, sp, &format!("plan {pli} spec {si} policy {pi}"));
@@ -853,7 +861,11 @@ mod tests {
         let p = FaultProfile::paper();
         assert_eq!(p.for_load(1.0).degrade, 1.0);
         let surged = p.for_load(3.2);
-        assert!(surged.degrade > 1.5, "surge must degrade: {}", surged.degrade);
+        assert!(
+            surged.degrade > 1.5,
+            "surge must degrade: {}",
+            surged.degrade
+        );
         assert!(surged.degrade < 3.0);
     }
 }

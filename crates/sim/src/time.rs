@@ -252,7 +252,10 @@ mod tests {
     fn negative_and_nan_float_durations_clamp_to_zero() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NEG_INFINITY), SimDuration::ZERO);
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::NEG_INFINITY),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
@@ -260,7 +263,10 @@ mod tests {
         let t0 = SimTime::ZERO;
         let t1 = t0 + SimDuration::from_secs(2);
         assert_eq!(t1.duration_since(t0), SimDuration::from_secs(2));
-        assert_eq!(t1 - SimDuration::from_secs(1), t0 + SimDuration::from_secs(1));
+        assert_eq!(
+            t1 - SimDuration::from_secs(1),
+            t0 + SimDuration::from_secs(1)
+        );
     }
 
     #[test]
@@ -268,7 +274,10 @@ mod tests {
         let t0 = SimTime::from_nanos(10);
         let t1 = SimTime::from_nanos(20);
         assert_eq!(t0.saturating_duration_since(t1), SimDuration::ZERO);
-        assert_eq!(t1.saturating_duration_since(t0), SimDuration::from_nanos(10));
+        assert_eq!(
+            t1.saturating_duration_since(t0),
+            SimDuration::from_nanos(10)
+        );
     }
 
     #[test]

@@ -44,7 +44,8 @@ impl Location {
     pub const CLIENTS: [Location; 3] = [Location::Bangalore, Location::London, Location::Toronto];
 
     /// The three server locations used by the paper's location study.
-    pub const SERVERS: [Location; 3] = [Location::Singapore, Location::Frankfurt, Location::NewYork];
+    pub const SERVERS: [Location; 3] =
+        [Location::Singapore, Location::Frankfurt, Location::NewYork];
 
     /// The abbreviation the paper uses in figures.
     pub fn abbrev(self) -> &'static str {
@@ -258,7 +259,13 @@ mod tests {
         let mut sum = 0.0;
         let n = 2_000;
         for _ in 0..n {
-            let p = sample_path(&mut rng, Location::London, Location::NewYork, Medium::Wired, 0.1);
+            let p = sample_path(
+                &mut rng,
+                Location::London,
+                Location::NewYork,
+                Medium::Wired,
+                0.1,
+            );
             sum += p.rtt.as_secs_f64();
             // Log-normal jitter keeps RTT positive and within a sane band.
             assert!(p.rtt.as_secs_f64() > 0.3 * base.as_secs_f64());
@@ -272,9 +279,21 @@ mod tests {
     #[test]
     fn wireless_adds_delay_and_loss() {
         let mut rng = SimRng::new(9);
-        let wired = sample_path(&mut rng, Location::London, Location::London, Medium::Wired, 0.0);
+        let wired = sample_path(
+            &mut rng,
+            Location::London,
+            Location::London,
+            Medium::Wired,
+            0.0,
+        );
         let mut rng2 = SimRng::new(9);
-        let wifi = sample_path(&mut rng2, Location::London, Location::London, Medium::Wireless, 0.0);
+        let wifi = sample_path(
+            &mut rng2,
+            Location::London,
+            Location::London,
+            Medium::Wireless,
+            0.0,
+        );
         assert!(wifi.rtt > wired.rtt);
         assert!(wifi.loss > wired.loss);
     }

@@ -61,7 +61,10 @@ impl TransferModel {
             bottleneck_bps > 0.0,
             "transfer bottleneck must be positive, got {bottleneck_bps}"
         );
-        assert!((0.0..1.0).contains(&loss), "loss must be in [0,1), got {loss}");
+        assert!(
+            (0.0..1.0).contains(&loss),
+            "loss must be in [0,1), got {loss}"
+        );
         TransferModel {
             rtt,
             bottleneck_bps,
@@ -136,9 +139,8 @@ impl TransferModel {
     /// flows managed by the flow network).
     pub fn slow_start_excess(&self, bytes: u64) -> SimDuration {
         let actual = self.duration(bytes);
-        let fluid = SimDuration::from_secs_f64(
-            bytes as f64 / (1.0 - self.loss) / self.sustained_rate(),
-        );
+        let fluid =
+            SimDuration::from_secs_f64(bytes as f64 / (1.0 - self.loss) / self.sustained_rate());
         actual.saturating_sub(fluid)
     }
 
@@ -154,11 +156,7 @@ mod tests {
     use super::*;
 
     fn model(rtt_ms: u64, mbps: f64, loss: f64) -> TransferModel {
-        TransferModel::new(
-            SimDuration::from_millis(rtt_ms),
-            mbps * 1e6 / 8.0,
-            loss,
-        )
+        TransferModel::new(SimDuration::from_millis(rtt_ms), mbps * 1e6 / 8.0, loss)
     }
 
     #[test]

@@ -26,7 +26,11 @@ fn arb_profile() -> impl Strategy<Value = FaultProfile> {
         (0u32..5, 1u64..2_000, any::<bool>()),
     )
         .prop_map(
-            |((refusal, hazard, stall_ms), (degrade, surge, max_mid), (retries, base_ms, resume))| {
+            |(
+                (refusal, hazard, stall_ms),
+                (degrade, surge, max_mid),
+                (retries, base_ms, resume),
+            )| {
                 FaultProfile {
                     refusal_mult: refusal,
                     hazard_mult: hazard,
@@ -49,8 +53,11 @@ fn arb_profile() -> impl Strategy<Value = FaultProfile> {
 fn arb_bias() -> impl Strategy<Value = FaultBias> {
     // Keep one weight strictly positive so the three-way split is
     // always well-defined.
-    (0.05f64..2.0, 0.0f64..2.0, 0.0f64..2.0)
-        .prop_map(|(abort, stall, churn)| FaultBias { abort, stall, churn })
+    (0.05f64..2.0, 0.0f64..2.0, 0.0f64..2.0).prop_map(|(abort, stall, churn)| FaultBias {
+        abort,
+        stall,
+        churn,
+    })
 }
 
 fn arb_spec() -> impl Strategy<Value = TransferSpec> {

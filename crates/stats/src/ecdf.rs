@@ -44,8 +44,7 @@ impl Ecdf {
         if q <= 0.0 {
             return self.sorted[0];
         }
-        let idx = ((q * self.sorted.len() as f64).ceil() as usize)
-            .clamp(1, self.sorted.len());
+        let idx = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         self.sorted[idx - 1]
     }
 

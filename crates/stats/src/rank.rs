@@ -74,7 +74,10 @@ mod tests {
     #[test]
     fn ranks_with_ties_average() {
         // 5, 5 occupy ranks 2 and 3 → both get 2.5.
-        assert_eq!(average_ranks(&[1.0, 5.0, 5.0, 9.0]), vec![1.0, 2.5, 2.5, 4.0]);
+        assert_eq!(
+            average_ranks(&[1.0, 5.0, 5.0, 9.0]),
+            vec![1.0, 2.5, 2.5, 4.0]
+        );
     }
 
     #[test]
@@ -89,7 +92,9 @@ mod tests {
     #[test]
     fn spearman_known_value() {
         // Classic textbook pair.
-        let xs = [106.0, 100.0, 86.0, 101.0, 99.0, 103.0, 97.0, 113.0, 112.0, 110.0];
+        let xs = [
+            106.0, 100.0, 86.0, 101.0, 99.0, 103.0, 97.0, 113.0, 112.0, 110.0,
+        ];
         let ys = [7.0, 27.0, 2.0, 50.0, 28.0, 29.0, 20.0, 12.0, 6.0, 17.0];
         let rho = spearman(&xs, &ys);
         assert!((rho - (-0.1757575)).abs() < 1e-4, "rho {rho}");

@@ -66,7 +66,10 @@ fn ln_beta_front(a: f64, b: f64) -> f64 {
 /// numerical stability. Inputs: `a, b > 0`, `x ∈ [0, 1]`.
 pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "inc_beta requires a,b > 0");
-    assert!((0.0..=1.0).contains(&x), "inc_beta requires x in [0,1], got {x}");
+    assert!(
+        (0.0..=1.0).contains(&x),
+        "inc_beta requires x in [0,1], got {x}"
+    );
     if x == 0.0 {
         return 0.0;
     }

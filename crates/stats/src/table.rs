@@ -157,17 +157,21 @@ pub fn ascii_boxplots(entries: &[(String, Summary)], width: usize, log_scale: bo
         .map(|(_, s)| xform(s.max))
         .fold(f64::NEG_INFINITY, f64::max);
     let span = (hi - lo).max(1e-9);
-    let label_w = entries.iter().map(|(l, _)| l.chars().count()).max().unwrap();
+    let label_w = entries
+        .iter()
+        .map(|(l, _)| l.chars().count())
+        .max()
+        .unwrap();
     let plot_w = width.saturating_sub(label_w + 2).max(20);
-    let col = |v: f64| -> usize {
-        (((xform(v) - lo) / span) * (plot_w - 1) as f64).round() as usize
-    };
+    let col =
+        |v: f64| -> usize { (((xform(v) - lo) / span) * (plot_w - 1) as f64).round() as usize };
 
     let mut out = String::with_capacity((entries.len() + 1) * (label_w + plot_w + 40));
     let mut line = vec![b' '; plot_w];
     for (label, s) in entries {
         line.fill(b' ');
-        let (cmin, cq1, cmed, cq3, cmax) = (col(s.min), col(s.q1), col(s.median), col(s.q3), col(s.max));
+        let (cmin, cq1, cmed, cq3, cmax) =
+            (col(s.min), col(s.q1), col(s.median), col(s.q3), col(s.max));
         for c in line.iter_mut().take(cmax + 1).skip(cmin) {
             *c = b'-';
         }

@@ -198,7 +198,12 @@ impl RelayCell {
         RelayCell {
             command,
             stream_id,
-            digest: [digest_full[0], digest_full[1], digest_full[2], digest_full[3]],
+            digest: [
+                digest_full[0],
+                digest_full[1],
+                digest_full[2],
+                digest_full[3],
+            ],
             data,
         }
     }

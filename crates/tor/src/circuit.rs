@@ -33,8 +33,8 @@ pub fn window_capped_rate(bottleneck_bps: f64, rtt: SimDuration) -> f64 {
 /// Client access-link capacity in bytes per second.
 pub fn access_capacity(medium: Medium) -> f64 {
     match medium {
-        Medium::Wired => 12.5e6,    // 100 Mbit/s Ethernet
-        Medium::Wireless => 6.0e6,  // ~50 Mbit/s effective WiFi
+        Medium::Wired => 12.5e6,   // 100 Mbit/s Ethernet
+        Medium::Wireless => 6.0e6, // ~50 Mbit/s effective WiFi
     }
 }
 
@@ -122,23 +122,47 @@ impl Circuit {
 
         // Leg 0: client → (via?) → guard.
         let leg0 = match opts.via {
-            Some(via) => sample_path(rng, opts.client, via.location, opts.medium, opts.jitter_sigma)
-                .chain(sample_path(
-                    rng,
-                    via.location,
-                    guard.location,
-                    Medium::Wired,
-                    opts.jitter_sigma,
-                )),
-            None => sample_path(rng, opts.client, guard.location, opts.medium, opts.jitter_sigma),
+            Some(via) => sample_path(
+                rng,
+                opts.client,
+                via.location,
+                opts.medium,
+                opts.jitter_sigma,
+            )
+            .chain(sample_path(
+                rng,
+                via.location,
+                guard.location,
+                Medium::Wired,
+                opts.jitter_sigma,
+            )),
+            None => sample_path(
+                rng,
+                opts.client,
+                guard.location,
+                opts.medium,
+                opts.jitter_sigma,
+            ),
         };
         let leg0 = PathSample {
             rtt: leg0.rtt,
             loss: leg0.loss + opts.via.map_or(0.0, |v| v.extra_loss),
         };
         // Legs 1 and 2: relay-to-relay, always wired.
-        let leg1 = sample_path(rng, guard.location, middle.location, Medium::Wired, opts.jitter_sigma);
-        let leg2 = sample_path(rng, middle.location, exit.location, Medium::Wired, opts.jitter_sigma);
+        let leg1 = sample_path(
+            rng,
+            guard.location,
+            middle.location,
+            Medium::Wired,
+            opts.jitter_sigma,
+        );
+        let leg2 = sample_path(
+            rng,
+            middle.location,
+            exit.location,
+            Medium::Wired,
+            opts.jitter_sigma,
+        );
 
         // Telescoping build: CREATE(guard) = leg0; EXTEND(middle) =
         // leg0+leg1; EXTEND(exit) = leg0+leg1+leg2; plus per-relay
@@ -146,7 +170,9 @@ impl Circuit {
         let mut build_time = SimDuration::ZERO;
         build_time += leg0.rtt + extend_processing(rng);
         build_time += leg0.rtt + leg1.rtt + extend_processing(rng) + extend_processing(rng);
-        build_time += leg0.rtt + leg1.rtt + leg2.rtt
+        build_time += leg0.rtt
+            + leg1.rtt
+            + leg2.rtt
             + extend_processing(rng)
             + extend_processing(rng)
             + extend_processing(rng);
@@ -271,7 +297,12 @@ mod tests {
             extra_loss: 0.0,
         });
         let via = Circuit::establish(&c, spec, &opts, &mut rng_b);
-        assert!(via.rtt > direct.rtt, "via {} direct {}", via.rtt, direct.rtt);
+        assert!(
+            via.rtt > direct.rtt,
+            "via {} direct {}",
+            via.rtt,
+            direct.rtt
+        );
         assert!(via.bottleneck_bps <= 10_000.0 / relay_payload_overhead() + 1.0);
     }
 
@@ -299,7 +330,8 @@ mod tests {
         let (c, spec, _) = setup(6);
         let mut rng_a = SimRng::new(7);
         let mut rng_b = SimRng::new(7);
-        let wired = Circuit::establish(&c, spec, &CircuitOptions::new(Location::London), &mut rng_a);
+        let wired =
+            Circuit::establish(&c, spec, &CircuitOptions::new(Location::London), &mut rng_a);
         let mut opts = CircuitOptions::new(Location::London);
         opts.medium = Medium::Wireless;
         let wifi = Circuit::establish(&c, spec, &opts, &mut rng_b);

@@ -137,9 +137,7 @@ impl Consensus {
                         .iter()
                         .enumerate()
                         .filter(|(_, r)| r.flags.guard)
-                        .min_by(|a, b| {
-                            a.1.bandwidth_bps.partial_cmp(&b.1.bandwidth_bps).unwrap()
-                        })
+                        .min_by(|a, b| a.1.bandwidth_bps.partial_cmp(&b.1.bandwidth_bps).unwrap())
                         .map(|(i, _)| i)
                         .expect("a guard exists by the guarantee above");
                     relays[idx].flags.exit = true;
@@ -311,7 +309,11 @@ mod tests {
             .iter()
             .filter(|r| r.bandwidth_bps < 2.5e6)
             .count();
-        assert!(slow as f64 > 0.5 * c.len() as f64, "slow {slow}/{}", c.len());
+        assert!(
+            slow as f64 > 0.5 * c.len() as f64,
+            "slow {slow}/{}",
+            c.len()
+        );
         assert!(c.relays().iter().any(|r| r.bandwidth_bps > 8.0e6));
     }
 
@@ -366,7 +368,10 @@ mod tests {
         c.add_guard(Location::London, 9e6, 0.0);
         assert_eq!(c.index().class(crate::index::FilterClass::All).len(), n + 1);
         // The clone's index is unaffected by the original's mutations.
-        assert_eq!(clone.index().class(crate::index::FilterClass::All).len(), before);
+        assert_eq!(
+            clone.index().class(crate::index::FilterClass::All).len(),
+            before
+        );
     }
 
     #[test]

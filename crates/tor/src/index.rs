@@ -138,10 +138,7 @@ impl ConsensusIndex {
     /// Builds the index from a relay list. Relay ids must equal their
     /// index in `relays` (the `Consensus` construction invariant).
     pub fn build(relays: &[Relay]) -> Self {
-        debug_assert!(relays
-            .iter()
-            .enumerate()
-            .all(|(i, r)| r.id.0 as usize == i));
+        debug_assert!(relays.iter().enumerate().all(|(i, r)| r.id.0 as usize == i));
         ConsensusIndex {
             guard: ClassIndex::build(relays, FilterClass::Guard),
             exit: ClassIndex::build(relays, FilterClass::Exit),

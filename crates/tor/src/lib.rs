@@ -37,7 +37,5 @@ pub use cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_LEN, RELAY_DATA_
 pub use circuit::{access_capacity, window_capped_rate, Circuit, CircuitOptions, Via};
 pub use consensus::{Consensus, ConsensusParams};
 pub use index::{ClassIndex, ConsensusIndex, FilterClass};
-pub use path::{
-    CircuitSpec, PathConfig, PathError, PathSelector, PickMode, Role, SAMPLED_GUARDS,
-};
+pub use path::{CircuitSpec, PathConfig, PathError, PathSelector, PickMode, Role, SAMPLED_GUARDS};
 pub use relay::{Relay, RelayFlags, RelayId};

@@ -371,7 +371,11 @@ mod tests {
         for _ in 0..100 {
             middles.insert(select(&mut sel, &c, &mut rng).middle);
         }
-        assert!(middles.len() > 20, "only {} distinct middles", middles.len());
+        assert!(
+            middles.len() > 20,
+            "only {} distinct middles",
+            middles.len()
+        );
     }
 
     #[test]
@@ -399,8 +403,8 @@ mod tests {
         let c = consensus(11);
         let mut rng = SimRng::new(12);
         // Mean bandwidth of selected exits should exceed the population mean.
-        let pop_mean: f64 = c.exits().map(|r| r.bandwidth_bps).sum::<f64>()
-            / c.exits().count() as f64;
+        let pop_mean: f64 =
+            c.exits().map(|r| r.bandwidth_bps).sum::<f64>() / c.exits().count() as f64;
         let mut sel = PathSelector::new();
         let n = 400;
         let mean_sel: f64 = (0..n)

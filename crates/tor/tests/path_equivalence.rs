@@ -72,7 +72,10 @@ fn assert_with_u_equiv(c: &Consensus, class: FilterClass, exclude: &[RelayId], u
     } else {
         reference::weighted_pick_with_u(u, total, c.relays(), |r| class.matches(r), exclude)
     };
-    assert_eq!(picked, picked_ref, "with_u mismatch: class {class:?}, u {u:e}");
+    assert_eq!(
+        picked, picked_ref,
+        "with_u mismatch: class {class:?}, u {u:e}"
+    );
 }
 
 /// The pinning shapes a selector run cycles through: none, a fixed
@@ -462,7 +465,11 @@ fn next_down(x: f64) -> f64 {
 }
 
 fn arb_class() -> impl Strategy<Value = FilterClass> {
-    prop::sample::select(vec![FilterClass::Guard, FilterClass::Exit, FilterClass::All])
+    prop::sample::select(vec![
+        FilterClass::Guard,
+        FilterClass::Exit,
+        FilterClass::All,
+    ])
 }
 
 proptest! {
@@ -544,4 +551,3 @@ proptest! {
         assert_selectors_equiv(&c, rseed, &configs);
     }
 }
-

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 
 use ptperf_sim::{LoadProfile, SimRng};
-use ptperf_tor::cell::{Cell, CellCommand, RelayCell, RelayCommand, CELL_PAYLOAD_LEN, RELAY_DATA_LEN};
+use ptperf_tor::cell::{
+    Cell, CellCommand, RelayCell, RelayCommand, CELL_PAYLOAD_LEN, RELAY_DATA_LEN,
+};
 use ptperf_tor::consensus::{Consensus, ConsensusParams};
 use ptperf_tor::PathSelector;
 

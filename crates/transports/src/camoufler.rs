@@ -58,8 +58,15 @@ impl PluggableTransport for Camoufler {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let mut ch =
-            own_host_channel(PtId::Camoufler, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
+        let mut ch = own_host_channel(
+            PtId::Camoufler,
+            HANDSHAKE_ROUND_TRIPS,
+            dep,
+            opts,
+            dest,
+            rng,
+            scratch,
+        );
         // Bulk throughput = message quota × payload per message.
         ch.rate_cap = Some(self.api_rate_per_sec * MAX_MESSAGE_PAYLOAD as f64);
         // Every request rides the IM polling/batching cycle: the peer

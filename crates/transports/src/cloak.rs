@@ -142,8 +142,15 @@ impl PluggableTransport for Cloak {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let mut ch =
-            own_host_channel(PtId::Cloak, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
+        let mut ch = own_host_channel(
+            PtId::Cloak,
+            HANDSHAKE_ROUND_TRIPS,
+            dep,
+            opts,
+            dest,
+            rng,
+            scratch,
+        );
         apply_frame_overhead(&mut ch, frame_overhead());
         ch
     }

@@ -177,7 +177,10 @@ pub fn own_host_channel(
 /// byte, ≥ 1) to a channel's response model: the goodput shrinks by the
 /// factor the codec actually produces.
 pub fn apply_frame_overhead(channel: &mut Channel, overhead: f64) {
-    debug_assert!(overhead >= 1.0, "framing overhead must be ≥ 1, got {overhead}");
+    debug_assert!(
+        overhead >= 1.0,
+        "framing overhead must be ≥ 1, got {overhead}"
+    );
     channel.response.bottleneck_bps /= overhead;
 }
 
@@ -330,7 +333,14 @@ mod tests {
         let mut rng_a = SimRng::new(9);
         let mut rng_b = SimRng::new(9);
         for i in 0..30 {
-            let reused = tor_channel_with(&dep, &opts, spec, Location::NewYork, &mut rng_a, &mut scratch);
+            let reused = tor_channel_with(
+                &dep,
+                &opts,
+                spec,
+                Location::NewYork,
+                &mut rng_a,
+                &mut scratch,
+            );
             let mut cold = EstablishScratch::new();
             let fresh =
                 tor_channel_with(&dep, &opts, spec, Location::NewYork, &mut rng_b, &mut cold);
@@ -345,7 +355,14 @@ mod tests {
         // allocation-free inside the selector.
         let grows = scratch.grows();
         for _ in 0..50 {
-            let _ = tor_channel_with(&dep, &opts, spec, Location::NewYork, &mut rng_a, &mut scratch);
+            let _ = tor_channel_with(
+                &dep,
+                &opts,
+                spec,
+                Location::NewYork,
+                &mut rng_a,
+                &mut scratch,
+            );
         }
         assert_eq!(scratch.grows(), grows, "steady-state establish reallocated");
     }

@@ -43,7 +43,15 @@ impl PluggableTransport for Conjure {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        own_host_channel(PtId::Conjure, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch)
+        own_host_channel(
+            PtId::Conjure,
+            HANDSHAKE_ROUND_TRIPS,
+            dep,
+            opts,
+            dest,
+            rng,
+            scratch,
+        )
     }
 }
 

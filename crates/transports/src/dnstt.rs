@@ -34,7 +34,10 @@ pub const RESPONSE_PAYLOAD: usize = 460;
 
 /// Builds a TXT response carrying `payload` (≤ [`RESPONSE_PAYLOAD`]).
 pub fn encode_response(id: u16, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= RESPONSE_PAYLOAD, "response payload too large");
+    assert!(
+        payload.len() <= RESPONSE_PAYLOAD,
+        "response payload too large"
+    );
     let mut out = Vec::with_capacity(12 + 12 + payload.len());
     out.extend_from_slice(&id.to_be_bytes());
     out.extend_from_slice(&[0x84, 0x00]); // QR=1 AA=1

@@ -184,7 +184,10 @@ impl Automaton {
                 }
             }
         }
-        if !payload_states.iter().any(|s| reachable.iter().any(|r| r == s)) {
+        if !payload_states
+            .iter()
+            .any(|s| reachable.iter().any(|r| r == s))
+        {
             return Err(DslError::PayloadUnreachable);
         }
         Ok(Automaton {
@@ -270,8 +273,7 @@ impl Automaton {
                 state = next.to_string();
             }
         }
-        let ramp_up =
-            transition_delay.mul_f64(ramp_transitions as f64 / RAMP_TRIALS as f64);
+        let ramp_up = transition_delay.mul_f64(ramp_transitions as f64 / RAMP_TRIALS as f64);
 
         DerivedPerformance {
             goodput_bps,
@@ -504,14 +506,18 @@ mod tests {
         let a = Automaton::parse("start -> start: send_payload(1000) 1.0\n").unwrap();
         let mut rng = SimRng::new(2);
         let perf = a.derive_performance(SimDuration::from_millis(100), &mut rng);
-        assert!((perf.goodput_bps - 10_000.0).abs() < 1.0, "{}", perf.goodput_bps);
+        assert!(
+            (perf.goodput_bps - 10_000.0).abs() < 1.0,
+            "{}",
+            perf.goodput_bps
+        );
     }
 
     #[test]
     fn default_model_is_slow() {
         let mut rng = SimRng::new(3);
-        let perf = Automaton::default_ftp()
-            .derive_performance(SimDuration::from_millis(90), &mut rng);
+        let perf =
+            Automaton::default_ftp().derive_performance(SimDuration::from_millis(90), &mut rng);
         // ~0.78 payload transitions × 8 KiB per 90 ms ⇒ well under 100 kB/s.
         assert!(perf.goodput_bps < 100_000.0, "{}", perf.goodput_bps);
         assert!(perf.goodput_bps > 20_000.0, "{}", perf.goodput_bps);

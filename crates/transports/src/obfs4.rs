@@ -449,8 +449,15 @@ impl PluggableTransport for Obfs4 {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let mut ch =
-            own_host_channel(PtId::Obfs4, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
+        let mut ch = own_host_channel(
+            PtId::Obfs4,
+            HANDSHAKE_ROUND_TRIPS,
+            dep,
+            opts,
+            dest,
+            rng,
+            scratch,
+        );
         apply_frame_overhead(&mut ch, frame_overhead());
         // IAT pacing caps throughput; half-filled frames also raise the
         // effective framing overhead.
@@ -485,7 +492,14 @@ mod tests {
         let id = identity();
         let client = client_keys(1);
         let mut rng = SimRng::new(1);
-        let msg = client_hello(&id.keypair.public, &id.node_id, &client, 100, 4242, &mut rng);
+        let msg = client_hello(
+            &id.keypair.public,
+            &id.node_id,
+            &client,
+            100,
+            4242,
+            &mut rng,
+        );
         let parsed = server_parse_hello(&id, &msg, 4242).unwrap();
         assert_eq!(parsed.client_pub, client.public);
         assert_eq!(parsed.pad_len, 100);
@@ -507,7 +521,10 @@ mod tests {
         let client = client_keys(3);
         let mut rng = SimRng::new(3);
         let msg = client_hello(&id.keypair.public, &id.node_id, &client, 64, 100, &mut rng);
-        assert_eq!(server_parse_hello(&id, &msg, 101), Err(HandshakeError::BadMac));
+        assert_eq!(
+            server_parse_hello(&id, &msg, 101),
+            Err(HandshakeError::BadMac)
+        );
     }
 
     #[test]
@@ -517,7 +534,14 @@ mod tests {
         let client = client_keys(4);
         let mut rng = SimRng::new(4);
         // Client speaks to the wrong bridge: mark key mismatch.
-        let msg = client_hello(&other.keypair.public, &other.node_id, &client, 64, 5, &mut rng);
+        let msg = client_hello(
+            &other.keypair.public,
+            &other.node_id,
+            &client,
+            64,
+            5,
+            &mut rng,
+        );
         assert!(server_parse_hello(&id, &msg, 5).is_err());
     }
 
@@ -536,8 +560,7 @@ mod tests {
         let client = client_keys(5);
         let server_eph = client_keys(99);
         let server_keys = server_ntor(&id, &server_eph, &client.public);
-        let client_keys =
-            client_ntor(&client, &id.keypair.public, &id.node_id, &server_eph.public);
+        let client_keys = client_ntor(&client, &id.keypair.public, &id.node_id, &server_eph.public);
         assert_eq!(server_keys, client_keys);
     }
 
@@ -556,7 +579,11 @@ mod tests {
         let mut tx = FrameCodec::derive(&seed, false);
         let mut rx = FrameCodec::derive(&seed, false);
         let mut buf = Vec::new();
-        for msg in [b"hello".to_vec(), vec![0xAA; MAX_FRAME_PAYLOAD], b"world".to_vec()] {
+        for msg in [
+            b"hello".to_vec(),
+            vec![0xAA; MAX_FRAME_PAYLOAD],
+            b"world".to_vec(),
+        ] {
             buf.extend_from_slice(&tx.seal(&msg));
             let got = rx.open(&mut buf).unwrap().expect("frame complete");
             assert_eq!(got, msg);

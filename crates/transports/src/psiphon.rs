@@ -127,8 +127,15 @@ impl PluggableTransport for Psiphon {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let mut ch =
-            own_host_channel(PtId::Psiphon, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
+        let mut ch = own_host_channel(
+            PtId::Psiphon,
+            HANDSHAKE_ROUND_TRIPS,
+            dep,
+            opts,
+            dest,
+            rng,
+            scratch,
+        );
         apply_frame_overhead(&mut ch, frame_overhead());
         ch
     }
@@ -189,7 +196,12 @@ mod tests {
         let k = key();
         let mut buf = Vec::new();
         for seq in 0..3u32 {
-            buf.extend_from_slice(&seal_packet(&k, seq, format!("msg{seq}").as_bytes(), &mut rng));
+            buf.extend_from_slice(&seal_packet(
+                &k,
+                seq,
+                format!("msg{seq}").as_bytes(),
+                &mut rng,
+            ));
         }
         for seq in 0..3u32 {
             let got = open_packet(&k, seq, &mut buf).unwrap().unwrap();

@@ -115,7 +115,11 @@ impl ChunkCodec {
     /// Derives a directional codec from the pre-shared key and the
     /// connection salt.
     pub fn derive(master_key: &[u8; 32], salt: &[u8; 16], is_server: bool) -> ChunkCodec {
-        let dir: &[u8] = if is_server { b"ss-server" } else { b"ss-client" };
+        let dir: &[u8] = if is_server {
+            b"ss-server"
+        } else {
+            b"ss-client"
+        };
         let mut info = salt.to_vec();
         info.extend_from_slice(dir);
         let mut okm = [0u8; 76];
@@ -272,7 +276,10 @@ mod tests {
     #[test]
     fn address_rejects_garbage() {
         assert_eq!(Address::decode(&[]), Err(AddressError::Truncated));
-        assert_eq!(Address::decode(&[0x09, 1, 2]), Err(AddressError::BadType(0x09)));
+        assert_eq!(
+            Address::decode(&[0x09, 1, 2]),
+            Err(AddressError::BadType(0x09))
+        );
         assert_eq!(Address::decode(&[0x01, 1, 2]), Err(AddressError::Truncated));
     }
 

@@ -22,7 +22,10 @@
 use ptperf_sim::{Location, SimDuration, SimRng};
 use ptperf_web::Channel;
 
-use crate::common::{apply_frame_overhead, bootstrap_time, tor_channel_with, EstablishScratch, FirstHop, TorChannelSpec};
+use crate::common::{
+    apply_frame_overhead, bootstrap_time, tor_channel_with, EstablishScratch, FirstHop,
+    TorChannelSpec,
+};
 use crate::ids::PtId;
 use crate::transport::{AccessOptions, Deployment, PluggableTransport};
 
@@ -183,8 +186,7 @@ pub fn sample_proxy(rng: &mut SimRng, load_mult: f64) -> VolunteerProxy {
     // Home uplinks: log-normal around ~1.4 MB/s. Under surge each proxy
     // serves load_mult× more clients *and* the matching degrades
     // (superlinear: the broker hands out already-saturated proxies).
-    let bandwidth_bps =
-        (rng.lognormal(1.4e6, 0.8) / load_mult.max(1.0).powf(1.3)).max(20_000.0);
+    let bandwidth_bps = (rng.lognormal(1.4e6, 0.8) / load_mult.max(1.0).powf(1.3)).max(20_000.0);
     VolunteerProxy {
         location,
         bandwidth_bps,
@@ -301,8 +303,12 @@ mod tests {
     fn surge_shrinks_proxy_bandwidth() {
         let mut rng_a = SimRng::new(1);
         let mut rng_b = SimRng::new(1);
-        let calm: f64 = (0..500).map(|_| sample_proxy(&mut rng_a, 1.0).bandwidth_bps).sum();
-        let surge: f64 = (0..500).map(|_| sample_proxy(&mut rng_b, 3.0).bandwidth_bps).sum();
+        let calm: f64 = (0..500)
+            .map(|_| sample_proxy(&mut rng_a, 1.0).bandwidth_bps)
+            .sum();
+        let surge: f64 = (0..500)
+            .map(|_| sample_proxy(&mut rng_b, 3.0).bandwidth_bps)
+            .sum();
         assert!(surge < calm / 2.0, "surge {surge} calm {calm}");
     }
 
@@ -337,7 +343,10 @@ mod tests {
         let mut rng = SimRng::new(20);
         let n = 300;
         let avg_rounds = |nat: NatType, rng: &mut SimRng| -> f64 {
-            (0..n).map(|_| broker_match(rng, nat, 1.0).1 as f64).sum::<f64>() / n as f64
+            (0..n)
+                .map(|_| broker_match(rng, nat, 1.0).1 as f64)
+                .sum::<f64>()
+                / n as f64
         };
         let restricted = avg_rounds(NatType::Restricted, &mut rng);
         let symmetric = avg_rounds(NatType::Symmetric, &mut rng);

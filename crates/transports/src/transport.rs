@@ -1,7 +1,7 @@
 //! The `PluggableTransport` trait, deployment registry, and access
 //! options shared by all transport implementations.
 
-use ptperf_sim::{Location, LoadProfile, Medium, SimRng};
+use ptperf_sim::{LoadProfile, Location, Medium, SimRng};
 use ptperf_tor::{Consensus, ConsensusParams, PathConfig, RelayId};
 use ptperf_web::Channel;
 
@@ -61,13 +61,38 @@ impl Deployment {
         // Set 1 — PT server doubles as guard: (PT, host, capacity, load).
         let set1 = [
             // Tor-operated bridges: well provisioned, lightly loaded (§4.2.1).
-            (PtId::Obfs4, Location::Frankfurt, 5.5e6, LoadProfile::ManagedBridge),
-            (PtId::Meek, Location::NewYork, 4.0e6, LoadProfile::ManagedBridge),
-            (PtId::Conjure, Location::Frankfurt, 6.0e6, LoadProfile::ManagedBridge),
+            (
+                PtId::Obfs4,
+                Location::Frankfurt,
+                5.5e6,
+                LoadProfile::ManagedBridge,
+            ),
+            (
+                PtId::Meek,
+                Location::NewYork,
+                4.0e6,
+                LoadProfile::ManagedBridge,
+            ),
+            (
+                PtId::Conjure,
+                Location::Frankfurt,
+                6.0e6,
+                LoadProfile::ManagedBridge,
+            ),
             // Snowflake's bridge (behind the volunteer proxies) is Tor-operated.
-            (PtId::Snowflake, Location::Frankfurt, 5.0e6, LoadProfile::ManagedBridge),
+            (
+                PtId::Snowflake,
+                Location::Frankfurt,
+                5.0e6,
+                LoadProfile::ManagedBridge,
+            ),
             // Self-hosted set-1 servers at the campaign server region.
-            (PtId::WebTunnel, server_region, 5.0e6, LoadProfile::Dedicated),
+            (
+                PtId::WebTunnel,
+                server_region,
+                5.0e6,
+                LoadProfile::Dedicated,
+            ),
             (PtId::Dnstt, server_region, 5.0e6, LoadProfile::Dedicated),
         ];
         let mut rng = SimRng::new(seed);
@@ -208,7 +233,10 @@ mod tests {
             PtId::Dnstt,
         ] {
             let id = dep.bridge(pt);
-            assert!(dep.consensus.relay(id).flags.guard, "{pt} bridge not a guard");
+            assert!(
+                dep.consensus.relay(id).flags.guard,
+                "{pt} bridge not a guard"
+            );
         }
         for pt in [
             PtId::Shadowsocks,
@@ -226,7 +254,11 @@ mod tests {
     fn bridges_are_lightly_loaded() {
         let dep = Deployment::standard(2, Location::Frankfurt);
         let bridge = dep.consensus.relay(dep.bridge(PtId::Obfs4));
-        assert!(bridge.utilization < 0.3, "bridge util {}", bridge.utilization);
+        assert!(
+            bridge.utilization < 0.3,
+            "bridge util {}",
+            bridge.utilization
+        );
     }
 
     #[test]
@@ -240,7 +272,7 @@ mod tests {
     fn private_bridge_replaces_default() {
         let mut dep = Deployment::standard(4, Location::Frankfurt);
         let before = dep.bridge(PtId::Obfs4);
-        dep.host_private_bridge(PtId::Obfs4, Location::London, 3.0e6, );
+        dep.host_private_bridge(PtId::Obfs4, Location::London, 3.0e6);
         let after = dep.bridge(PtId::Obfs4);
         assert_ne!(before, after);
         assert_eq!(dep.consensus.relay(after).location, Location::London);

@@ -61,7 +61,10 @@ pub fn handle_upgrade(request: &[u8], secret_path: &str) -> Result<Vec<u8>, Upgr
     if path.trim_start_matches('/') != secret_path {
         return Err(UpgradeError::WrongPath);
     }
-    Ok(b"HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: websocket\r\n\r\n".to_vec())
+    Ok(
+        b"HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: websocket\r\n\r\n"
+            .to_vec(),
+    )
 }
 
 /// Encodes a tunnel record: 2-byte length + payload.
@@ -111,8 +114,15 @@ impl PluggableTransport for WebTunnel {
         rng: &mut SimRng,
         scratch: &mut EstablishScratch,
     ) -> Channel {
-        let mut ch =
-            own_host_channel(PtId::WebTunnel, HANDSHAKE_ROUND_TRIPS, dep, opts, dest, rng, scratch);
+        let mut ch = own_host_channel(
+            PtId::WebTunnel,
+            HANDSHAKE_ROUND_TRIPS,
+            dep,
+            opts,
+            dest,
+            rng,
+            scratch,
+        );
         apply_frame_overhead(&mut ch, frame_overhead());
         ch
     }
@@ -132,7 +142,10 @@ mod tests {
     #[test]
     fn probe_with_wrong_path_is_refused() {
         let req = upgrade_request("cover.example.com", "guessed-path");
-        assert_eq!(handle_upgrade(&req, "s3cret-path"), Err(UpgradeError::WrongPath));
+        assert_eq!(
+            handle_upgrade(&req, "s3cret-path"),
+            Err(UpgradeError::WrongPath)
+        );
     }
 
     #[test]

@@ -93,7 +93,10 @@ pub enum BrowserError {
 impl std::fmt::Display for BrowserError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BrowserError::ParallelismUnsupported { supported, required } => write!(
+            BrowserError::ParallelismUnsupported {
+                supported,
+                required,
+            } => write!(
                 f,
                 "transport supports {supported} concurrent stream(s); browser needs {required}"
             ),
@@ -347,7 +350,10 @@ mod tests {
         assert_eq!(plain.outcome, traced.outcome);
         let data = rec.into_data();
         assert_eq!(data.counter("browser/pages"), Some(1));
-        assert_eq!(data.counter("browser/resources"), Some(s.resources.len() as u64));
+        assert_eq!(
+            data.counter("browser/resources"),
+            Some(s.resources.len() as u64)
+        );
     }
 
     #[test]
@@ -401,8 +407,7 @@ mod tests {
             .resources
             .iter()
             .map(|&b| {
-                (ch.stream_open + ch.request_rtt).as_secs_f64()
-                    + ch.transfer_time(b).as_secs_f64()
+                (ch.stream_open + ch.request_rtt).as_secs_f64() + ch.transfer_time(b).as_secs_f64()
             })
             .sum();
         assert!(

@@ -293,7 +293,10 @@ mod tests {
                 complete += 1;
             }
         }
-        assert!(s.stats().injected > 0, "aggressive profile injected nothing");
+        assert!(
+            s.stats().injected > 0,
+            "aggressive profile injected nothing"
+        );
         assert!(s.stats().retried > 0, "no event was ever retried");
         assert!(complete > 0, "retries should save some fetches");
         assert!(s.stats().consistent());

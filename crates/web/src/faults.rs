@@ -85,11 +85,7 @@ impl FaultSession {
     /// draws never perturb measurement draws.
     pub fn active(profile: FaultProfile, bias: FaultBias, rng: SimRng) -> Self {
         FaultSession {
-            mode: Mode::Active {
-                profile,
-                bias,
-                rng,
-            },
+            mode: Mode::Active { profile, bias, rng },
             stats: FaultStats::default(),
         }
     }
@@ -118,11 +114,7 @@ impl FaultSession {
     pub fn plan(&mut self, knobs: &FaultKnobs) -> FaultPlan {
         match &mut self.mode {
             Mode::Off => FaultPlan::empty(),
-            Mode::Active {
-                profile,
-                bias,
-                rng,
-            } => FaultPlan::generate(knobs, profile, bias, rng),
+            Mode::Active { profile, bias, rng } => FaultPlan::generate(knobs, profile, bias, rng),
         }
     }
 

@@ -46,7 +46,8 @@ pub fn download(channel: &Channel, bytes: u64, rng: &mut SimRng) -> Download {
         };
     }
 
-    let head = channel.setup + channel.stream_open + channel.per_request_extra + channel.request_rtt;
+    let head =
+        channel.setup + channel.stream_open + channel.per_request_extra + channel.request_rtt;
     if head >= timeout {
         return Download {
             elapsed: timeout,
@@ -257,7 +258,11 @@ mod tests {
         let d = download(&ch, FILE_SIZES[4], &mut rng);
         assert_eq!(d.outcome, Outcome::Partial);
         assert_eq!(d.elapsed, FILE_TIMEOUT);
-        assert!(d.fraction > 0.05 && d.fraction < 0.25, "fraction {}", d.fraction);
+        assert!(
+            d.fraction > 0.05 && d.fraction < 0.25,
+            "fraction {}",
+            d.fraction
+        );
     }
 
     #[test]

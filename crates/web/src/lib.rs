@@ -34,6 +34,8 @@ pub use browser::{load_page_pooled, BrowserError, PageLoad, PageScratch, BROWSER
 pub use channel::{Channel, Outcome};
 pub use curl::{fetch, fetch_faulted, FetchResult, PAGE_TIMEOUT};
 pub use faults::{FaultSession, FaultStats};
-pub use filedl::{download, download_faulted, Download, ReliabilityCounts, FILE_SIZES, FILE_TIMEOUT};
+pub use filedl::{
+    download, download_faulted, Download, ReliabilityCounts, FILE_SIZES, FILE_TIMEOUT,
+};
 pub use streaming::{play, MediaStream, StreamingSession};
 pub use website::{SiteCategory, SiteList, Website};

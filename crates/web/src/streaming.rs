@@ -175,11 +175,7 @@ mod tests {
     use ptperf_sim::TransferModel;
 
     fn channel(rate: f64, extra_ms: u64) -> Channel {
-        let mut ch = Channel::ideal(TransferModel::new(
-            SimDuration::from_millis(200),
-            rate,
-            0.0,
-        ));
+        let mut ch = Channel::ideal(TransferModel::new(SimDuration::from_millis(200), rate, 0.0));
         ch.per_request_extra = SimDuration::from_millis(extra_ms);
         ch
     }
@@ -217,7 +213,11 @@ mod tests {
     fn audio_is_much_less_demanding() {
         let mut rng = SimRng::new(3);
         let ch = channel(60_000.0, 0);
-        let audio = play(&ch, &MediaStream::audio(SimDuration::from_secs(120)), &mut rng);
+        let audio = play(
+            &ch,
+            &MediaStream::audio(SimDuration::from_secs(120)),
+            &mut rng,
+        );
         assert!(audio.watchable(), "{audio:?}");
     }
 
@@ -250,7 +250,11 @@ mod tests {
         let mut rng = SimRng::new(6);
         let mut ch = channel(1.0e6, 0);
         ch.connect_failure_p = 1.0;
-        let s = play(&ch, &MediaStream::audio(SimDuration::from_secs(30)), &mut rng);
+        let s = play(
+            &ch,
+            &MediaStream::audio(SimDuration::from_secs(30)),
+            &mut rng,
+        );
         assert_eq!(s.outcome, Outcome::Failed);
     }
 
@@ -260,7 +264,11 @@ mod tests {
         let mut ch = channel(1.0e6, 0);
         ch.hazard_per_sec = 0.5; // dies every ~2 s of fetch time
         ch.setup = SimDuration::from_secs(3);
-        let s = play(&ch, &MediaStream::video(SimDuration::from_secs(300)), &mut rng);
+        let s = play(
+            &ch,
+            &MediaStream::video(SimDuration::from_secs(300)),
+            &mut rng,
+        );
         assert!(s.rebuffer_events > 0, "{s:?}");
     }
 

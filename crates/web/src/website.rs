@@ -110,7 +110,8 @@ impl Website {
     /// Generates the site at `rank` in `list`. Deterministic: the same
     /// `(list, rank)` always yields the same site.
     pub fn generate(list: SiteList, rank: usize) -> Website {
-        let mut rng = SimRng::new(list.seed_base() ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng =
+            SimRng::new(list.seed_base() ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
         // Popular sites sit on CDNs (close, fast); blocked sites are more
         // often a single origin, slightly heavier-tailed on think time.
@@ -150,8 +151,7 @@ impl Website {
 
         // Default-page HTML: log-normal, median ~110 KB, clipped to
         // [4 KB, 3 MB], scaled by genre.
-        let main_size =
-            (rng.lognormal(110_000.0, 0.9) * m_main).clamp(4_000.0, 3_000_000.0) as u64;
+        let main_size = (rng.lognormal(110_000.0, 0.9) * m_main).clamp(4_000.0, 3_000_000.0) as u64;
 
         // Sub-resources: count log-normal (median ~22), sizes log-normal
         // (median ~28 KB) — images dominate the tail; both genre-scaled.
@@ -253,7 +253,10 @@ mod tests {
         let mut totals: Vec<f64> = sites.iter().map(|s| s.total_weight() as f64).collect();
         totals.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let tmed = totals[totals.len() / 2];
-        assert!((300_000.0..3_000_000.0).contains(&tmed), "median total {tmed}");
+        assert!(
+            (300_000.0..3_000_000.0).contains(&tmed),
+            "median total {tmed}"
+        );
     }
 
     #[test]
@@ -274,7 +277,13 @@ mod tests {
 
     #[test]
     fn names_are_stable_and_distinct() {
-        assert_eq!(Website::generate(SiteList::Tranco, 7).name(), "tranco-007.example");
-        assert_eq!(Website::generate(SiteList::Cbl, 7).name(), "cbl-007.example");
+        assert_eq!(
+            Website::generate(SiteList::Tranco, 7).name(),
+            "tranco-007.example"
+        );
+        assert_eq!(
+            Website::generate(SiteList::Cbl, 7).name(),
+            "cbl-007.example"
+        );
     }
 }

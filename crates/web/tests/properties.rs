@@ -9,14 +9,14 @@ use ptperf_web::{curl, download, Channel, Outcome, SiteList, Website};
 
 fn arb_channel() -> impl Strategy<Value = Channel> {
     (
-        10u64..2_000,             // rtt ms
-        10_000.0f64..10_000_000.0, // bottleneck
-        0.0f64..0.05,             // loss
-        0u64..10_000,             // setup ms
-        0u64..5_000,              // per-request extra ms
+        10u64..2_000,                                  // rtt ms
+        10_000.0f64..10_000_000.0,                     // bottleneck
+        0.0f64..0.05,                                  // loss
+        0u64..10_000,                                  // setup ms
+        0u64..5_000,                                   // per-request extra ms
         proptest::option::of(5_000.0f64..1_000_000.0), // carrier cap
-        0.0f64..0.05,             // hazard
-        0.0f64..0.3,              // connect failure
+        0.0f64..0.05,                                  // hazard
+        0.0f64..0.3,                                   // connect failure
     )
         .prop_map(|(rtt, bw, loss, setup, extra, cap, hazard, fail)| {
             let mut ch = Channel::ideal(TransferModel::relayed(

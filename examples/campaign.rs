@@ -92,7 +92,10 @@ fn main() {
         .iter()
         .map(|p| p.name())
         .collect();
-    println!("Fig 5 (files): excluded for unreliability: {}", excluded.join(", "));
+    println!(
+        "Fig 5 (files): excluded for unreliability: {}",
+        excluded.join(", ")
+    );
 
     let ttfb = result::<ttfb::Result>(&runs);
     println!(

@@ -85,7 +85,8 @@ fn main() {
             "{:<12} {:>14.1} {:>14} {:>11.0}%",
             s.pt.name(),
             s.browse_median_s,
-            s.dl_10mb_s.map_or("never".to_string(), |t| format!("{t:.0}")),
+            s.dl_10mb_s
+                .map_or("never".to_string(), |t| format!("{t:.0}")),
             100.0 * s.bulk_success
         );
     }

@@ -26,7 +26,10 @@ fn main() {
         site.server
     );
 
-    println!("{:<12} {:>10} {:>10}  outcome", "transport", "ttfb (s)", "total (s)");
+    println!(
+        "{:<12} {:>10} {:>10}  outcome",
+        "transport", "ttfb (s)", "total (s)"
+    );
     for transport in all_transports() {
         // Average a few fetches: every establishment samples fresh
         // network conditions, like running curl five times.

@@ -102,10 +102,7 @@ fn different_seed_different_file_download_results() {
     };
     let a = file_download::run(&Scenario::baseline(63), &cfg);
     let b = file_download::run(&Scenario::baseline(64), &cfg);
-    assert_ne!(
-        a.paired.samples(PtId::Obfs4),
-        b.paired.samples(PtId::Obfs4)
-    );
+    assert_ne!(a.paired.samples(PtId::Obfs4), b.paired.samples(PtId::Obfs4));
 }
 
 #[test]
@@ -181,7 +178,11 @@ fn shared_deployment_matches_per_unit_rebuild_bit_for_bit() {
                 assert_eq!(x.outcome, y.outcome, "{pt}");
             }
         }
-        assert_eq!(a.render(), b.render(), "render diverged at {workers} workers");
+        assert_eq!(
+            a.render(),
+            b.render(),
+            "render diverged at {workers} workers"
+        );
     }
 }
 
@@ -317,7 +318,11 @@ fn phase_histograms_are_deterministic_and_merge_order_independent() {
     assert_eq!(seq.reports.len(), par.reports.len());
     for (a, b) in seq.reports.iter().zip(&par.reports) {
         assert_eq!(a.label, b.label);
-        assert!(!a.obs.hists.is_empty(), "{}: no histograms recorded", a.label);
+        assert!(
+            !a.obs.hists.is_empty(),
+            "{}: no histograms recorded",
+            a.label
+        );
         assert_eq!(
             a.obs.hists, b.obs.hists,
             "{}: histograms diverged across worker counts",
@@ -331,7 +336,10 @@ fn phase_histograms_are_deterministic_and_merge_order_independent() {
         .iter()
         .filter_map(|r| r.obs.hist("total"))
         .collect();
-    assert!(totals.len() > 1, "fig5 shards should each carry a total hist");
+    assert!(
+        totals.len() > 1,
+        "fig5 shards should each carry a total hist"
+    );
     let mut forward = Hist::new();
     for h in &totals {
         forward.merge(h);

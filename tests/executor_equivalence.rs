@@ -46,8 +46,8 @@ fn website_curl_is_invariant_under_parallelism() {
         let scenario = Scenario::baseline(seed);
         let reference = website_curl::run(&scenario, &cfg);
         for par in worker_grid() {
-            let executed = executor::run_units(&par, website_curl::units(&scenario, &cfg))
-                .expect("no panics");
+            let executed =
+                executor::run_units(&par, website_curl::units(&scenario, &cfg)).expect("no panics");
             let result = website_curl::merge(executed.values);
             for pt in PtId::ALL_WITH_VANILLA {
                 assert_bits_eq(
@@ -57,7 +57,11 @@ fn website_curl_is_invariant_under_parallelism() {
                 );
             }
             assert_eq!(result.render(), reference.render(), "seed {seed} {par:?}");
-            assert!(executed.reports.iter().enumerate().all(|(i, r)| r.index == i));
+            assert!(executed
+                .reports
+                .iter()
+                .enumerate()
+                .all(|(i, r)| r.index == i));
         }
     }
 }
@@ -257,10 +261,7 @@ fn panicking_experiment_shard_surfaces_as_exec_error() {
     assert_eq!(err.completed, n);
     assert_eq!(err.failures[0].label, "poisoned");
 
-    let ok = executor::run_units(
-        &Parallelism::new(4),
-        website_curl::units(&scenario, &cfg),
-    )
-    .expect("clean pool succeeds");
+    let ok = executor::run_units(&Parallelism::new(4), website_curl::units(&scenario, &cfg))
+        .expect("clean pool succeeds");
     assert_eq!(ok.values.len(), n);
 }

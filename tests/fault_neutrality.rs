@@ -22,8 +22,19 @@ use ptperf_bench::{run_targets, RunScale, TargetRun};
 
 /// One representative target per measurement family — all thirteen.
 const ALL_FAMILIES: [&str; 13] = [
-    "fig2a", "fig2b", "fig3a", "fig4", "fig5", "fig6", "fig7", "fig8a", "medium", "fig9",
-    "fig10a", "fig11", "streaming",
+    "fig2a",
+    "fig2b",
+    "fig3a",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8a",
+    "medium",
+    "fig9",
+    "fig10a",
+    "fig11",
+    "streaming",
 ];
 
 /// The families whose units drive the fault lane (file downloads and

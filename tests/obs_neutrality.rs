@@ -62,9 +62,8 @@ fn recording_never_changes_a_target_render() {
                     on.reports.iter().any(|r| !r.obs.spans.is_empty()),
                     "{name}: Record::Trace recorded no spans"
                 );
-                let samples = |r: &TargetRun| -> Vec<usize> {
-                    r.reports.iter().map(|s| s.samples).collect()
-                };
+                let samples =
+                    |r: &TargetRun| -> Vec<usize> { r.reports.iter().map(|s| s.samples).collect() };
                 assert_eq!(samples(&off), samples(&on), "{name} seed {seed}");
             }
         }
@@ -136,7 +135,11 @@ fn raw_samples_are_bit_identical_with_recording_on() {
         let events = data.counter("events").unwrap();
         for key in ["handshake", "request", "transfer", "ttfb", "total"] {
             let h = data.hist(key).unwrap_or_else(|| panic!("no {key} hist"));
-            assert_eq!(h.count(), events, "{key} hist must have one sample per fetch");
+            assert_eq!(
+                h.count(),
+                events,
+                "{key} hist must have one sample per fetch"
+            );
             assert!(h.max_ns() >= h.min_ns());
         }
     }
@@ -156,7 +159,10 @@ fn hist_and_chrome_reports_are_identical_across_worker_counts() {
             ref_hist.contains("\"phase\":"),
             "{name}: hist report carries no phase histograms:\n{ref_hist}"
         );
-        assert!(ref_chrome.contains("\"ph\":\"X\""), "{name}: no span events");
+        assert!(
+            ref_chrome.contains("\"ph\":\"X\""),
+            "{name}: no span events"
+        );
         for workers in [1, 4] {
             let par = Parallelism::new(workers).with_recording(Record::Trace);
             let run = run(name, SEEDS[0], &par);

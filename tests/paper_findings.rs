@@ -44,7 +44,10 @@ fn fig2a_ordering_matches_paper() {
     // Marionette is the worst PT, full stop.
     for pt in PtId::ALL_PTS {
         if pt != PtId::Marionette {
-            assert!(med(PtId::Marionette) > med(pt), "{pt} slower than marionette?");
+            assert!(
+                med(PtId::Marionette) > med(pt),
+                "{pt} slower than marionette?"
+            );
         }
     }
 }
@@ -100,7 +103,13 @@ fn fig3_fixed_circuit_null_result() {
 #[test]
 fn fig5_fig8_bulk_reliability_split() {
     let sc = scenario();
-    let fd = file_download::run(&sc, &file_download::Config { attempts: 6, sizes: ptperf_web::FILE_SIZES });
+    let fd = file_download::run(
+        &sc,
+        &file_download::Config {
+            attempts: 6,
+            sizes: ptperf_web::FILE_SIZES,
+        },
+    );
     let excluded = fd.excluded();
     for pt in [PtId::Meek, PtId::Dnstt, PtId::Snowflake] {
         assert!(excluded.contains(&pt), "{pt} should fail bulk downloads");
@@ -109,7 +118,13 @@ fn fig5_fig8_bulk_reliability_split() {
         assert!(fd.qualifies(pt), "{pt} should complete bulk downloads");
     }
 
-    let rel = reliability::run(&sc, &reliability::Config { attempts: 10, sizes: ptperf_web::FILE_SIZES });
+    let rel = reliability::run(
+        &sc,
+        &reliability::Config {
+            attempts: 10,
+            sizes: ptperf_web::FILE_SIZES,
+        },
+    );
     for pt in reliability::WORST {
         assert!(
             rel.incomplete_fraction(pt) > 0.75,
@@ -129,7 +144,10 @@ fn fig5_fig8_bulk_reliability_split() {
 #[test]
 fn fig8_fault_plan_reproduces_reliability_fractions() {
     let sc = scenario().with_faults(FaultConfig::Plan(FaultProfile::paper()));
-    let cfg = reliability::Config { attempts: 10, sizes: ptperf_web::FILE_SIZES };
+    let cfg = reliability::Config {
+        attempts: 10,
+        sizes: ptperf_web::FILE_SIZES,
+    };
     let rel = reliability::run(&sc, &cfg);
 
     // Fig. 8a, worst trio: >80% of attempts incomplete even with
@@ -162,8 +180,14 @@ fn fig8_fault_plan_reproduces_reliability_fractions() {
     // Golden replay: the same seed reproduces the exact same outcome
     // counts and per-attempt fractions.
     let again = reliability::run(&sc, &cfg);
-    assert_eq!(rel.counts, again.counts, "fault-laden fig8 counts not replayable");
-    assert_eq!(rel.fractions, again.fractions, "fault-laden fig8 fractions not replayable");
+    assert_eq!(
+        rel.counts, again.counts,
+        "fault-laden fig8 counts not replayable"
+    );
+    assert_eq!(
+        rel.fractions, again.fractions,
+        "fault-laden fig8 fractions not replayable"
+    );
 }
 
 /// §4.4 / Fig. 6: TTFB below 5 s for >80% of sites for all PTs except

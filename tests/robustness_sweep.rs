@@ -88,8 +88,8 @@ fn aggressive_faults_break_nothing_in_any_corner() {
 
     let mut corners = 0u32;
     for &epoch in &epochs {
-        let mut scenario = Scenario::baseline(9_999)
-            .with_faults(FaultConfig::Plan(FaultProfile::aggressive()));
+        let mut scenario =
+            Scenario::baseline(9_999).with_faults(FaultConfig::Plan(FaultProfile::aggressive()));
         scenario.epoch = epoch;
         let dep = scenario.deployment();
         let opts = scenario.access_options();
@@ -164,7 +164,10 @@ fn snowflake_survives_any_load() {
         let mut rng = scenario.rng("snowflake-extreme");
         let t = ptperf_transports::transport_for(PtId::Snowflake);
         let ch = t.establish(&dep, &opts, Location::Frankfurt, &mut rng);
-        assert!(ch.response.bottleneck_bps >= 1_000.0, "load {mult}: channel collapsed");
+        assert!(
+            ch.response.bottleneck_bps >= 1_000.0,
+            "load {mult}: channel collapsed"
+        );
         assert!(ch.connect_failure_p < 0.5, "load {mult}");
     }
 }
