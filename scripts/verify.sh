@@ -8,6 +8,8 @@
 #      per calling thread, including the pools it ran
 #   2a. paper-scale output pins: the benchmark's own command for each
 #      ptbench workload at seed 42 must print its pinned artifact digest
+#   2b. formatting: `cargo fmt --all --check` (the workspace's members;
+#      the standalone ptbench package is not one of them)
 #   3. clippy with warnings promoted to errors
 #   4. repro observability smoke run (--profile/--trace/--metrics),
 #      plus the hist-report smoke (--hist: valid JSON, non-empty
@@ -80,6 +82,9 @@ for pin in corpus_paper:86ec0eb2d06bb6c7 browser_paper:7e4484bc1b9674b2 bulk_see
     exit 1
   fi
 done
+
+echo "== rustfmt (--check) =="
+cargo fmt --all --check
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
