@@ -381,14 +381,15 @@ fn print_help() {
          (path override: --bench-out), then exits. flow: the single-link\n\
          page-load sharing loop (p50/p95 per workload class, steps/s,\n\
          allocations-per-step proxy).\n\
-         establish: channel establishment (indexed path selection vs the\n\
-         reference scan at 600 and 5000 relays, establishes/s, fast-path\n\
-         fraction, allocations per establish, deployment-memo savings).\n\
-         unit: whole measurement units (warm pooled pipeline vs the\n\
-         allocating reference path for browser page loads, curl fetches\n\
-         and file downloads; units/s, allocations per warm unit,\n\
-         site-workload-memo savings). Runs per class: PTPERF_BENCH_RUNS,\n\
-         default 400 (flow, establish) or 200 (unit).\n\
+         establish: channel establishment at 600 and 5000 relays\n\
+         (p50/p95 per establish, establishes/s, picks per establish,\n\
+         fast-path fraction, allocations per establish, deployment-memo\n\
+         savings).\n\
+         unit: whole measurement units on the warm pooled pipeline\n\
+         (browser page loads, curl fetches and file downloads; units/s,\n\
+         allocations per warm unit, site-workload-memo savings). Runs\n\
+         per class: PTPERF_BENCH_RUNS, default 400 (flow, establish) or\n\
+         200 (unit).\n\
          --quiet shows errors only; -v enables debug diagnostics.\n\
          With no targets, all of them run. Targets:\n  {}",
         available_targets().join(" ")

@@ -65,11 +65,12 @@ pub fn per_sec(units_per_run: f64, p50_us: f64) -> f64 {
     }
 }
 
-/// The headline `reference_p50 / optimized_p50` ratio; infinite when
-/// the optimized lane is below timer resolution, never NaN.
-pub fn speedup(ref_p50: f64, opt_p50: f64) -> f64 {
-    if opt_p50 > 0.0 {
-        ref_p50 / opt_p50
+/// The `slow_p50 / fast_p50` ratio (a memo's rebuild over its cached
+/// fetch); infinite when the fast lane is below timer resolution, never
+/// NaN.
+pub fn speedup(slow_p50: f64, fast_p50: f64) -> f64 {
+    if fast_p50 > 0.0 {
+        slow_p50 / fast_p50
     } else {
         f64::INFINITY
     }

@@ -3,23 +3,21 @@
 //!
 //! Companion to [`crate::flowbench`], for the other hot loop of every
 //! campaign: building channels. For each (transport, consensus size)
-//! class it measures warm per-establish wall time through the indexed
-//! pick path against the retained reference (full-scan) oracle, the
-//! establishes-per-second it sustains, how often the indexed fast path
-//! resolves a pick without falling back to the scan, and whether the
-//! persistent [`EstablishScratch`] still allocates once warm. A separate
-//! section times the scenario's deployment memo: cached fetch vs a full
-//! consensus rebuild.
+//! class it measures warm per-establish wall time on the campaign's own
+//! path (a persistent [`EstablishScratch`], picks on the consensus
+//! index), the establishes-per-second it sustains, how many relay picks
+//! an establish resolves and how often the indexed fast path resolves
+//! one without falling back to the scan, and whether the scratch still
+//! allocates once warm. A separate section times the scenario's
+//! deployment memo: cached fetch vs a full consensus rebuild. That the
+//! selector picks what the full-scan oracle picks is the business of
+//! `ptperf-tor`'s `path_equivalence` tests, not of this timing harness.
 //!
 //! Determinism note: every timed run replays the same establish sequence
 //! from a fixed per-run seed, so the *work* is identical run to run and
-//! across commits; only wall-clock numbers move. Warmups assert that the
-//! indexed and reference lanes produce bit-identical channels from
-//! identical RNG draw sequences (for the vanilla classes, a guard sample
-//! that resolves only its first pick against an eager one) — the
-//! benchmark refuses to time two implementations that disagree. The
-//! harness fails hard on NaN or non-finite measurements but never on
-//! thresholds: speed regressions are for review to catch, not CI flakes.
+//! across commits; only wall-clock numbers move. The harness fails hard
+//! on NaN or non-finite measurements but never on thresholds: speed
+//! regressions are for review to catch, not CI flakes.
 
 use ptperf::scenario::Scenario;
 use ptperf_obs::json;
@@ -62,20 +60,14 @@ pub struct ClassResult {
     pub picks_per_establish: f64,
     /// Fraction of picks the indexed fast path resolved without a scan.
     pub index_pick_fraction: f64,
-    /// Indexed-path p50 wall time per establish, microseconds.
+    /// p50 wall time per establish, microseconds.
     pub idx_p50_us: f64,
-    /// Indexed-path p95 wall time per establish, microseconds.
+    /// p95 wall time per establish, microseconds.
     pub idx_p95_us: f64,
-    /// Reference-oracle p50 wall time per establish, microseconds.
-    pub ref_p50_us: f64,
-    /// Reference-oracle p95 wall time per establish, microseconds.
-    pub ref_p95_us: f64,
-    /// Establishes per second at the indexed p50.
+    /// Establishes per second at the p50.
     pub establishes_per_sec: f64,
-    /// `ref_p50 / idx_p50` — the headline speedup.
-    pub speedup_p50: f64,
-    /// Scratch-buffer growths during the timed indexed runs divided by
-    /// timed establishes. Should be 0 once warm.
+    /// Scratch-buffer growths during the timed runs divided by timed
+    /// establishes. Should be 0 once warm.
     pub allocs_per_establish: f64,
 }
 
@@ -93,9 +85,9 @@ pub struct DeploymentResult {
 }
 
 /// The standard classes: the two headline transports at the default
-/// 600-relay consensus and at 5000 relays (the scale where the scan
-/// oracle's O(n) per pick bites). Fixed seeds keep workloads
-/// byte-for-byte identical across runs.
+/// 600-relay consensus and at 5000 relays (about live Tor's size, where
+/// an O(n) pick would bite). Fixed seeds keep workloads byte-for-byte
+/// identical across runs.
 pub fn standard_workloads() -> Vec<Workload> {
     let opts = AccessOptions::new(Location::London);
     let mut out = Vec::new();
@@ -123,67 +115,27 @@ fn assert_finite(name: &str, what: &str, x: f64) {
     emit::assert_finite(&format!("establish bench {name}"), what, x);
 }
 
-/// Benchmarks one class: warmups prove the indexed lane is draw- and
-/// bit-identical to the reference oracle, then `runs` timed batches of
-/// [`ESTABLISHES_PER_RUN`] establishes per lane, every batch replaying
-/// the same fixed-seed sequence.
+/// Benchmarks one class: one untimed batch counts the relay picks and
+/// warms the scratch, then `runs` timed batches of
+/// [`ESTABLISHES_PER_RUN`] establishes, every batch replaying the same
+/// fixed-seed sequence.
 pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     const RUN_SEED: u64 = 7;
     let transport = transport_for(w.pt);
-    let mut idx_scratch = EstablishScratch::new();
-    let mut ref_scratch = EstablishScratch::reference_oracle();
-
-    // Warmup + equivalence gate: same seeds, both lanes, channels and
-    // draw counts must match exactly.
-    for warm in 0..3 {
-        let mut rng_i = SimRng::new(RUN_SEED);
-        let mut rng_r = SimRng::new(RUN_SEED);
-        for i in 0..ESTABLISHES_PER_RUN {
-            let a = transport.establish_with(
-                &w.dep,
-                &w.opts,
-                Location::NewYork,
-                &mut rng_i,
-                &mut idx_scratch,
-            );
-            let b = transport.establish_with(
-                &w.dep,
-                &w.opts,
-                Location::NewYork,
-                &mut rng_r,
-                &mut ref_scratch,
-            );
-            assert_eq!(
-                rng_i, rng_r,
-                "establish bench {}: draw-count divergence at warmup {warm} establish {i}",
-                w.name
-            );
-            assert_eq!(a.setup, b.setup, "{}: setup divergence", w.name);
-            assert_eq!(a.request_rtt, b.request_rtt, "{}: rtt divergence", w.name);
-            assert_eq!(
-                a.response.bottleneck_bps.to_bits(),
-                b.response.bottleneck_bps.to_bits(),
-                "{}: bottleneck divergence",
-                w.name
-            );
-        }
-    }
-
-    // Pick accounting for this class, measured over one untimed batch.
-    let picks_before = ptperf_obs::perf::snapshot();
-    {
+    let mut scratch = EstablishScratch::new();
+    let batch = |scratch: &mut EstablishScratch| {
         let mut rng = SimRng::new(RUN_SEED);
         for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(
-                &w.dep,
-                &w.opts,
-                Location::NewYork,
-                &mut rng,
-                &mut idx_scratch,
-            );
+            let ch =
+                transport.establish_with(&w.dep, &w.opts, Location::NewYork, &mut rng, scratch);
             std::hint::black_box(ch);
         }
-    }
+    };
+
+    // Pick accounting for this class, measured over one untimed batch
+    // that also grows the scratch to steady state.
+    let picks_before = ptperf_obs::perf::snapshot();
+    batch(&mut scratch);
     let picks_delta = ptperf_obs::perf::snapshot().delta_since(&picks_before);
     let batch_picks = picks_delta.path_index_pick + picks_delta.path_scan_fallback;
     let picks_per_establish = batch_picks as f64 / ESTABLISHES_PER_RUN as f64;
@@ -194,55 +146,23 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
     };
 
     // The shared loop times the whole batch (the per-batch rng
-    // construction it now includes is a few nanoseconds against a
+    // construction it includes is a few nanoseconds against a
     // 32-establish batch); the per-establish scaling happens after.
-    let per_establish = |batch_us: Vec<f64>| -> Vec<f64> {
-        batch_us
-            .iter()
-            .map(|us| us / ESTABLISHES_PER_RUN as f64)
-            .collect()
-    };
-    let grows_before = idx_scratch.grows();
-    let idx_us = per_establish(emit::timed_runs(runs, || {
-        let mut rng = SimRng::new(RUN_SEED);
-        for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(
-                &w.dep,
-                &w.opts,
-                Location::NewYork,
-                &mut rng,
-                &mut idx_scratch,
-            );
-            std::hint::black_box(ch);
-        }
-    }));
-    let grows_during = idx_scratch.grows() - grows_before;
-
-    let ref_us = per_establish(emit::timed_runs(runs, || {
-        let mut rng = SimRng::new(RUN_SEED);
-        for _ in 0..ESTABLISHES_PER_RUN {
-            let ch = transport.establish_with(
-                &w.dep,
-                &w.opts,
-                Location::NewYork,
-                &mut rng,
-                &mut ref_scratch,
-            );
-            std::hint::black_box(ch);
-        }
-    }));
+    let grows_before = scratch.grows();
+    let idx_us: Vec<f64> = emit::timed_runs(runs, || batch(&mut scratch))
+        .iter()
+        .map(|us| us / ESTABLISHES_PER_RUN as f64)
+        .collect();
+    let grows_during = scratch.grows() - grows_before;
 
     let (idx_p50, idx_p95) = emit::p50_p95(&idx_us);
-    let (ref_p50, ref_p95) = emit::p50_p95(&ref_us);
     let establishes_per_sec = emit::per_sec(1.0, idx_p50);
     let total_establishes = (runs * ESTABLISHES_PER_RUN) as f64;
     let allocs_per_establish = grows_during as f64 / total_establishes;
 
     for (what, x) in [
-        ("indexed p50", idx_p50),
-        ("indexed p95", idx_p95),
-        ("reference p50", ref_p50),
-        ("reference p95", ref_p95),
+        ("p50", idx_p50),
+        ("p95", idx_p95),
         ("allocs/establish", allocs_per_establish),
         ("picks/establish", picks_per_establish),
     ] {
@@ -256,10 +176,7 @@ pub fn bench_class(w: &Workload, runs: usize) -> ClassResult {
         index_pick_fraction,
         idx_p50_us: idx_p50,
         idx_p95_us: idx_p95,
-        ref_p50_us: ref_p50,
-        ref_p95_us: ref_p95,
         establishes_per_sec,
-        speedup_p50: emit::speedup(ref_p50, idx_p50),
         allocs_per_establish,
     }
 }
@@ -316,18 +233,14 @@ pub fn render_json(results: &[ClassResult], dep: &DeploymentResult, runs: usize)
             format!(
                 "    {{\"name\": {}, \"relays\": {}, \"picks_per_establish\": {}, \
                  \"index_pick_fraction\": {}, \"indexed\": {{\"p50_us\": {}, \"p95_us\": {}}}, \
-                 \"reference\": {{\"p50_us\": {}, \"p95_us\": {}}}, \"establishes_per_sec\": {}, \
-                 \"speedup_p50\": {}, \"allocs_per_establish\": {}}}",
+                 \"establishes_per_sec\": {}, \"allocs_per_establish\": {}}}",
                 json::string(r.name),
                 r.relays,
                 json::number(r.picks_per_establish),
                 json::number(r.index_pick_fraction),
                 json::number(r.idx_p50_us),
                 json::number(r.idx_p95_us),
-                json::number(r.ref_p50_us),
-                json::number(r.ref_p95_us),
                 json::number(r.establishes_per_sec),
-                json::number(r.speedup_p50),
                 json::number(r.allocs_per_establish),
             )
         })
@@ -341,7 +254,7 @@ pub fn render_json(results: &[ClassResult], dep: &DeploymentResult, runs: usize)
         dep.rebuilds_saved,
     );
     emit::json_shell(
-        "ptperf-bench-establish/v1",
+        "ptperf-bench-establish/v2",
         runs,
         &[
             format!("  \"establishes_per_run\": {ESTABLISHES_PER_RUN}"),
@@ -360,8 +273,6 @@ pub fn render_table(results: &[ClassResult], dep: &DeploymentResult, runs: usize
         "idx%",
         "idx p50 (µs)",
         "idx p95 (µs)",
-        "ref p50 (µs)",
-        "speedup",
         "est/s",
         "allocs/est",
     ]);
@@ -373,8 +284,6 @@ pub fn render_table(results: &[ClassResult], dep: &DeploymentResult, runs: usize
             format!("{:.0}%", 100.0 * r.index_pick_fraction),
             format!("{:.2}", r.idx_p50_us),
             format!("{:.2}", r.idx_p95_us),
-            format!("{:.2}", r.ref_p50_us),
-            format!("{:.2}x", r.speedup_p50),
             format!("{:.0}", r.establishes_per_sec),
             format!("{:.4}", r.allocs_per_establish),
         ]);
@@ -433,9 +342,10 @@ mod tests {
         let dep = bench_deployment(4);
         assert_eq!(dep.rebuilds_saved, 4);
         let json = render_json(&[r], &dep, 4);
-        assert!(json.contains("\"schema\": \"ptperf-bench-establish/v1\""));
+        assert!(json.contains("\"schema\": \"ptperf-bench-establish/v2\""));
         assert!(json.contains("\"vanilla_600\""));
         assert!(json.contains("\"deployment\""));
+        assert!(!json.contains("\"reference\""));
         assert!(json.ends_with("\n"));
     }
 

@@ -1,13 +1,12 @@
 //! `repro --bench flow`: the page-load sharing benchmark behind
 //! `BENCH_flow.json`.
 //!
-//! Criterion answers "how fast is one call"; this module answers the
-//! question the perf trajectory needs tracked in version control: for
-//! each browser-shaped batch (sub-resources sharing one tunnel link in
-//! staggered waves, as every selenium and speed-index page load
-//! submits them), what are the single-link loop's p50/p95 wall times,
-//! how many steps per second does it sustain, and does it still
-//! allocate once warm?
+//! This module answers the question the perf trajectory needs tracked
+//! in version control: for each browser-shaped batch (sub-resources
+//! sharing one tunnel link in staggered waves, as every selenium and
+//! speed-index page load submits them), what are the single-link loop's
+//! p50/p95 wall times, how many steps per second does it sustain, and
+//! does it still allocate once warm?
 //!
 //! Determinism note: workloads are generated from fixed seeds, so the
 //! *work* is identical run to run; only the wall-clock numbers move.

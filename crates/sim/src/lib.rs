@@ -5,7 +5,7 @@
 //! controllable, reproducible stand-in: a virtual clock, a seeded
 //! random number generator, a six-region geographic topology with
 //! realistic inter-region delays, a TCP-like transfer-time model
-//! (slow start, Mathis loss ceiling, retransmission expansion),
+//! (slow start, retransmission expansion, loss recovered hop by hop),
 //! processor sharing of one link among concurrent flows, a relay/bridge
 //! load model, and deterministic fault plans with a retry driver.
 //!

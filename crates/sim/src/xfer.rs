@@ -7,7 +7,7 @@
 //! time, the bottleneck rate available to the flow, the packet-loss
 //! probability, and a slow-start ramp.
 //!
-//! Three mechanisms are modeled:
+//! Two mechanisms are modeled:
 //!
 //! 1. **Slow start.** Delivery begins at an initial window (IW10, per
 //!    RFC 6928) and doubles every RTT until it reaches the
@@ -15,11 +15,13 @@
 //!    rate. Small transfers (a page HTML) never leave slow start, which is
 //!    why high-RTT transports hurt interactive fetches much more than
 //!    their bandwidth alone would suggest.
-//! 2. **Loss-bounded throughput.** Sustained TCP throughput cannot exceed
-//!    the Mathis bound `MSS/RTT · C/√p`; on lossy paths the achievable
-//!    rate is the smaller of the bottleneck rate and this ceiling.
-//! 3. **Retransmission expansion.** Lost data must be resent, inflating
+//! 2. **Retransmission expansion.** Lost data must be resent, inflating
 //!    the bytes on the wire by `1/(1-p)`.
+//!
+//! Every path is relayed: each segment runs its own short-RTT reliable
+//! connection, as Tor links do, so loss is recovered hop by hop and
+//! costs only the resent bytes, never an end-to-end loss ceiling on the
+//! rate.
 
 use crate::time::SimDuration;
 
@@ -29,11 +31,7 @@ pub const MSS: u64 = 1448;
 /// Initial congestion window in bytes (IW10, RFC 6928).
 pub const INIT_WINDOW: u64 = 10 * MSS;
 
-/// The constant in the Mathis throughput bound (√(3/2) for Reno-style
-/// AIMD with delayed ACKs folded in).
-const MATHIS_C: f64 = 1.22;
-
-/// Parameters of a single reliable transfer.
+/// Parameters of a single reliable transfer over a relayed path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferModel {
     /// Path round-trip time.
@@ -42,16 +40,12 @@ pub struct TransferModel {
     pub bottleneck_bps: f64,
     /// Packet-loss probability on the path.
     pub loss: f64,
-    /// When true, loss is recovered hop-by-hop (each segment of the path
-    /// runs its own short-RTT reliable connection, as Tor links do), so
-    /// the end-to-end Mathis ceiling does not apply — loss only costs
-    /// retransmitted bytes. When false (a single end-to-end TCP
-    /// connection), the Mathis bound applies at the full path RTT.
-    pub hop_by_hop_recovery: bool,
 }
 
 impl TransferModel {
-    /// Creates an end-to-end TCP model, validating inputs.
+    /// Creates a model for a relayed path whose segments each run their
+    /// own reliable connection (Tor circuits): loss is recovered locally
+    /// at each hop, so only the retransmission expansion applies.
     ///
     /// # Panics
     /// Panics if the bottleneck rate is non-positive or loss is outside
@@ -69,30 +63,7 @@ impl TransferModel {
             rtt,
             bottleneck_bps,
             loss,
-            hop_by_hop_recovery: false,
         }
-    }
-
-    /// Creates a model for a relayed path whose segments each run their
-    /// own reliable connection (Tor circuits): loss is recovered locally
-    /// at each hop, so only the retransmission expansion applies.
-    pub fn relayed(rtt: SimDuration, bottleneck_bps: f64, loss: f64) -> Self {
-        let mut m = TransferModel::new(rtt, bottleneck_bps, loss);
-        m.hop_by_hop_recovery = true;
-        m
-    }
-
-    /// The sustained rate the flow can achieve (bytes/s): the bottleneck
-    /// rate, clipped by the Mathis loss ceiling for end-to-end
-    /// connections.
-    pub fn sustained_rate(&self) -> f64 {
-        let rate = self.bottleneck_bps;
-        if self.loss <= 0.0 || self.hop_by_hop_recovery {
-            return rate;
-        }
-        let rtt_s = self.rtt.as_secs_f64().max(1e-6);
-        let mathis = MATHIS_C * MSS as f64 / (rtt_s * self.loss.sqrt());
-        rate.min(mathis)
     }
 
     /// Time to move `bytes` of application payload over the path, not
@@ -105,7 +76,7 @@ impl TransferModel {
         }
         // Retransmission expansion: lost bytes are resent.
         let wire_bytes = bytes as f64 / (1.0 - self.loss);
-        let rate = self.sustained_rate();
+        let rate = self.bottleneck_bps;
         let rtt_s = self.rtt.as_secs_f64();
 
         // Slow-start phase: window w starts at INIT_WINDOW and doubles per
@@ -127,21 +98,11 @@ impl TransferModel {
             elapsed += rtt_s;
             window *= 2.0;
         }
-        // Steady state: remaining bytes at the sustained rate, plus half an
-        // RTT for the final ACK-clocked delivery.
+        // Steady state: remaining bytes at the bottleneck rate, plus half
+        // an RTT for the final ACK-clocked delivery.
         let remaining = (wire_bytes - delivered).max(0.0);
         elapsed += remaining / rate + rtt_s / 2.0;
         SimDuration::from_secs_f64(elapsed)
-    }
-
-    /// The extra time slow start costs this flow compared to an ideal
-    /// fluid flow at the sustained rate (useful to pre-charge event-driven
-    /// flows managed by the flow network).
-    pub fn slow_start_excess(&self, bytes: u64) -> SimDuration {
-        let actual = self.duration(bytes);
-        let fluid =
-            SimDuration::from_secs_f64(bytes as f64 / (1.0 - self.loss) / self.sustained_rate());
-        actual.saturating_sub(fluid)
     }
 
     /// Duration of a `k`-round-trip handshake on this path (e.g. `1` for
@@ -216,18 +177,14 @@ mod tests {
     }
 
     #[test]
-    fn mathis_bound_caps_rate_on_lossy_paths() {
-        let m = model(100, 1000.0, 0.01);
-        // Mathis: 1.22 * 1448 / (0.1 * 0.1) = ~176 KB/s, far below 125 MB/s.
-        let rate = m.sustained_rate();
-        assert!(rate < 200_000.0, "rate {rate}");
-        assert!(rate > 150_000.0, "rate {rate}");
-    }
-
-    #[test]
-    fn lossless_rate_is_bottleneck() {
-        let m = model(100, 8.0, 0.0);
-        assert!((m.sustained_rate() - 1e6).abs() < 1.0);
+    fn loss_costs_only_the_resent_bytes() {
+        // Hop-by-hop recovery: 1% loss on a 100 ms path moves 99 MB in
+        // the time 100 MB take without loss, not at the ~176 KB/s an
+        // end-to-end loss ceiling would impose.
+        let lossy = model(100, 1000.0, 0.01).duration(99_000_000);
+        let clean = model(100, 1000.0, 0.0).duration(100_000_000);
+        let gap = lossy.as_secs_f64() - clean.as_secs_f64();
+        assert!(gap.abs() < 1e-6, "{lossy} vs {clean}");
     }
 
     #[test]
@@ -235,15 +192,6 @@ mod tests {
         let m = model(70, 10.0, 0.0);
         assert_eq!(m.handshake(2), SimDuration::from_millis(140));
         assert_eq!(m.handshake(3), SimDuration::from_millis(210));
-    }
-
-    #[test]
-    fn slow_start_excess_positive_for_big_flows() {
-        let m = model(100, 100.0, 0.0);
-        let excess = m.slow_start_excess(50_000_000);
-        assert!(excess > SimDuration::ZERO);
-        // Excess is bounded by the number of doubling rounds times RTT.
-        assert!(excess < SimDuration::from_secs(3), "got {excess}");
     }
 
     #[test]

@@ -156,20 +156,6 @@ proptest! {
         prop_assert!(m.duration(small) <= m.duration(large));
     }
 
-    /// Hop-by-hop recovery never makes a transfer slower than the
-    /// end-to-end model on the same parameters.
-    #[test]
-    fn relayed_model_at_least_as_fast(
-        rtt_ms in 1u64..500,
-        rate in 1_000.0f64..10_000_000.0,
-        loss in 0.0f64..0.1,
-        bytes in 1u64..50_000_000,
-    ) {
-        let e2e = TransferModel::new(SimDuration::from_millis(rtt_ms), rate, loss);
-        let relayed = TransferModel::relayed(SimDuration::from_millis(rtt_ms), rate, loss);
-        prop_assert!(relayed.duration(bytes) <= e2e.duration(bytes));
-    }
-
     /// RNG range helpers stay in range for arbitrary seeds and bounds.
     #[test]
     fn rng_ranges_hold(seed in any::<u64>(), lo in 0u64..1000, span in 1u64..1000) {

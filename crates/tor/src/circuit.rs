@@ -220,12 +220,12 @@ impl Circuit {
     ///
     /// Two Tor-specific properties:
     /// * loss is recovered **hop-by-hop** (every link is its own TCP
-    ///   connection), so the end-to-end Mathis ceiling does not apply;
+    ///   connection), so it costs only the resent bytes;
     /// * Tor's circuit-level flow control caps throughput at one
     ///   window per circuit round trip ([`window_capped_rate`]).
     pub fn transfer_model(&self, dest_leg: PathSample) -> TransferModel {
         let rtt = self.rtt + dest_leg.rtt;
-        TransferModel::relayed(
+        TransferModel::new(
             rtt,
             window_capped_rate(self.bottleneck_bps, rtt),
             (self.loss + dest_leg.loss).clamp(0.0, 0.5),

@@ -2,11 +2,12 @@
 //!
 //! Path selection filters relays into three fixed classes — guard-eligible
 //! (`Guard && Fast`), exit-eligible (`Exit`), and unrestricted — and then
-//! samples proportionally to bandwidth. The reference implementation
-//! re-scans the whole consensus per pick; this index precomputes, once per
-//! consensus, the dense member list of each class **in consensus order**
-//! together with a floating-point prefix sum of member bandwidths, so a
-//! pick resolves by binary search over the prefix array instead.
+//! samples proportionally to bandwidth. The reference pick (the test
+//! oracle in `tests/oracle/`) re-scans the whole consensus per pick;
+//! this index precomputes, once per consensus, the dense member list of
+//! each class **in consensus order** together with a floating-point
+//! prefix sum of member bandwidths, so a pick resolves by binary search
+//! over the prefix array instead.
 //!
 //! Two layout invariants matter for the draw-compatibility argument in
 //! `path::indexed`:
@@ -41,8 +42,8 @@ pub enum FilterClass {
 }
 
 impl FilterClass {
-    /// The predicate this class represents, identical to the closures the
-    /// reference `weighted_pick` call sites pass.
+    /// The predicate this class represents: the filter the full-scan
+    /// oracle applies for the same role.
     pub fn matches(self, relay: &Relay) -> bool {
         match self {
             FilterClass::Guard => relay.flags.guard && relay.flags.fast,

@@ -1,10 +1,12 @@
 //! Indexed bandwidth-weighted pick: same draw, binary-search resolution.
 //!
-//! The contract is strict bit-for-bit equivalence with
-//! [`super::reference`]: for any consensus, filter class, exclude set,
-//! and RNG state, [`weighted_pick`] returns the same relay (or `None`)
-//! and consumes the same number of RNG draws (one when a pick happens,
-//! zero when nothing is eligible).
+//! The contract is strict bit-for-bit equivalence with the reference: the
+//! original two-pass filtered scan of the whole consensus, kept as the
+//! test oracle in `tests/oracle/` and compared by
+//! `tests/path_equivalence.rs`. For any consensus, filter class, exclude
+//! set, and RNG state, [`weighted_pick`] returns the same relay (or
+//! `None`) and consumes the same number of RNG draws (one when a pick
+//! happens, zero when nothing is eligible).
 //!
 //! # How equivalence survives floating point
 //!
@@ -102,8 +104,8 @@ impl PickScratch {
 }
 
 /// Bandwidth-weighted sample over the relays of `class`, excluding ids in
-/// `exclude` — bit-identical to [`super::reference::weighted_pick`] with
-/// the matching filter, including RNG draw count.
+/// `exclude` — bit-identical to the reference's full scan with the
+/// matching filter, including RNG draw count.
 pub fn weighted_pick(
     rng: &mut SimRng,
     consensus: &Consensus,
@@ -208,7 +210,7 @@ fn exact_total(ci: &ClassIndex, excluded: &[u32]) -> f64 {
 }
 
 /// The reference's subtraction chain and tail rule over the dense class
-/// arrays — bit-exact to [`super::reference::weighted_pick_with_u`].
+/// arrays — bit-exact to the reference's own chain.
 fn exact_pick_with_u(u: f64, total: f64, ci: &ClassIndex, excluded: &[u32]) -> Option<RelayId> {
     let mut target = u * total;
     for i in 0..ci.len() {

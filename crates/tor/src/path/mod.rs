@@ -4,20 +4,20 @@
 //! circuit — Appendix A.3), passed to each call as a [`PathConfig`].
 //!
 //! Picks resolve through the precomputed [`crate::index::ConsensusIndex`]
-//! ([`indexed`], the default) or the original full-scan oracle
-//! ([`reference`], retained for equivalence testing and benchmarking);
-//! the two are bit-for-bit interchangeable (`tests/path_equivalence.rs`).
-//! On the indexed path a selection through a volunteer guard takes all
-//! [`SAMPLED_GUARDS`] draws of its guard sample but, when that provably
-//! changes no draw, resolves only the first, so it resolves three picks
-//! (guard, exit, middle) rather than [`SAMPLED_GUARDS`] + 2, with the
-//! same draws and the same results as the eager sample.
+//! ([`indexed`]). The original full-scan pick and an eagerly sampling
+//! selector built on it are kept as the test oracle
+//! (`tests/oracle/`), and `tests/path_equivalence.rs` holds the indexed
+//! pick and [`PathSelector`] to them bit for bit, RNG draws included.
+//! A selection through a volunteer guard takes all [`SAMPLED_GUARDS`]
+//! draws of its guard sample but, when that provably changes no draw,
+//! resolves only the first, so it resolves three picks (guard, exit,
+//! middle) rather than [`SAMPLED_GUARDS`] + 2, with the same draws and
+//! the same results as the eager sample.
 //! A [`PathSelector`] carries no guard state from one call to the next;
 //! reusing one keeps its buffers, which makes repeated channel
 //! establishment allocation-free in steady state.
 
 pub mod indexed;
-pub mod reference;
 
 use ptperf_sim::SimRng;
 
@@ -101,54 +101,29 @@ impl std::error::Error for PathError {}
 /// `SAMPLED_GUARDS`, simplified); the circuit uses the first.
 pub const SAMPLED_GUARDS: usize = 20;
 
-/// Which `weighted_pick` implementation a [`PathSelector`] dispatches to.
-/// Both produce bit-identical selections; `Reference` exists for the
-/// equivalence suite and the establish benchmark's oracle lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PickMode {
-    /// Binary search over the consensus index (the default).
-    #[default]
-    Indexed,
-    /// The original full-consensus filtered scan.
-    Reference,
-}
-
 /// Selects circuit paths. Each [`select`](Self::select) is a fresh
 /// client: unless pinned, its guard is the first pick of a freshly drawn
 /// bandwidth-weighted sample of [`SAMPLED_GUARDS`] guards, so every
 /// measurement sees a newly sampled first hop (§4.2.1). No guard state
-/// survives a call; the selector holds only the pick mode and buffers
-/// that keep repeated selections allocation-free.
+/// survives a call; the selector holds only buffers that keep repeated
+/// selections allocation-free.
 #[derive(Debug)]
 pub struct PathSelector {
     /// The eager guard sample, in draw order; refilled by each eager
     /// selection and kept only for its capacity.
     sample: Vec<RelayId>,
-    mode: PickMode,
     scratch: PickScratch,
     vec_grows: u64,
 }
 
 impl PathSelector {
-    /// A selector on the indexed pick path.
+    /// A selector with empty buffers.
     pub fn new() -> Self {
         PathSelector {
             sample: Vec::new(),
-            mode: PickMode::default(),
             scratch: PickScratch::new(),
             vec_grows: 0,
         }
-    }
-
-    /// Switches the pick implementation (selections are identical either
-    /// way; see [`PickMode`]).
-    pub fn set_pick_mode(&mut self, mode: PickMode) {
-        self.mode = mode;
-    }
-
-    /// The pick implementation in use.
-    pub fn pick_mode(&self) -> PickMode {
-        self.mode
     }
 
     /// How many times this selector's internal buffers reallocated — an
@@ -176,8 +151,7 @@ impl PathSelector {
         };
         let exit = match config.fixed_exit {
             Some(e) => e,
-            None => dispatch_pick(
-                self.mode,
+            None => indexed::weighted_pick(
                 rng,
                 consensus,
                 FilterClass::Exit,
@@ -188,8 +162,7 @@ impl PathSelector {
         };
         let middle = match config.fixed_middle {
             Some(m) => m,
-            None => dispatch_pick(
-                self.mode,
+            None => indexed::weighted_pick(
                 rng,
                 consensus,
                 FilterClass::All,
@@ -216,12 +189,11 @@ impl PathSelector {
     /// positive-bandwidth member stays eligible and the exact eligible
     /// total is positive. The draws then do not depend on the picks, so
     /// this resolves the first pick from the first draw and takes the
-    /// other draws unused. Otherwise — fewer positive-bandwidth guards,
-    /// an inexact index, or [`PickMode::Reference`], which stays the
-    /// eager oracle — every pick resolves, and sampling stops at the
-    /// first `None`.
+    /// other draws unused. Otherwise — fewer positive-bandwidth guards
+    /// or an inexact index — every pick resolves, and sampling stops at
+    /// the first `None`.
     fn sample_guard(&mut self, consensus: &Consensus, rng: &mut SimRng) -> Option<RelayId> {
-        if self.mode == PickMode::Indexed && guard_picks_always_draw(consensus) {
+        if guard_picks_always_draw(consensus) {
             let u = rng.next_f64();
             for _ in 1..SAMPLED_GUARDS {
                 rng.next_f64();
@@ -240,8 +212,7 @@ impl PathSelector {
             self.vec_grows += 1;
         }
         for _ in 0..SAMPLED_GUARDS {
-            match dispatch_pick(
-                self.mode,
+            match indexed::weighted_pick(
                 rng,
                 consensus,
                 FilterClass::Guard,
@@ -271,22 +242,6 @@ fn guard_picks_always_draw(consensus: &Consensus) -> bool {
     idx.exact_ok && idx.class(FilterClass::Guard).positive >= SAMPLED_GUARDS
 }
 
-fn dispatch_pick(
-    mode: PickMode,
-    rng: &mut SimRng,
-    consensus: &Consensus,
-    class: FilterClass,
-    exclude: &[RelayId],
-    scratch: &mut PickScratch,
-) -> Option<RelayId> {
-    match mode {
-        PickMode::Indexed => indexed::weighted_pick(rng, consensus, class, exclude, scratch),
-        PickMode::Reference => {
-            reference::weighted_pick(rng, consensus.relays(), |r| class.matches(r), exclude)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +250,18 @@ mod tests {
     fn consensus(seed: u64) -> Consensus {
         let mut rng = SimRng::new(seed);
         Consensus::generate(&mut rng)
+    }
+
+    /// A generated consensus whose guard class keeps fewer than
+    /// [`SAMPLED_GUARDS`] positive-bandwidth members, so every guard
+    /// sample resolves each of its picks.
+    fn eager_consensus(seed: u64) -> Consensus {
+        let mut c = consensus(seed);
+        let guards = c.index().class(FilterClass::Guard).ids.clone();
+        for &id in &guards[SAMPLED_GUARDS / 2..] {
+            c.relay_mut(id).bandwidth_bps = 0.0;
+        }
+        c
     }
 
     fn select(sel: &mut PathSelector, c: &Consensus, rng: &mut SimRng) -> CircuitSpec {
@@ -327,22 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_sample_has_spec_size_and_no_duplicates() {
-        let c = consensus(21);
-        let mut rng = SimRng::new(22);
-        let mut sel = PathSelector::new();
-        sel.set_pick_mode(PickMode::Reference);
-        let guard = select(&mut sel, &c, &mut rng).guard;
-        let sample = sel.sample.clone();
-        assert_eq!(sample.len(), SAMPLED_GUARDS);
-        let mut dedup = sample.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), sample.len(), "duplicate guards in sample");
-        assert_eq!(guard, sample[0]);
-    }
-
-    #[test]
     fn no_eligible_guard_is_an_error() {
         let mut c = consensus(25);
         for i in 0..c.len() {
@@ -351,15 +302,12 @@ mod tests {
                 r.bandwidth_bps = 0.0;
             }
         }
-        for mode in [PickMode::Indexed, PickMode::Reference] {
-            let mut sel = PathSelector::new();
-            sel.set_pick_mode(mode);
-            assert_eq!(
-                sel.select(PathConfig::default(), &c, &mut SimRng::new(26))
-                    .unwrap_err(),
-                PathError::NoEligibleRelay(Role::Guard)
-            );
-        }
+        assert_eq!(
+            PathSelector::new()
+                .select(PathConfig::default(), &c, &mut SimRng::new(26))
+                .unwrap_err(),
+            PathError::NoEligibleRelay(Role::Guard)
+        );
     }
 
     #[test]
@@ -425,10 +373,8 @@ mod tests {
 
     #[test]
     fn reused_selector_matches_fresh_selector_exactly() {
-        let c = consensus(31);
-        for mode in [PickMode::Indexed, PickMode::Reference] {
+        for c in [consensus(31), eager_consensus(31)] {
             let mut reused = PathSelector::new();
-            reused.set_pick_mode(mode);
             for round in 0..10u64 {
                 let cfg = if round % 2 == 0 {
                     PathConfig::default()
@@ -441,11 +387,9 @@ mod tests {
                 let mut rng_a = SimRng::new(100 + round);
                 let mut rng_b = rng_a.clone();
                 for _ in 0..5 {
-                    let mut fresh = PathSelector::new();
-                    fresh.set_pick_mode(mode);
                     assert_eq!(
                         reused.select(cfg, &c, &mut rng_a).unwrap(),
-                        fresh.select(cfg, &c, &mut rng_b).unwrap()
+                        PathSelector::new().select(cfg, &c, &mut rng_b).unwrap()
                     );
                 }
                 assert_eq!(rng_a, rng_b, "reused selector consumed extra draws");
@@ -455,10 +399,8 @@ mod tests {
 
     #[test]
     fn reused_selector_stops_growing() {
-        let c = consensus(33);
-        for mode in [PickMode::Indexed, PickMode::Reference] {
+        for c in [consensus(33), eager_consensus(33)] {
             let mut sel = PathSelector::new();
-            sel.set_pick_mode(mode);
             let mut rng = SimRng::new(34);
             // Warm up: the first selections grow the sample + scratch buffers.
             for _ in 0..3 {
@@ -469,26 +411,6 @@ mod tests {
                 select(&mut sel, &c, &mut rng);
             }
             assert_eq!(sel.scratch_grows(), grows, "steady-state reuse reallocated");
-        }
-    }
-
-    #[test]
-    fn pick_modes_agree_on_full_selection_sequences() {
-        for seed in 0..5u64 {
-            let c = consensus(40 + seed);
-            let mut rng_i = SimRng::new(50 + seed);
-            let mut rng_r = rng_i.clone();
-            let mut sel_i = PathSelector::new();
-            let mut sel_r = PathSelector::new();
-            sel_r.set_pick_mode(PickMode::Reference);
-            assert_eq!(sel_i.pick_mode(), PickMode::Indexed);
-            for _ in 0..20 {
-                assert_eq!(
-                    select(&mut sel_i, &c, &mut rng_i),
-                    select(&mut sel_r, &c, &mut rng_r)
-                );
-            }
-            assert_eq!(rng_i, rng_r, "modes consumed different draw counts");
         }
     }
 }

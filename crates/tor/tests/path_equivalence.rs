@@ -1,26 +1,27 @@
 //! Equivalence suite: the indexed `weighted_pick` is bit-for-bit
-//! interchangeable with the retained reference oracle — identical relay
-//! selections AND identical RNG draw counts — across generated
+//! interchangeable with the full-scan oracle (`oracle/`) — identical
+//! relay selections AND identical RNG draw counts — across generated
 //! consensuses, filter classes, exclude sets (empty, small, large,
 //! duplicated, out-of-class, out-of-range, all-excluded), degenerate
 //! bandwidths, decision-boundary draws, and the floating-point tail
 //! fallback. The deterministic bulk test alone covers thousands of
 //! picks; the proptests add structural diversity on top. At the
-//! selector level, an indexed `PathSelector` (which resolves only the
-//! first pick of its guard sample when it provably may) selects the
-//! same circuits with the same draws as the eagerly sampling reference
-//! one, under every pinning shape and on both sides of that
-//! precondition, and one selection's draw and pick counts are pinned.
+//! selector level, `PathSelector` (which resolves only the first pick
+//! of its guard sample when it provably may) selects the same circuits
+//! with the same draws as the oracle's eagerly sampling selector, under
+//! every pinning shape, on both sides of that precondition and at the
+//! campaign's consensus sizes, and one selection's draw and pick counts
+//! are pinned.
+
+mod oracle;
 
 use proptest::prelude::*;
 
 use ptperf_obs::perf;
-use ptperf_sim::SimRng;
+use ptperf_sim::{Location, SimRng};
 use ptperf_tor::path::indexed::{self, PickScratch};
-use ptperf_tor::path::reference;
 use ptperf_tor::{
-    Consensus, ConsensusParams, FilterClass, PathConfig, PathSelector, PickMode, RelayId,
-    SAMPLED_GUARDS,
+    Consensus, ConsensusParams, FilterClass, PathConfig, PathSelector, RelayId, SAMPLED_GUARDS,
 };
 
 const CLASSES: [FilterClass; 3] = [FilterClass::Guard, FilterClass::Exit, FilterClass::All];
@@ -49,8 +50,7 @@ fn assert_pick_equiv(
 ) -> Option<RelayId> {
     let mut rng_ref = rng.clone();
     let picked = indexed::weighted_pick(rng, c, class, exclude, scratch);
-    let picked_ref =
-        reference::weighted_pick(&mut rng_ref, c.relays(), |r| class.matches(r), exclude);
+    let picked_ref = oracle::weighted_pick(&mut rng_ref, c.relays(), |r| class.matches(r), exclude);
     assert_eq!(
         picked, picked_ref,
         "pick mismatch: class {class:?}, exclude {exclude:?}"
@@ -66,11 +66,11 @@ fn assert_pick_equiv(
 fn assert_with_u_equiv(c: &Consensus, class: FilterClass, exclude: &[RelayId], u: f64) {
     let mut scratch = PickScratch::new();
     let picked = indexed::weighted_pick_with_u(u, c, class, exclude, &mut scratch);
-    let total = reference::filtered_total(c.relays(), |r| class.matches(r), exclude);
+    let total = oracle::filtered_total(c.relays(), |r| class.matches(r), exclude);
     let picked_ref = if total <= 0.0 {
         None
     } else {
-        reference::weighted_pick_with_u(u, total, c.relays(), |r| class.matches(r), exclude)
+        oracle::weighted_pick_with_u(u, total, c.relays(), |r| class.matches(r), exclude)
     };
     assert_eq!(
         picked, picked_ref,
@@ -101,23 +101,70 @@ fn pinnings(c: &Consensus, salt: usize) -> [PathConfig; 4] {
     ]
 }
 
-/// Runs one fresh `select(config, …)` per config on an indexed and a
-/// reference selector from identical RNG states. Asserts identical
+/// Runs one `select(config, …)` per config on a reused `PathSelector`
+/// and on the oracle from identical RNG states. Asserts identical
 /// results (circuits, or the same error) and identical RNG states after
 /// every call.
 fn assert_selectors_equiv(c: &Consensus, rseed: u64, configs: &[PathConfig]) {
     let mut rng_i = SimRng::new(rseed);
     let mut rng_r = rng_i.clone();
-    let mut sel_i = PathSelector::new();
-    let mut sel_r = PathSelector::new();
-    sel_r.set_pick_mode(PickMode::Reference);
+    let mut sel = PathSelector::new();
     for &config in configs {
         assert_eq!(
-            sel_i.select(config, c, &mut rng_i),
-            sel_r.select(config, c, &mut rng_r),
+            sel.select(config, c, &mut rng_i),
+            oracle::select(config, c, &mut rng_r),
             "selection mismatch under {config:?}"
         );
         assert_eq!(rng_i, rng_r, "draw-count mismatch under {config:?}");
+    }
+}
+
+#[test]
+fn guard_sample_has_spec_size_and_no_duplicates() {
+    let c = gen_consensus(21, 600);
+    let mut rng = SimRng::new(22);
+    let sample = oracle::guard_sample(&c, &mut rng.clone());
+    assert_eq!(sample.len(), SAMPLED_GUARDS);
+    let mut dedup = sample.clone();
+    dedup.sort();
+    dedup.dedup();
+    assert_eq!(dedup.len(), sample.len(), "duplicate guards in sample");
+    let spec = oracle::select(PathConfig::default(), &c, &mut rng).unwrap();
+    assert_eq!(spec.guard, sample[0]);
+}
+
+#[test]
+fn selectors_match_at_campaign_consensus_sizes() {
+    // The campaign's consensus (600 generated relays) and the 5000-relay
+    // scale, each with six bridges registered after generation the way
+    // `Deployment::standard_with` registers the set-1 PT hosts. The
+    // pinned-guard shape pins a bridge, as a bridge PT's establish does.
+    for (n, seeds) in [(600, 4u64), (5000, 3)] {
+        for seed in 0..seeds {
+            let mut rng = SimRng::new(80 + seed);
+            let params = ConsensusParams {
+                n_relays: n,
+                ..ConsensusParams::default()
+            };
+            let mut c = Consensus::generate_with(&mut rng, &params, 6);
+            let bridges: Vec<RelayId> = [
+                (Location::Frankfurt, 5.5e6),
+                (Location::NewYork, 4.0e6),
+                (Location::Frankfurt, 6.0e6),
+                (Location::Frankfurt, 5.0e6),
+                (Location::Singapore, 5.0e6),
+                (Location::Singapore, 5.0e6),
+            ]
+            .into_iter()
+            .map(|(location, bw)| c.add_guard(location, bw, rng.range_f64(0.05, 0.2)))
+            .collect();
+            assert!(c.index().exact_ok);
+            assert!(c.index().class(FilterClass::Guard).positive >= SAMPLED_GUARDS);
+            // `pinnings` pins its salt as the guard: one of the bridges.
+            let p = pinnings(&c, bridges[seed as usize].0 as usize);
+            let configs: Vec<PathConfig> = (0..16).map(|i| p[i % 4]).collect();
+            assert_selectors_equiv(&c, 900 + seed, &configs);
+        }
     }
 }
 
@@ -359,7 +406,7 @@ fn mutation_invalidates_index_and_picks_track_the_new_consensus() {
 /// fallback to decide.
 fn assert_boundary_draws_equiv(c: &Consensus, class: FilterClass, exclude: &[RelayId]) {
     let ci = c.index().class(class);
-    let total = reference::filtered_total(c.relays(), |r| class.matches(r), exclude);
+    let total = oracle::filtered_total(c.relays(), |r| class.matches(r), exclude);
     let mut cum = 0.0;
     for i in (0..ci.len()).filter(|&i| !exclude.contains(&ci.ids[i])) {
         cum += ci.bandwidth[i];
@@ -428,7 +475,7 @@ fn tail_fallback_is_reachable_and_equivalent() {
             r.bandwidth_bps = vr.range_f64(0.1, 1.0) * 10f64.powi((vr.next_u64() % 7) as i32);
             r.flags.exit = true;
         }
-        let total = reference::filtered_total(c.relays(), |r| r.flags.exit, &[]);
+        let total = oracle::filtered_total(c.relays(), |r| r.flags.exit, &[]);
         let mut u = 1.0f64;
         for _ in 0..8 {
             u = next_down(u);
@@ -531,9 +578,9 @@ proptest! {
         assert_with_u_equiv(&c, class, &exclude, u);
     }
 
-    /// Whole-selector equivalence: a PathSelector in Indexed mode
-    /// selects the same circuits with the same draws as one in
-    /// Reference mode over a generated run of pinning shapes.
+    /// Whole-selector equivalence: a PathSelector selects the same
+    /// circuits with the same draws as the oracle over a generated run
+    /// of pinning shapes.
     /// Consensuses from about 100 relays up have a guard class large
     /// enough for the indexed selector to resolve only the first pick
     /// of its guard sample; smaller ones sample eagerly.

@@ -11,7 +11,7 @@
 //! whose handshake endpoint is not their host.
 
 use ptperf_sim::{Location, SimDuration, SimRng};
-use ptperf_tor::{Circuit, CircuitOptions, PathSelector, PickMode, RelayId, Via};
+use ptperf_tor::{Circuit, CircuitOptions, PathSelector, RelayId, Via};
 use ptperf_web::Channel;
 
 use crate::ids::PtId;
@@ -34,19 +34,11 @@ pub struct EstablishScratch {
 }
 
 impl EstablishScratch {
-    /// Fresh scratch using the indexed pick path (the default).
+    /// Fresh scratch with empty buffers.
     pub fn new() -> Self {
         EstablishScratch {
             selector: PathSelector::new(),
         }
-    }
-
-    /// Fresh scratch pinned to the reference (full-scan) pick oracle —
-    /// the comparison lane for the establish benchmark.
-    pub fn reference_oracle() -> Self {
-        let mut selector = PathSelector::new();
-        selector.set_pick_mode(PickMode::Reference);
-        EstablishScratch { selector }
     }
 
     /// How many times the internal buffers reallocated; the delta across

@@ -29,9 +29,6 @@ pub const BLOCK_HEADER: usize = 7;
 /// Largest chopper block body.
 pub const MAX_BLOCK: usize = 2048;
 
-/// Parallel connections the chopper spreads blocks over.
-pub const CONNECTIONS: usize = 4;
-
 /// Steganographic cover expansion: an HTTP cover transaction carries
 /// roughly 1 payload byte per 1.6 cover bytes. A modelled figure: no
 /// cover codec is implemented, so no test derives it from wire bytes.
@@ -86,7 +83,8 @@ pub fn frame_overhead(min_block: usize) -> f64 {
 }
 
 /// Round trips to the stegotorus server before the tunnel carries data:
-/// TCP on all [`CONNECTIONS`] (pipelined: ~1) plus the chopper hello (1).
+/// TCP on the chopper's parallel connections, opened together (~1),
+/// plus the chopper hello (1).
 pub const HANDSHAKE_ROUND_TRIPS: u32 = 2;
 
 /// The stegotorus transport model.

@@ -164,16 +164,10 @@ fn bits(ch: &Channel) -> impl PartialEq + std::fmt::Debug {
         rtt,
         bottleneck_bps,
         loss,
-        hop_by_hop_recovery,
     } = response;
     (
         (*setup, *stream_open, *request_rtt, *per_request_extra),
-        (
-            *rtt,
-            bottleneck_bps.to_bits(),
-            loss.to_bits(),
-            *hop_by_hop_recovery,
-        ),
+        (*rtt, bottleneck_bps.to_bits(), loss.to_bits()),
         rate_cap.map(f64::to_bits),
         *max_parallel_streams,
         (hazard_per_sec.to_bits(), connect_failure_p.to_bits()),

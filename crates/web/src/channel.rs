@@ -66,15 +66,14 @@ impl Channel {
 
     /// The effective goodput for bulk payload, honoring the carrier cap.
     pub fn effective_rate(&self) -> f64 {
-        let base = self.response.sustained_rate();
+        let base = self.response.bottleneck_bps;
         match self.rate_cap {
             Some(cap) => base.min(cap),
             None => base,
         }
     }
 
-    /// The transfer model with the carrier cap folded in (preserving the
-    /// model's loss-recovery mode).
+    /// The transfer model with the carrier cap folded in.
     pub fn capped_model(&self) -> TransferModel {
         let mut m = self.response;
         if let Some(cap) = self.rate_cap {

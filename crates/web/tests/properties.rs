@@ -19,11 +19,8 @@ fn arb_channel() -> impl Strategy<Value = Channel> {
         0.0f64..0.3,                                   // connect failure
     )
         .prop_map(|(rtt, bw, loss, setup, extra, cap, hazard, fail)| {
-            let mut ch = Channel::ideal(TransferModel::relayed(
-                SimDuration::from_millis(rtt),
-                bw,
-                loss,
-            ));
+            let mut ch =
+                Channel::ideal(TransferModel::new(SimDuration::from_millis(rtt), bw, loss));
             ch.setup = SimDuration::from_millis(setup);
             ch.per_request_extra = SimDuration::from_millis(extra);
             ch.rate_cap = cap;
@@ -106,8 +103,8 @@ proptest! {
     #[test]
     fn faster_channel_dominates(seed in any::<u64>(), rank in 0usize..200, bw in 20_000.0f64..1_000_000.0) {
         let site = Website::generate(SiteList::Cbl, rank);
-        let slow = Channel::ideal(TransferModel::relayed(SimDuration::from_millis(300), bw, 0.0));
-        let fast = Channel::ideal(TransferModel::relayed(SimDuration::from_millis(300), bw * 4.0, 0.0));
+        let slow = Channel::ideal(TransferModel::new(SimDuration::from_millis(300), bw, 0.0));
+        let fast = Channel::ideal(TransferModel::new(SimDuration::from_millis(300), bw * 4.0, 0.0));
         let mut rng_a = SimRng::new(seed);
         let mut rng_b = SimRng::new(seed);
         let t_slow = curl::fetch(&slow, &site, &mut rng_a).total;

@@ -25,20 +25,18 @@
 #   4b. fault smoke: the fault-neutrality suite plus a seeded
 #      `repro --faults` run whose trace must carry consistent fault
 #      counters (injected == retried + recovered + gave_up)
-#   5. perf smoke: quick single-link sharing benches + repro --bench
-#      flow emitting BENCH_flow.json (fails on panic or non-finite
-#      output, never on speed thresholds); every warm class keeps
-#      allocs_per_step == 0
-#   6. establish smoke: quick establish benches + repro --bench establish
-#      emitting BENCH_establish.json (panics and non-finite values fail,
-#      never speed thresholds); every class resolves >= 99% of its relay
-#      picks on the consensus index (index_pick_fraction), and resolves
-#      at most 3 picks per vanilla_* establish and exactly 2 per obfs4_*
+#   5. perf smoke: repro --bench flow emitting BENCH_flow.json (fails on
+#      panic or non-finite output, never on speed thresholds); every warm
+#      class keeps allocs_per_step == 0
+#   6. establish smoke: repro --bench establish emitting
+#      BENCH_establish.json (panics and non-finite values fail, never
+#      speed thresholds); every class resolves >= 99% of its relay picks
+#      on the consensus index (index_pick_fraction), and resolves at most
+#      3 picks per vanilla_* establish and exactly 2 per obfs4_*
 #      establish (picks_per_establish)
-#   7. unit smoke: quick unit benches + repro --bench unit emitting
-#      BENCH_unit.json; additionally asserts every warm class shows
-#      allocs_per_unit == 0 — the one structural property the pooled
-#      pipeline promises
+#   7. unit smoke: repro --bench unit emitting BENCH_unit.json;
+#      additionally asserts every warm class shows allocs_per_unit == 0 —
+#      the one structural property the pooled pipeline promises
 #   8. bench regression gate: `repro --check-bench` compares the fresh
 #      bench output against the committed BENCH_*.json baselines with a
 #      relative-tolerance + minimum-run-count rule (2.5x; a baseline
@@ -172,9 +170,7 @@ awk -F'"value":' '
     }
   }' "$obs_dir/fault_trace.jsonl"
 
-echo "== perf smoke (flow benches, quick mode) =="
-cargo bench -q -p ptperf-bench --bench flow > "$obs_dir/bench_flow.txt"
-grep -q "share_link/browser_64" "$obs_dir/bench_flow.txt"
+echo "== perf smoke (repro --bench flow) =="
 PTPERF_BENCH_RUNS=40 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench flow --bench-out "$obs_dir/BENCH_flow.json" > "$obs_dir/bench_out.txt"
 check_finite "$obs_dir/BENCH_flow.json"
@@ -191,9 +187,7 @@ awk '
   }
   END { exit bad }' "$obs_dir/BENCH_flow.json"
 
-echo "== perf smoke (establish benches, quick mode) =="
-cargo bench -q -p ptperf-bench --bench establish > "$obs_dir/bench_establish.txt"
-grep -q "establish/vanilla_600_indexed" "$obs_dir/bench_establish.txt"
+echo "== perf smoke (repro --bench establish) =="
 PTPERF_BENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench establish --bench-out "$obs_dir/BENCH_establish.json" > "$obs_dir/establish_out.txt"
 check_finite "$obs_dir/BENCH_establish.json"
@@ -233,9 +227,7 @@ awk '
     exit bad
   }' "$obs_dir/BENCH_establish.json"
 
-echo "== perf smoke (unit benches, quick mode) =="
-cargo bench -q -p ptperf-bench --bench unit > "$obs_dir/bench_unit.txt"
-grep -q "unit/browser_obfs4_16_pooled" "$obs_dir/bench_unit.txt"
+echo "== perf smoke (repro --bench unit) =="
 PTPERF_BENCH_RUNS=20 cargo run --release -q -p ptperf-bench --bin repro -- \
   --bench unit --bench-out "$obs_dir/BENCH_unit.json" > "$obs_dir/unit_out.txt"
 check_finite "$obs_dir/BENCH_unit.json"
